@@ -54,7 +54,6 @@ from .games import (
     coalition_members,
     coalition_size,
     full_coalition,
-    subsets_excluding,
 )
 from .ledger import (
     LedgerStore,
@@ -146,7 +145,6 @@ __all__ = [
     "settle_subsampled",
     "shares_from_game",
     "standard_normal_model",
-    "subsets_excluding",
     "truncated_walk",
     "write_settlement_csv",
 ]

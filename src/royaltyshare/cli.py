@@ -10,8 +10,8 @@ Every run is driven by a JSON config plus flag overrides, and every report
 file is accompanied by a ``.meta.json`` sidecar echoing the fully resolved
 configuration, so a report is reproducible from its own metadata. All
 randomness derives from the single root seed, stream-split per subsystem.
-Given the same seed, report files are byte-identical across runs and across
-worker counts.
+Given the same seed, report files are byte-identical across runs. The
+``--workers`` flag is still accepted and has no effect.
 
 Exit codes: 0 success, 2 config error, 3 oracle failure, 4 storage failure.
 """
@@ -19,9 +19,11 @@ Exit codes: 0 success, 2 config error, 3 oracle failure, 4 storage failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 from typing import Any
@@ -260,7 +262,7 @@ def _build_game(config: dict[str, Any], event: GenerationEvent | None):
     return CoalitionGame(len(partition), oracle), oracle, None
 
 
-def _solve(game: CoalitionGame, config: dict[str, Any], workers: int):
+def _solve(game: CoalitionGame, config: dict[str, Any]):
     """Run the configured solver; returns (phi, stderr_or_none, solver_info)."""
     solver_cfg = config["solver"]
     if solver_cfg["kind"] == "exact":
@@ -271,7 +273,7 @@ def _solve(game: CoalitionGame, config: dict[str, Any], workers: int):
         seed=derive_seed(config["seed"], _STREAM_SOLVER),
         truncation_tolerance=float(solver_cfg["truncation"]),
     )
-    report = permutation_sample(game, estimator, workers=workers)
+    report = permutation_sample(game, estimator)
     info = {
         "kind": "mc",
         "permutations_used": report.permutations_used,
@@ -314,7 +316,7 @@ def cmd_attribute(args: argparse.Namespace) -> int:
     config = _load_config(args)
     event = _parse_event(args, config)
     game, oracle, _ = _build_game(config, event)
-    phi, stderr, solver_info = _solve(game, config, args.workers)
+    phi, stderr, solver_info = _solve(game, config)
     loo = loo_scores(game)
     shares = royalty_shares(phi)
 
@@ -351,12 +353,14 @@ def cmd_developer_share(args: argparse.Namespace) -> int:
     beta = config["beta"]
     rows = ["player_id,srs,payout_fraction\n"]
     if beta == "permission":
-        split = developer_split(PermissionGame(game), lambda g: _solve(g, config, args.workers)[0])
+        # The exact split needs no solver: it reads the owners' utility table.
+        solver = None if config["solver"]["kind"] == "exact" else lambda g: _solve(g, config)[0]
+        split = developer_split(PermissionGame(game), solver)
         for i, fraction in enumerate(split.owner_payout_fractions):
             rows.append(f"{i},{_fmt(fraction)},{_fmt(fraction)}\n")
         rows.append(f"developer,{_fmt(split.developer_share)},{_fmt(split.developer_share)}\n")
     else:
-        shares = royalty_shares(_solve(game, config, args.workers)[0])
+        shares = royalty_shares(_solve(game, config)[0])
         split = fixed_split(float(beta), shares)
         for i in range(game.n):
             rows.append(
@@ -386,7 +390,7 @@ def cmd_compare_loo(args: argparse.Namespace) -> int:
     config = _load_config(args)
     event = _parse_event(args, config)
     game, oracle, _ = _build_game(config, event)
-    phi, _, solver_info = _solve(game, config, args.workers)
+    phi, _, solver_info = _solve(game, config)
     loo = loo_scores(game)
     shares = royalty_shares(phi)
     rows = ["owner_id,phi,loo,srs\n"]
@@ -433,16 +437,7 @@ def cmd_settle(args: argparse.Namespace) -> int:
             sample_size=args.sample_size,
             seed=derive_seed(root_seed, _STREAM_SETTLE),
         )
-        report = type(report)(
-            owner_payouts=report.owner_payouts,
-            developer_payout=report.developer_payout,
-            total_income=report.total_income,
-            sampled_fraction=report.sampled_fraction,
-            estimator=report.estimator,
-            seed=root_seed,
-            failed_ids=report.failed_ids,
-            correlated_warning=report.correlated_warning,
-        )
+        report = dataclasses.replace(report, seed=root_seed)
     out = _out_dir(config)
     out.mkdir(parents=True, exist_ok=True)
     report_path = out / "settlement.csv"
@@ -549,7 +544,7 @@ def _add_solver_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--solver", choices=["exact", "mc"], default=None)
     sub.add_argument("--permutations", type=int, default=None)
     sub.add_argument("--workers", type=int, default=1,
-                     help="walk execution only; results are identical for any value")
+                     help="accepted for compatibility; has no effect")
 
 
 def _add_event_flags(sub: argparse.ArgumentParser) -> None:
@@ -620,8 +615,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _bind_event_values(argv: list[str]) -> list[str]:
+    """Join ``--event VALUE`` into ``--event=VALUE`` when VALUE is a negative number.
+
+    argparse reads a token such as ``-0.1,0.2`` (a negative first coordinate)
+    as an unknown option, not as the value of ``--event``.
+    """
+    out: list[str] = []
+    pending = False
+    for token in argv:
+        if pending and re.match(r"-\.?\d", token):
+            out[-1] = f"--event={token}"
+        else:
+            out.append(token)
+        pending = token == "--event"
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(_bind_event_values(argv))
     try:
         return args.func(args)
     except ConfigError as exc:

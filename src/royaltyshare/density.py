@@ -28,6 +28,7 @@ from scipy.special import logsumexp
 from .errors import (
     DimensionMismatchError,
     EmptyDatasetError,
+    NonFiniteError,
     OracleFailureError,
 )
 from .games import Coalition, UtilityOracle, coalition_members
@@ -342,7 +343,8 @@ def load_owner_datasets(path: str | Path) -> list[OwnerDataset]:
     """Read the dataset CSV back into per-owner datasets.
 
     Owner ids must be dense 0..n-1. Labels come back as written; an owner
-    whose label cells are all empty gets ``labels=None``.
+    whose label cells are all empty gets ``labels=None``. A NaN or infinite
+    coordinate raises :class:`NonFiniteError` naming the file and line.
     """
     grouped: dict[int, list[tuple[list[float], str]]] = {}
     with open(path, newline="", encoding="utf-8") as fh:
@@ -357,7 +359,12 @@ def load_owner_datasets(path: str | Path) -> list[OwnerDataset]:
             if len(row) != d + 2:
                 raise DimensionMismatchError(f"{path}: row width {len(row)} != {d + 2}")
             owner = int(row[0])
-            grouped.setdefault(owner, []).append(([float(v) for v in row[2:]], row[1]))
+            coords = [float(v) for v in row[2:]]
+            if not all(math.isfinite(v) for v in coords):
+                raise NonFiniteError(
+                    f"{path}: line {reader.line_num} has a non-finite coordinate"
+                )
+            grouped.setdefault(owner, []).append((coords, row[1]))
     if sorted(grouped) != list(range(len(grouped))):
         raise ValueError(f"{path}: owner ids must be dense 0..n-1, got {sorted(grouped)}")
     out = []

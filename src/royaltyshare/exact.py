@@ -9,8 +9,13 @@ the stratified subset formula
 with exact integer binomial weights and exactly rounded (fsum) accumulation
 per stratum. :func:`exact_shapley_by_permutations` averages marginal
 contributions over all ``n!`` orderings instead; it exists so each route can
-check the other. Both share a game's memoization, so the oracle is still paid
-at most once per coalition.
+check the other.
+
+Every solver here is table first: it fills the game's 2^n utility table once
+through :meth:`~royaltyshare.games.CoalitionGame.evaluate_many`, so the oracle
+is paid at most once per coalition, and then works on that array alone.
+:func:`exact_permission_shapley` solves the developer's permission game from
+the same table without building the (n+1)-player game.
 
 fsum accumulation is order independent, which has a useful consequence:
 players whose marginal contribution multisets coincide get bit-identical
@@ -27,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TooManyPlayersError
-from .games import CoalitionGame, full_coalition, subsets_excluding
+from .games import CoalitionGame, full_coalition
 
 # Above this the 2^n subset enumeration stops being a desk-scale computation.
 DEFAULT_EXACT_LIMIT = 20
@@ -55,8 +60,44 @@ class ShapleyVector:
         return len(self.values)
 
 
+def _utility_table(game: CoalitionGame) -> np.ndarray:
+    """All ``2**n`` utilities of ``game``, indexed by coalition bitmask."""
+    return game.evaluate_many(np.arange(1 << game.n, dtype=np.int64))
+
+
+def _coalitions_by_size(n: int) -> np.ndarray:
+    """Every coalition of ``n`` players, grouped by size, ascending in a group.
+
+    Group ``j`` (size ``j``) holds ``C(n, j)`` coalitions.
+    """
+    sizes = np.zeros(1 << n, dtype=np.int8)
+    for i in range(n):
+        sizes[1 << i : 2 << i] = sizes[: 1 << i] + 1
+    return np.argsort(sizes, kind="stable")
+
+
+def _groups(values: np.ndarray, lengths: list[int]) -> list[list[float]]:
+    """Split ``values`` into consecutive runs of the given lengths."""
+    out = []
+    start = 0
+    for length in lengths:
+        out.append(values[start : start + length].tolist())
+        start += length
+    return out
+
+
+def _marginals_by_size(table: np.ndarray, by_size: np.ndarray, i: int) -> np.ndarray:
+    """``v(S + i) - v(S)`` for every S without player i, grouped by ``|S|``."""
+    bit = 1 << i
+    without = by_size[(by_size & bit) == 0]
+    return table[without | bit] - table[without]
+
+
 def exact_shapley(game: CoalitionGame, exact_limit: int = DEFAULT_EXACT_LIMIT) -> ShapleyVector:
     """Compute exact Shapley values by stratified subset enumeration.
+
+    The utility table is filled once through :meth:`CoalitionGame.evaluate_many`;
+    each stratum is then one fsum over that table.
 
     Raises :class:`TooManyPlayersError` when ``game.n`` exceeds
     ``exact_limit`` (default 20); beyond that the 2^n enumeration is no
@@ -65,17 +106,55 @@ def exact_shapley(game: CoalitionGame, exact_limit: int = DEFAULT_EXACT_LIMIT) -
     n = game.n
     if n > exact_limit:
         raise TooManyPlayersError(f"{n} players exceeds exact enumeration limit {exact_limit}")
+    table = _utility_table(game)
+    by_size = _coalitions_by_size(n)
+    lengths = [math.comb(n - 1, j) for j in range(n)]
     values = np.empty(n, dtype=float)
     for i in range(n):
-        bit = 1 << i
-        strata = []
-        for k in range(1, n + 1):
-            marginals = [
-                game.evaluate(s | bit) - game.evaluate(s)
-                for s in subsets_excluding(n, i, k - 1)
-            ]
-            strata.append(math.fsum(marginals) / math.comb(n - 1, k - 1))
+        groups = _groups(_marginals_by_size(table, by_size, i), lengths)
+        strata = [math.fsum(group) / math.comb(n - 1, j) for j, group in enumerate(groups)]
         values[i] = math.fsum(strata) / n
+    return ShapleyVector(values, method="stratified")
+
+
+def exact_permission_shapley(
+    game: CoalitionGame, exact_limit: int = DEFAULT_EXACT_LIMIT
+) -> ShapleyVector:
+    """Exact Shapley values of ``game``'s permission game, from ``game``'s table.
+
+    The permission game adds a developer as player ``n`` and is worth
+    ``v(S minus developer)`` when the developer is in S, zero otherwise.
+    Entry ``n`` of the result is the developer. This computes the same
+    numbers, bit for bit, as :func:`exact_shapley` on the ``(n+1)``-player
+    game, without building it: every marginal of that game is either a base
+    marginal, ``v(S)`` for the developer, or an exact zero.
+
+    Raises :class:`TooManyPlayersError` when ``game.n`` exceeds ``exact_limit``.
+    """
+    n = game.n
+    if n > exact_limit:
+        raise TooManyPlayersError(f"{n} players exceeds exact enumeration limit {exact_limit}")
+    table = _utility_table(game)
+    by_size = _coalitions_by_size(n)
+    values = np.empty(n + 1, dtype=float)
+    lengths = [math.comb(n - 1, j) for j in range(n)]
+    for i in range(n):
+        groups = _groups(_marginals_by_size(table, by_size, i), lengths)
+        # Stratum k of the n+1 players holds the base marginals over
+        # |T| = k - 2 (coalitions with the developer) and C(n-1, k-1) exact
+        # zeros (coalitions without). One 0.0 stands for the zeros: fsum of
+        # exact zeros depends only on whether a +0.0 is among them.
+        strata = [0.0]  # k = 1: only the empty coalition, a zero marginal
+        for j, group in enumerate(groups):
+            if j < n - 1:
+                group.append(0.0)
+            strata.append(math.fsum(group) / math.comb(n, j + 1))
+        values[i] = math.fsum(strata) / (n + 1)
+    # The developer's marginal on a coalition S of owners is v(S) - 0.0, which
+    # is v(S) exactly; stratum k sums it over |S| = k - 1.
+    groups = _groups(table[by_size], [math.comb(n, j) for j in range(n + 1)])
+    strata = [math.fsum(group) / math.comb(n, j) for j, group in enumerate(groups)]
+    values[n] = math.fsum(strata) / (n + 1)
     return ShapleyVector(values, method="stratified")
 
 
@@ -91,9 +170,9 @@ def exact_shapley_by_permutations(game: CoalitionGame) -> ShapleyVector:
         raise TooManyPlayersError(
             f"{n} players exceeds permutation enumeration limit {PERMUTATION_LIMIT}"
         )
-    # Pre-evaluate every coalition once; the walks below then index a list,
-    # which is much faster than hitting the cache dict n * n! times.
-    vals = [game.evaluate(mask) for mask in range(1 << n)]
+    # The walks below index the table as a list, which is much faster than
+    # reading numpy scalars n * n! times.
+    vals = _utility_table(game).tolist()
     buffers: list[list[float]] = [[] for _ in range(n)]
     for perm in itertools.permutations(range(n)):
         mask = 0
@@ -118,7 +197,6 @@ def loo_scores(game: CoalitionGame) -> np.ndarray:
     contrast baseline: under exact data duplication LOO collapses to zero for
     every copy while Shapley values split the credit.
     """
-    n = game.n
-    grand = full_coalition(n)
-    v_n = game.evaluate(grand)
-    return np.array([v_n - game.evaluate(grand & ~(1 << i)) for i in range(n)])
+    grand = full_coalition(game.n)
+    vals = game.evaluate_many([grand] + [grand & ~(1 << i) for i in range(game.n)])
+    return vals[0] - vals[1:]

@@ -10,13 +10,19 @@ A utility oracle is any callable ``oracle(coalition) -> float``. Oracles must
 be pure and deterministic: repeated calls with the same coalition return the
 same value bit for bit. Oracles signal failure by raising, most specifically
 :class:`~royaltyshare.errors.OracleFailureError`, which callers see unchanged.
+
+:meth:`CoalitionGame.evaluate_many` is the evaluation path the solvers use: an
+array of coalitions in, an array of utilities out, with only the coalitions
+missing from the memo sent to the oracle. :meth:`CoalitionGame.evaluate` reads
+one coalition through the same memo.
 """
 
 from __future__ import annotations
 
-import itertools
 import threading
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
+
+import numpy as np
 
 from .errors import CoalitionBoundsError
 
@@ -63,22 +69,6 @@ def full_coalition(n: int) -> Coalition:
     return (1 << n) - 1
 
 
-def subsets_excluding(n: int, i: int, size: int) -> Iterator[Coalition]:
-    """Yield every size-``size`` coalition drawn from ``range(n)`` minus ``i``.
-
-    The order is deterministic (lexicographic over ascending member tuples),
-    which keeps accumulation reproducible across runs.
-    """
-    if not 0 <= i < n:
-        raise CoalitionBoundsError(f"player index {i} outside range(0, {n})")
-    others = [p for p in range(n) if p != i]
-    for combo in itertools.combinations(others, size):
-        mask = 0
-        for p in combo:
-            mask |= 1 << p
-        yield mask
-
-
 class CoalitionGame:
     """A cooperative game: player count plus a memoized utility oracle.
 
@@ -108,7 +98,7 @@ class CoalitionGame:
 
     @property
     def cache(self) -> dict[Coalition, float]:
-        """Read-only view intent: mutate only through :meth:`evaluate`."""
+        """Read-only view intent: mutate only through the evaluate methods."""
         return self._cache
 
     def evaluate(self, s: Coalition) -> float:
@@ -119,9 +109,7 @@ class CoalitionGame:
         cached for that coalition.
         """
         if s < 0 or (s >> self.n):
-            raise CoalitionBoundsError(
-                f"coalition {bin(s)} uses players outside range(0, {self.n})"
-            )
+            raise self._out_of_range(s)
         if not self._memoize:
             value = float(self._oracle(s))
             with self._lock:
@@ -137,6 +125,52 @@ class CoalitionGame:
                 self._cache[s] = value
                 self._eval_count += 1
             return self._cache[s]
+
+    def evaluate_many(self, masks) -> np.ndarray:
+        """Return the utilities of an integer array of coalitions, same shape.
+
+        Coalitions already in the memo are read from it; the missing ones go
+        to the oracle once each, in order of first appearance, and are
+        counted in ``eval_count`` exactly as :meth:`evaluate` would count
+        them. Without memoization every entry is an oracle call. Raises
+        :class:`CoalitionBoundsError` before any oracle call if an entry sets
+        bits at or above ``self.n``. If the oracle raises, the coalitions
+        evaluated before it are kept and counted, the failing one is not.
+        """
+        arr = np.asarray(masks)
+        if arr.size and arr.dtype.kind not in "iu":
+            raise CoalitionBoundsError(f"coalitions must be integer bitsets, got {arr.dtype}")
+        keys = arr.ravel().tolist()
+        if arr.size and (arr.min() < 0 or max(keys) >> self.n):
+            raise self._out_of_range(min(keys) if arr.min() < 0 else max(keys))
+        oracle = self._oracle
+        if not self._memoize:
+            values: list[float] = []
+            try:
+                for s in keys:
+                    values.append(float(oracle(s)))
+            finally:
+                with self._lock:
+                    self._eval_count += len(values)
+            return np.array(values, dtype=float).reshape(arr.shape)
+        cache = self._cache
+        missing = [s for s in dict.fromkeys(keys) if s not in cache]
+        fresh: list[float] = []
+        try:
+            for s in missing:
+                fresh.append(float(oracle(s)))
+        finally:
+            with self._lock:
+                for s, value in zip(missing, fresh):
+                    if s not in cache:
+                        cache[s] = value
+                        self._eval_count += 1
+        return np.array([cache[s] for s in keys], dtype=float).reshape(arr.shape)
+
+    def _out_of_range(self, s: Coalition) -> CoalitionBoundsError:
+        return CoalitionBoundsError(
+            f"coalition {bin(s)} uses players outside range(0, {self.n})"
+        )
 
     def grand_coalition(self) -> Coalition:
         return full_coalition(self.n)

@@ -3,23 +3,32 @@
 The estimator samples player orderings and walks each one once, charging each
 player its marginal contribution when it joins the growing prefix. Averaged
 over uniformly random orderings this is an unbiased estimate of the Shapley
-value; with a memoized game the walks share coalition evaluations.
+value.
+
+:func:`permutation_sample` runs all walks at once: it builds every walk's
+prefix coalitions with a cumulative OR over the sampled orderings and
+evaluates them in one :meth:`~royaltyshare.games.CoalitionGame.evaluate_many`
+batch, so on a memoized game each coalition is paid for once however many
+walks visit it.
+:func:`truncated_walk` walks a single ordering coalition by coalition; it is
+the reference the batched sampler is tested against.
 
 Reproducibility contract: ordering ``j`` is drawn from a counter-based stream
 derived from ``(config.seed, j)``, and per-permutation results are reduced in
 index order. Estimates are therefore a pure function of ``(game, config)``,
-bit for bit, no matter how many workers execute the walks.
+bit for bit.
 
 Truncation: with ``truncation_tolerance > 0`` a walk stops as soon as the
 prefix utility is within the tolerance of the grand coalition's utility, and
-every remaining player is charged exactly zero. The grand coalition value is
-read through the memoized game, so across a whole run it is paid for once.
+every remaining player is charged exactly zero. The batched sampler then
+advances the walks one position at a time, evaluating only the walks still
+running, so it pays for exactly the coalitions the single walks would. The
+grand coalition value is paid for once per run.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
@@ -125,31 +134,41 @@ def _reduce(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return estimate, stderr
 
 
-def permutation_sample(
-    game: CoalitionGame, config: EstimatorConfig, *, workers: int = 1
-) -> EstimateReport:
+def _prefix_masks(orderings: np.ndarray) -> np.ndarray:
+    """Row ``j``, column ``t``: the coalition of the first ``t + 1`` players of walk ``j``."""
+    bits = np.left_shift(np.uint64(1), orderings.astype(np.uint64))
+    return np.bitwise_or.accumulate(bits, axis=1)
+
+
+def permutation_sample(game: CoalitionGame, config: EstimatorConfig) -> EstimateReport:
     """Estimate Shapley values from ``config.num_permutations`` sampled walks.
 
-    ``workers`` only sets how walks are executed; the sampled orderings and
-    the returned numbers are identical for any worker count.
+    The numbers, ``oracle_calls`` included, equal those of running
+    :func:`truncated_walk` on each sampled ordering in turn over a memoized
+    game.
     """
     n = game.n
     m = config.num_permutations
+    tolerance = config.truncation_tolerance
     calls_before = game.eval_count
-    if config.truncation_tolerance > 0:
-        game.evaluate(full_coalition(n))  # pay for v(N) once, outside the walks
-    marginals = np.empty((m, n), dtype=float)
-
-    def run(j: int) -> None:
-        ordering = sampled_ordering(config.seed, j, n)
-        marginals[j] = truncated_walk(game, ordering, config.truncation_tolerance)
-
-    if workers <= 1:
-        for j in range(m):
-            run(j)
+    orderings = np.array([sampled_ordering(config.seed, j, n) for j in range(m)],
+                         dtype=np.int64).reshape(m, n)
+    prefixes = _prefix_masks(orderings)
+    marginals = np.zeros((m, n), dtype=float)
+    if tolerance > 0:
+        total = game.evaluate_many([full_coalition(n)])[0]
+        prev = np.full(m, game.evaluate_many([EMPTY])[0])
+        for t in range(n):
+            active = np.flatnonzero(~(np.abs(total - prev) <= tolerance))
+            if active.size == 0:
+                break
+            cur = game.evaluate_many(prefixes[active, t])
+            marginals[active, orderings[active, t]] = cur - prev[active]
+            prev[active] = cur
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, range(m)))
+        utilities = game.evaluate_many(
+            np.concatenate([np.full((m, 1), EMPTY, dtype=np.uint64), prefixes], axis=1))
+        marginals[np.arange(m)[:, None], orderings] = np.diff(utilities, axis=1)
     estimate, stderr = _reduce(marginals)
     return EstimateReport(
         estimate=ShapleyVector(estimate, method="estimated"),
@@ -205,12 +224,10 @@ def permutation_sample_incremental(
     )
 
 
-def make_mc_solver(
-    config: EstimatorConfig, *, workers: int = 1
-) -> Callable[[CoalitionGame], ShapleyVector]:
+def make_mc_solver(config: EstimatorConfig) -> Callable[[CoalitionGame], ShapleyVector]:
     """Package the sampler as a solver callable for the royalty layer."""
 
     def solve(game: CoalitionGame) -> ShapleyVector:
-        return permutation_sample(game, config, workers=workers).estimate
+        return permutation_sample(game, config).estimate
 
     return solve

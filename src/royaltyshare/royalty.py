@@ -13,7 +13,9 @@ is worth nothing, because without the trained model there is no output to
 sell. Shapley values of the augmented game then price the developer's veto
 alongside the owners' data. ``beta_data``, the fraction of revenue flowing to
 data owners collectively, is one minus the developer's share of the augmented
-game.
+game. The exact values come straight from the owners' utility table
+(:func:`~royaltyshare.exact.exact_permission_shapley`); the augmented game
+itself is built only when a sampling solver asks for it.
 
 Utilities are in nats throughout; :func:`nats_to_bits` converts for display
 only.
@@ -23,12 +25,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .errors import NonFiniteError
-from .exact import ShapleyVector, exact_shapley
+from .exact import ShapleyVector, exact_permission_shapley, exact_shapley
 from .games import Coalition, CoalitionGame, EMPTY
 
 Solver = Callable[[CoalitionGame], ShapleyVector]
@@ -106,7 +109,9 @@ class PermissionGame:
     for relative utilities by construction; this is checked eagerly with one
     (cached) evaluation.
 
-    The augmented game reads the base game through its cache, so solving the
+    The exact solve works on the base game alone. :attr:`augmented`, the
+    ``(n+1)``-player game that a sampling solver walks, is built on first
+    access and reads the base game through its cache, so solving the
     permission game costs no more base-oracle calls than solving the base
     game itself.
     """
@@ -116,6 +121,10 @@ class PermissionGame:
             raise ValueError("permission games require a base game with v(empty) = 0")
         self.base = base
         self.developer = base.n
+
+    @cached_property
+    def augmented(self) -> CoalitionGame:
+        base = self.base
         dev_bit = 1 << base.n
 
         def augmented(s: Coalition) -> float:
@@ -123,15 +132,22 @@ class PermissionGame:
                 return base.evaluate(s & ~dev_bit)
             return 0.0
 
-        self.augmented = CoalitionGame(base.n + 1, augmented)
+        return CoalitionGame(base.n + 1, augmented)
 
     @property
     def num_owners(self) -> int:
         return self.base.n
 
 
-def permission_shapley(pg: PermissionGame, solver: Solver = exact_shapley) -> ShapleyVector:
-    """Shapley values of the augmented game; entry ``pg.developer`` is the developer."""
+def permission_shapley(pg: PermissionGame, solver: Solver | None = None) -> ShapleyVector:
+    """Shapley values of the augmented game; entry ``pg.developer`` is the developer.
+
+    With no ``solver`` the values are exact, computed from the base game's
+    utility table. A ``solver`` (a sampling estimator, say) is run on
+    :attr:`PermissionGame.augmented` instead.
+    """
+    if solver is None:
+        return exact_permission_shapley(pg.base)
     return solver(pg.augmented)
 
 
@@ -150,8 +166,11 @@ class DeveloperSplit:
     degenerate: bool = False
 
 
-def developer_split(pg: PermissionGame, solver: Solver = exact_shapley) -> DeveloperSplit:
+def developer_split(pg: PermissionGame, solver: Solver | None = None) -> DeveloperSplit:
     """Price the developer's share from the permission game itself.
+
+    ``solver`` is passed to :func:`permission_shapley`: None for the exact
+    values, or a solver to run on the augmented game.
 
     The owners' payout fractions equal the augmented-game royalty shares
     restricted to the owners: scaling the owner-renormalized shares by

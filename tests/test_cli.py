@@ -236,6 +236,37 @@ def test_event_dimension_mismatch_is_exit_2(tmp_path):
     assert main(["attribute", "--config", config, "--event", "1,2,3"]) == 2
 
 
+@pytest.mark.parametrize(
+    "command, report",
+    [("attribute", "attribution"), ("developer-share", "developer_share"),
+     ("compare-loo", "compare_loo")],
+)
+def test_event_with_negative_first_coordinate(tmp_path, command, report):
+    dataset = tmp_path / "owners.csv"
+    rng = np.random.default_rng(8)
+    save_owner_datasets(
+        dataset,
+        [OwnerDataset(owner=i, points=rng.standard_normal((10, 2))) for i in range(2)],
+    )
+    config = write_config(tmp_path / "config.json", dataset=str(dataset))
+    out = tmp_path / "reports"
+    code = main([command, "--config", config, "--out", str(out), "--event", "-0.1,0.2"])
+    assert code == 0
+    meta = json.loads((out / f"{report}.meta.json").read_text(encoding="utf-8"))
+    assert meta["event"] == [-0.1, 0.2]
+
+
+def test_non_finite_dataset_coordinate_is_exit_3(tmp_path, capsys):
+    dataset = tmp_path / "owners.csv"
+    dataset.write_text(
+        "owner_id,label,x0,x1\n0,,0.5,1.0\n0,,nan,2.0\n1,,0.0,0.0\n", encoding="utf-8"
+    )
+    config = write_config(tmp_path / "config.json", dataset=str(dataset))
+    assert main(["attribute", "--config", config, "--event", "0,0"]) == 3
+    err = capsys.readouterr().err
+    assert "oracle failure" in err and f"{dataset}: line 3" in err
+
+
 def test_invalid_beta_flag_is_an_argparse_error(tmp_path):
     config = additive_config(tmp_path)
     with pytest.raises(SystemExit) as exc:

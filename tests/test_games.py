@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import math
 import threading
 
 import numpy as np
@@ -14,7 +13,6 @@ from royaltyshare import (
     coalition_members,
     coalition_size,
     full_coalition,
-    subsets_excluding,
 )
 from royaltyshare.games import EMPTY, MAX_PLAYERS
 
@@ -43,18 +41,6 @@ def test_empty_and_full():
     assert coalition_size(EMPTY) == 0
     assert full_coalition(4) == 0b1111
     assert coalition_members(full_coalition(3)) == [0, 1, 2]
-
-
-def test_subsets_excluding_counts_and_excludes():
-    for size in range(5):
-        subsets = list(subsets_excluding(5, 2, size))
-        assert len(subsets) == math.comb(4, size)
-        assert all(not (s & (1 << 2)) for s in subsets)
-        assert all(coalition_size(s) == size for s in subsets)
-
-
-def test_subsets_excluding_is_deterministic():
-    assert list(subsets_excluding(6, 1, 3)) == list(subsets_excluding(6, 1, 3))
 
 
 def test_game_memoizes_and_counts_evaluations():

@@ -98,15 +98,33 @@ def test_glove_estimate_converges(glove_game):
     assert report.estimate.method == "estimated"
 
 
-def test_worker_count_does_not_change_results():
+def per_walk_reference(game, config):
+    """The sampler as single walks: v(N) first when truncating, then each ordering."""
+    n, m = game.n, config.num_permutations
+    before = game.eval_count
+    if config.truncation_tolerance > 0:
+        game.evaluate(game.grand_coalition())
+    matrix = np.array(
+        [truncated_walk(game, sampled_ordering(config.seed, j, n), config.truncation_tolerance)
+         for j in range(m)]
+    )
+    stderr = matrix.std(axis=0, ddof=1) / math.sqrt(m)
+    return matrix.mean(axis=0), stderr, game.eval_count - before
+
+
+def test_batched_sampler_matches_per_walk_reference():
     rng = np.random.default_rng(19)
-    table = random_table(rng, 6)
-    config = EstimatorConfig(num_permutations=500, seed=9)
-    serial = permutation_sample(table_game(table), config, workers=1)
-    threaded = permutation_sample(table_game(table), config, workers=4)
-    np.testing.assert_array_equal(serial.estimate.values, threaded.estimate.values)
-    np.testing.assert_array_equal(serial.stderr, threaded.stderr)
-    assert serial.oracle_calls == threaded.oracle_calls
+    # At the positive tolerances every walk on the first table stops before
+    # its first step; walks on the second stop at every position from 1 to 7.
+    tables = [random_table(rng, 6), np.round(random_table(rng, 7) * 2.0) / 2.0]
+    for table in tables:
+        for tolerance in (0.0, 0.25, 0.6):
+            config = EstimatorConfig(num_permutations=500, seed=9, truncation_tolerance=tolerance)
+            report = permutation_sample(table_game(table), config)
+            estimate, stderr, calls = per_walk_reference(table_game(table), config)
+            np.testing.assert_array_equal(report.estimate.values, estimate)
+            np.testing.assert_array_equal(report.stderr, stderr)
+            assert report.oracle_calls == calls
 
 
 def test_additive_game_has_zero_stderr():
