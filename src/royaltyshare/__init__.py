@@ -66,10 +66,8 @@ from .ledger import (
 from .montecarlo import (
     EstimateReport,
     EstimatorConfig,
-    IncrementalOracle,
     make_mc_solver,
     permutation_sample,
-    permutation_sample_incremental,
     truncated_walk,
 )
 from .royalty import (
@@ -102,7 +100,6 @@ __all__ = [
     "GaussianModel",
     "GaussianReverseChain",
     "GenerationEvent",
-    "IncrementalOracle",
     "KernelDensityModel",
     "LedgerStore",
     "NoiseSchedule",
@@ -137,7 +134,6 @@ __all__ = [
     "nats_to_bits",
     "permission_shapley",
     "permutation_sample",
-    "permutation_sample_incremental",
     "relative_utility",
     "royalty_shares",
     "save_owner_datasets",

@@ -13,7 +13,8 @@ randomness derives from the single root seed, stream-split per subsystem.
 Given the same seed, report files are byte-identical across runs. The
 ``--workers`` flag is still accepted and has no effect.
 
-Exit codes: 0 success, 2 config error, 3 oracle failure, 4 storage failure.
+Exit codes: 0 success, 2 config error, 3 oracle failure (a covariance that
+linear algebra rejects included), 4 storage failure.
 """
 
 from __future__ import annotations
@@ -304,7 +305,10 @@ def _oracle_meta(oracle) -> dict[str, Any]:
     return {
         "conditioning_fallbacks": sorted(
             coalition_members(s) for s in oracle.fallback_coalitions
-        )
+        ),
+        "covariance_floor_coalitions": sorted(
+            coalition_members(s) for s in oracle.covariance_floor_coalitions
+        ),
     }
 
 
@@ -640,7 +644,13 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (OracleFailureError, EmptyDatasetError, DimensionMismatchError, NonFiniteError) as exc:
+    except (
+        OracleFailureError,
+        EmptyDatasetError,
+        DimensionMismatchError,
+        NonFiniteError,
+        np.linalg.LinAlgError,  # a ValueError, so caught ahead of the catch-all below
+    ) as exc:
         print(f"oracle failure: {exc}", file=sys.stderr)
         return 3
     except (StorageFailureError, DuplicateIdError) as exc:

@@ -8,9 +8,19 @@ dataset). The empty coalition is exactly zero by construction.
 
 Two desk-scale families are provided: Gaussian maximum likelihood fits with a
 ridge and an eigenvalue floor, and a fixed-bandwidth Gaussian kernel density
-estimate. Fits accumulate moments with exactly rounded sums, so owners with
-identical datasets produce bit-identical models; the duplication results
-downstream are exact because of this, not approximate.
+estimate.
+
+A Gaussian fit is a function of the count, Σx and Σxxᵀ of its points. These
+are held exactly, as Python integers at one power-of-two scale, so pooling
+owners is integer addition and each moment is rounded once: the mean is the
+correctly rounded Σx divided by m, and the covariance is the correctly
+rounded moment Σ(x−μ)(x−μ)ᵀ about that mean, divided by m. A fit therefore
+depends only on the pooled multiset of points, and owners with identical
+datasets produce bit-identical models; the duplication results downstream
+are exact because of this, not approximate. :class:`CoalitionDensityOracle`
+computes each owner's moments once and fits a whole batch of coalitions with
+stacked linear algebra; :func:`fit_gaussian` is the same routine on a batch
+of one.
 """
 
 from __future__ import annotations
@@ -22,7 +32,6 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.special import logsumexp
 
 from .errors import (
@@ -87,10 +96,9 @@ class GaussianModel:
             raise DimensionMismatchError("mean must be (d,) and cov (d, d)")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
-        chol = np.linalg.cholesky(cov)
-        logdet = 2.0 * math.fsum(np.log(np.diag(chol)).tolist())
-        object.__setattr__(self, "_chol", chol)
-        object.__setattr__(self, "_logdet", logdet)
+        chols, logdets = _cholesky_logdet(cov[None])
+        object.__setattr__(self, "_chol", chols[0])
+        object.__setattr__(self, "_logdet", logdets[0])
 
     @property
     def dim(self) -> int:
@@ -98,10 +106,9 @@ class GaussianModel:
 
     def log_density(self, x: np.ndarray) -> float:
         x = _check_query(x, self.dim)
-        diff = x - self.mean
-        w = solve_triangular(self._chol, diff, lower=True)
-        quad = float(w @ w)
-        return -0.5 * (self.dim * LOG_2PI + self._logdet + quad)
+        return float(
+            _gaussian_log_densities(self.mean[None], self._chol[None], self._logdet[None], x)[0]
+        )
 
 
 @dataclass(frozen=True)
@@ -149,41 +156,153 @@ def log_density(model: DensityModel, x: np.ndarray) -> float:
     return model.log_density(x)
 
 
-def _fsum_column(values: np.ndarray) -> float:
-    return math.fsum(values.tolist())
+def _exact_scale(arrays: Iterable[np.ndarray]) -> int:
+    """The least ``k >= 0`` for which every coordinate times ``2**k`` is an integer."""
+    scale = 0
+    for pts in arrays:
+        if not np.all(np.isfinite(pts)):
+            raise NonFiniteError("gaussian fits need finite coordinates")
+        for v in pts.ravel().tolist():
+            scale = max(scale, v.as_integer_ratio()[1].bit_length() - 1)
+    return scale
+
+
+@dataclass(frozen=True)
+class _Moments:
+    """Count, Σx and the upper triangle of Σxxᵀ (row-major) of a point set.
+
+    ``sx`` holds Σx times ``2**scale`` and ``sxx`` holds Σxxᵀ times
+    ``2**(2 * scale)``, both as Python integers, so moments add exactly.
+    """
+
+    count: int
+    sx: tuple[int, ...]
+    sxx: tuple[int, ...]
+
+    @classmethod
+    def of(cls, points: np.ndarray, scale: int) -> _Moments:
+        rows = [
+            [num << (scale + 1 - den.bit_length()) for num, den in map(float.as_integer_ratio, row)]
+            for row in points.tolist()
+        ]
+        d = points.shape[1]
+        return cls(
+            count=len(rows),
+            sx=tuple(sum(r[i] for r in rows) for i in range(d)),
+            sxx=tuple(sum(r[i] * r[j] for r in rows) for i, j in _upper_pairs(d)),
+        )
+
+    @classmethod
+    def pooled(cls, parts: Sequence[_Moments]) -> _Moments:
+        return cls(
+            count=sum(p.count for p in parts),
+            sx=tuple(map(sum, zip(*(p.sx for p in parts)))),
+            sxx=tuple(map(sum, zip(*(p.sxx for p in parts)))),
+        )
+
+
+def _upper_pairs(d: int) -> list[tuple[int, int]]:
+    return [(i, j) for i in range(d) for j in range(i, d)]
+
+
+def _fit_moments(
+    moments: Sequence[_Moments], scale: int, ridge: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Means ``(B, d)``, covariances ``(B, d, d)`` and floor flags ``(B,)``.
+
+    Row ``b`` fits the nonempty point set whose moments, held at ``scale``,
+    are ``moments[b]``. Its mean is Σx rounded once, divided by m: bit for bit
+    ``math.fsum(column) / m``. Its covariance is the exact moment
+    Σ(x−μ)(x−μ)ᵀ about that rounded mean μ, rounded once, divided by m,
+    plus ``ridge`` on the diagonal. Where the smallest eigenvalue is below
+    ``COVARIANCE_FLOOR`` the eigenvalues are raised to it and the row's flag
+    is set; the other covariances are returned untouched.
+    """
+    d = len(moments[0].sx)
+    pairs = _upper_pairs(d)
+    unit = 1 << scale
+    means, entries = [], []
+    for mom in moments:
+        m = mom.count
+        mean = [s / unit / m for s in mom.sx]
+        # The mean as integers at a scale 2**shift that holds it and the sums exactly.
+        ratios = [v.as_integer_ratio() for v in mean]
+        shift = max([scale] + [den.bit_length() - 1 for _, den in ratios])
+        mu = [num << (shift + 1 - den.bit_length()) for num, den in ratios]
+        sx = [s << (shift - scale) for s in mom.sx]
+        lift, denom = 2 * (shift - scale), 1 << (2 * shift)
+        entries.append([
+            ((q << lift) - mu[i] * sx[j] - sx[i] * mu[j] + m * mu[i] * mu[j]) / denom / m
+            for (i, j), q in zip(pairs, mom.sxx)
+        ])
+        means.append(mean)
+    covs = np.empty((len(moments), d, d))
+    rows, cols = np.triu_indices(d)
+    covs[:, rows, cols] = entries
+    covs[:, cols, rows] = entries
+    covs[:, np.arange(d), np.arange(d)] += ridge
+    floored = np.linalg.eigvalsh(covs)[:, 0] < COVARIANCE_FLOOR
+    if floored.any():
+        vals, vecs = np.linalg.eigh(covs[floored])
+        low = (vecs * np.maximum(vals, COVARIANCE_FLOOR)[:, None, :]) @ np.swapaxes(vecs, 1, 2)
+        covs[floored] = (low + np.swapaxes(low, 1, 2)) / 2.0
+    return np.array(means), covs, floored
+
+
+def _cholesky_logdet(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower Cholesky factors and log determinants of stacked covariances."""
+    chols = np.linalg.cholesky(covs)
+    logs = np.log(np.ascontiguousarray(np.diagonal(chols, axis1=1, axis2=2)))
+    return chols, np.array([2.0 * math.fsum(row) for row in logs.tolist()])
+
+
+def _forward_substitute(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``lower[b] @ w[b] = rhs[b]`` for every row ``b`` of ``rhs``.
+
+    Elementwise operations only, in a fixed order, so a row's result does not
+    depend on the batch it came in.
+    """
+    w = np.empty_like(rhs)
+    for i in range(rhs.shape[1]):
+        acc = rhs[:, i].copy()
+        for k in range(i):
+            acc -= lower[:, i, k] * w[:, k]
+        w[:, i] = acc / lower[:, i, i]
+    return w
+
+
+def _gaussian_log_densities(
+    means: np.ndarray, chols: np.ndarray, logdets: np.ndarray, x: np.ndarray
+) -> np.ndarray:
+    """Log density of ``x`` under each of B stacked Gaussians."""
+    w = _forward_substitute(chols, x - means)
+    # A stacked matmul takes each row's dot product on its own (np.einsum
+    # and np.sum do not), so a row's result does not depend on its batch.
+    quad = np.matmul(w[:, None, :], w[:, :, None])[:, 0, 0]
+    return -0.5 * (x.size * LOG_2PI + logdets + quad)
 
 
 def fit_gaussian(points: np.ndarray, ridge: float = 0.0) -> GaussianModel:
     """Maximum likelihood Gaussian fit with a diagonal ridge.
 
-    Moments use exactly rounded sums: fitting a dataset concatenated with
-    itself returns the same model bit for bit, which keeps exact-duplicate
-    owners exactly symmetric downstream. After adding ``ridge`` to the
-    diagonal, eigenvalues are floored at ``COVARIANCE_FLOOR``; covariances
-    already above the floor are returned untouched.
+    The moments are exact and each is rounded once: the mean is the
+    correctly rounded Σx divided by m (``math.fsum(column) / m``), the
+    covariance the correctly rounded moment about that mean divided by m.
+    The fit depends only on the multiset of points, so a dataset
+    concatenated with itself fits to the same model bit for bit, which keeps
+    exact-duplicate owners exactly symmetric downstream. After adding
+    ``ridge`` to the diagonal, eigenvalues are floored at
+    ``COVARIANCE_FLOOR``; covariances already above the floor are returned
+    untouched. This is the coalition oracle's batched fit on a batch of one.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise EmptyDatasetError("gaussian fit requires a nonempty (m, d) array")
     if ridge < 0:
         raise ValueError("ridge must be nonnegative")
-    m, d = pts.shape
-    mean = np.array([_fsum_column(pts[:, j]) / m for j in range(d)])
-    centered = pts - mean
-    cov = np.empty((d, d), dtype=float)
-    for i in range(d):
-        for j in range(i, d):
-            cov_ij = _fsum_column(centered[:, i] * centered[:, j]) / m
-            cov[i, j] = cov_ij
-            cov[j, i] = cov_ij
-    cov[np.diag_indices(d)] += ridge
-    eigvals = np.linalg.eigvalsh(cov)
-    if eigvals[0] < COVARIANCE_FLOOR:
-        vals, vecs = np.linalg.eigh(cov)
-        vals = np.maximum(vals, COVARIANCE_FLOOR)
-        cov = vecs @ np.diag(vals) @ vecs.T
-        cov = (cov + cov.T) / 2.0
-    return GaussianModel(mean=mean, cov=cov, fit_count=m)
+    scale = _exact_scale([pts])
+    means, covs, _ = _fit_moments([_Moments.of(pts, scale)], scale, ridge)
+    return GaussianModel(mean=means[0], cov=covs[0], fit_count=pts.shape[0])
 
 
 def scott_bandwidth(points: np.ndarray) -> float:
@@ -234,14 +353,21 @@ class DensityOracleConfig:
 
 
 class CoalitionDensityOracle:
-    """Callable utility oracle: relative log-likelihood of one event.
+    """Batch utility oracle: relative log-likelihood of one event.
+
+    :meth:`many` takes a sequence of coalitions and returns their utilities
+    as an array; calling the oracle on one coalition is ``many([s])[0]``.
+    Gaussian fits read each owner's exact moments, computed once here, and
+    run stacked over the batch; KDE fits pool each coalition's points.
 
     Conditioning: when the event carries a label and a coalition has labeled
     points, the fit uses only points with that label. A nonempty coalition
     whose conditioned pool is empty falls back to its unconditioned pool and
     the coalition is recorded in ``fallback_coalitions`` rather than killing
     the run; a coalition with no points at all raises
-    :class:`OracleFailureError`.
+    :class:`OracleFailureError`. Coalitions whose Gaussian fit had an
+    eigenvalue raised to ``COVARIANCE_FLOOR`` are recorded in
+    ``covariance_floor_coalitions``.
     """
 
     def __init__(
@@ -267,43 +393,83 @@ class CoalitionDensityOracle:
         self.baseline = baseline
         self.baseline_log = log_density(baseline, self.event.x)
         self.fallback_coalitions: set[Coalition] = set()
+        self.covariance_floor_coalitions: set[Coalition] = set()
+        # Per owner, index 0: the points a fit uses under the event's label;
+        # index 1: all of them, the fallback.
+        everything = [self.datasets[i].points for i in range(self.n)]
+        labeled = [self._labeled(self.datasets[i]) for i in range(self.n)]
+        self._pools = (labeled, everything)
+        if config.kind == "gaussian_mle":
+            self._scale = _exact_scale(everything)
+            full = [_Moments.of(pts, self._scale) for pts in everything]
+            self._moments = (
+                [f if pts is all_pts else _Moments.of(pts, self._scale)
+                 for f, pts, all_pts in zip(full, labeled, everything)],
+                full,
+            )
 
-    def _pool(self, s: Coalition, conditioned: bool) -> np.ndarray:
-        chunks = []
-        for i in coalition_members(s):
-            ds = self.datasets[i]
-            pts = ds.points
-            if conditioned and self.event.label is not None and ds.labels is not None:
-                keep = [j for j, lab in enumerate(ds.labels) if lab == self.event.label]
-                pts = pts[keep]
-            if pts.shape[0]:
-                chunks.append(pts)
-        if not chunks:
-            return np.empty((0, self.event.x.size))
-        return np.concatenate(chunks, axis=0)
+    def _labeled(self, ds: OwnerDataset) -> np.ndarray:
+        if self.event.label is None or ds.labels is None:
+            return ds.points
+        return ds.points[[lab == self.event.label for lab in ds.labels]]
 
-    def _fit(self, pool: np.ndarray) -> DensityModel:
-        if self.config.kind == "gaussian_mle":
-            return fit_gaussian(pool, ridge=self.config.ridge)
-        return fit_kde(pool, bandwidth=self.config.bandwidth)
+    def many(self, masks: Iterable[Coalition]) -> np.ndarray:
+        """Utilities of a sequence of coalitions, as a float array of its length.
 
-    def _event_log_density(self, pool: np.ndarray, s: Coalition) -> float:
-        """Log density of the event under the coalition's fit; subclasses may
-        replace the direct evaluation with an estimator."""
-        return log_density(self._fit(pool), self.event.x)
+        Raises :class:`OracleFailureError` before any fit if a nonempty
+        coalition holds no points; nothing is recorded then.
+        """
+        masks = [int(s) for s in masks]
+        live = [b for b, s in enumerate(masks) if s]
+        members = [coalition_members(masks[b]) for b in live]
+        pools = []
+        for owners in members:
+            if any(len(self._pools[0][i]) for i in owners):
+                pools.append(0)
+            elif any(len(self._pools[1][i]) for i in owners):
+                pools.append(1)
+            else:
+                raise OracleFailureError(f"coalition {owners} holds no training points")
+        self.fallback_coalitions.update(masks[b] for b, p in zip(live, pools) if p)
+        values = np.zeros(len(masks))
+        if live:
+            logs = self._event_log_densities([masks[b] for b in live], members, pools)
+            values[live] = logs - self.baseline_log
+        return values
 
     def __call__(self, s: Coalition) -> float:
-        if s == 0:
-            return 0.0
-        pool = self._pool(s, conditioned=True)
-        if pool.shape[0] == 0:
-            pool = self._pool(s, conditioned=False)
-            if pool.shape[0] == 0:
-                raise OracleFailureError(
-                    f"coalition {coalition_members(s)} holds no training points"
+        return float(self.many([s])[0])
+
+    def _fit_gaussians(
+        self, masks: list[Coalition], members: list[list[int]], pools: list[int]
+    ) -> tuple[list[int], np.ndarray, np.ndarray]:
+        """Point counts, means and covariances of the coalitions' Gaussian fits."""
+        pooled = [
+            _Moments.pooled([self._moments[p][i] for i in owners])
+            for owners, p in zip(members, pools)
+        ]
+        means, covs, floored = _fit_moments(pooled, self._scale, self.config.ridge)
+        self.covariance_floor_coalitions.update(s for s, hit in zip(masks, floored) if hit)
+        return [mom.count for mom in pooled], means, covs
+
+    def _event_log_densities(
+        self, masks: list[Coalition], members: list[list[int]], pools: list[int]
+    ) -> np.ndarray:
+        """Log density of the event under each nonempty coalition's fit;
+        subclasses may replace the direct evaluation with an estimator."""
+        x = self.event.x
+        if self.config.kind == "kde":
+            return np.array([
+                log_density(
+                    fit_kde(np.concatenate([self._pools[p][i] for i in owners]),
+                            bandwidth=self.config.bandwidth),
+                    x,
                 )
-            self.fallback_coalitions.add(s)
-        return self._event_log_density(pool, s) - self.baseline_log
+                for owners, p in zip(members, pools)
+            ])
+        _, means, covs = self._fit_gaussians(masks, members, pools)
+        chols, logdets = _cholesky_logdet(covs)
+        return _gaussian_log_densities(means, chols, logdets, x)
 
 
 def coalition_utility(

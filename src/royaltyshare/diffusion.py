@@ -24,7 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .density import (
+# fit_gaussian is not called here; it stays importable from this module
+# because bench/layertrace.py wraps it under this name.
+from .density import (  # noqa: F401
     CoalitionDensityOracle,
     DensityOracleConfig,
     GaussianModel,
@@ -198,11 +200,11 @@ def latent_mc_stderr(samples: np.ndarray) -> float:
 class ChainDensityOracle(CoalitionDensityOracle):
     """Coalition utility evaluated through the diffusion chain estimator.
 
-    Each coalition's pooled points get a Gaussian fit, the fit is pushed
-    through the reverse chain, and the event's log density is estimated by
-    ``num_samples`` latent trajectories. The trajectory seed is derived from
-    ``(seed, coalition)``, so the oracle stays a deterministic pure function
-    of the coalition. The baseline stays analytic.
+    Each coalition gets its Gaussian fit from the batched exact moments, the
+    fit is pushed through the reverse chain, and the event's log density is
+    estimated by ``num_samples`` latent trajectories. The trajectory seed is
+    derived from ``(seed, coalition)``, so the oracle stays a deterministic
+    pure function of the coalition. The baseline stays analytic.
     """
 
     def __init__(
@@ -223,8 +225,15 @@ class ChainDensityOracle(CoalitionDensityOracle):
         self.num_samples = num_samples
         self.seed = seed
 
-    def _event_log_density(self, pool: np.ndarray, s) -> float:
-        chain = gaussian_ddpm_chain(fit_gaussian(pool, ridge=self.config.ridge), self.schedule)
-        return latent_mc_log_density(
-            chain, self.event.x, self.num_samples, derive_seed(self.seed, int(s))
-        )
+    def _event_log_densities(self, masks, members, pools) -> np.ndarray:
+        counts, means, covs = self._fit_gaussians(masks, members, pools)
+        out = np.empty(len(masks))
+        for b, s in enumerate(masks):
+            model = GaussianModel(mean=means[b], cov=covs[b], fit_count=counts[b])
+            out[b] = latent_mc_log_density(
+                gaussian_ddpm_chain(model, self.schedule),
+                self.event.x,
+                self.num_samples,
+                derive_seed(self.seed, s),
+            )
+        return out

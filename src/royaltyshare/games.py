@@ -11,10 +11,17 @@ be pure and deterministic: repeated calls with the same coalition return the
 same value bit for bit. Oracles signal failure by raising, most specifically
 :class:`~royaltyshare.errors.OracleFailureError`, which callers see unchanged.
 
+An oracle may also be a batch oracle: one with a method
+``many(coalitions) -> array`` that returns the utilities of a list of
+coalitions, equal bit for bit to calling the oracle on each one. A batch either
+returns every value or raises, and a batch that raises leaves nothing in the
+memo. :class:`~royaltyshare.density.CoalitionDensityOracle` is one.
+
 :meth:`CoalitionGame.evaluate_many` is the evaluation path the solvers use: an
 array of coalitions in, an array of utilities out, with only the coalitions
-missing from the memo sent to the oracle. :meth:`CoalitionGame.evaluate` reads
-one coalition through the same memo.
+missing from the memo sent to the oracle, as one ``many`` call when the oracle
+has it and one call per coalition otherwise. :meth:`CoalitionGame.evaluate`
+reads one coalition through the same memo.
 """
 
 from __future__ import annotations
@@ -135,7 +142,8 @@ class CoalitionGame:
         them. Without memoization every entry is an oracle call. Raises
         :class:`CoalitionBoundsError` before any oracle call if an entry sets
         bits at or above ``self.n``. If the oracle raises, the coalitions
-        evaluated before it are kept and counted, the failing one is not.
+        evaluated before it are kept and counted, the failing one is not; a
+        batch oracle's ``many`` call that raises keeps and counts nothing.
         """
         arr = np.asarray(masks)
         if arr.size and arr.dtype.kind not in "iu":
@@ -143,12 +151,10 @@ class CoalitionGame:
         keys = arr.ravel().tolist()
         if arr.size and (arr.min() < 0 or max(keys) >> self.n):
             raise self._out_of_range(min(keys) if arr.min() < 0 else max(keys))
-        oracle = self._oracle
         if not self._memoize:
             values: list[float] = []
             try:
-                for s in keys:
-                    values.append(float(oracle(s)))
+                self._call_oracle(keys, values)
             finally:
                 with self._lock:
                     self._eval_count += len(values)
@@ -157,8 +163,7 @@ class CoalitionGame:
         missing = [s for s in dict.fromkeys(keys) if s not in cache]
         fresh: list[float] = []
         try:
-            for s in missing:
-                fresh.append(float(oracle(s)))
+            self._call_oracle(missing, fresh)
         finally:
             with self._lock:
                 for s, value in zip(missing, fresh):
@@ -166,6 +171,15 @@ class CoalitionGame:
                         cache[s] = value
                         self._eval_count += 1
         return np.array([cache[s] for s in keys], dtype=float).reshape(arr.shape)
+
+    def _call_oracle(self, coalitions: list[Coalition], out: list[float]) -> None:
+        """Append the utilities of ``coalitions`` to ``out``, in order."""
+        batch = getattr(self._oracle, "many", None)
+        if batch is None:
+            for s in coalitions:
+                out.append(float(self._oracle(s)))
+        elif coalitions:
+            out.extend(np.asarray(batch(coalitions), dtype=float).tolist())
 
     def _out_of_range(self, s: Coalition) -> CoalitionBoundsError:
         return CoalitionBoundsError(

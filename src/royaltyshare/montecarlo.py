@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -66,23 +66,6 @@ class EstimateReport:
     stderr: np.ndarray
     permutations_used: int
     oracle_calls: int
-
-
-@dataclass(frozen=True)
-class IncrementalOracle:
-    """Utility evaluation that grows a coalition one player at a time.
-
-    ``start`` yields the empty-coalition state, ``extend`` adds one player,
-    and ``utility_of`` reads the current utility. For oracles whose state
-    update is cheaper than a fresh evaluation (running sums, sufficient
-    statistics), this turns each permutation walk into ``n`` extend steps and
-    ``n + 1`` utility reads. ``utility_of`` must be insensitive to the order
-    in which players were added.
-    """
-
-    start: Callable[[], Any]
-    extend: Callable[[Any, int], Any]
-    utility_of: Callable[[Any], float]
 
 
 def sampled_ordering(seed: int, index: int, n: int) -> np.ndarray:
@@ -175,52 +158,6 @@ def permutation_sample(game: CoalitionGame, config: EstimatorConfig) -> Estimate
         stderr=stderr,
         permutations_used=m,
         oracle_calls=game.eval_count - calls_before,
-    )
-
-
-def permutation_sample_incremental(
-    oracle: IncrementalOracle, n: int, config: EstimatorConfig
-) -> EstimateReport:
-    """The same estimator as :func:`permutation_sample`, on incremental state.
-
-    Each walk costs ``n`` extend steps and ``n + 1`` utility reads instead of
-    fresh coalition evaluations. Orderings come from the same
-    ``(seed, index)`` streams, so for an order-insensitive oracle that matches
-    its coalition counterpart, the estimates agree exactly for the same seed.
-    """
-    m = config.num_permutations
-    tolerance = config.truncation_tolerance
-    reads = 0
-    total_utility = 0.0
-    if tolerance > 0:
-        # v(N) is order insensitive, so one chain up front suffices.
-        state = oracle.start()
-        for p in range(n):
-            state = oracle.extend(state, p)
-        total_utility = oracle.utility_of(state)
-        reads += 1
-    marginals = np.empty((m, n), dtype=float)
-    for j in range(m):
-        ordering = sampled_ordering(config.seed, j, n)
-        state = oracle.start()
-        prev = oracle.utility_of(state)
-        reads += 1
-        row = np.zeros(n, dtype=float)
-        for p in ordering:
-            if tolerance > 0 and abs(total_utility - prev) <= tolerance:
-                break
-            state = oracle.extend(state, int(p))
-            cur = oracle.utility_of(state)
-            reads += 1
-            row[p] = cur - prev
-            prev = cur
-        marginals[j] = row
-    estimate, stderr = _reduce(marginals)
-    return EstimateReport(
-        estimate=ShapleyVector(estimate, method="estimated"),
-        stderr=stderr,
-        permutations_used=m,
-        oracle_calls=reads,
     )
 
 

@@ -286,3 +286,47 @@ def test_console_module_entry_point(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert (out / "attribution.csv").is_file()
     assert "wrote" in proc.stdout
+
+
+def test_linear_algebra_failure_in_the_fit_is_exit_3(tmp_path, monkeypatch, capsys):
+    from royaltyshare import density
+
+    def reject(covs):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(density, "_cholesky_logdet", reject)
+    dataset = tmp_path / "owners.csv"
+    rng = np.random.default_rng(4)
+    save_owner_datasets(
+        dataset,
+        [OwnerDataset(owner=i, points=rng.standard_normal((6, 2))) for i in range(2)],
+    )
+    config = write_config(tmp_path / "config.json", dataset=str(dataset))
+    assert main(["attribute", "--config", config, "--event", "0,0"]) == 3
+    assert "oracle failure: Matrix is not positive definite" in capsys.readouterr().err
+
+
+def test_covariance_floor_coalitions_are_echoed_in_sidecars(tmp_path):
+    dataset = tmp_path / "owners.csv"
+    rng = np.random.default_rng(6)
+    save_owner_datasets(
+        dataset,
+        [OwnerDataset(owner=0, points=np.array([[0.5, -1.0]]))]
+        + [OwnerDataset(owner=i, points=rng.standard_normal((6, 2))) for i in (1, 2)],
+    )
+    config = write_config(
+        tmp_path / "config.json", dataset=str(dataset),
+        oracle={"kind": "gaussian_mle", "ridge": 0.0},
+    )
+    runs = []
+    for command, report in (("attribute", "attribution"), ("developer-share", "developer_share"),
+                            ("compare-loo", "compare_loo"), ("attribute", "attribution")):
+        out = tmp_path / f"run{len(runs)}"
+        args = [command, "--config", config, "--out", str(out), "--event", "0.1,0.2",
+                "--seed", "7"]
+        assert main(args) == 0
+        meta = (out / f"{report}.meta.json").read_text(encoding="utf-8")
+        assert json.loads(meta)["covariance_floor_coalitions"] == [[0]]
+        assert json.loads(meta)["conditioning_fallbacks"] == []
+        runs.append(((out / f"{report}.csv").read_bytes(), meta.replace(str(out), "OUT")))
+    assert runs[0] == runs[3]

@@ -10,11 +10,9 @@ from conftest import GLOVE_EXACT, random_table, table_game
 from royaltyshare import (
     CoalitionGame,
     EstimatorConfig,
-    IncrementalOracle,
     exact_shapley,
     make_mc_solver,
     permutation_sample,
-    permutation_sample_incremental,
     truncated_walk,
 )
 from royaltyshare.montecarlo import sampled_ordering
@@ -145,44 +143,6 @@ def test_truncation_reduces_oracle_calls():
     )
     assert truncated.oracle_calls < plain.oracle_calls
     np.testing.assert_array_equal(plain.estimate.values, truncated.estimate.values)
-
-
-def test_incremental_matches_coalition_sampler_bitwise():
-    rng = np.random.default_rng(13)
-    n = 5
-    table = random_table(rng, n)
-    config = EstimatorConfig(num_permutations=50, seed=21)
-    reference = permutation_sample(table_game(table), config)
-
-    def mask_of(players: frozenset) -> int:
-        mask = 0
-        for p in players:
-            mask |= 1 << p
-        return mask
-
-    oracle = IncrementalOracle(
-        start=lambda: frozenset(),
-        extend=lambda state, p: state | {p},
-        utility_of=lambda state: float(table[mask_of(state)]),
-    )
-    incremental = permutation_sample_incremental(oracle, n, config)
-    np.testing.assert_array_equal(reference.estimate.values, incremental.estimate.values)
-    np.testing.assert_array_equal(reference.stderr, incremental.stderr)
-
-
-def test_incremental_read_accounting():
-    n, m = 4, 10
-    oracle = IncrementalOracle(
-        start=lambda: 0.0,
-        extend=lambda state, p: state + float(p),
-        utility_of=lambda state: state,
-    )
-    report = permutation_sample_incremental(oracle, n, EstimatorConfig(num_permutations=m))
-    assert report.oracle_calls == m * (n + 1)
-    with_truncation = permutation_sample_incremental(
-        oracle, n, EstimatorConfig(num_permutations=m, truncation_tolerance=1e-15)
-    )
-    assert with_truncation.oracle_calls <= m * (n + 1) + 1
 
 
 def test_mc_solver_plugs_into_share_pipeline(glove_game):
