@@ -28,7 +28,7 @@ def main() -> None:
         print(f"  owner {i}: {payout:>9.2f}")
     print(f"  developer: {preview.developer_payout:>8.2f}")
 
-    report = settle_full(store, beta, seed=1)
+    report = settle_full(store, beta)
     print()
     print("full settlement (durable):")
     for i, payout in enumerate(report.owner_payouts):

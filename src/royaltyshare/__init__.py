@@ -50,9 +50,7 @@ from .exact import (
 )
 from .games import (
     CoalitionGame,
-    coalition_from_members,
     coalition_members,
-    coalition_size,
     full_coalition,
 )
 from .ledger import (
@@ -66,7 +64,6 @@ from .ledger import (
 from .montecarlo import (
     EstimateReport,
     EstimatorConfig,
-    make_mc_solver,
     permutation_sample,
     truncated_walk,
 )
@@ -76,11 +73,8 @@ from .royalty import (
     ShareVector,
     developer_split,
     fixed_split,
-    nats_to_bits,
     permission_shapley,
-    relative_utility,
     royalty_shares,
-    shares_from_game,
 )
 
 __version__ = "0.1.0"
@@ -114,9 +108,7 @@ __all__ = [
     "StorageFailureError",
     "TooManyPlayersError",
     "Transaction",
-    "coalition_from_members",
     "coalition_members",
-    "coalition_size",
     "coalition_utility",
     "developer_split",
     "exact_shapley",
@@ -130,16 +122,12 @@ __all__ = [
     "load_owner_datasets",
     "log_density",
     "loo_scores",
-    "make_mc_solver",
-    "nats_to_bits",
     "permission_shapley",
     "permutation_sample",
-    "relative_utility",
     "royalty_shares",
     "save_owner_datasets",
     "settle_full",
     "settle_subsampled",
-    "shares_from_game",
     "standard_normal_model",
     "truncated_walk",
     "write_settlement_csv",

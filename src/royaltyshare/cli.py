@@ -11,7 +11,14 @@ file is accompanied by a ``.meta.json`` sidecar echoing the fully resolved
 configuration, so a report is reproducible from its own metadata. All
 randomness derives from the single root seed, stream-split per subsystem.
 Given the same seed, report files are byte-identical across runs. The
-``--workers`` flag is still accepted and has no effect.
+``--workers`` flag is still accepted and has no effect; ``--beta`` is taken
+only by the two commands that read it, ``developer-share`` and ``settle``.
+
+The three event commands (``attribute``, ``developer-share``,
+``compare-loo``) run one pipeline: config, event, game, then the report CSV
+and its sidecar. Each supplies only its file stem, its columns and its own
+sidecar keys; ``compare-loo`` reports the attribute columns without
+``stderr``.
 
 Exit codes: 0 success, 2 config error, 3 oracle failure (a covariance that
 linear algebra rejects included), 4 storage failure.
@@ -205,7 +212,7 @@ def _parse_event(args: argparse.Namespace, config: dict[str, Any]) -> Generation
 
 
 def _build_game(config: dict[str, Any], event: GenerationEvent | None):
-    """Return (game, oracle_or_none, weights_or_none) for the configured oracle."""
+    """Return (game, oracle) for the configured oracle; the oracle is None for ``additive``."""
     oracle_cfg = config["oracle"]
     kind = oracle_cfg["kind"]
     if kind == "additive":
@@ -214,7 +221,7 @@ def _build_game(config: dict[str, Any], event: GenerationEvent | None):
         def additive(s: int) -> float:
             return math.fsum(weights[i] for i in coalition_members(s))
 
-        return CoalitionGame(len(weights), additive), None, weights
+        return CoalitionGame(len(weights), additive), None
 
     if not config["dataset"]:
         raise ConfigError(f"oracle.kind {kind!r} requires a 'dataset' path in the config")
@@ -260,7 +267,7 @@ def _build_game(config: dict[str, Any], event: GenerationEvent | None):
                 bandwidth=oracle_cfg.get("bandwidth"),
             ),
         )
-    return CoalitionGame(len(partition), oracle), oracle, None
+    return CoalitionGame(len(partition), oracle), oracle
 
 
 def _solve(game: CoalitionGame, config: dict[str, Any]):
@@ -316,104 +323,104 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def cmd_attribute(args: argparse.Namespace) -> int:
+def _cells(values) -> list[str]:
+    return [_fmt(v) for v in values]
+
+
+def _run_event_command(args: argparse.Namespace, stem: str, report) -> dict[str, Any]:
+    """The pipeline of the event commands: config, event and game, then the report.
+
+    ``report(game, config)`` solves what the command needs and returns the
+    report's columns (header to cells) and the sidecar keys of its own. This
+    writes ``<stem>.csv`` and ``<stem>.meta.json`` under the output directory
+    and returns the sidecar.
+    """
     config = _load_config(args)
     event = _parse_event(args, config)
-    game, oracle, _ = _build_game(config, event)
-    phi, stderr, solver_info = _solve(game, config)
-    loo = loo_scores(game)
-    shares = royalty_shares(phi)
-
-    rows = ["owner_id,phi,stderr,loo,srs\n"]
-    for i in range(game.n):
-        err = "" if stderr is None else _fmt(stderr[i])
-        rows.append(
-            f"{i},{_fmt(phi.values[i])},{err},{_fmt(loo[i])},{_fmt(shares.shares[i])}\n"
-        )
+    game, oracle = _build_game(config, event)
+    columns, own_meta = report(game, config)
     out = _out_dir(config)
-    report_path = out / "attribution.csv"
-    _write_text(report_path, "".join(rows))
+    report_path = out / f"{stem}.csv"
+    rows = [",".join(columns), *(",".join(row) for row in zip(*columns.values()))]
+    _write_text(report_path, "".join(row + "\n" for row in rows))
     meta = {
-        "command": "attribute",
+        "command": args.command,
         "config": _echoed(config),
         "event": [float(v) for v in event.x] if event else None,
         "event_label": event.label if event else None,
-        "solver": solver_info,
-        "degenerate": shares.degenerate,
-        "oracle_evaluations": game.eval_count,
+        **own_meta,
         **_oracle_meta(oracle),
     }
-    _write_meta(out / "attribution.meta.json", meta)
+    _write_meta(out / f"{stem}.meta.json", meta)
     print(f"wrote {report_path}")
-    if shares.degenerate:
+    return meta
+
+
+def _attribution(game: CoalitionGame, config: dict[str, Any]):
+    """Shapley values, their stderr, LOO scores and shares: the attribute report."""
+    phi, stderr, solver_info = _solve(game, config)
+    loo = loo_scores(game)
+    shares = royalty_shares(phi)
+    columns = {
+        "owner_id": [str(i) for i in range(game.n)],
+        "phi": _cells(phi.values),
+        "stderr": [""] * game.n if stderr is None else _cells(stderr),
+        "loo": _cells(loo),
+        "srs": _cells(shares.shares),
+    }
+    return columns, {"solver": solver_info, "degenerate": shares.degenerate}
+
+
+def _attribute_report(game: CoalitionGame, config: dict[str, Any]):
+    columns, meta = _attribution(game, config)
+    return columns, {**meta, "oracle_evaluations": game.eval_count}
+
+
+def _compare_loo_report(game: CoalitionGame, config: dict[str, Any]):
+    columns, meta = _attribution(game, config)
+    del columns["stderr"]
+    return columns, meta
+
+
+def _developer_share_report(game: CoalitionGame, config: dict[str, Any]):
+    beta = config["beta"]
+    if beta == "permission":
+        # The exact split needs no solver: it reads the owners' utility table.
+        solver = None if config["solver"]["kind"] == "exact" else lambda g: _solve(g, config)[0]
+        split = developer_split(PermissionGame(game), solver)
+        srs = _cells([*split.owner_payout_fractions, split.developer_share])
+    else:
+        shares = royalty_shares(_solve(game, config)[0])
+        split = fixed_split(float(beta), shares)
+        srs = [*_cells(shares.shares), ""]
+    columns = {
+        "player_id": [*(str(i) for i in range(game.n)), "developer"],
+        "srs": srs,
+        "payout_fraction": _cells([*split.owner_payout_fractions, split.developer_share]),
+    }
+    meta = {
+        "beta_data": split.beta_data,
+        "developer_share": split.developer_share,
+        "degenerate": split.degenerate,
+    }
+    return columns, meta
+
+
+def cmd_attribute(args: argparse.Namespace) -> int:
+    meta = _run_event_command(args, "attribution", _attribute_report)
+    if meta["degenerate"]:
         print("note: all Shapley values clamped to zero; shares fell back to uniform")
     return 0
 
 
 def cmd_developer_share(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    event = _parse_event(args, config)
-    game, oracle, _ = _build_game(config, event)
-    beta = config["beta"]
-    rows = ["player_id,srs,payout_fraction\n"]
-    if beta == "permission":
-        # The exact split needs no solver: it reads the owners' utility table.
-        solver = None if config["solver"]["kind"] == "exact" else lambda g: _solve(g, config)[0]
-        split = developer_split(PermissionGame(game), solver)
-        for i, fraction in enumerate(split.owner_payout_fractions):
-            rows.append(f"{i},{_fmt(fraction)},{_fmt(fraction)}\n")
-        rows.append(f"developer,{_fmt(split.developer_share)},{_fmt(split.developer_share)}\n")
-    else:
-        shares = royalty_shares(_solve(game, config)[0])
-        split = fixed_split(float(beta), shares)
-        for i in range(game.n):
-            rows.append(
-                f"{i},{_fmt(shares.shares[i])},{_fmt(split.owner_payout_fractions[i])}\n"
-            )
-        rows.append(f"developer,,{_fmt(split.developer_share)}\n")
-    out = _out_dir(config)
-    report_path = out / "developer_share.csv"
-    _write_text(report_path, "".join(rows))
-    meta = {
-        "command": "developer-share",
-        "config": _echoed(config),
-        "event": [float(v) for v in event.x] if event else None,
-        "event_label": event.label if event else None,
-        "beta_data": split.beta_data,
-        "developer_share": split.developer_share,
-        "degenerate": split.degenerate,
-        **_oracle_meta(oracle),
-    }
-    _write_meta(out / "developer_share.meta.json", meta)
-    print(f"wrote {report_path}")
-    print(f"beta_data={split.beta_data!r} developer_share={split.developer_share!r}")
+    meta = _run_event_command(args, "developer_share", _developer_share_report)
+    print(f"beta_data={meta['beta_data']!r} developer_share={meta['developer_share']!r}")
     return 0
 
 
 def cmd_compare_loo(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    event = _parse_event(args, config)
-    game, oracle, _ = _build_game(config, event)
-    phi, _, solver_info = _solve(game, config)
-    loo = loo_scores(game)
-    shares = royalty_shares(phi)
-    rows = ["owner_id,phi,loo,srs\n"]
-    for i in range(game.n):
-        rows.append(f"{i},{_fmt(phi.values[i])},{_fmt(loo[i])},{_fmt(shares.shares[i])}\n")
-    out = _out_dir(config)
-    report_path = out / "compare_loo.csv"
-    _write_text(report_path, "".join(rows))
-    meta = {
-        "command": "compare-loo",
-        "config": _echoed(config),
-        "event": [float(v) for v in event.x] if event else None,
-        "event_label": event.label if event else None,
-        "solver": solver_info,
-        "degenerate": shares.degenerate,
-        **_oracle_meta(oracle),
-    }
-    _write_meta(out / "compare_loo.meta.json", meta)
-    print(f"wrote {report_path}")
+    _run_event_command(args, "compare_loo", _compare_loo_report)
     return 0
 
 
@@ -431,7 +438,7 @@ def cmd_settle(args: argparse.Namespace) -> int:
     store = LedgerStore(ledger_path, create=False)
     root_seed = config["seed"]
     if args.mode == "full":
-        report = settle_full(store, float(beta), seed=root_seed)
+        report = settle_full(store, float(beta))
     else:
         if args.sample_size is None:
             raise ConfigError("settle --mode sample needs --sample-size")
@@ -441,7 +448,8 @@ def cmd_settle(args: argparse.Namespace) -> int:
             sample_size=args.sample_size,
             seed=derive_seed(root_seed, _STREAM_SETTLE),
         )
-        report = dataclasses.replace(report, seed=root_seed)
+    # The report echoes the root seed, not the sampler's derived stream.
+    report = dataclasses.replace(report, seed=root_seed)
     out = _out_dir(config)
     out.mkdir(parents=True, exist_ok=True)
     report_path = out / "settlement.csv"
@@ -576,7 +584,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p, config_required=True)
     _add_solver_flags(p)
     _add_event_flags(p)
-    p.add_argument("--beta", type=_parse_beta, default=None)
     p.set_defaults(func=cmd_attribute)
 
     p = subs.add_parser("developer-share", help="developer versus data-owner revenue split")
@@ -590,7 +597,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p, config_required=True)
     _add_solver_flags(p)
     _add_event_flags(p)
-    p.add_argument("--beta", type=_parse_beta, default=None)
     p.set_defaults(func=cmd_compare_loo)
 
     p = subs.add_parser("settle", help="distribute recorded revenue from a ledger")

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 # fit_gaussian is not called here; it stays importable from this module
 # because bench/layertrace.py wraps it under this name.
@@ -31,6 +30,7 @@ from .density import (  # noqa: F401
     DensityOracleConfig,
     GaussianModel,
     fit_gaussian,
+    logsumexp,
 )
 from .seeding import derive_seed, rng_for
 
@@ -179,7 +179,7 @@ def latent_mc_log_density(
 ) -> float:
     """Monte Carlo log density: log-mean-exp of the final kernel over trajectories."""
     logs = latent_mc_samples(chain, x, num_samples, seed)
-    return float(logsumexp(logs)) - math.log(num_samples)
+    return logsumexp(logs) - math.log(num_samples)
 
 
 def latent_mc_stderr(samples: np.ndarray) -> float:

@@ -21,13 +21,15 @@ memo. :class:`~royaltyshare.density.CoalitionDensityOracle` is one.
 array of coalitions in, an array of utilities out, with only the coalitions
 missing from the memo sent to the oracle, as one ``many`` call when the oracle
 has it and one call per coalition otherwise. :meth:`CoalitionGame.evaluate`
-reads one coalition through the same memo.
+answers one coalition from the memo when it can and sends a miss through
+:meth:`~CoalitionGame.evaluate_many`, so there is one place that calls the
+oracle and counts its calls.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -42,20 +44,6 @@ EMPTY: Coalition = 0
 MAX_PLAYERS = 64
 
 
-def coalition_from_members(members: Iterable[int], n: int) -> Coalition:
-    """Build a coalition bitset from player indices.
-
-    Duplicates collapse silently. Indices outside ``range(n)`` raise
-    :class:`CoalitionBoundsError`.
-    """
-    mask = 0
-    for i in members:
-        if not 0 <= i < n:
-            raise CoalitionBoundsError(f"player index {i} outside range(0, {n})")
-        mask |= 1 << i
-    return mask
-
-
 def coalition_members(s: Coalition) -> list[int]:
     """Return the sorted player indices contained in ``s``."""
     out = []
@@ -66,10 +54,6 @@ def coalition_members(s: Coalition) -> list[int]:
         s >>= 1
         i += 1
     return out
-
-
-def coalition_size(s: Coalition) -> int:
-    return int(s).bit_count()
 
 
 def full_coalition(n: int) -> Coalition:
@@ -117,33 +101,24 @@ class CoalitionGame:
         """
         if s < 0 or (s >> self.n):
             raise self._out_of_range(s)
-        if not self._memoize:
-            value = float(self._oracle(s))
-            with self._lock:
-                self._eval_count += 1
-            return value
-        try:
-            return self._cache[s]
-        except KeyError:
-            pass
-        value = float(self._oracle(s))
-        with self._lock:
-            if s not in self._cache:
-                self._cache[s] = value
-                self._eval_count += 1
-            return self._cache[s]
+        if self._memoize:
+            try:
+                return self._cache[s]
+            except KeyError:
+                pass
+        return float(self.evaluate_many([s])[0])
 
     def evaluate_many(self, masks) -> np.ndarray:
         """Return the utilities of an integer array of coalitions, same shape.
 
         Coalitions already in the memo are read from it; the missing ones go
-        to the oracle once each, in order of first appearance, and are
-        counted in ``eval_count`` exactly as :meth:`evaluate` would count
-        them. Without memoization every entry is an oracle call. Raises
-        :class:`CoalitionBoundsError` before any oracle call if an entry sets
-        bits at or above ``self.n``. If the oracle raises, the coalitions
-        evaluated before it are kept and counted, the failing one is not; a
-        batch oracle's ``many`` call that raises keeps and counts nothing.
+        to the oracle once each, in order of first appearance, and each adds
+        one to ``eval_count``. Without memoization every entry is an oracle
+        call. Raises :class:`CoalitionBoundsError` before any oracle call if
+        an entry sets bits at or above ``self.n``. If the oracle raises, the
+        coalitions evaluated before it are kept and counted, the failing one
+        is not; a batch oracle's ``many`` call that raises keeps and counts
+        nothing.
         """
         arr = np.asarray(masks)
         if arr.size and arr.dtype.kind not in "iu":
@@ -151,35 +126,27 @@ class CoalitionGame:
         keys = arr.ravel().tolist()
         if arr.size and (arr.min() < 0 or max(keys) >> self.n):
             raise self._out_of_range(min(keys) if arr.min() < 0 else max(keys))
-        if not self._memoize:
-            values: list[float] = []
-            try:
-                self._call_oracle(keys, values)
-            finally:
-                with self._lock:
-                    self._eval_count += len(values)
-            return np.array(values, dtype=float).reshape(arr.shape)
-        cache = self._cache
-        missing = [s for s in dict.fromkeys(keys) if s not in cache]
+        memo = self._cache if self._memoize else None
+        missing = keys if memo is None else [s for s in dict.fromkeys(keys) if s not in memo]
         fresh: list[float] = []
+        batch = getattr(self._oracle, "many", None)
         try:
-            self._call_oracle(missing, fresh)
+            if batch is None:
+                for s in missing:
+                    fresh.append(float(self._oracle(s)))
+            elif missing:
+                fresh.extend(np.asarray(batch(missing), dtype=float).tolist())
         finally:
             with self._lock:
-                for s, value in zip(missing, fresh):
-                    if s not in cache:
-                        cache[s] = value
-                        self._eval_count += 1
-        return np.array([cache[s] for s in keys], dtype=float).reshape(arr.shape)
-
-    def _call_oracle(self, coalitions: list[Coalition], out: list[float]) -> None:
-        """Append the utilities of ``coalitions`` to ``out``, in order."""
-        batch = getattr(self._oracle, "many", None)
-        if batch is None:
-            for s in coalitions:
-                out.append(float(self._oracle(s)))
-        elif coalitions:
-            out.extend(np.asarray(batch(coalitions), dtype=float).tolist())
+                if memo is None:
+                    self._eval_count += len(fresh)
+                else:
+                    for s, value in zip(missing, fresh):
+                        if s not in memo:
+                            memo[s] = value
+                            self._eval_count += 1
+        values = fresh if memo is None else [memo[s] for s in keys]
+        return np.array(values, dtype=float).reshape(arr.shape)
 
     def _out_of_range(self, s: Coalition) -> CoalitionBoundsError:
         return CoalitionBoundsError(

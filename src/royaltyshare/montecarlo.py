@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -159,12 +159,3 @@ def permutation_sample(game: CoalitionGame, config: EstimatorConfig) -> Estimate
         permutations_used=m,
         oracle_calls=game.eval_count - calls_before,
     )
-
-
-def make_mc_solver(config: EstimatorConfig) -> Callable[[CoalitionGame], ShapleyVector]:
-    """Package the sampler as a solver callable for the royalty layer."""
-
-    def solve(game: CoalitionGame) -> ShapleyVector:
-        return permutation_sample(game, config).estimate
-
-    return solve

@@ -17,8 +17,7 @@ game. The exact values come straight from the owners' utility table
 (:func:`~royaltyshare.exact.exact_permission_shapley`); the augmented game
 itself is built only when a sampling solver asks for it.
 
-Utilities are in nats throughout; :func:`nats_to_bits` converts for display
-only.
+Utilities are in nats throughout.
 """
 
 from __future__ import annotations
@@ -31,28 +30,10 @@ from typing import Callable
 import numpy as np
 
 from .errors import NonFiniteError
-from .exact import ShapleyVector, exact_permission_shapley, exact_shapley
+from .exact import ShapleyVector, exact_permission_shapley
 from .games import Coalition, CoalitionGame, EMPTY
 
 Solver = Callable[[CoalitionGame], ShapleyVector]
-
-
-def relative_utility(absolute_utility: float, baseline_utility: float) -> float:
-    """Log-likelihood utility relative to an ownerless baseline, in nats.
-
-    Shapley values are shift invariant, so subtracting the baseline changes
-    no attribution; it pins v(empty) to zero, which the royalty layer relies
-    on. Raises :class:`NonFiniteError` on NaN or infinite inputs.
-    """
-    if not (math.isfinite(absolute_utility) and math.isfinite(baseline_utility)):
-        raise NonFiniteError(
-            f"utilities must be finite, got {absolute_utility!r} and {baseline_utility!r}"
-        )
-    return absolute_utility - baseline_utility
-
-
-def nats_to_bits(nats: float) -> float:
-    return nats / math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -60,13 +41,11 @@ class ShareVector:
     """Nonnegative shares on the simplex, with a degeneracy flag.
 
     ``degenerate`` is True when every underlying score was zero or negative
-    and the shares fell back to uniform. ``solver`` records which method
-    produced the underlying Shapley vector, when known.
+    and the shares fell back to uniform.
     """
 
     shares: np.ndarray
     degenerate: bool
-    solver: str | None = None
 
     def __len__(self) -> int:
         return len(self.shares)
@@ -78,26 +57,16 @@ def royalty_shares(phi: ShapleyVector | np.ndarray) -> ShareVector:
     Negative scores are clamped to zero before normalizing. An all-clamped
     vector yields uniform shares with ``degenerate=True``.
     """
-    if isinstance(phi, ShapleyVector):
-        values = np.asarray(phi.values, dtype=float)
-        solver = phi.method
-    else:
-        values = np.asarray(phi, dtype=float)
-        solver = None
+    values = np.asarray(phi.values if isinstance(phi, ShapleyVector) else phi, dtype=float)
     if values.size and not np.all(np.isfinite(values)):
         raise NonFiniteError("Shapley values must be finite to define shares")
     clamped = np.maximum(values, 0.0)
     total = math.fsum(clamped.tolist())
     if total > 0.0:
-        return ShareVector(clamped / total, degenerate=False, solver=solver)
+        return ShareVector(clamped / total, degenerate=False)
     n = len(values)
     uniform = np.full(n, 1.0 / n) if n else np.empty(0)
-    return ShareVector(uniform, degenerate=True, solver=solver)
-
-
-def shares_from_game(game: CoalitionGame, solver: Solver = exact_shapley) -> ShareVector:
-    """Solve the game and normalize; the solver is any callable game -> phi."""
-    return royalty_shares(solver(game))
+    return ShareVector(uniform, degenerate=True)
 
 
 class PermissionGame:
@@ -133,10 +102,6 @@ class PermissionGame:
             return 0.0
 
         return CoalitionGame(base.n + 1, augmented)
-
-    @property
-    def num_owners(self) -> int:
-        return self.base.n
 
 
 def permission_shapley(pg: PermissionGame, solver: Solver | None = None) -> ShapleyVector:

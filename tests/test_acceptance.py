@@ -221,7 +221,7 @@ def test_criterion_09_subsampled_settlement_is_unbiased(tmp_path):
         seed=13,
     )
     beta = 0.7
-    full = settle_full(store, beta, seed=0, apply=False)
+    full = settle_full(store, beta, apply=False)
     assert full.conservation_error <= 1e-9
 
     fixed = settle_subsampled(store, beta, sample_size=1000, seed=0, apply=False)

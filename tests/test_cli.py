@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import subprocess
@@ -270,7 +271,7 @@ def test_non_finite_dataset_coordinate_is_exit_3(tmp_path, capsys):
 def test_invalid_beta_flag_is_an_argparse_error(tmp_path):
     config = additive_config(tmp_path)
     with pytest.raises(SystemExit) as exc:
-        main(["attribute", "--config", config, "--beta", "half"])
+        main(["developer-share", "--config", config, "--beta", "half"])
     assert exc.value.code == 2
 
 
@@ -330,3 +331,68 @@ def test_covariance_floor_coalitions_are_echoed_in_sidecars(tmp_path):
         assert json.loads(meta)["conditioning_fallbacks"] == []
         runs.append(((out / f"{report}.csv").read_bytes(), meta.replace(str(out), "OUT")))
     assert runs[0] == runs[3]
+
+
+# sha256 of every file each run leaves under --out, sidecars included. A change
+# to any report byte changes them. The additive oracle sums with fsum, so these
+# bytes do not depend on the platform's arithmetic.
+GOLDEN_REPORT_DIGESTS = {
+    "attribute_exact/attribution.csv":
+        "bae796671c1a5d248cae0f00f81aebb8596ae57075de94c7e3a45f2db7684a55",
+    "attribute_exact/attribution.meta.json":
+        "b8da6147cd5ee1f237b00de296c3e79c7d9f00efd0d86fcfbc8c35e75893cb59",
+    "attribute_mc/attribution.csv":
+        "60325eafeacc697b20311ec2702d9d7125d4fdaac1c1bd31ee12613c2d3a488e",
+    "attribute_mc/attribution.meta.json":
+        "6dae4988b5237b271de069ae87e767d081aba0e5a4b9ff130e26cb80d2293b77",
+    "compare_loo/compare_loo.csv":
+        "c95560ec5d4d5a00f731e8ff0f7722b8b8cac9cc4afc06103ac3849550a85303",
+    "compare_loo/compare_loo.meta.json":
+        "9bbd3019994439a002b139ddd15498e9974220529307284e190716425e63536b",
+    "developer_fixed/developer_share.csv":
+        "bb6f310b2b01972f4540ac7daf6face20dff889694331b9392e55202200bae37",
+    "developer_fixed/developer_share.meta.json":
+        "ba914b8160f75f37b79af2c1b606c9b97abd43ca9ba2fa9d0c439826bfcd7816",
+    "developer_permission/developer_share.csv":
+        "8d26b689696284fb57f5cb90a9b9bc8a2e9caa176c56bb2a4de3d326841d1409",
+    "developer_permission/developer_share.meta.json":
+        "e9f35303857e6a43a4498142c9cc84ce68761632be13c0dd992c3c40f9478e63",
+    "settle_full/settlement.csv":
+        "0e5515f19f8d1284d284f6d11d2fee752efa0ea859a4f6c89318a338ca1aec46",
+    "settle_full/settlement.meta.json":
+        "21765cd5c4cde374ce531e6df0bcc2f235b018469a95fed0b8f0075f1f594c0d",
+    "settle_sample/settlement.csv":
+        "3557908753d19b3eb63107ae49f340b48f1caa46801db48c48627013e9304c6e",
+    "settle_sample/settlement.meta.json":
+        "b709ec87ecaf2799d4f06825cf35952c6189827873c3f70c7cff73f80696d60e",
+}
+
+
+_GOLDEN_CONFIG = ["--config", "config.json"]
+GOLDEN_RUNS = {
+    "attribute_exact": ["attribute", *_GOLDEN_CONFIG, "--solver", "exact"],
+    "attribute_mc": ["attribute", *_GOLDEN_CONFIG, "--solver", "mc", "--permutations", "200"],
+    "developer_permission": ["developer-share", *_GOLDEN_CONFIG],
+    "developer_fixed": ["developer-share", *_GOLDEN_CONFIG, "--beta", "0.6"],
+    "compare_loo": ["compare-loo", *_GOLDEN_CONFIG],
+    "settle_full": ["settle", "--ledger", "ledger_full", "--mode", "full", "--beta", "0.7"],
+    "settle_sample": ["settle", "--ledger", "ledger_sample", "--mode", "sample",
+                      "--sample-size", "15", "--beta", "0.7"],
+}
+
+
+def test_reports_match_golden_bytes(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_config(
+        tmp_path / "config.json",
+        oracle={"kind": "additive", "weights": [0.75, -0.5, 2.25, 1.0, 0.125]}, seed=23,
+    )
+    for ledger in ("ledger_full", "ledger_sample"):
+        assert main(["simulate", "--kind", "ledger", "--transactions", "40", "--owners", "3",
+                     "--seed", "23", "--out", ledger]) == 0
+    digests = {}
+    for name, argv in GOLDEN_RUNS.items():
+        assert main([*argv, "--seed", "23", "--out", f"out_{name}"]) == 0, name
+        for path in sorted((tmp_path / f"out_{name}").rglob("*")):
+            digests[f"{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digests == GOLDEN_REPORT_DIGESTS

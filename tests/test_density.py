@@ -27,7 +27,7 @@ from royaltyshare import (
     save_owner_datasets,
     standard_normal_model,
 )
-from royaltyshare.density import COVARIANCE_FLOOR, scott_bandwidth
+from royaltyshare.density import COVARIANCE_FLOOR, logsumexp, scott_bandwidth
 
 STANDARD_NORMAL_PEAK = -0.9189385332046727
 
@@ -268,3 +268,19 @@ def test_oracle_raises_when_a_coalition_has_no_points():
     with pytest.raises(OracleFailureError):
         oracle(0b01)
     assert math.isfinite(oracle(0b10))
+
+
+def test_logsumexp_matches_scipy_bit_for_bit():
+    special = pytest.importorskip("scipy.special")
+    rng = np.random.default_rng(17)
+    cases = [np.array(v) for v in ([-np.inf, -np.inf], [np.inf, 1.0], [-np.inf, 0.5], [3.0])]
+    for k in range(2000):
+        a = rng.normal(size=int(rng.integers(1, 200))) * 10.0 ** rng.uniform(-3, 4)
+        if k % 3 == 1:  # rounded entries tie and repeat
+            a = np.round(a, int(rng.integers(0, 3)))
+        if k % 3 == 2:  # several entries share the maximum
+            a[rng.integers(0, a.size, size=1 + a.size // 3)] = a.max()
+        cases.append(a)
+    for a in cases:
+        ours, reference = logsumexp(a), float(special.logsumexp(a))
+        assert np.float64(ours).tobytes() == np.float64(reference).tobytes(), a

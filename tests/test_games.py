@@ -9,36 +9,14 @@ from conftest import random_table, table_game
 from royaltyshare import (
     CoalitionBoundsError,
     CoalitionGame,
-    coalition_from_members,
     coalition_members,
-    coalition_size,
     full_coalition,
 )
 from royaltyshare.games import EMPTY, MAX_PLAYERS
 
 
-def test_coalition_from_members_round_trip():
-    s = coalition_from_members([0, 3, 5], 6)
-    assert coalition_members(s) == [0, 3, 5]
-    assert coalition_size(s) == 3
-
-
-def test_coalition_from_members_collapses_duplicates():
-    assert coalition_from_members([1, 1, 2], 4) == coalition_from_members([2, 1], 4)
-
-
-def test_coalition_from_members_is_order_insensitive():
-    assert coalition_from_members([4, 0, 2], 5) == coalition_from_members([0, 2, 4], 5)
-
-
-@pytest.mark.parametrize("bad", [[-1], [3]])
-def test_coalition_from_members_bounds(bad):
-    with pytest.raises(CoalitionBoundsError):
-        coalition_from_members(bad, 3)
-
-
 def test_empty_and_full():
-    assert coalition_size(EMPTY) == 0
+    assert coalition_members(EMPTY) == []
     assert full_coalition(4) == 0b1111
     assert coalition_members(full_coalition(3)) == [0, 1, 2]
 

@@ -11,7 +11,6 @@ from royaltyshare import (
     CoalitionGame,
     EstimatorConfig,
     exact_shapley,
-    make_mc_solver,
     permutation_sample,
     truncated_walk,
 )
@@ -146,7 +145,6 @@ def test_truncation_reduces_oracle_calls():
 
 
 def test_mc_solver_plugs_into_share_pipeline(glove_game):
-    solver = make_mc_solver(EstimatorConfig(num_permutations=2000, seed=4))
-    phi = solver(glove_game)
+    phi = permutation_sample(glove_game, EstimatorConfig(num_permutations=2000, seed=4)).estimate
     assert phi.method == "estimated"
     np.testing.assert_allclose(phi.values, GLOVE_EXACT, rtol=0, atol=0.05)
