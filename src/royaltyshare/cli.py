@@ -20,8 +20,10 @@ and its sidecar. Each supplies only its file stem, its columns and its own
 sidecar keys; ``compare-loo`` reports the attribute columns without
 ``stderr``.
 
-Exit codes: 0 success, 2 config error, 3 oracle failure (a covariance that
-linear algebra rejects included), 4 storage failure.
+Exit codes: 0 success, 2 config error (additive weights that are not finite
+numbers included), 3 oracle failure (a covariance that linear algebra rejects,
+and an additive coalition sum beyond the float range, included), 4 storage
+failure.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ from .errors import (
     StorageFailureError,
 )
 from .exact import exact_shapley, loo_scores
-from .games import CoalitionGame, coalition_members
+from .games import AdditiveOracle, CoalitionGame, coalition_members
 from .ledger import LedgerStore, settle_full, settle_subsampled, write_settlement_csv
 from .montecarlo import EstimatorConfig, permutation_sample
 from .royalty import (
@@ -161,8 +163,11 @@ def _validate_config(config: dict[str, Any]) -> None:
         raise ConfigError(f"unknown oracle.kind {okind!r}")
     if okind == "additive":
         weights = oracle.get("weights")
-        if not weights or not all(isinstance(w, (int, float)) for w in weights):
-            raise ConfigError("additive oracle needs a nonempty numeric 'weights' list")
+        if not isinstance(weights, list) or not weights or not all(map(_finite_number, weights)):
+            raise ConfigError(
+                "additive oracle needs a nonempty 'weights' list of finite numbers "
+                "(no booleans, Infinity or NaN)"
+            )
     if okind == "gaussian_chain":
         config["oracle"] = _merge(_CHAIN_ORACLE_DEFAULTS, oracle)
         if not 0 < config["oracle"]["alpha"] <= 1:
@@ -189,6 +194,16 @@ def _validate_config(config: dict[str, Any]) -> None:
         raise ConfigError("density_mc_samples must be a positive integer")
 
 
+def _finite_number(value: Any) -> bool:
+    """True for a JSON number that is not a boolean and is a finite float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def _echoed(config: dict[str, Any]) -> dict[str, Any]:
     return {k: v for k, v in config.items() if not k.startswith("_")}
 
@@ -212,16 +227,12 @@ def _parse_event(args: argparse.Namespace, config: dict[str, Any]) -> Generation
 
 
 def _build_game(config: dict[str, Any], event: GenerationEvent | None):
-    """Return (game, oracle) for the configured oracle; the oracle is None for ``additive``."""
+    """Return (game, oracle) for the configured oracle."""
     oracle_cfg = config["oracle"]
     kind = oracle_cfg["kind"]
     if kind == "additive":
-        weights = [float(w) for w in oracle_cfg["weights"]]
-
-        def additive(s: int) -> float:
-            return math.fsum(weights[i] for i in coalition_members(s))
-
-        return CoalitionGame(len(weights), additive), None
+        oracle = AdditiveOracle(oracle_cfg["weights"])
+        return CoalitionGame(oracle.n, oracle), oracle
 
     if not config["dataset"]:
         raise ConfigError(f"oracle.kind {kind!r} requires a 'dataset' path in the config")
@@ -307,7 +318,7 @@ def _out_dir(config: dict[str, Any]) -> Path:
 
 
 def _oracle_meta(oracle) -> dict[str, Any]:
-    if oracle is None or not hasattr(oracle, "fallback_coalitions"):
+    if not hasattr(oracle, "fallback_coalitions"):
         return {}
     return {
         "conditioning_fallbacks": sorted(

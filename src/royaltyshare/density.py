@@ -39,7 +39,7 @@ from .errors import (
     NonFiniteError,
     OracleFailureError,
 )
-from .games import Coalition, UtilityOracle, coalition_members
+from .games import Coalition, UtilityOracle, coalition_members, scaled_integers
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -184,8 +184,7 @@ def _exact_scale(arrays: Iterable[np.ndarray]) -> int:
     for pts in arrays:
         if not np.all(np.isfinite(pts)):
             raise NonFiniteError("gaussian fits need finite coordinates")
-        for v in pts.ravel().tolist():
-            scale = max(scale, v.as_integer_ratio()[1].bit_length() - 1)
+        scale = scaled_integers(pts.ravel().tolist(), scale)[0]
     return scale
 
 
@@ -203,11 +202,9 @@ class _Moments:
 
     @classmethod
     def of(cls, points: np.ndarray, scale: int) -> _Moments:
-        rows = [
-            [num << (scale + 1 - den.bit_length()) for num, den in map(float.as_integer_ratio, row)]
-            for row in points.tolist()
-        ]
         d = points.shape[1]
+        flat = scaled_integers(points.ravel().tolist(), scale)[1]
+        rows = [flat[i:i + d] for i in range(0, len(flat), d)]
         return cls(
             count=len(rows),
             sx=tuple(sum(r[i] for r in rows) for i in range(d)),
@@ -248,9 +245,7 @@ def _fit_moments(
         m = mom.count
         mean = [s / unit / m for s in mom.sx]
         # The mean as integers at a scale 2**shift that holds it and the sums exactly.
-        ratios = [v.as_integer_ratio() for v in mean]
-        shift = max([scale] + [den.bit_length() - 1 for _, den in ratios])
-        mu = [num << (shift + 1 - den.bit_length()) for num, den in ratios]
+        shift, mu = scaled_integers(mean, scale)
         sx = [s << (shift - scale) for s in mom.sx]
         lift, denom = 2 * (shift - scale), 1 << (2 * shift)
         entries.append([

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -80,9 +80,9 @@ class PermissionGame:
 
     The exact solve works on the base game alone. :attr:`augmented`, the
     ``(n+1)``-player game that a sampling solver walks, is built on first
-    access and reads the base game through its cache, so solving the
-    permission game costs no more base-oracle calls than solving the base
-    game itself.
+    access. Its batch oracle reads the base game through its cache, one
+    ``evaluate_many`` call per batch, so solving the permission game costs no
+    more base-oracle calls than solving the base game itself.
     """
 
     def __init__(self, base: CoalitionGame):
@@ -93,15 +93,31 @@ class PermissionGame:
 
     @cached_property
     def augmented(self) -> CoalitionGame:
-        base = self.base
-        dev_bit = 1 << base.n
+        return CoalitionGame(self.base.n + 1, _DeveloperVeto(self.base))
 
-        def augmented(s: Coalition) -> float:
-            if s & dev_bit:
-                return base.evaluate(s & ~dev_bit)
-            return 0.0
 
-        return CoalitionGame(base.n + 1, augmented)
+class _DeveloperVeto:
+    """Batch oracle of the augmented game: v(S minus developer) when the
+    developer (player ``base.n``) is in S, exactly 0.0 otherwise.
+
+    :meth:`many` reads every coalition holding the developer from the base
+    game in one :meth:`~royaltyshare.games.CoalitionGame.evaluate_many` call.
+    """
+
+    def __init__(self, base: CoalitionGame):
+        self.base = base
+
+    def many(self, masks: Sequence[Coalition]) -> np.ndarray:
+        arr = np.asarray(masks, dtype=np.uint64)
+        dev_bit = np.uint64(1 << self.base.n)
+        with_dev = (arr & dev_bit) != 0
+        values = np.zeros(arr.size)
+        if with_dev.any():
+            values[with_dev] = self.base.evaluate_many(arr[with_dev] ^ dev_bit)
+        return values
+
+    def __call__(self, s: Coalition) -> float:
+        return float(self.many([s])[0])
 
 
 def permission_shapley(pg: PermissionGame, solver: Solver | None = None) -> ShapleyVector:

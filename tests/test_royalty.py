@@ -174,3 +174,31 @@ def test_fixed_split_validates_beta():
 def test_fixed_split_propagates_degeneracy():
     shares = ShareVector(shares=np.array([0.5, 0.5]), degenerate=True)
     assert fixed_split(0.5, shares).degenerate
+
+
+def test_augmented_game_reads_the_base_game_in_one_batch():
+    table = random_table(np.random.default_rng(53), 6)
+    calls = []
+
+    class BatchTable:
+        def many(self, masks):
+            calls.append(len(masks))
+            return table[np.asarray(masks, dtype=np.int64)]
+
+        def __call__(self, s):
+            return float(self.many([s])[0])
+
+    def reference_augmented(base):
+        dev_bit = 1 << base.n
+        return CoalitionGame(
+            base.n + 1, lambda s: base.evaluate(s & ~dev_bit) if s & dev_bit else 0.0)
+
+    config = EstimatorConfig(num_permutations=300, seed=17)
+    pg = PermissionGame(CoalitionGame(6, BatchTable()))
+    assert calls == [1]  # v(empty), checked on construction
+    report = permutation_sample(pg.augmented, config)
+    assert len(calls) == 2  # every coalition holding the developer, in one batch
+    expected = permutation_sample(reference_augmented(table_game(table)), config)
+    assert report.estimate.values.tobytes() == expected.estimate.values.tobytes()
+    assert report.stderr.tobytes() == expected.stderr.tobytes()
+    assert report.oracle_calls == expected.oracle_calls
