@@ -21,15 +21,17 @@ sidecar keys; ``compare-loo`` reports the attribute columns without
 ``stderr``.
 
 Exit codes: 0 success, 2 config error (additive weights that are not finite
-numbers included), 3 oracle failure (a covariance that linear algebra rejects,
-and an additive coalition sum beyond the float range, included), 4 storage
-failure.
+numbers, and config values of the wrong type, included), 3 oracle failure (a
+covariance that linear algebra rejects, and an additive coalition sum beyond
+the float range, included), 4 storage failure. ``settle`` reports a torn
+ledger tail that opening the ledger dropped as one line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -141,9 +143,21 @@ def _load_config(args: argparse.Namespace) -> dict[str, Any]:
     return config
 
 
+def _integer(value: Any, key: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _number(value: Any, key: str) -> float:
+    if not _finite_number(value):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    return value
+
+
 def _validate_config(config: dict[str, Any]) -> None:
-    seed = config["seed"]
-    if not isinstance(seed, int) or not 0 <= seed < 2**64:
+    seed = _integer(config["seed"], "seed")
+    if not 0 <= seed < 2**64:
         raise ConfigError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
 
     solver = config["solver"]
@@ -152,9 +166,9 @@ def _validate_config(config: dict[str, Any]) -> None:
         raise ConfigError(f"solver.kind must be 'exact' or 'mc', got {kind!r}")
     if kind == "mc":
         config["solver"] = _merge(_MC_SOLVER_DEFAULTS, solver)
-        if config["solver"]["permutations"] < 1:
+        if _integer(config["solver"]["permutations"], "solver.permutations") < 1:
             raise ConfigError("solver.permutations must be at least 1")
-        if config["solver"]["truncation"] < 0:
+        if _number(config["solver"]["truncation"], "solver.truncation") < 0:
             raise ConfigError("solver.truncation must be nonnegative")
 
     oracle = config["oracle"]
@@ -170,27 +184,28 @@ def _validate_config(config: dict[str, Any]) -> None:
             )
     if okind == "gaussian_chain":
         config["oracle"] = _merge(_CHAIN_ORACLE_DEFAULTS, oracle)
-        if not 0 < config["oracle"]["alpha"] <= 1:
+        if not 0 < _number(config["oracle"]["alpha"], "oracle.alpha") <= 1:
             raise ConfigError("oracle.alpha must lie in (0, 1]")
-        if config["oracle"]["steps"] < 1:
+        if _integer(config["oracle"]["steps"], "oracle.steps") < 1:
             raise ConfigError("oracle.steps must be at least 1")
-    if oracle.get("ridge", 0) < 0:
+    if _number(oracle.get("ridge", 0), "oracle.ridge") < 0:
         raise ConfigError("oracle.ridge must be nonnegative")
-    if okind == "kde" and oracle.get("bandwidth") is not None and oracle["bandwidth"] <= 0:
+    bandwidth = oracle.get("bandwidth")
+    if okind == "kde" and bandwidth is not None and _number(bandwidth, "oracle.bandwidth") <= 0:
         raise ConfigError("oracle.bandwidth must be positive")
 
     beta = config["beta"]
-    if beta != "permission":
-        if not isinstance(beta, (int, float)) or not 0 <= float(beta) <= 1:
-            raise ConfigError(f"beta must be 'permission' or a number in [0, 1], got {beta!r}")
+    if beta != "permission" and not (_finite_number(beta) and 0 <= beta <= 1):
+        raise ConfigError(f"beta must be 'permission' or a number in [0, 1], got {beta!r}")
 
     baseline = config["baseline"]
     if baseline.get("kind") not in ("standard_normal", "dataset"):
         raise ConfigError(f"baseline.kind must be 'standard_normal' or 'dataset'")
     if baseline["kind"] == "dataset" and not baseline.get("path"):
         raise ConfigError("baseline.kind 'dataset' needs a 'path'")
+    _number(baseline.get("ridge", 0), "baseline.ridge")
 
-    if not isinstance(config["density_mc_samples"], int) or config["density_mc_samples"] < 1:
+    if _integer(config["density_mc_samples"], "density_mc_samples") < 1:
         raise ConfigError("density_mc_samples must be a positive integer")
 
 
@@ -447,6 +462,8 @@ def cmd_settle(args: argparse.Namespace) -> int:
     if not ledger_path.is_dir():
         raise StorageFailureError(f"ledger directory not found: {ledger_path}")
     store = LedgerStore(ledger_path, create=False)
+    if store.dropped_bytes:
+        print(f"ledger: dropped a torn tail of {store.dropped_bytes} bytes", file=sys.stderr)
     root_seed = config["seed"]
     if args.mode == "full":
         report = settle_full(store, float(beta))
@@ -584,7 +601,9 @@ def _parse_beta(text: str):
         raise argparse.ArgumentTypeError("beta must be 'permission' or a float")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="royaltyshare",
         description="Shapley-based royalty attribution for generative models",

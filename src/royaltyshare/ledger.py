@@ -1,13 +1,28 @@
 """Transaction ledger and revenue settlement.
 
-Storage layout: a ledger is a directory holding an append-only transaction
-log (``transactions.log``) and a balance snapshot (``state.json``). Log lines
-are ``id|price|event-ref|srs-csv|settled-flag``, UTF-8 with LF terminators,
-one transaction per line. Settling appends an updated line per transaction
-(same id, shares filled in, flag 1); replay takes the last line per id, so
-the log stays append-only and auditable. Floats are serialized with repr and
-parse back bit-exactly, which is what makes reopening a store reproduce
-balances exactly.
+Storage layout: a ledger is a directory holding one append-only log,
+``transactions.log``, which is the ledger's only persisted state. Lines are
+UTF-8 with LF terminators. A transaction line is
+``id|price|event-ref|srs-csv|settled-flag``. Settling appends, in one write
+and one fsync, an updated line per settled transaction (same id, shares
+filled in, flag 1) and then one settlement record
+``|count|owner-payouts-csv|developer-payout``. The record's first field is
+empty, which no transaction id can be, and ``count`` is the number of
+settled lines right before it that it commits. Replay takes the last line
+per id, applies settled lines only when their record follows, and adds each
+record's payouts to the balances in log order. Floats are serialized with
+repr and parse back bit-exactly, so reopening a store reproduces balances
+exactly.
+
+A crash can leave a torn tail: bytes after the last LF, or settled lines
+whose record never reached the log. That settlement never happened, so
+opening the store truncates the tail (with an fsync), its transactions stay
+unsettled, and ``LedgerStore.dropped_bytes`` says how many bytes went. A
+complete line that does not decode, a record whose count disagrees with the
+settled lines before it, settled lines followed by anything but their
+record, and a ``.json`` file in the directory other than a ``.meta.json``
+report sidecar (the balance snapshot of an older format, whose balances
+this log does not hold) raise ``StorageFailureError`` instead.
 
 Settlement distributes the income of every unsettled transaction: a fraction
 ``beta_data`` flows to owners in proportion to per-transaction royalty
@@ -22,13 +37,12 @@ dropped.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -38,7 +52,6 @@ from .royalty import ShareVector
 from .seeding import rng_for
 
 LOG_NAME = "transactions.log"
-STATE_NAME = "state.json"
 
 _SHARE_SUM_TOL = 1e-9
 _CORRELATION_THRESHOLD = 0.5
@@ -115,10 +128,12 @@ def _encode_line(tx: Transaction, settled: bool) -> str:
 
 
 def _decode_line(line: str) -> tuple[Transaction, bool]:
-    parts = line.rstrip("\n").split("|")
+    parts = line.split("|")
     if len(parts) != 5:
-        raise StorageFailureError(f"malformed ledger line: {line!r}")
+        raise ValueError(f"expected 5 fields, got {len(parts)}")
     tx_id, price, event_ref, srs_csv, flag = parts
+    if flag not in ("0", "1"):
+        raise ValueError(f"settled flag must be 0 or 1, got {flag!r}")
     srs = None
     if srs_csv:
         srs = ShareVector(
@@ -128,16 +143,54 @@ def _decode_line(line: str) -> tuple[Transaction, bool]:
     return tx, flag == "1"
 
 
+class _Record(NamedTuple):
+    """A settlement record: the count of settled lines it commits and its payouts."""
+
+    count: int
+    owner_payouts: list[float]
+    developer_payout: float
+
+
+def _encode_record(count: int, owner_payouts: np.ndarray, developer_payout: float) -> str:
+    payouts = ",".join(repr(float(v)) for v in owner_payouts)
+    return f"|{count}|{payouts}|{repr(float(developer_payout))}\n"
+
+
+def _decode_record(line: str) -> _Record:
+    parts = line.split("|")
+    if len(parts) != 4:
+        raise ValueError(f"expected 4 fields in a settlement record, got {len(parts)}")
+    _, count, payouts_csv, developer = parts
+    payouts = [float(v) for v in payouts_csv.split(",")] if payouts_csv else []
+    record = _Record(int(count), payouts, float(developer))
+    if record.count < 0 or not all(map(math.isfinite, [*payouts, record.developer_payout])):
+        raise ValueError("settlement record has a negative count or a non-finite payout")
+    return record
+
+
+def _decode_entry(raw: bytes) -> _Record | tuple[Transaction, bool] | None:
+    """Decode one complete log line: a record, a transaction line, or None if blank."""
+    line = raw.decode("utf-8")
+    if not line.strip():
+        return None
+    return _decode_record(line) if line.startswith("|") else _decode_line(line)
+
+
 class LedgerStore:
-    """Directory-backed transaction store with durable appends.
+    """Directory-backed transaction store whose append-only log is its only state.
 
     ``record`` may be called concurrently; appends are serialized internally.
     Settlements take the same lock, so they see a consistent pool and
-    recordings that race a settlement simply land in the next period.
+    recordings that race a settlement simply land in the next period. Every
+    append is one write and one fsync. A settlement's lines and its record go
+    in one append, so after a crash the reopened store holds all of that
+    settlement or none of it. ``dropped_bytes`` is the size of the torn tail
+    that opening the store truncated, 0 for an intact log.
     """
 
     def __init__(self, path: str | Path, *, create: bool = True):
         self.path = Path(path)
+        self.dropped_bytes = 0
         self._lock = threading.Lock()
         self._order: list[str] = []
         self._txs: dict[str, Transaction] = {}
@@ -150,10 +203,18 @@ class LedgerStore:
                 self.path.mkdir(parents=True, exist_ok=True)
             if not self.path.is_dir():
                 raise StorageFailureError(f"{self.path} is not a ledger directory")
+            # The ledger writes no JSON: one here that is not a report sidecar is the
+            # balance snapshot of an older format.
+            snapshot = next(
+                (p for p in self.path.glob("*.json") if not p.name.endswith(".meta.json")), None
+            )
+            if snapshot is not None:
+                raise StorageFailureError(
+                    f"{snapshot} is a balance snapshot from an older ledger format; "
+                    "its balances are not in the log, so the ledger cannot be opened"
+                )
             if self._log_path.exists():
                 self._replay()
-            if self._state_path.exists():
-                self._load_state()
         except OSError as exc:
             raise StorageFailureError(f"cannot open ledger at {self.path}: {exc}") from exc
 
@@ -161,50 +222,63 @@ class LedgerStore:
     def _log_path(self) -> Path:
         return self.path / LOG_NAME
 
-    @property
-    def _state_path(self) -> Path:
-        return self.path / STATE_NAME
-
     def _replay(self) -> None:
-        with open(self._log_path, encoding="utf-8") as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                tx, settled = _decode_line(line)
-                if tx.id not in self._txs:
-                    self._order.append(tx.id)
-                self._txs[tx.id] = tx
-                if settled:
-                    self._settled.add(tx.id)
-
-    def _load_state(self) -> None:
-        with open(self._state_path, encoding="utf-8") as fh:
-            state = json.load(fh)
-        self._balances = {int(k): float(v) for k, v in state["balances"].items()}
-        self._developer_balance = float(state["developer_balance"])
-        self._settlement_count = int(state["settlement_count"])
-
-    def _write_state(self) -> None:
-        state = {
-            "balances": {str(k): v for k, v in sorted(self._balances.items())},
-            "developer_balance": self._developer_balance,
-            "settlement_count": self._settlement_count,
-        }
-        tmp = self._state_path.with_suffix(".json.tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(state, fh, sort_keys=True)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self._state_path)
+        """Rebuild the store from the log and truncate a torn tail."""
+        pending: list[Transaction] = []  # settled lines still waiting for their record
+        keep = size = 0  # bytes that stay in the log, bytes read
+        with open(self._log_path, "rb") as fh:
+            for number, raw in enumerate(fh, start=1):
+                size += len(raw)
+                if not raw.endswith(b"\n"):
+                    break  # the last line, cut before its LF
+                try:
+                    entry = _decode_entry(raw[:-1])
+                except ValueError as exc:  # UnicodeDecodeError included
+                    raise StorageFailureError(
+                        f"malformed ledger line {number} ({exc}): {raw[:120]!r}"
+                    ) from exc
+                if isinstance(entry, _Record):
+                    if entry.count != len(pending):
+                        raise StorageFailureError(
+                            f"ledger line {number}: settlement record commits {entry.count} "
+                            f"settled lines, but {len(pending)} precede it"
+                        )
+                    self._commit(pending, entry.owner_payouts, entry.developer_payout)
+                    pending = []
+                elif entry is not None:
+                    tx, settled = entry
+                    if settled:
+                        pending.append(tx)
+                    elif pending:
+                        raise StorageFailureError(
+                            f"ledger line {number}: the settled lines before it have no "
+                            "settlement record"
+                        )
+                    else:
+                        self._add(tx)
+                if not pending:
+                    keep = size
+        self.dropped_bytes = size - keep
+        if self.dropped_bytes:
+            with open(self._log_path, "r+b") as fh:
+                fh.truncate(keep)
+                os.fsync(fh.fileno())
 
     def _append_lines(self, lines: list[str]) -> None:
+        # One write call for the whole batch, so that an append from another
+        # process lands before or after a settlement's lines, not among them.
         try:
-            with open(self._log_path, "a", encoding="utf-8", newline="") as fh:
-                fh.writelines(lines)
+            with open(self._log_path, "ab") as fh:
+                fh.write("".join(lines).encode("utf-8"))
                 fh.flush()
                 os.fsync(fh.fileno())
         except OSError as exc:
             raise StorageFailureError(f"append to {self._log_path} failed: {exc}") from exc
+
+    def _add(self, tx: Transaction) -> None:
+        if tx.id not in self._txs:
+            self._order.append(tx.id)
+        self._txs[tx.id] = tx
 
     def record(self, tx: Transaction) -> None:
         """Durably append one transaction. Duplicate ids raise."""
@@ -212,8 +286,7 @@ class LedgerStore:
             if tx.id in self._txs:
                 raise DuplicateIdError(f"transaction id {tx.id!r} already recorded")
             self._append_lines([_encode_line(tx, settled=False)])
-            self._txs[tx.id] = tx
-            self._order.append(tx.id)
+            self._add(tx)
 
     def transactions(self) -> list[Transaction]:
         return [self._txs[i] for i in self._order]
@@ -236,6 +309,21 @@ class LedgerStore:
     def settlement_count(self) -> int:
         return self._settlement_count
 
+    def _commit(
+        self,
+        settled: list[Transaction],
+        owner_payouts: list[float] | np.ndarray,
+        developer_payout: float,
+    ) -> None:
+        """Apply one settlement in memory, as replaying its record does."""
+        for tx in settled:
+            self._add(tx)
+            self._settled.add(tx.id)
+        for i, amount in enumerate(owner_payouts):
+            self._balances[i] = self._balances.get(i, 0.0) + float(amount)
+        self._developer_balance += developer_payout
+        self._settlement_count += 1
+
     def _apply_settlement(
         self,
         settled: list[Transaction],
@@ -243,18 +331,9 @@ class LedgerStore:
         developer_payout: float,
     ) -> None:
         lines = [_encode_line(tx, settled=True) for tx in settled]
+        lines.append(_encode_record(len(settled), owner_payouts, developer_payout))
         self._append_lines(lines)
-        for tx in settled:
-            self._txs[tx.id] = tx
-            self._settled.add(tx.id)
-        for i, amount in enumerate(owner_payouts):
-            self._balances[i] = self._balances.get(i, 0.0) + float(amount)
-        self._developer_balance += developer_payout
-        self._settlement_count += 1
-        try:
-            self._write_state()
-        except OSError as exc:
-            raise StorageFailureError(f"state snapshot failed: {exc}") from exc
+        self._commit(settled, owner_payouts, developer_payout)
 
 
 def _resolve_shares(
@@ -300,12 +379,18 @@ def _correlation_flag(prices: np.ndarray, shares: np.ndarray) -> bool:
     return False
 
 
+def _exact_owner_payouts(txs: list[Transaction], n: int, beta_data: float) -> np.ndarray:
+    """``beta_data`` times each owner's price-weighted shares, summed exactly."""
+    return np.array(
+        [beta_data * math.fsum(tx.price * float(tx.srs.shares[i]) for tx in txs) for i in range(n)]
+    )
+
+
 def settle_full(
     store: LedgerStore,
     beta_data: float,
     attributor: Attributor | None = None,
     *,
-    seed: int | None = None,
     apply: bool = True,
 ) -> SettlementReport:
     """Settle every unsettled transaction with exact per-transaction attribution.
@@ -322,12 +407,7 @@ def settle_full(
         n = _owner_count(resolved)
         prices = [tx.price for tx in resolved]
         total_income = math.fsum(prices)
-        owner_payouts = np.array(
-            [
-                beta_data * math.fsum(tx.price * float(tx.srs.shares[i]) for tx in resolved)
-                for i in range(n)
-            ]
-        )
+        owner_payouts = _exact_owner_payouts(resolved, n, beta_data)
         developer_payout = (1.0 - beta_data) * total_income
         if apply:
             store._apply_settlement(resolved, owner_payouts, developer_payout)
@@ -337,7 +417,6 @@ def settle_full(
         total_income=total_income,
         sampled_fraction=1.0,
         estimator="full",
-        seed=seed,
         failed_ids=tuple(failed),
     )
 
@@ -388,12 +467,7 @@ def settle_subsampled(
             and all(tx.price == pool[0].price for tx in pool)
         )
         if exact_collapse:
-            owner_payouts = np.array(
-                [
-                    beta_data * math.fsum(tx.price * float(tx.srs.shares[i]) for tx in resolved)
-                    for i in range(n)
-                ]
-            )
+            owner_payouts = _exact_owner_payouts(resolved, n, beta_data)
         else:
             k = len(resolved)
             mean_shares = [

@@ -207,6 +207,64 @@ def test_settle_missing_ledger_is_exit_4(tmp_path):
     assert main(["settle", "--ledger", str(tmp_path / "absent"), "--beta", "0.5"]) == 4
 
 
+def test_ledger_holding_a_balance_snapshot_is_exit_4(tmp_path, capsys):
+    ledger = tmp_path / "ledger"
+    assert main(["simulate", "--kind", "ledger", "--transactions", "10",
+                 "--out", str(ledger)]) == 0
+    # Report sidecars written into the ledger directory are not snapshots.
+    for _ in range(2):
+        assert main(["settle", "--ledger", str(ledger), "--beta", "0.5",
+                     "--out", str(ledger)]) == 0
+    (ledger / "state.json").write_text('{"balances": {}}', encoding="utf-8")
+    assert main(["settle", "--ledger", str(ledger), "--beta", "0.5",
+                 "--out", str(tmp_path / "out")]) == 4
+    assert "state.json" in capsys.readouterr().err
+
+
+def test_settle_drops_a_torn_tail_and_says_so(tmp_path, capsys):
+    ledger, out = tmp_path / "ledger", tmp_path / "out"
+    assert main(["simulate", "--kind", "ledger", "--transactions", "50",
+                 "--out", str(ledger)]) == 0
+    log = ledger / "transactions.log"
+    sales = log.read_bytes()
+    settle = ["settle", "--ledger", str(ledger), "--beta", "0.7", "--out", str(out)]
+    assert main(settle) == 0
+    data = log.read_bytes()
+    log.write_bytes(data[:-30])  # a crash inside the settlement's append
+    capsys.readouterr()
+    assert main(settle) == 0
+    dropped = len(data) - 30 - len(sales)
+    assert capsys.readouterr().err == f"ledger: dropped a torn tail of {dropped} bytes\n"
+    assert log.read_bytes().startswith(sales)
+    meta = json.loads((out / "settlement.meta.json").read_text(encoding="utf-8"))
+    assert meta["total_income"] == 50.0 and meta["conservation_error"] <= 1e-9
+
+
+_INTEGER_KEYS = ["seed", "solver.permutations", "oracle.steps", "density_mc_samples"]
+_NUMBER_KEYS = ["beta", "solver.truncation", "oracle.ridge", "baseline.ridge", "oracle.alpha",
+                "oracle.bandwidth"]
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [(key, value) for key in _INTEGER_KEYS for value in ("many", True, 2.5, math.nan)]
+    + [(key, value) for key in _NUMBER_KEYS for value in ("many", True, math.nan)],
+)
+def test_config_value_of_the_wrong_type_is_exit_2(tmp_path, capsys, key, value):
+    kind = {"oracle.steps": "gaussian_chain", "oracle.alpha": "gaussian_chain",
+            "oracle.bandwidth": "kde"}.get(key, "additive")
+    config = {"oracle": {"kind": kind, "weights": [2.0, 4.0]}, "solver": {"kind": "mc"}}
+    head, _, field = key.partition(".")
+    if field:
+        config.setdefault(head, {})[field] = value
+    else:
+        config[head] = value
+    path = write_config(tmp_path / "config.json", **config)
+    assert main(["attribute", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_simulate_ledger_twice_is_exit_4(tmp_path):
     ledger = tmp_path / "ledger"
     args = ["simulate", "--kind", "ledger", "--transactions", "5", "--out", str(ledger)]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import os
 import threading
 
 import numpy as np
@@ -17,7 +18,7 @@ from royaltyshare import (
     settle_subsampled,
     write_settlement_csv,
 )
-from royaltyshare.ledger import LOG_NAME, STATE_NAME
+from royaltyshare.ledger import LOG_NAME
 
 
 def share_row(*values):
@@ -115,7 +116,6 @@ def test_preview_mode_changes_nothing(store):
     assert store.unsettled() != []
     assert store.balances == {}
     assert (store.path / LOG_NAME).read_bytes() == log_before
-    assert not (store.path / STATE_NAME).exists()
 
 
 def test_attribution_failures_are_quarantined(store):
@@ -255,3 +255,123 @@ def test_settlement_csv_layout(tmp_path, store):
     assert lines[2] == "0,0.2"
     assert lines[3].startswith("1,0.6")
     assert lines[4].startswith("developer,")
+
+
+def _settled_tail_store(path, tail):
+    """A ledger with one settlement behind it whose last two lines are ``tail``.
+
+    ``"settlement"``: a second settlement of one transaction, i.e. its settled
+    line and its record. ``"sales"``: two sales recorded after the settlement.
+    Labels carry multi-byte UTF-8, so some cuts split a character.
+    """
+    store = LedgerStore(path)
+    for k, shares in enumerate([(0.5, 0.25, 0.25), (0.1, 0.6, 0.3), (1.0, 0.0, 0.0)]):
+        store.record(make_tx(f"tx-{k}", 1.5 + k, share_row(*shares), label="café"))
+    settle_full(store, beta_data=0.6)
+    store.record(make_tx("tx-3", 2.25, share_row(0.2, 0.2, 0.6), label="naïve"))
+    if tail == "settlement":
+        settle_full(store, beta_data=0.6)
+    else:
+        store.record(make_tx("tx-4", 0.75, share_row(0.0, 0.5, 0.5), coords=(1e-300, -3.0)))
+    return store
+
+
+def _settled_line_counts(log_path):
+    counts = {}
+    for line in log_path.read_text(encoding="utf-8").splitlines():
+        if not line.startswith("|") and line.endswith("|1"):
+            tx_id = line.split("|")[0]
+            counts[tx_id] = counts.get(tx_id, 0) + 1
+    return counts
+
+
+def _settled_income(store):
+    return math.fsum(tx.price for tx in store.transactions() if store.is_settled(tx.id))
+
+
+@pytest.mark.parametrize("tail", ["settlement", "sales"])
+def test_a_cut_anywhere_in_the_last_two_lines_recovers_a_consistent_ledger(tmp_path, tail):
+    full = _settled_tail_store(tmp_path / "full", tail)
+    data = (full.path / LOG_NAME).read_bytes()
+    lines = data.splitlines(keepends=True)
+    tail_start = len(data) - len(lines[-1]) - len(lines[-2])
+    # The two states a cut may leave: the last settlement whole, or not at all.
+    before = LedgerStore(tmp_path / "before")
+    (before.path / LOG_NAME).write_bytes(data[:tail_start])
+    before = LedgerStore(before.path, create=False)
+    outcomes = {
+        (full.settlement_count, tuple(full.balances.items()), full.developer_balance),
+        (before.settlement_count, tuple(before.balances.items()), before.developer_balance),
+    }
+    for cut in range(tail_start, len(data)):
+        path = tmp_path / f"cut-{cut}"
+        path.mkdir()
+        (path / LOG_NAME).write_bytes(data[:cut])
+        store = LedgerStore(path, create=False)
+        kept = (path / LOG_NAME).read_bytes()
+        assert store.dropped_bytes == cut - len(kept)
+        assert data.startswith(kept) and kept.endswith(b"\n")
+        state = (store.settlement_count, tuple(store.balances.items()), store.developer_balance)
+        assert state in outcomes, cut
+        paid = math.fsum([*store.balances.values(), store.developer_balance])
+        assert paid == pytest.approx(_settled_income(store), rel=1e-9, abs=0)
+
+        report = settle_full(store, beta_data=0.6)
+        assert report.conservation_error <= 1e-9
+        reopened = LedgerStore(path, create=False)
+        assert reopened.dropped_bytes == 0 and reopened.unsettled() == []
+        ids = [tx.id for tx in reopened.transactions()]
+        assert _settled_line_counts(path / LOG_NAME) == dict.fromkeys(ids, 1)
+        total = math.fsum(tx.price for tx in reopened.transactions())
+        paid = math.fsum([*reopened.balances.values(), reopened.developer_balance])
+        assert paid == pytest.approx(total, rel=1e-9, abs=0)
+
+
+def test_settled_lines_without_their_record_reopen_unsettled(store):
+    store.record(make_tx("tx-1", 1.0, share_row(0.5, 0.5)))
+    store.record(make_tx("tx-2", 2.0, share_row(0.25, 0.75)))
+    before = (store.path / LOG_NAME).read_bytes()
+    settle_full(store, beta_data=0.8)
+    after = (store.path / LOG_NAME).read_bytes()
+    record_start = after.rstrip(b"\n").rfind(b"\n") + 1
+    assert after[record_start:].startswith(b"|2|")
+    (store.path / LOG_NAME).write_bytes(after[:record_start])
+
+    reopened = LedgerStore(store.path, create=False)
+    assert [tx.id for tx in reopened.unsettled()] == ["tx-1", "tx-2"]
+    assert reopened.balances == {} and reopened.developer_balance == 0.0
+    assert reopened.settlement_count == 0
+    assert reopened.dropped_bytes == record_start - len(before)
+    assert (store.path / LOG_NAME).read_bytes() == before
+
+
+@pytest.mark.parametrize(
+    "tail",
+    [
+        b"tx-9|1.0|0.0,0.0;\xff\xfe|1.0|0\n",  # a complete line that is not UTF-8
+        b"|2|0.5|0.5\n",  # a record committing more settled lines than precede it
+        b"tx-1|1.0|0.0,0.0|1.0|1\ntx-9|1.0|0.0,0.0||0\n",  # settled line, then no record
+        b"tx-9|1.0|0.0,0.0||2\n",  # a settled flag that is neither 0 nor 1
+        b"tx-9|one|0.0,0.0||0\n",  # a price that is not a number
+    ],
+)
+def test_corrupt_complete_lines_raise_on_reopen(store, tail):
+    store.record(make_tx("tx-1", 1.0, share_row(1.0)))
+    with open(store.path / LOG_NAME, "ab") as fh:
+        fh.write(tail)
+    with pytest.raises(StorageFailureError):
+        LedgerStore(store.path, create=False)
+
+
+def test_each_settlement_makes_one_fsync(store, monkeypatch):
+    for k in range(5):
+        store.record(make_tx(f"tx-{k}", 1.0, share_row(0.5, 0.5)))
+    fsyncs = []
+    real_fsync = os.fsync
+    monkeypatch.setattr(os, "fsync", lambda fd: (fsyncs.append(fd), real_fsync(fd))[1])
+    settle_full(store, beta_data=0.5)
+    assert len(fsyncs) == 1
+    store.record(make_tx("tx-5", 1.0, share_row(0.5, 0.5)))
+    settle_subsampled(store, beta_data=0.5, sample_size=1, seed=0)
+    assert len(fsyncs) == 3  # the sale and the second settlement
+    assert sorted(f.name for f in store.path.iterdir()) == [LOG_NAME]
