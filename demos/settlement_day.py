@@ -15,7 +15,11 @@ from royaltyshare.synthetic import populate_synthetic_ledger
 
 
 def main() -> None:
-    root = tempfile.mkdtemp(prefix="royalty-demo-")
+    with tempfile.TemporaryDirectory(prefix="royalty-demo-") as root:
+        settle_day(root)
+
+
+def settle_day(root: str) -> None:
     store = LedgerStore(root, create=True)
     populate_synthetic_ledger(store, num_transactions=2000, num_owners=4, seed=3)
     print(f"ledger at {root}: {len(store.transactions())} transactions recorded")

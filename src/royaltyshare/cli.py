@@ -8,9 +8,10 @@ fixtures the acceptance suite runs on).
 
 Every run is driven by a JSON config plus flag overrides, and every report
 file is accompanied by a ``.meta.json`` sidecar echoing the fully resolved
-configuration, so a report is reproducible from its own metadata. All
-randomness derives from the single root seed, stream-split per subsystem.
-Given the same seed, report files are byte-identical across runs. The
+configuration, so a report is reproducible from its own metadata. One table,
+``_SCHEMA``, gives each config key's check, default and the kinds that read
+it. All randomness derives from the single root seed, stream-split per
+subsystem. Given the same seed, report files are byte-identical across runs. The
 ``--workers`` flag is still accepted and has no effect; ``--beta`` is taken
 only by the two commands that read it, ``developer-share`` and ``settle``.
 
@@ -20,8 +21,8 @@ and its sidecar. Each supplies only its file stem, its columns and its own
 sidecar keys; ``compare-loo`` reports the attribute columns without
 ``stderr``.
 
-Exit codes: 0 success, 2 config error (additive weights that are not finite
-numbers, and config values of the wrong type, included), 3 oracle failure (a
+Exit codes: 0 success, 2 config error (an unknown key at any level, and any
+present value that fails its key's check, included), 3 oracle failure (a
 covariance that linear algebra rejects, and an additive coalition sum beyond
 the float range, included), 4 storage failure. ``settle`` reports a torn
 ledger tail that opening the ledger dropped as one line on stderr.
@@ -38,7 +39,7 @@ import os
 import re
 import sys
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -84,34 +85,110 @@ _STREAM_SOLVER = 1
 _STREAM_DENSITY = 2
 _STREAM_SETTLE = 3
 
-_DEFAULT_CONFIG: dict[str, Any] = {
-    "dataset": None,
-    "baseline": {"kind": "standard_normal"},
-    "oracle": {"kind": "gaussian_mle", "ridge": 1e-6},
-    "solver": {"kind": "exact"},
-    "seed": 0,
-    "beta": "permission",
-    "density_mc_samples": 20,
-    "out": "reports",
+_REQUIRED = object()  # no default: the kinds that read the key must be given it
+_UNSET = object()  # no default: an absent key stays absent
+
+
+class _Key(NamedTuple):
+    """A config key: the kinds of its section that read it (None: every kind),
+    the test a present value must pass, what the test asks, and its default."""
+
+    kinds: tuple[str, ...] | None
+    test: Callable[[Any], bool]
+    need: str
+    default: Any = _UNSET
+
+
+def _finite_number(value: Any) -> bool:
+    """True for a JSON number that is not a boolean and is a finite float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _one_of(*choices: str) -> tuple[Callable[[Any], bool], str]:
+    return lambda v: v in choices, " or ".join(map(repr, choices))
+
+
+_COUNT = (lambda v: type(v) is int and v >= 1, "an integer >= 1")  # bool is not int
+_NONNEGATIVE = (lambda v: _finite_number(v) and v >= 0, "a finite number >= 0")
+
+# Every config key. Each section (solver, oracle, baseline) is a JSON object
+# whose kind comes first; a default is filled in only for the kinds that
+# read the key, so a resolved config echoes what the run used.
+_SCHEMA = {
+    "seed": _Key(None, lambda v: type(v) is int and 0 <= v < 2**64, "an integer in [0, 2^64)", 0),
+    "beta": _Key(None, lambda v: v == "permission" or (_finite_number(v) and 0 <= v <= 1),
+                 "'permission' or a number in [0, 1]", "permission"),
+    "density_mc_samples": _Key(None, *_COUNT, 20),
+    "dataset": _Key(None, lambda v: v is None or isinstance(v, str), "a path or null", None),
+    "out": _Key(None, lambda v: isinstance(v, str), "a path", "reports"),
+    "solver.kind": _Key(None, *_one_of("exact", "mc"), "exact"),
+    "solver.permutations": _Key(("mc",), *_COUNT, 2000),
+    "solver.truncation": _Key(("mc",), *_NONNEGATIVE, 0.0),
+    "oracle.kind": _Key(None, *_one_of("gaussian_mle", "kde", "additive", "gaussian_chain"),
+                        "gaussian_mle"),
+    "oracle.ridge": _Key(None, *_NONNEGATIVE, 1e-6),  # echoed, not read, by additive
+    "oracle.bandwidth": _Key(("kde",), lambda v: v is None or (_finite_number(v) and v > 0),
+                             "a positive number or null"),
+    "oracle.weights": _Key(("additive",), lambda v: isinstance(v, list) and len(v) > 0
+                           and all(map(_finite_number, v)),
+                           "a nonempty list of finite numbers (no booleans)", _REQUIRED),
+    "oracle.steps": _Key(("gaussian_chain",), *_COUNT, 3),
+    "oracle.alpha": _Key(("gaussian_chain",), lambda v: _finite_number(v) and 0 < v <= 1,
+                         "a number in (0, 1]", 0.9),
+    "baseline.kind": _Key(None, *_one_of("standard_normal", "dataset"), "standard_normal"),
+    "baseline.path": _Key(("dataset",), lambda v: isinstance(v, str) and v != "",
+                          "a nonempty path", _REQUIRED),
+    "baseline.ridge": _Key(("dataset",), *_NONNEGATIVE, 1e-6),
 }
+_SECTIONS = ("solver", "oracle", "baseline")
+# The flags that override a config key, by argparse destination.
+_FLAG_KEYS = {"seed": "seed", "solver": "solver.kind", "permutations": "solver.permutations",
+              "beta": "beta", "out": "out"}
 
-_MC_SOLVER_DEFAULTS = {"permutations": 2000, "truncation": 0.0}
-_CHAIN_ORACLE_DEFAULTS = {"steps": 3, "alpha": 0.9}
 
+def _resolve(loaded: dict[str, Any], overrides: dict[str, Any]) -> dict[str, Any]:
+    """``loaded`` with the flag overrides applied, checked, and its defaults filled in.
 
-def _merge(base: dict, override: dict) -> dict:
-    out = dict(base)
-    for key, value in override.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], value)
+    Unknown keys are rejected at every level, and every present value is
+    checked, even one that its section's kind does not read.
+    """
+    flat: dict[str, Any] = {}
+    for key, value in loaded.items():
+        if key not in _SECTIONS:
+            flat[key] = value
+        elif isinstance(value, dict):
+            flat.update((f"{key}.{field}", v) for field, v in value.items())
         else:
-            out[key] = value
-    return out
+            raise ConfigError(f"{key} must be a JSON object, got {value!r}")
+    # A dotted key at the top level is not a section's key.
+    unknown = sorted(p for p in flat if p not in _SCHEMA or (p in loaded and "." in p))
+    if unknown:
+        raise ConfigError(f"unknown config keys: {unknown}")
+    flat.update(overrides)
+    for path, key in _SCHEMA.items():
+        kind = flat.get(path.partition(".")[0] + ".kind")
+        if path in flat:
+            if not key.test(flat[path]):
+                raise ConfigError(f"{path} must be {key.need}, got {flat[path]!r}")
+        elif key.default is _REQUIRED and kind in key.kinds:
+            raise ConfigError(f"{path} is required when the kind is {kind!r}")
+        elif key.default is not _UNSET and (key.kinds is None or kind in key.kinds):
+            flat[path] = key.default
+    config: dict[str, Any] = {section: {} for section in _SECTIONS}
+    for path, value in flat.items():
+        section, _, field = path.rpartition(".")
+        (config[section] if section else config)[field] = value
+    return config
 
 
 def _load_config(args: argparse.Namespace) -> dict[str, Any]:
-    """Read the config file, apply flag overrides, validate, and resolve defaults."""
-    config = dict(_DEFAULT_CONFIG)
+    """Read the config file, apply flag overrides, check it, and resolve defaults."""
+    loaded: dict[str, Any] = {}
     config_dir = Path.cwd()
     if getattr(args, "config", None):
         path = Path(args.config)
@@ -123,100 +200,23 @@ def _load_config(args: argparse.Namespace) -> dict[str, Any]:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config root must be a JSON object")
-        unknown = set(loaded) - set(_DEFAULT_CONFIG)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        config = _merge(config, loaded)
         config_dir = path.parent
-    if getattr(args, "seed", None) is not None:
-        config["seed"] = args.seed
-    if getattr(args, "solver", None) is not None:
-        config["solver"] = _merge(config["solver"], {"kind": args.solver})
-    if getattr(args, "permutations", None) is not None:
-        config["solver"] = _merge(config["solver"], {"permutations": args.permutations})
-    if getattr(args, "beta", None) is not None:
-        config["beta"] = args.beta
-    if getattr(args, "out", None) is not None:
-        config["out"] = args.out
+    overrides = {path: getattr(args, flag) for flag, path in _FLAG_KEYS.items()
+                 if getattr(args, flag, None) is not None}
+    config = _resolve(loaded, overrides)
     config["_dir"] = config_dir
-    _validate_config(config)
     return config
 
 
-def _integer(value: Any, key: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return value
-
-
-def _number(value: Any, key: str) -> float:
-    if not _finite_number(value):
-        raise ConfigError(f"{key} must be a finite number, got {value!r}")
-    return value
-
-
-def _validate_config(config: dict[str, Any]) -> None:
-    seed = _integer(config["seed"], "seed")
-    if not 0 <= seed < 2**64:
-        raise ConfigError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
-
-    solver = config["solver"]
-    kind = solver.get("kind")
-    if kind not in ("exact", "mc"):
-        raise ConfigError(f"solver.kind must be 'exact' or 'mc', got {kind!r}")
-    if kind == "mc":
-        config["solver"] = _merge(_MC_SOLVER_DEFAULTS, solver)
-        if _integer(config["solver"]["permutations"], "solver.permutations") < 1:
-            raise ConfigError("solver.permutations must be at least 1")
-        if _number(config["solver"]["truncation"], "solver.truncation") < 0:
-            raise ConfigError("solver.truncation must be nonnegative")
-
-    oracle = config["oracle"]
-    okind = oracle.get("kind")
-    if okind not in ("gaussian_mle", "kde", "additive", "gaussian_chain"):
-        raise ConfigError(f"unknown oracle.kind {okind!r}")
-    if okind == "additive":
-        weights = oracle.get("weights")
-        if not isinstance(weights, list) or not weights or not all(map(_finite_number, weights)):
-            raise ConfigError(
-                "additive oracle needs a nonempty 'weights' list of finite numbers "
-                "(no booleans, Infinity or NaN)"
-            )
-    if okind == "gaussian_chain":
-        config["oracle"] = _merge(_CHAIN_ORACLE_DEFAULTS, oracle)
-        if not 0 < _number(config["oracle"]["alpha"], "oracle.alpha") <= 1:
-            raise ConfigError("oracle.alpha must lie in (0, 1]")
-        if _integer(config["oracle"]["steps"], "oracle.steps") < 1:
-            raise ConfigError("oracle.steps must be at least 1")
-    if _number(oracle.get("ridge", 0), "oracle.ridge") < 0:
-        raise ConfigError("oracle.ridge must be nonnegative")
-    bandwidth = oracle.get("bandwidth")
-    if okind == "kde" and bandwidth is not None and _number(bandwidth, "oracle.bandwidth") <= 0:
-        raise ConfigError("oracle.bandwidth must be positive")
-
-    beta = config["beta"]
-    if beta != "permission" and not (_finite_number(beta) and 0 <= beta <= 1):
-        raise ConfigError(f"beta must be 'permission' or a number in [0, 1], got {beta!r}")
-
-    baseline = config["baseline"]
-    if baseline.get("kind") not in ("standard_normal", "dataset"):
-        raise ConfigError(f"baseline.kind must be 'standard_normal' or 'dataset'")
-    if baseline["kind"] == "dataset" and not baseline.get("path"):
-        raise ConfigError("baseline.kind 'dataset' needs a 'path'")
-    _number(baseline.get("ridge", 0), "baseline.ridge")
-
-    if _integer(config["density_mc_samples"], "density_mc_samples") < 1:
-        raise ConfigError("density_mc_samples must be a positive integer")
-
-
-def _finite_number(value: Any) -> bool:
-    """True for a JSON number that is not a boolean and is a finite float."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
+def _count_flag(text: str) -> int:
+    """An argparse ``type=`` for a count: the config's check, at parse time."""
     try:
-        return math.isfinite(value)
-    except OverflowError:  # an integer beyond the float range
-        return False
+        value = int(text)
+    except ValueError:
+        value = text
+    if not _COUNT[0](value):
+        raise argparse.ArgumentTypeError(f"must be {_COUNT[1]}, got {text!r}")
+    return value
 
 
 def _echoed(config: dict[str, Any]) -> dict[str, Any]:
@@ -265,7 +265,7 @@ def _build_game(config: dict[str, Any], event: GenerationEvent | None):
         if not baseline_path.is_file():
             raise ConfigError(f"baseline dataset not found: {baseline_path}")
         pooled = np.concatenate([ds.points for ds in load_owner_datasets(baseline_path)])
-        baseline = fit_gaussian(pooled, ridge=float(baseline_cfg.get("ridge", 1e-6)))
+        baseline = fit_gaussian(pooled, ridge=baseline_cfg["ridge"])
 
     if event is None:
         raise ConfigError("this command needs --event for dataset-driven oracles")
@@ -277,8 +277,8 @@ def _build_game(config: dict[str, Any], event: GenerationEvent | None):
             partition,
             baseline,
             event,
-            NoiseSchedule.uniform(int(oracle_cfg["steps"]), float(oracle_cfg["alpha"])),
-            ridge=float(oracle_cfg.get("ridge", 1e-6)),
+            NoiseSchedule.uniform(oracle_cfg["steps"], oracle_cfg["alpha"]),
+            ridge=oracle_cfg["ridge"],
             num_samples=config["density_mc_samples"],
             seed=derive_seed(config["seed"], _STREAM_DENSITY),
         )
@@ -289,7 +289,7 @@ def _build_game(config: dict[str, Any], event: GenerationEvent | None):
             event,
             DensityOracleConfig(
                 kind=kind,
-                ridge=float(oracle_cfg.get("ridge", 1e-6)),
+                ridge=oracle_cfg["ridge"],
                 bandwidth=oracle_cfg.get("bandwidth"),
             ),
         )
@@ -303,9 +303,9 @@ def _solve(game: CoalitionGame, config: dict[str, Any]):
         phi = exact_shapley(game)
         return phi, None, {"kind": "exact"}
     estimator = EstimatorConfig(
-        num_permutations=int(solver_cfg["permutations"]),
+        num_permutations=solver_cfg["permutations"],
         seed=derive_seed(config["seed"], _STREAM_SOLVER),
-        truncation_tolerance=float(solver_cfg["truncation"]),
+        truncation_tolerance=solver_cfg["truncation"],
     )
     report = permutation_sample(game, estimator)
     info = {
@@ -417,7 +417,7 @@ def _developer_share_report(game: CoalitionGame, config: dict[str, Any]):
         srs = _cells([*split.owner_payout_fractions, split.developer_share])
     else:
         shares = royalty_shares(_solve(game, config)[0])
-        split = fixed_split(float(beta), shares)
+        split = fixed_split(float(beta), shares)  # the sidecar echoes a JSON 1 as 1.0
         srs = [*_cells(shares.shares), ""]
     columns = {
         "player_id": [*(str(i) for i in range(game.n)), "developer"],
@@ -466,13 +466,13 @@ def cmd_settle(args: argparse.Namespace) -> int:
         print(f"ledger: dropped a torn tail of {store.dropped_bytes} bytes", file=sys.stderr)
     root_seed = config["seed"]
     if args.mode == "full":
-        report = settle_full(store, float(beta))
+        report = settle_full(store, beta)
     else:
         if args.sample_size is None:
             raise ConfigError("settle --mode sample needs --sample-size")
         report = settle_subsampled(
             store,
-            float(beta),
+            beta,
             sample_size=args.sample_size,
             seed=derive_seed(root_seed, _STREAM_SETTLE),
         )
@@ -641,12 +641,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p, config_required=False)
     p.add_argument("--kind", choices=["clusters", "ledger"], required=True)
     p.add_argument("--layout", choices=["graded", "colocated"], default="graded")
-    p.add_argument("--owners", type=int, default=4)
-    p.add_argument("--points", type=int, default=40)
+    p.add_argument("--owners", type=_count_flag, default=4)
+    p.add_argument("--points", type=_count_flag, default=40)
     p.add_argument("--spacing", type=float, default=1.0)
     p.add_argument("--cluster-std", type=float, default=1.0)
     p.add_argument("--offset", type=float, default=0.5)
-    p.add_argument("--dim", type=int, default=2)
+    p.add_argument("--dim", type=_count_flag, default=2)
     p.add_argument("--transactions", type=int, default=1000)
     p.add_argument("--price", type=float, default=1.0)
     p.add_argument("--alpha", default=None, help="comma-separated Dirichlet parameters")

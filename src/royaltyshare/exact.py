@@ -86,11 +86,27 @@ def _groups(values: np.ndarray, lengths: list[int]) -> list[list[float]]:
     return out
 
 
-def _marginals_by_size(table: np.ndarray, by_size: np.ndarray, i: int) -> np.ndarray:
-    """``v(S + i) - v(S)`` for every S without player i, grouped by ``|S|``."""
-    bit = 1 << i
-    without = by_size[(by_size & bit) == 0]
-    return table[without | bit] - table[without]
+def _table_by_size(game: CoalitionGame, exact_limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """The utility table and the coalitions grouped by size, for ``n <= exact_limit``."""
+    n = game.n
+    if n > exact_limit:
+        raise TooManyPlayersError(f"{n} players exceeds exact enumeration limit {exact_limit}")
+    return _utility_table(game), _coalitions_by_size(n)
+
+
+def _marginal_groups(table: np.ndarray, by_size: np.ndarray, n: int):
+    """Per player i, its marginals ``v(S + i) - v(S)`` as lists grouped by ``|S|``."""
+    lengths = [math.comb(n - 1, j) for j in range(n)]
+    for i in range(n):
+        without = by_size[(by_size & (1 << i)) == 0]
+        yield _groups(table[without | (1 << i)] - table[without], lengths)
+
+
+def _stratified(groups: list[list[float]], players: int) -> float:
+    """One fsum per stratum ``k``, divided by ``C(players - 1, k)``, then one
+    fsum over the strata, divided by ``players``."""
+    strata = [math.fsum(group) / math.comb(players - 1, k) for k, group in enumerate(groups)]
+    return math.fsum(strata) / players
 
 
 def exact_shapley(game: CoalitionGame, exact_limit: int = DEFAULT_EXACT_LIMIT) -> ShapleyVector:
@@ -103,18 +119,9 @@ def exact_shapley(game: CoalitionGame, exact_limit: int = DEFAULT_EXACT_LIMIT) -
     ``exact_limit`` (default 20); beyond that the 2^n enumeration is no
     longer appropriate and a sampling estimator should be used.
     """
-    n = game.n
-    if n > exact_limit:
-        raise TooManyPlayersError(f"{n} players exceeds exact enumeration limit {exact_limit}")
-    table = _utility_table(game)
-    by_size = _coalitions_by_size(n)
-    lengths = [math.comb(n - 1, j) for j in range(n)]
-    values = np.empty(n, dtype=float)
-    for i in range(n):
-        groups = _groups(_marginals_by_size(table, by_size, i), lengths)
-        strata = [math.fsum(group) / math.comb(n - 1, j) for j, group in enumerate(groups)]
-        values[i] = math.fsum(strata) / n
-    return ShapleyVector(values, method="stratified")
+    table, by_size = _table_by_size(game, exact_limit)
+    values = [_stratified(groups, game.n) for groups in _marginal_groups(table, by_size, game.n)]
+    return ShapleyVector(np.array(values, dtype=float), method="stratified")
 
 
 def exact_permission_shapley(
@@ -132,30 +139,22 @@ def exact_permission_shapley(
     Raises :class:`TooManyPlayersError` when ``game.n`` exceeds ``exact_limit``.
     """
     n = game.n
-    if n > exact_limit:
-        raise TooManyPlayersError(f"{n} players exceeds exact enumeration limit {exact_limit}")
-    table = _utility_table(game)
-    by_size = _coalitions_by_size(n)
-    values = np.empty(n + 1, dtype=float)
-    lengths = [math.comb(n - 1, j) for j in range(n)]
-    for i in range(n):
-        groups = _groups(_marginals_by_size(table, by_size, i), lengths)
+    table, by_size = _table_by_size(game, exact_limit)
+    values = []
+    for groups in _marginal_groups(table, by_size, n):
         # Stratum k of the n+1 players holds the base marginals over
-        # |T| = k - 2 (coalitions with the developer) and C(n-1, k-1) exact
+        # |T| = k - 1 (coalitions with the developer) and C(n-1, k) exact
         # zeros (coalitions without). One 0.0 stands for the zeros: fsum of
-        # exact zeros depends only on whether a +0.0 is among them.
-        strata = [0.0]  # k = 1: only the empty coalition, a zero marginal
-        for j, group in enumerate(groups):
-            if j < n - 1:
-                group.append(0.0)
-            strata.append(math.fsum(group) / math.comb(n, j + 1))
-        values[i] = math.fsum(strata) / (n + 1)
+        # exact zeros depends only on whether a +0.0 is among them. Stratum 0
+        # is the empty coalition alone, a zero marginal.
+        for group in groups[:-1]:
+            group.append(0.0)
+        values.append(_stratified([[0.0], *groups], n + 1))
     # The developer's marginal on a coalition S of owners is v(S) - 0.0, which
-    # is v(S) exactly; stratum k sums it over |S| = k - 1.
-    groups = _groups(table[by_size], [math.comb(n, j) for j in range(n + 1)])
-    strata = [math.fsum(group) / math.comb(n, j) for j, group in enumerate(groups)]
-    values[n] = math.fsum(strata) / (n + 1)
-    return ShapleyVector(values, method="stratified")
+    # is v(S) exactly; stratum k sums it over |S| = k.
+    values.append(_stratified(_groups(table[by_size], [math.comb(n, j) for j in range(n + 1)]),
+                              n + 1))
+    return ShapleyVector(np.array(values, dtype=float), method="stratified")
 
 
 def exact_shapley_by_permutations(game: CoalitionGame) -> ShapleyVector:

@@ -155,20 +155,18 @@ class CoalitionGame:
 
     Evaluation results are cached per coalition, so any solver built on top
     pays for each coalition at most once. ``eval_count`` reports how many
-    oracle invocations actually happened; with memoization enabled it never
-    exceeds ``2**n``.
+    oracle invocations actually happened; it never exceeds ``2**n``.
 
     Evaluation is safe to call from several threads. Distinct coalitions
     evaluate in parallel; concurrent calls on the same coalition may duplicate
     oracle work, but the first stored value wins and every caller sees it.
     """
 
-    def __init__(self, n: int, oracle: UtilityOracle, *, memoize: bool = True):
+    def __init__(self, n: int, oracle: UtilityOracle):
         if not 0 <= n <= MAX_PLAYERS:
             raise CoalitionBoundsError(f"player count {n} outside [0, {MAX_PLAYERS}]")
         self.n = n
         self._oracle = oracle
-        self._memoize = memoize
         self._cache: dict[Coalition, float] = {}
         self._eval_count = 0
         self._lock = threading.Lock()
@@ -191,24 +189,21 @@ class CoalitionGame:
         """
         if s < 0 or (s >> self.n):
             raise self._out_of_range(s)
-        if self._memoize:
-            try:
-                return self._cache[s]
-            except KeyError:
-                pass
-        return float(self.evaluate_many([s])[0])
+        try:
+            return self._cache[s]
+        except KeyError:
+            return float(self.evaluate_many([s])[0])
 
     def evaluate_many(self, masks) -> np.ndarray:
         """Return the utilities of an integer array of coalitions, same shape.
 
         Coalitions already in the memo are read from it; the missing ones go
         to the oracle once each, in order of first appearance, and each adds
-        one to ``eval_count``. Without memoization every entry is an oracle
-        call. Raises :class:`CoalitionBoundsError` before any oracle call if
-        an entry sets bits at or above ``self.n``. If the oracle raises, the
-        coalitions evaluated before it are kept and counted, the failing one
-        is not; a batch oracle's ``many`` call that raises keeps and counts
-        nothing.
+        one to ``eval_count``. Raises :class:`CoalitionBoundsError` before
+        any oracle call if an entry sets bits at or above ``self.n``. If the
+        oracle raises, the coalitions evaluated before it are kept and
+        counted, the failing one is not; a batch oracle's ``many`` call that
+        raises keeps and counts nothing.
         """
         arr = np.asarray(masks)
         if arr.size and arr.dtype.kind not in "iu":
@@ -216,8 +211,8 @@ class CoalitionGame:
         keys = arr.ravel().tolist()
         if arr.size and (arr.min() < 0 or max(keys) >> self.n):
             raise self._out_of_range(min(keys) if arr.min() < 0 else max(keys))
-        memo = self._cache if self._memoize else None
-        missing = keys if memo is None else [s for s in dict.fromkeys(keys) if s not in memo]
+        memo = self._cache
+        missing = [s for s in dict.fromkeys(keys) if s not in memo]
         fresh: list[float] = []
         batch = getattr(self._oracle, "many", None)
         try:
@@ -228,15 +223,11 @@ class CoalitionGame:
                 fresh.extend(np.asarray(batch(missing), dtype=float).tolist())
         finally:
             with self._lock:
-                if memo is None:
-                    self._eval_count += len(fresh)
-                else:
-                    for s, value in zip(missing, fresh):
-                        if s not in memo:
-                            memo[s] = value
-                            self._eval_count += 1
-        values = fresh if memo is None else [memo[s] for s in keys]
-        return np.array(values, dtype=float).reshape(arr.shape)
+                for s, value in zip(missing, fresh):
+                    if s not in memo:
+                        memo[s] = value
+                        self._eval_count += 1
+        return np.array([memo[s] for s in keys], dtype=float).reshape(arr.shape)
 
     def _out_of_range(self, s: Coalition) -> CoalitionBoundsError:
         return CoalitionBoundsError(

@@ -265,6 +265,82 @@ def test_config_value_of_the_wrong_type_is_exit_2(tmp_path, capsys, key, value):
     assert not (tmp_path / "out").exists()
 
 
+_ECHO_BASE = {"baseline": {"kind": "standard_normal"}, "beta": "permission",
+              "dataset": "owners.csv", "density_mc_samples": 20, "out": "out", "seed": 0,
+              "solver": {"kind": "exact"}}
+_ECHO_WEIGHTS = [2.0, 4.0]
+
+
+@pytest.mark.parametrize("given, echoed", [
+    ({"dataset": None, "oracle": {"kind": "additive", "weights": _ECHO_WEIGHTS}},
+     {"dataset": None, "oracle": {"kind": "additive", "ridge": 1e-6, "weights": _ECHO_WEIGHTS}}),
+    ({"dataset": None, "oracle": {"kind": "additive", "weights": _ECHO_WEIGHTS},
+      "solver": {"kind": "mc"}},
+     {"dataset": None, "oracle": {"kind": "additive", "ridge": 1e-6, "weights": _ECHO_WEIGHTS},
+      "solver": {"kind": "mc", "permutations": 2000, "truncation": 0.0}}),
+    ({"dataset": None, "oracle": {"kind": "additive", "weights": _ECHO_WEIGHTS},
+      "solver": {"kind": "mc", "permutations": 30, "truncation": 0.5}},
+     {"dataset": None, "oracle": {"kind": "additive", "ridge": 1e-6, "weights": _ECHO_WEIGHTS},
+      "solver": {"kind": "mc", "permutations": 30, "truncation": 0.5}}),
+    ({}, {"oracle": {"kind": "gaussian_mle", "ridge": 1e-6}}),
+    ({"oracle": {"kind": "kde"}}, {"oracle": {"kind": "kde", "ridge": 1e-6}}),
+    ({"oracle": {"kind": "kde", "bandwidth": 0.3}},
+     {"oracle": {"kind": "kde", "bandwidth": 0.3, "ridge": 1e-6}}),
+    ({"oracle": {"kind": "gaussian_chain"}, "density_mc_samples": 2},
+     {"oracle": {"kind": "gaussian_chain", "alpha": 0.9, "ridge": 1e-6, "steps": 3},
+      "density_mc_samples": 2}),
+    ({"oracle": {"kind": "gaussian_chain", "steps": 1, "alpha": 0.5}, "density_mc_samples": 2},
+     {"oracle": {"kind": "gaussian_chain", "alpha": 0.5, "ridge": 1e-6, "steps": 1},
+      "density_mc_samples": 2}),
+    ({"baseline": {"kind": "dataset", "path": "owners.csv"}},
+     {"baseline": {"kind": "dataset", "path": "owners.csv", "ridge": 1e-6},
+      "oracle": {"kind": "gaussian_mle", "ridge": 1e-6}}),
+    ({"baseline": {"kind": "dataset", "path": "owners.csv", "ridge": 0.01}},
+     {"baseline": {"kind": "dataset", "path": "owners.csv", "ridge": 0.01},
+      "oracle": {"kind": "gaussian_mle", "ridge": 1e-6}}),
+])
+def test_resolved_config_is_echoed(tmp_path, monkeypatch, given, echoed):
+    monkeypatch.chdir(tmp_path)
+    rng = np.random.default_rng(12)
+    save_owner_datasets(
+        tmp_path / "owners.csv",
+        [OwnerDataset(owner=i, points=rng.standard_normal((8, 2))) for i in range(2)],
+    )
+    config = write_config(tmp_path / "config.json", **{"dataset": "owners.csv", **given})
+    assert main(["attribute", "--config", config, "--out", "out", "--event", "0.1,0.2"]) == 0
+    meta = json.loads((tmp_path / "out" / "attribution.meta.json").read_text(encoding="utf-8"))
+    assert meta["config"] == {**_ECHO_BASE, **echoed}
+
+
+@pytest.mark.parametrize("config, key", [
+    ({"oracle": {"kind": "additive", "weights": [1.0]}, "solver": "exact"}, "solver"),
+    ({"dataset": 5}, "dataset"),
+    ({"dataset": "owners.csv", "oracle": {"kind": "gaussian_mle", "bandwidth": "x"}},
+     "oracle.bandwidth"),
+    ({"dataset": "owners.csv", "oracle": {"kind": "kde", "bandwith": 0.3}}, "oracle.bandwith"),
+])
+def test_malformed_config_is_exit_2_naming_the_key(tmp_path, capsys, config, key):
+    save_owner_datasets(tmp_path / "owners.csv",
+                        [OwnerDataset(owner=0, points=np.eye(3, 2))])
+    path = write_config(tmp_path / "config.json", **config)
+    code = main(["attribute", "--config", path, "--out", str(tmp_path / "out"),
+                 "--event", "0,0"])
+    assert code == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_simulate_size_flags_must_be_positive_integers(tmp_path, capsys):
+    out = tmp_path / "clusters.csv"
+    for flag, value in (("--dim", "0"), ("--owners", "0"), ("--points", "-3"),
+                        ("--dim", "2.5"), ("--owners", "x")):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--kind", "clusters", flag, value, "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"{flag}: must be an integer >= 1, got '{value}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_ledger_twice_is_exit_4(tmp_path):
     ledger = tmp_path / "ledger"
     args = ["simulate", "--kind", "ledger", "--transactions", "5", "--out", str(ledger)]

@@ -158,13 +158,6 @@ def test_evaluate_many_caches_nothing_from_a_failing_batch():
     assert game.cache == {1: 0.5} and game.eval_count == 1
 
 
-def test_evaluate_many_without_memoization_sends_every_entry():
-    oracle = BatchOracle()
-    game = CoalitionGame(2, oracle, memoize=False)
-    np.testing.assert_array_equal(game.evaluate_many([3, 3, 1]), [1.5, 1.5, 0.5])
-    assert oracle.batches == [[3, 3, 1]] and game.eval_count == 3
-
-
 def test_cli_duplicate_owners_get_bit_identical_phi_and_zero_loo(tmp_path):
     rng = np.random.default_rng(17)
     points = rng.standard_normal((30, 3)) * [1.0, 1e-3, 40.0]

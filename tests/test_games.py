@@ -36,15 +36,6 @@ def test_game_memoizes_and_counts_evaluations():
     assert game.cache == {0b101: 5.0}
 
 
-def test_game_without_memoization_reevaluates():
-    calls = []
-    game = CoalitionGame(3, lambda s: calls.append(s) or 0.0, memoize=False)
-    game.evaluate(1)
-    game.evaluate(1)
-    assert len(calls) == 2
-    assert game.eval_count == 2
-
-
 def test_game_rejects_out_of_range_coalitions():
     game = table_game(np.zeros(8))
     with pytest.raises(CoalitionBoundsError):

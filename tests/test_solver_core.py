@@ -117,16 +117,6 @@ def test_evaluate_many_reads_the_memo_and_counts_new_coalitions():
     assert game.evaluate_many([]).shape == (0,)
 
 
-def test_evaluate_many_without_memoization_counts_every_entry():
-    calls = []
-    game = CoalitionGame(3, lambda s: calls.append(s) or 1.0, memoize=False)
-    np.testing.assert_array_equal(game.evaluate_many([1, 1, 6]), [1.0, 1.0, 1.0])
-    game.evaluate_many(np.array([1], dtype=np.uint64))
-    assert calls == [1, 1, 6, 1]
-    assert game.eval_count == 4
-    assert game.cache == {}
-
-
 def test_evaluate_many_checks_bounds_before_any_oracle_call():
     calls = []
     game = CoalitionGame(3, lambda s: calls.append(s) or 0.0)
