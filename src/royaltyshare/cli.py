@@ -115,6 +115,8 @@ def _one_of(*choices: str) -> tuple[Callable[[Any], bool], str]:
 
 _COUNT = (lambda v: type(v) is int and v >= 1, "an integer >= 1")  # bool is not int
 _NONNEGATIVE = (lambda v: _finite_number(v) and v >= 0, "a finite number >= 0")
+_FINITE = (_finite_number, "a finite number")
+_POSITIVE = (lambda v: _finite_number(v) and v > 0, "a finite number > 0")
 
 # Every config key. Each section (solver, oracle, baseline) is a JSON object
 # whose kind comes first; a default is filled in only for the kinds that
@@ -208,15 +210,26 @@ def _load_config(args: argparse.Namespace) -> dict[str, Any]:
     return config
 
 
-def _count_flag(text: str) -> int:
-    """An argparse ``type=`` for a count: the config's check, at parse time."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = text
-    if not _COUNT[0](value):
-        raise argparse.ArgumentTypeError(f"must be {_COUNT[1]}, got {text!r}")
-    return value
+def _checked_flag(check: tuple[Callable[[Any], bool], str],
+                  convert: Callable[[str], Any]) -> Callable[[str], Any]:
+    """An argparse ``type=`` that applies a config check at parse time."""
+    test, need = check
+
+    def parse(text: str) -> Any:
+        try:
+            value = convert(text)
+        except ValueError:
+            value = text
+        if not test(value):
+            raise argparse.ArgumentTypeError(f"must be {need}, got {text!r}")
+        return value
+
+    return parse
+
+
+_count_flag = _checked_flag(_COUNT, int)
+_finite_flag = _checked_flag(_FINITE, float)
+_positive_flag = _checked_flag(_POSITIVE, float)
 
 
 def _echoed(config: dict[str, Any]) -> dict[str, Any]:
@@ -643,11 +656,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--layout", choices=["graded", "colocated"], default="graded")
     p.add_argument("--owners", type=_count_flag, default=4)
     p.add_argument("--points", type=_count_flag, default=40)
-    p.add_argument("--spacing", type=float, default=1.0)
-    p.add_argument("--cluster-std", type=float, default=1.0)
-    p.add_argument("--offset", type=float, default=0.5)
+    p.add_argument("--spacing", type=_finite_flag, default=1.0)
+    p.add_argument("--cluster-std", type=_positive_flag, default=1.0)
+    p.add_argument("--offset", type=_finite_flag, default=0.5)
     p.add_argument("--dim", type=_count_flag, default=2)
-    p.add_argument("--transactions", type=int, default=1000)
+    p.add_argument("--transactions", type=_count_flag, default=1000)
     p.add_argument("--price", type=float, default=1.0)
     p.add_argument("--alpha", default=None, help="comma-separated Dirichlet parameters")
     p.set_defaults(func=cmd_simulate)

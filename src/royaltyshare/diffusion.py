@@ -12,27 +12,35 @@ density estimate below can be checked against it exactly.
 The estimator approximates log p(x) = log E[p(x | x_1)] by sampling reverse
 trajectories down to x_1 and applying log-mean-exp over the final Gaussian
 kernel, which stays stable for kernel log-densities across the full double
-range. Trajectory k draws from a stream derived from ``(seed, k)``, so
-estimates do not depend on how trajectories are batched across workers.
+range. Trajectory k draws its noise from the stream derived from
+``(seed, k)``; a stream is a pure function of its key, so running the
+trajectories as stacked arrays, or deriving every coalition's keys in one
+pass, never changes a bit. ``sample_latents`` and ``final_kernel`` are the
+per-trajectory reference the stacked estimator is tested against.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
-# fit_gaussian is not called here; it stays importable from this module
-# because bench/layertrace.py wraps it under this name.
+# fit_gaussian and rng_for are not called here; they stay importable from
+# this module because bench/layertrace.py wraps them under these names.
 from .density import (  # noqa: F401
     CoalitionDensityOracle,
     DensityOracleConfig,
     GaussianModel,
+    _check_query,
+    _cholesky_logdet,
+    _gaussian_log_densities,
     fit_gaussian,
     logsumexp,
 )
-from .seeding import derive_seed, rng_for
+from .seeding import key_generators, philox_keys, rng_for  # noqa: F401
 
 DEFAULT_NUM_TRAJECTORIES = 20
 
@@ -150,6 +158,43 @@ def gaussian_ddpm_chain(data_model: GaussianModel, schedule: NoiseSchedule) -> G
     return GaussianReverseChain(data_model, schedule)
 
 
+def _draw_noise(generators: Iterator[np.random.Generator], count: int, steps: int,
+                dim: int) -> np.ndarray:
+    """``(count, steps, dim)`` noise, one ``standard_normal((steps, dim))`` per stream.
+
+    A stream's draw of shape ``(steps, dim)`` holds the same values as
+    ``steps`` draws of size ``dim``, which is what ``sample_latents`` makes.
+    """
+    return np.stack([rng.standard_normal((steps, dim))
+                     for rng in itertools.islice(generators, count)])
+
+
+def _trajectory_log_densities(
+    chain: GaussianReverseChain, x: np.ndarray, noise: np.ndarray
+) -> np.ndarray:
+    """log p(x | x_1^(k)) for the K trajectories driven by ``noise`` (K, T, d).
+
+    Row k equals ``sample_latents`` on a stream drawing ``noise[k]``, then
+    ``final_kernel(x_1).log_density(x)``, bit for bit: every step is the
+    reference's operation on a stacked ``(d, d) @ (K, d, 1)`` matmul, and the
+    final kernel's covariance, the same for every trajectory, is factored
+    once.
+    """
+    T = chain.schedule.steps
+    means, gains = chain._means, chain._gains
+
+    def apply(matrix: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+        return (matrix @ vectors[:, :, None])[:, :, 0]
+
+    x_t = means[T] + apply(chain._top_chol, noise[:, 0])
+    for step, t in enumerate(range(T, 1, -1), start=1):
+        x_t = (means[t - 1] + apply(gains[t], x_t - means[t])
+               + apply(chain._kernel_chols[t], noise[:, step]))
+    kernel_means = means[0] + apply(gains[1], x_t - means[1])
+    chols, logdets = _cholesky_logdet(chain._kernel_covs[1][None])
+    return _gaussian_log_densities(kernel_means, chols, logdets, x)
+
+
 def latent_mc_samples(
     chain: GaussianReverseChain,
     x: np.ndarray,
@@ -163,12 +208,10 @@ def latent_mc_samples(
     """
     if num_samples < 1:
         raise ValueError("num_samples must be at least 1")
-    x = np.asarray(x, dtype=float)
-    logs = np.empty(num_samples, dtype=float)
-    for k in range(num_samples):
-        traj = chain.sample_latents(rng_for(seed, k))
-        logs[k] = chain.final_kernel(traj[-1]).log_density(x)
-    return logs
+    x = _check_query(x, chain.dim)
+    keys = philox_keys(seed, np.arange(num_samples, dtype=np.uint64))
+    noise = _draw_noise(key_generators(keys), num_samples, chain.schedule.steps, chain.dim)
+    return _trajectory_log_densities(chain, x, noise)
 
 
 def latent_mc_log_density(
@@ -204,7 +247,9 @@ class ChainDensityOracle(CoalitionDensityOracle):
     fit is pushed through the reverse chain, and the event's log density is
     estimated by ``num_samples`` latent trajectories. The trajectory seed is
     derived from ``(seed, coalition)``, so the oracle stays a deterministic
-    pure function of the coalition. The baseline stays analytic.
+    pure function of the coalition, and its value equals
+    ``latent_mc_log_density(chain, x, num_samples, derive_seed(seed, s))``.
+    The baseline stays analytic.
     """
 
     def __init__(
@@ -227,13 +272,18 @@ class ChainDensityOracle(CoalitionDensityOracle):
 
     def _event_log_densities(self, masks, members, pools) -> np.ndarray:
         counts, means, covs = self._fit_gaussians(masks, members, pools)
+        k = self.num_samples
+        # Coalition s's root is derive_seed(seed, s); its trajectory j draws
+        # from the stream (root, j). All keys of the batch come in one pass.
+        roots = philox_keys(self.seed, masks)[:, 0]
+        keys = philox_keys(np.repeat(roots, k),
+                           np.tile(np.arange(k, dtype=np.uint64), len(masks)))
+        generators = key_generators(keys)
         out = np.empty(len(masks))
-        for b, s in enumerate(masks):
-            model = GaussianModel(mean=means[b], cov=covs[b], fit_count=counts[b])
-            out[b] = latent_mc_log_density(
-                gaussian_ddpm_chain(model, self.schedule),
-                self.event.x,
-                self.num_samples,
-                derive_seed(self.seed, s),
-            )
+        for b in range(len(masks)):
+            chain = gaussian_ddpm_chain(
+                GaussianModel(mean=means[b], cov=covs[b], fit_count=counts[b]), self.schedule)
+            noise = _draw_noise(generators, k, self.schedule.steps, chain.dim)
+            logs = _trajectory_log_densities(chain, self.event.x, noise)
+            out[b] = logsumexp(logs) - math.log(k)
         return out

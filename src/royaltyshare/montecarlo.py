@@ -14,9 +14,10 @@ walks visit it.
 the reference the batched sampler is tested against.
 
 Reproducibility contract: ordering ``j`` is drawn from a counter-based stream
-derived from ``(config.seed, j)``, and per-permutation results are reduced in
-index order. Estimates are therefore a pure function of ``(game, config)``,
-bit for bit.
+derived from ``(config.seed, j)`` (:func:`sampled_ordering`; the sampler
+computes all walks' stream keys in one pass), and per-permutation results are
+reduced in index order. Estimates are therefore a pure function of
+``(game, config)``, bit for bit.
 
 Truncation: with ``truncation_tolerance > 0`` a walk stops as soon as the
 prefix utility is within the tolerance of the grand coalition's utility, and
@@ -36,7 +37,7 @@ import numpy as np
 
 from .exact import ShapleyVector
 from .games import CoalitionGame, EMPTY, full_coalition
-from .seeding import rng_for
+from .seeding import key_generators, philox_keys, rng_for
 
 DEFAULT_NUM_PERMUTATIONS = 2000
 
@@ -69,7 +70,11 @@ class EstimateReport:
 
 
 def sampled_ordering(seed: int, index: int, n: int) -> np.ndarray:
-    """The ``index``-th sampled player ordering for a given root seed."""
+    """The ``index``-th sampled player ordering for a given root seed.
+
+    The scalar reference for the orderings :func:`permutation_sample` draws
+    from batched keys.
+    """
     return rng_for(seed, index).permutation(n)
 
 
@@ -134,7 +139,8 @@ def permutation_sample(game: CoalitionGame, config: EstimatorConfig) -> Estimate
     m = config.num_permutations
     tolerance = config.truncation_tolerance
     calls_before = game.eval_count
-    orderings = np.array([sampled_ordering(config.seed, j, n) for j in range(m)],
+    keys = philox_keys(config.seed, np.arange(m, dtype=np.uint64))
+    orderings = np.array([rng.permutation(n) for rng in key_generators(keys)],
                          dtype=np.int64).reshape(m, n)
     prefixes = _prefix_masks(orderings)
     marginals = np.zeros((m, n), dtype=float)

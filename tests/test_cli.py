@@ -341,6 +341,26 @@ def test_simulate_size_flags_must_be_positive_integers(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args, need", [
+    (["--kind", "clusters", "--spacing", "nan"], "a finite number"),
+    (["--kind", "clusters", "--spacing", "inf"], "a finite number"),
+    (["--kind", "clusters", "--cluster-std", "-1"], "a finite number > 0"),
+    (["--kind", "clusters", "--cluster-std", "0"], "a finite number > 0"),
+    (["--kind", "clusters", "--cluster-std", "inf"], "a finite number > 0"),
+    (["--kind", "clusters", "--layout", "colocated", "--offset", "inf"], "a finite number"),
+    (["--kind", "ledger", "--transactions", "-5"], "an integer >= 1"),
+    (["--kind", "ledger", "--transactions", "0"], "an integer >= 1"),
+    (["--kind", "ledger", "--transactions", "2.5"], "an integer >= 1"),
+])
+def test_simulate_rejects_bad_shape_flags_at_parse_time(tmp_path, capsys, args, need):
+    out = tmp_path / "fixture"
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", *args, "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"{args[-2]}: must be {need}, got '{args[-1]}'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_simulate_ledger_twice_is_exit_4(tmp_path):
     ledger = tmp_path / "ledger"
     args = ["simulate", "--kind", "ledger", "--transactions", "5", "--out", str(ledger)]

@@ -10,12 +10,13 @@ from royaltyshare import (
     GenerationEvent,
     NoiseSchedule,
     OwnerDataset,
+    fit_gaussian,
     gaussian_ddpm_chain,
     latent_mc_log_density,
     standard_normal_model,
 )
 from royaltyshare.diffusion import ChainDensityOracle, latent_mc_samples, latent_mc_stderr
-from royaltyshare.seeding import rng_for
+from royaltyshare.seeding import derive_seed, rng_for
 
 
 def random_model(rng, dim):
@@ -188,3 +189,55 @@ def test_chain_oracle_is_deterministic():
         assert math.isfinite(value)
         assert value == second(mask)
     assert first(0b01) != first(0b10)
+
+
+def reference_samples(chain, x, num_samples, seed):
+    """The per-trajectory loop: one fresh stream, one reverse walk, one kernel each."""
+    return np.array([
+        chain.final_kernel(chain.sample_latents(rng_for(seed, k))[-1]).log_density(x)
+        for k in range(num_samples)
+    ])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 8])
+@pytest.mark.parametrize("alphas", [[0.9, 0.8, 0.95], [1.0, 0.7], [0.8, 1.0, 0.9], [0.6]])
+def test_stacked_trajectories_equal_the_per_trajectory_loop(dim, alphas):
+    # An alpha = 1 step at t = 1 floors the final kernel's covariance, at
+    # t = 2 it floors a step kernel's.
+    rng = np.random.default_rng(dim)
+    chain = gaussian_ddpm_chain(random_model(rng, dim), NoiseSchedule(np.array(alphas)))
+    x = rng.standard_normal(dim)
+    for seed in (0, 7, 2**64 - 1):
+        np.testing.assert_array_equal(latent_mc_samples(chain, x, 25, seed),
+                                      reference_samples(chain, x, 25, seed))
+
+
+@pytest.mark.parametrize("dim", [2, 8])
+def test_stacked_trajectories_equal_the_loop_on_a_floored_top_covariance(dim):
+    # Every alpha = 1 keeps the data covariance at t = T; its eigenvalue of
+    # 1e-14 lies below the posterior floor, so the top factor is floored.
+    cov = np.eye(dim)
+    cov[-1, -1] = 1e-14
+    chain = gaussian_ddpm_chain(GaussianModel(mean=np.arange(dim, dtype=float), cov=cov),
+                                NoiseSchedule.uniform(2, 1.0))
+    x = np.full(dim, 0.5)
+    np.testing.assert_array_equal(latent_mc_samples(chain, x, 30, 4),
+                                  reference_samples(chain, x, 30, 4))
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_chain_oracle_equals_the_scalar_estimate_per_coalition(dim):
+    rng = np.random.default_rng(40 + dim)
+    datasets = [OwnerDataset(owner=i, points=rng.standard_normal((12, dim)) + i)
+                for i in range(3)]
+    event = GenerationEvent(x=rng.standard_normal(dim))
+    schedule = NoiseSchedule(np.array([0.9, 1.0, 0.8]))
+    baseline = standard_normal_model(dim)
+    oracle = ChainDensityOracle(datasets, baseline, event, schedule, num_samples=15, seed=21)
+    masks = list(range(1, 8))
+    values = oracle.many(masks)
+    for mask, value in zip(masks, values):
+        points = np.concatenate([datasets[i].points for i in range(3) if mask >> i & 1])
+        chain = gaussian_ddpm_chain(fit_gaussian(points, ridge=1e-6), schedule)
+        expected = latent_mc_log_density(chain, event.x, 15, derive_seed(21, mask))
+        assert value == expected - baseline.log_density(event.x)
