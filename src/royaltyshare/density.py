@@ -11,21 +11,29 @@ ridge and an eigenvalue floor, and a fixed-bandwidth Gaussian kernel density
 estimate.
 
 A Gaussian fit is a function of the count, Σx and Σxxᵀ of its points. These
-are held exactly, as Python integers at one power-of-two scale, so pooling
-owners is integer addition and each moment is rounded once: the mean is the
-correctly rounded Σx divided by m, and the covariance is the correctly
-rounded moment Σ(x−μ)(x−μ)ᵀ about that mean, divided by m. A fit therefore
-depends only on the pooled multiset of points, and owners with identical
-datasets produce bit-identical models; the duplication results downstream
-are exact because of this, not approximate. :class:`CoalitionDensityOracle`
-computes each owner's moments once and fits a whole batch of coalitions with
-stacked linear algebra; :func:`fit_gaussian` is the same routine on a batch
+are held exactly, as integers at one power-of-two scale, so pooling owners is
+integer addition and each moment is rounded once: the mean is the correctly
+rounded Σx divided by m, and the covariance is the correctly rounded moment
+Σ(x−μ)(x−μ)ᵀ about that mean, divided by m. A fit therefore depends only on
+the pooled multiset of points, and owners with identical datasets produce
+bit-identical models; the duplication results downstream are exact because
+of this, not approximate.
+
+:class:`CoalitionDensityOracle` computes each owner's moments once, from the
+coordinates' ``frexp`` mantissas and exponents, and stores them as int64
+limbs. A batch is fit in blocks of ``_FIT_BLOCK`` coalitions: the members'
+limbs are summed with :func:`~royaltyshare.games.subset_sums`, the kernel
+the additive oracle also uses, rebuilt as Python ints, and every mean and
+covariance numerator of the block is formed in one pass over object arrays,
+then rounded once; the covariance floor, Cholesky factor and log density run
+as stacked linear algebra. :func:`fit_gaussian` is the same fit on a batch
 of one.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -39,7 +47,18 @@ from .errors import (
     NonFiniteError,
     OracleFailureError,
 )
-from .games import Coalition, UtilityOracle, coalition_members, scaled_integers
+from .games import (
+    Coalition,
+    UtilityOracle,
+    coalition_array,
+    coalition_members,
+    exact_scale,
+    integer_limbs,
+    limb_integers,
+    scaled_floats,
+    scaled_integers,
+    subset_sums,
+)
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -48,6 +67,10 @@ LOG_2PI = math.log(2.0 * math.pi)
 COVARIANCE_FLOOR = 1e-6
 
 _KDE_BANDWIDTH_FLOOR = 1e-6
+
+# Coalitions per block of a batched fit: a fill of any size holds its limb
+# sums and Python-int moments for one block at a time.
+_FIT_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -178,92 +201,89 @@ def log_density(model: DensityModel, x: np.ndarray) -> float:
     return model.log_density(x)
 
 
-def _exact_scale(arrays: Iterable[np.ndarray]) -> int:
+def _exact_scale(points: np.ndarray) -> int:
     """The least ``k >= 0`` for which every coordinate times ``2**k`` is an integer."""
-    scale = 0
-    for pts in arrays:
-        if not np.all(np.isfinite(pts)):
-            raise NonFiniteError("gaussian fits need finite coordinates")
-        scale = scaled_integers(pts.ravel().tolist(), scale)[0]
-    return scale
+    if not np.all(np.isfinite(points)):
+        raise NonFiniteError("gaussian fits need finite coordinates")
+    return exact_scale(points)
 
 
-@dataclass(frozen=True)
-class _Moments:
-    """Count, Σx and the upper triangle of Σxxᵀ (row-major) of a point set.
+@functools.cache
+def _upper_indices(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the upper triangle of a ``(d, d)`` matrix, row-major."""
+    return np.triu_indices(d)
 
-    ``sx`` holds Σx times ``2**scale`` and ``sxx`` holds Σxxᵀ times
-    ``2**(2 * scale)``, both as Python integers, so moments add exactly.
+
+def _moment_integers(groups: Sequence[np.ndarray], scale: int) -> np.ndarray:
+    """Count, Σx and the upper triangle of Σxxᵀ (row-major) of each group of points.
+
+    ``groups`` are ``(m, d)`` arrays, at least one. Returns an object array
+    of Python ints, one row of length ``1 + d + d(d+1)/2`` per group: Σx
+    times ``2**scale`` and Σxxᵀ times ``2**(2 * scale)``, so moments add
+    exactly.
     """
-
-    count: int
-    sx: tuple[int, ...]
-    sxx: tuple[int, ...]
-
-    @classmethod
-    def of(cls, points: np.ndarray, scale: int) -> _Moments:
-        d = points.shape[1]
-        flat = scaled_integers(points.ravel().tolist(), scale)[1]
-        rows = [flat[i:i + d] for i in range(0, len(flat), d)]
-        return cls(
-            count=len(rows),
-            sx=tuple(sum(r[i] for r in rows) for i in range(d)),
-            sxx=tuple(sum(r[i] * r[j] for r in rows) for i, j in _upper_pairs(d)),
-        )
-
-    @classmethod
-    def pooled(cls, parts: Sequence[_Moments]) -> _Moments:
-        return cls(
-            count=sum(p.count for p in parts),
-            sx=tuple(map(sum, zip(*(p.sx for p in parts)))),
-            sxx=tuple(map(sum, zip(*(p.sxx for p in parts)))),
-        )
-
-
-def _upper_pairs(d: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(d) for j in range(i, d)]
+    ints = scaled_integers(np.concatenate(groups), scale)
+    rows, cols = _upper_indices(ints.shape[1])
+    terms = np.concatenate([ints, ints[:, rows] * ints[:, cols]], axis=1)
+    ends = np.cumsum([len(g) for g in groups])
+    return np.array([[len(g), *terms[end - len(g):end].sum(axis=0)]
+                     for g, end in zip(groups, ends)], dtype=object)
 
 
 def _fit_moments(
-    moments: Sequence[_Moments], scale: int, ridge: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Means ``(B, d)``, covariances ``(B, d, d)`` and floor flags ``(B,)``.
+    totals: np.ndarray, d: int, scale: int, ridge: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Counts ``(B,)``, means ``(B, d)``, covariances ``(B, d, d)`` and floor flags ``(B,)``.
 
-    Row ``b`` fits the nonempty point set whose moments, held at ``scale``,
-    are ``moments[b]``. Its mean is Σx rounded once, divided by m: bit for bit
-    ``math.fsum(column) / m``. Its covariance is the exact moment
+    Row ``b`` of ``totals`` holds the :func:`_moment_integers` of a nonempty
+    point set at ``scale``. Its mean is Σx rounded once, divided by m: bit
+    for bit ``math.fsum(column) / m``. Its covariance is the exact moment
     Σ(x−μ)(x−μ)ᵀ about that rounded mean μ, rounded once, divided by m,
-    plus ``ridge`` on the diagonal. Where the smallest eigenvalue is below
-    ``COVARIANCE_FLOOR`` the eigenvalues are raised to it and the row's flag
-    is set; the other covariances are returned untouched.
+    plus ``ridge`` on the diagonal, with eigenvalues below
+    ``COVARIANCE_FLOOR`` raised to it (:func:`_floor_eigenvalues`).
+
+    Each μ is exact at any scale at or above the one its own bits need, so
+    the block holds every μ as integers at one scale ``2**shift``: the
+    moment's numerator ``Σxxᵀ·2**lift − μΣxᵀ − Σxμᵀ + mμμᵀ`` is then an exact
+    integer times ``2**(2 * shift)``, and one correctly rounded division
+    gives the same float whatever the block's shift.
     """
-    d = len(moments[0].sx)
-    pairs = _upper_pairs(d)
-    unit = 1 << scale
-    means, entries = [], []
-    for mom in moments:
-        m = mom.count
-        mean = [s / unit / m for s in mom.sx]
-        # The mean as integers at a scale 2**shift that holds it and the sums exactly.
-        shift, mu = scaled_integers(mean, scale)
-        sx = [s << (shift - scale) for s in mom.sx]
-        lift, denom = 2 * (shift - scale), 1 << (2 * shift)
-        entries.append([
-            ((q << lift) - mu[i] * sx[j] - sx[i] * mu[j] + m * mu[i] * mu[j]) / denom / m
-            for (i, j), q in zip(pairs, mom.sxx)
-        ])
-        means.append(mean)
-    covs = np.empty((len(moments), d, d))
-    rows, cols = np.triu_indices(d)
+    counts = totals[:, 0].astype(np.int64)
+    m = counts.astype(float)[:, None]
+    sx, sxx = totals[:, 1:d + 1], totals[:, d + 1:]
+    means = scaled_floats(sx, scale) / m
+    mantissas, exponents = np.frexp(means)
+    mu = (mantissas * 2.0**53).astype(np.int64)
+    shift = max(scale, int((53 - exponents[mu != 0]).max(initial=0)))
+    mu = mu.astype(object) << np.maximum(exponents + (shift - 53), 0).astype(object)
+    lift = shift - scale
+    sx = sx << lift
+    m_mu = totals[:, :1] * mu
+    rows, cols = _upper_indices(d)
+    mu_j = mu[:, cols]
+    numerators = ((sxx << 2 * lift) - mu[:, rows] * sx[:, cols] - sx[:, rows] * mu_j
+                  + m_mu[:, rows] * mu_j)
+    entries = scaled_floats(numerators, 2 * shift) / m
+    covs = np.empty((len(totals), d, d))
     covs[:, rows, cols] = entries
     covs[:, cols, rows] = entries
     covs[:, np.arange(d), np.arange(d)] += ridge
-    floored = np.linalg.eigvalsh(covs)[:, 0] < COVARIANCE_FLOOR
+    return counts, means, covs, _floor_eigenvalues(covs, COVARIANCE_FLOOR)
+
+
+def _floor_eigenvalues(covs: np.ndarray, floor: float) -> np.ndarray:
+    """Raise the eigenvalues below ``floor`` of symmetric ``(B, d, d)`` ``covs``, in place.
+
+    Returns the flags of the rows rebuilt: those whose smallest eigenvalue is
+    below ``floor``, each becoming ``V max(Λ, floor) Vᵀ`` symmetrized. The
+    other rows are left untouched.
+    """
+    floored = np.linalg.eigvalsh(covs)[:, 0] < floor
     if floored.any():
         vals, vecs = np.linalg.eigh(covs[floored])
-        low = (vecs * np.maximum(vals, COVARIANCE_FLOOR)[:, None, :]) @ np.swapaxes(vecs, 1, 2)
+        low = (vecs * np.maximum(vals, floor)[:, None, :]) @ np.swapaxes(vecs, 1, 2)
         covs[floored] = (low + np.swapaxes(low, 1, 2)) / 2.0
-    return np.array(means), covs, floored
+    return floored
 
 
 def _cholesky_logdet(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -317,8 +337,8 @@ def fit_gaussian(points: np.ndarray, ridge: float = 0.0) -> GaussianModel:
         raise EmptyDatasetError("gaussian fit requires a nonempty (m, d) array")
     if ridge < 0:
         raise ValueError("ridge must be nonnegative")
-    scale = _exact_scale([pts])
-    means, covs, _ = _fit_moments([_Moments.of(pts, scale)], scale, ridge)
+    scale = _exact_scale(pts)
+    _, means, covs, _ = _fit_moments(_moment_integers([pts], scale), pts.shape[1], scale, ridge)
     return GaussianModel(mean=means[0], cov=covs[0], fit_count=pts.shape[0])
 
 
@@ -416,14 +436,23 @@ class CoalitionDensityOracle:
         everything = [self.datasets[i].points for i in range(self.n)]
         labeled = [self._labeled(self.datasets[i]) for i in range(self.n)]
         self._pools = (labeled, everything)
+        # Per pool, the bitmask of the owners holding points in it.
+        self._holders = tuple(
+            np.uint64(sum(1 << i for i, pts in enumerate(pool) if len(pts)))
+            for pool in self._pools
+        )
         if config.kind == "gaussian_mle":
-            self._scale = _exact_scale(everything)
-            full = [_Moments.of(pts, self._scale) for pts in everything]
-            self._moments = (
-                [f if pts is all_pts else _Moments.of(pts, self._scale)
-                 for f, pts, all_pts in zip(full, labeled, everything)],
-                full,
-            )
+            # Whole datasets, then the labeled pools that leave points out; the
+            # leading empty group keeps a partition of no owners valid.
+            partial = [i for i in range(self.n) if labeled[i] is not everything[i]]
+            groups = [np.empty((0, self.event.x.size)), *everything,
+                      *(labeled[i] for i in partial)]
+            self._scale = _exact_scale(np.concatenate(groups))
+            moments = _moment_integers(groups, self._scale)[1:]
+            pools = np.stack([moments[:self.n]] * 2)
+            pools[0, partial] = moments[self.n:]
+            # Per pool and owner, the moments as limbs: shape (2, n, K, L).
+            self._limbs = integer_limbs(pools)
 
     def _labeled(self, ds: OwnerDataset) -> np.ndarray:
         if self.event.label is None or ds.labels is None:
@@ -434,57 +463,58 @@ class CoalitionDensityOracle:
         """Utilities of a sequence of coalitions, as a float array of its length.
 
         Raises :class:`OracleFailureError` before any fit if a nonempty
-        coalition holds no points; nothing is recorded then.
+        coalition holds no points; nothing is recorded then. The coalitions
+        are fit in blocks of at most ``_FIT_BLOCK``, so the memory a fill
+        takes does not grow with its size.
         """
-        masks = [int(s) for s in masks]
-        live = [b for b, s in enumerate(masks) if s]
-        members = [coalition_members(masks[b]) for b in live]
-        pools = []
-        for owners in members:
-            if any(len(self._pools[0][i]) for i in owners):
-                pools.append(0)
-            elif any(len(self._pools[1][i]) for i in owners):
-                pools.append(1)
-            else:
-                raise OracleFailureError(f"coalition {owners} holds no training points")
-        self.fallback_coalitions.update(masks[b] for b, p in zip(live, pools) if p)
-        values = np.zeros(len(masks))
-        if live:
-            logs = self._event_log_densities([masks[b] for b in live], members, pools)
-            values[live] = logs - self.baseline_log
+        masks = coalition_array(masks, self.n)
+        live = masks != 0
+        fallback = live & ((masks & self._holders[0]) == 0)
+        empty = fallback & ((masks & self._holders[1]) == 0)
+        if empty.any():
+            owners = coalition_members(int(masks[empty][0]))
+            raise OracleFailureError(f"coalition {owners} holds no training points")
+        self.fallback_coalitions.update(masks[fallback].tolist())
+        values = np.zeros(masks.size)
+        live = np.flatnonzero(live)
+        for start in range(0, live.size, _FIT_BLOCK):
+            block = live[start:start + _FIT_BLOCK]
+            values[block] = (self._event_log_densities(masks[block], fallback[block])
+                             - self.baseline_log)
         return values
 
     def __call__(self, s: Coalition) -> float:
         return float(self.many([s])[0])
 
     def _fit_gaussians(
-        self, masks: list[Coalition], members: list[list[int]], pools: list[int]
-    ) -> tuple[list[int], np.ndarray, np.ndarray]:
-        """Point counts, means and covariances of the coalitions' Gaussian fits."""
-        pooled = [
-            _Moments.pooled([self._moments[p][i] for i in owners])
-            for owners, p in zip(members, pools)
-        ]
-        means, covs, floored = _fit_moments(pooled, self._scale, self.config.ridge)
-        self.covariance_floor_coalitions.update(s for s, hit in zip(masks, floored) if hit)
-        return [mom.count for mom in pooled], means, covs
+        self, masks: np.ndarray, fallback: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Point counts, means and covariances of the coalitions' Gaussian fits.
 
-    def _event_log_densities(
-        self, masks: list[Coalition], members: list[list[int]], pools: list[int]
-    ) -> np.ndarray:
+        ``fallback[b]`` marks a coalition fit on its unconditioned pool.
+        """
+        sums = subset_sums(self._limbs[0], masks)
+        if fallback.any():
+            sums[fallback] = subset_sums(self._limbs[1], masks[fallback])
+        counts, means, covs, floored = _fit_moments(
+            limb_integers(sums), self.event.x.size, self._scale, self.config.ridge)
+        self.covariance_floor_coalitions.update(masks[floored].tolist())
+        return counts, means, covs
+
+    def _event_log_densities(self, masks: np.ndarray, fallback: np.ndarray) -> np.ndarray:
         """Log density of the event under each nonempty coalition's fit;
         subclasses may replace the direct evaluation with an estimator."""
         x = self.event.x
         if self.config.kind == "kde":
             return np.array([
                 log_density(
-                    fit_kde(np.concatenate([self._pools[p][i] for i in owners]),
+                    fit_kde(np.concatenate([self._pools[p][i] for i in coalition_members(s)]),
                             bandwidth=self.config.bandwidth),
                     x,
                 )
-                for owners, p in zip(members, pools)
+                for s, p in zip(masks.tolist(), fallback.tolist())
             ])
-        _, means, covs = self._fit_gaussians(masks, members, pools)
+        _, means, covs = self._fit_gaussians(masks, fallback)
         chols, logdets = _cholesky_logdet(covs)
         return _gaussian_log_densities(means, chols, logdets, x)
 
@@ -527,7 +557,8 @@ def load_owner_datasets(path: str | Path) -> list[OwnerDataset]:
 
     Owner ids must be dense 0..n-1. Labels come back as written; an owner
     whose label cells are all empty gets ``labels=None``. A NaN or infinite
-    coordinate raises :class:`NonFiniteError` naming the file and line.
+    coordinate raises :class:`NonFiniteError` naming the file and line, and
+    a file with no data rows raises :class:`EmptyDatasetError` naming it.
     """
     grouped: dict[int, list[tuple[list[float], str]]] = {}
     with open(path, newline="", encoding="utf-8") as fh:
@@ -548,6 +579,8 @@ def load_owner_datasets(path: str | Path) -> list[OwnerDataset]:
                     f"{path}: line {reader.line_num} has a non-finite coordinate"
                 )
             grouped.setdefault(owner, []).append((coords, row[1]))
+    if not grouped:
+        raise EmptyDatasetError(f"{path}: the dataset has a header but no rows")
     if sorted(grouped) != list(range(len(grouped))):
         raise ValueError(f"{path}: owner ids must be dense 0..n-1, got {sorted(grouped)}")
     out = []

@@ -36,6 +36,7 @@ from .density import (  # noqa: F401
     GaussianModel,
     _check_query,
     _cholesky_logdet,
+    _floor_eigenvalues,
     _gaussian_log_densities,
     fit_gaussian,
     logsumexp,
@@ -73,14 +74,9 @@ class NoiseSchedule:
 
 
 def _floor_spd(cov: np.ndarray, floor: float) -> np.ndarray:
-    cov = (cov + cov.T) / 2.0
-    eigvals = np.linalg.eigvalsh(cov)
-    if eigvals[0] < floor:
-        vals, vecs = np.linalg.eigh(cov)
-        vals = np.maximum(vals, floor)
-        cov = vecs @ np.diag(vals) @ vecs.T
-        cov = (cov + cov.T) / 2.0
-    return cov
+    covs = ((cov + cov.T) / 2.0)[None]
+    _floor_eigenvalues(covs, floor)
+    return covs[0]
 
 
 class GaussianReverseChain:
@@ -270,8 +266,8 @@ class ChainDensityOracle(CoalitionDensityOracle):
         self.num_samples = num_samples
         self.seed = seed
 
-    def _event_log_densities(self, masks, members, pools) -> np.ndarray:
-        counts, means, covs = self._fit_gaussians(masks, members, pools)
+    def _event_log_densities(self, masks, fallback) -> np.ndarray:
+        counts, means, covs = self._fit_gaussians(masks, fallback)
         k = self.num_samples
         # Coalition s's root is derive_seed(seed, s); its trajectory j draws
         # from the stream (root, j). All keys of the batch come in one pass.
@@ -282,7 +278,7 @@ class ChainDensityOracle(CoalitionDensityOracle):
         out = np.empty(len(masks))
         for b in range(len(masks)):
             chain = gaussian_ddpm_chain(
-                GaussianModel(mean=means[b], cov=covs[b], fit_count=counts[b]), self.schedule)
+                GaussianModel(mean=means[b], cov=covs[b], fit_count=int(counts[b])), self.schedule)
             noise = _draw_noise(generators, k, self.schedule.steps, chain.dim)
             logs = _trajectory_log_densities(chain, self.event.x, noise)
             out[b] = logsumexp(logs) - math.log(k)

@@ -19,6 +19,15 @@ memo. :class:`AdditiveOracle` (the sum of the members' weights) and
 :class:`~royaltyshare.density.CoalitionDensityOracle` are batch oracles, and so
 is the developer-augmented oracle of :class:`~royaltyshare.royalty.PermissionGame`.
 
+Exact sums over coalitions share one kernel. Floats become exact integers at
+one power-of-two scale (:func:`exact_scale`, :func:`scaled_integers`), and
+each player's integers are split into signed int64 limbs (:func:`integer_limbs`);
+:func:`subset_sums` adds the members' limbs for a whole batch of coalitions,
+one broadcast multiply-add per player, and :func:`limb_integers` rebuilds the
+totals as Python ints, which :func:`scaled_floats` rounds once. The additive
+oracle sums one integer per player this way, and the Gaussian density oracle
+each owner's count and moment sums.
+
 :meth:`CoalitionGame.evaluate_many` is the evaluation path the solvers use: an
 array of coalitions in, an array of utilities out, with only the coalitions
 missing from the memo sent to the oracle, as one ``many`` call when the oracle
@@ -30,9 +39,8 @@ oracle and counts its calls.
 
 from __future__ import annotations
 
-import math
 import threading
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -46,7 +54,7 @@ EMPTY: Coalition = 0
 # Coalitions are word-sized bitsets; solvers cap n far below this anyway.
 MAX_PLAYERS = 64
 
-# Additive weights are split into limbs of this many bits, so a limb summed
+# Exact integers are split into limbs of this many bits, so a limb summed
 # over up to MAX_PLAYERS members stays below 2**37 and is exact in int64.
 _LIMB_BITS = 31
 
@@ -67,15 +75,123 @@ def full_coalition(n: int) -> Coalition:
     return (1 << n) - 1
 
 
-def scaled_integers(values: Iterable[float], scale: int = 0) -> tuple[int, list[int]]:
-    """Finite floats as exact integers at one power-of-two scale.
+def exact_scale(values) -> int:
+    """The least ``k >= 0`` for which every value times ``2**k`` is an integer.
 
-    Returns the least ``k >= scale`` for which every value times ``2**k`` is
-    an integer, and those integers.
+    ``values`` are finite floats. A value is its ``np.frexp`` mantissa as a
+    53-bit integer times ``2**(exponent - 53)``, so it needs ``53 - exponent``
+    bits of scale less the mantissa's trailing zero bits.
     """
-    ratios = [v.as_integer_ratio() for v in values]
-    k = max([scale] + [den.bit_length() - 1 for _, den in ratios])
-    return k, [num << (k + 1 - den.bit_length()) for num, den in ratios]
+    mantissas, exponents = np.frexp(np.asarray(values, dtype=float))
+    ints = (mantissas * 2.0**53).astype(np.int64)
+    nonzero = ints != 0
+    if not nonzero.any():
+        return 0
+    lowest = ints[nonzero] & -ints[nonzero]  # the lowest set bit, a power of two
+    trailing = np.frexp(lowest.astype(float))[1] - 1
+    return max(0, int((53 - exponents[nonzero] - trailing).max()))
+
+
+def scaled_integers(values, scale: int) -> np.ndarray:
+    """Finite floats times ``2**scale``, as an object array of Python ints.
+
+    ``scale`` must be at least :func:`exact_scale` of the values, so every
+    product is an integer and the conversion is exact.
+    """
+    mantissas, exponents = np.frexp(np.asarray(values, dtype=float))
+    ints = (mantissas * 2.0**53).astype(np.int64)
+    shifts = exponents.astype(np.int64) + (scale - 53)
+    # A negative shift drops only zero bits of the mantissa, so do it in int64.
+    ints >>= np.maximum(-shifts, 0)
+    return ints.astype(object) << np.maximum(shifts, 0).astype(object)
+
+
+def integer_limbs(ints: np.ndarray) -> np.ndarray:
+    """Python ints as signed ``_LIMB_BITS``-bit limbs, low limb first.
+
+    Returns int64 of shape ``ints.shape + (L,)``, with ``L`` the fewest limbs
+    that hold the widest value; every limb carries its integer's sign, so
+    ``limb_integers`` gives the integers back.
+    """
+    magnitudes = np.abs(ints)
+    width = max(map(int.bit_length, magnitudes.ravel().tolist()), default=0)
+    limbs = np.empty(ints.shape + (max(1, -(-width // _LIMB_BITS)),), dtype=np.int64)
+    low = (1 << _LIMB_BITS) - 1
+    for k in range(limbs.shape[-1]):
+        limbs[..., k] = ((magnitudes >> (_LIMB_BITS * k)) & low).astype(np.int64)
+    limbs *= np.where(ints < 0, -1, 1)[..., None]
+    return limbs
+
+
+def subset_sums(limbs: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """Each coalition's sums of its members' limbs.
+
+    ``limbs`` holds player ``i``'s signed limbs at ``limbs[i]``, shape
+    ``(n, K, L)``; ``masks`` is a uint64 array of B coalitions over those n
+    players. Returns int64 of shape ``(B, K, L)``. A limb of at most
+    ``_LIMB_BITS`` bits summed over at most ``MAX_PLAYERS`` members stays
+    below ``2**37``, so the sums are exact. One broadcast multiply-add per
+    player, over the coalitions as the contiguous axis: no ``(B, n)``
+    membership matrix is built.
+    """
+    n, channels, width = limbs.shape
+    players = limbs.reshape(n, channels * width, 1)
+    sums = np.zeros((channels * width, masks.size), dtype=np.int64)
+    for i in range(n):
+        member = ((masks >> np.uint64(i)) & np.uint64(1)).view(np.int64)
+        sums += players[i] * member
+    return sums.reshape(channels, width, masks.size).transpose(2, 0, 1)
+
+
+def limb_integers(limbs: np.ndarray) -> np.ndarray:
+    """The Python ints ``sum(limbs[..., k] << (_LIMB_BITS * k))``, as an object array.
+
+    ``limbs`` are int64 below ``2**62`` in magnitude. Carries are propagated
+    first, so every limb but the top one lies in ``[0, 2**_LIMB_BITS)`` and
+    two limbs join into one int64 word: half as many Python-int steps.
+    """
+    count = limbs.shape[-1]
+    # An even number of limbs, with one more at the top to carry the sign.
+    work = np.zeros((count + 1 + (count + 1) % 2,) + limbs.shape[:-1], dtype=np.int64)
+    work[:count] = np.moveaxis(limbs, -1, 0)
+    for k in range(len(work) - 1):
+        carry = work[k] >> _LIMB_BITS
+        work[k] -= carry << _LIMB_BITS
+        work[k + 1] += carry
+    words = work[0::2] + (work[1::2] << _LIMB_BITS)
+    totals = words[-1].astype(object)
+    for word in words[-2::-1]:
+        totals = (totals << 2 * _LIMB_BITS) + word.astype(object)
+    return totals
+
+
+def scaled_floats(ints: np.ndarray, scale: int) -> np.ndarray:
+    """An object array of Python ints divided by ``2**scale``, each correctly rounded.
+
+    ``float(int)`` rounds correctly, and scaling a float by a power of two is
+    exact while the result stays normal, so that is the fast path; a result
+    that would be subnormal or zero, or an int beyond the float range, is
+    divided exactly instead. A quotient beyond the float range raises
+    ``OverflowError``.
+    """
+    try:
+        rounded = ints.astype(float)
+    except OverflowError:
+        return (ints / (1 << scale)).astype(float)
+    out = np.ldexp(rounded, -scale)
+    low = (rounded != 0) & (np.frexp(rounded)[1] - scale < -1021)
+    if low.any():
+        out[low] = (ints[low] / (1 << scale)).astype(float)
+    return out
+
+
+def coalition_array(masks, n: int) -> np.ndarray:
+    """Coalitions as a uint64 array; raises if one uses players outside ``range(n)``."""
+    arr = np.asarray(masks, dtype=np.uint64)
+    if arr.size and int(arr.max()) >> n:
+        raise CoalitionBoundsError(
+            f"coalition {bin(int(arr.max()))} uses players outside range(0, {n})")
+    return arr
 
 
 class AdditiveOracle:
@@ -84,8 +200,8 @@ class AdditiveOracle:
     Each utility is the exact sum rounded once to the nearest float, ties to
     even, which is bit for bit ``math.fsum`` of the members' weights (an exact
     zero is ``+0.0``, as fsum gives). The weights are held once as integers at
-    one power-of-two scale, split into signed limbs of ``_LIMB_BITS`` bits, and
-    :meth:`many` adds the members' limbs in int64 over the whole batch.
+    one power-of-two scale, split into signed limbs, and :meth:`many` adds the
+    members' limbs with :func:`subset_sums` over the whole batch.
 
     With at most two limbs, each limb sum is an exact float, so one float
     addition rounds the total once, and scaling it by ``2**-scale`` is exact:
@@ -98,53 +214,28 @@ class AdditiveOracle:
     """
 
     def __init__(self, weights: Sequence[float]):
-        values = [float(w) for w in weights]
-        if not all(map(math.isfinite, values)):
+        values = np.array([float(w) for w in weights])
+        if not np.all(np.isfinite(values)):
             raise NonFiniteError("additive weights must be finite")
         if len(values) > MAX_PLAYERS:
             raise CoalitionBoundsError(f"{len(values)} weights for at most {MAX_PLAYERS} players")
         self.n = len(values)
-        self._scale, ints = scaled_integers(values)
-        width = max((abs(v).bit_length() for v in ints), default=0)
-        self._limb_count = max(1, -(-width // _LIMB_BITS))
-        low = (1 << _LIMB_BITS) - 1
-        # Per player, its nonzero limbs as (limb index, signed value).
-        self._limbs = [
-            [(k, c if v > 0 else -c)
-             for k in range(self._limb_count)
-             if (c := (abs(v) >> (_LIMB_BITS * k)) & low)]
-            for v in ints
-        ]
+        self._scale = exact_scale(values)
+        self._limbs = integer_limbs(scaled_integers(values, self._scale))[:, None, :]
 
     def many(self, masks: Sequence[Coalition]) -> np.ndarray:
         """Utilities of a sequence of coalitions, as a float array of its length."""
-        arr = np.asarray(masks, dtype=np.uint64)
-        if arr.size and int(arr.max()) >> self.n:
-            raise CoalitionBoundsError(
-                f"coalition {bin(int(arr.max()))} uses players outside range(0, {self.n})")
-        limbs = np.zeros((self._limb_count, arr.size), dtype=np.int64)
-        for i, player in enumerate(self._limbs):
-            if player:
-                member = ((arr >> np.uint64(i)) & np.uint64(1)).view(np.int64)
-                for k, c in player:
-                    limbs[k] += member * c
-        if self._limb_count > 2:
-            return self._divided(limbs)
-        total = limbs[0].astype(float)
-        if self._limb_count == 2:
-            total += limbs[1].astype(float) * float(1 << _LIMB_BITS)
+        limbs = subset_sums(self._limbs, coalition_array(masks, self.n))[:, 0]
+        if limbs.shape[1] > 2:
+            try:
+                return scaled_floats(limb_integers(limbs), self._scale)
+            except OverflowError:
+                raise OracleFailureError(
+                    "the weights of a coalition sum beyond the float range") from None
+        total = limbs[:, 0].astype(float)
+        if limbs.shape[1] == 2:
+            total += limbs[:, 1].astype(float) * float(1 << _LIMB_BITS)
         return np.ldexp(total, -self._scale)
-
-    def _divided(self, limbs: np.ndarray) -> np.ndarray:
-        """The coalitions' exact integer totals, each divided by ``2**scale``."""
-        totals = limbs[0].astype(object)
-        for k in range(1, self._limb_count):
-            totals += limbs[k].astype(object) << (_LIMB_BITS * k)
-        try:
-            return (totals / (1 << self._scale)).astype(float)
-        except OverflowError:
-            raise OracleFailureError(
-                "the weights of a coalition sum beyond the float range") from None
 
     def __call__(self, s: Coalition) -> float:
         return float(self.many([s])[0])

@@ -1,4 +1,5 @@
-"""The additive batch oracle against ``math.fsum``, bit for bit, and its CLI errors."""
+"""The shared subset-sum kernel against Python ints, and the additive batch
+oracle against ``math.fsum``, bit for bit, with its CLI errors."""
 
 from __future__ import annotations
 
@@ -7,12 +8,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from royaltyshare import CoalitionBoundsError, CoalitionGame, NonFiniteError, OracleFailureError
 from royaltyshare.cli import main
-from royaltyshare.games import AdditiveOracle, coalition_members
+from royaltyshare.games import (
+    AdditiveOracle,
+    coalition_members,
+    integer_limbs,
+    limb_integers,
+    scaled_floats,
+    subset_sums,
+)
 from royaltyshare.montecarlo import _prefix_masks
 
 
@@ -77,6 +85,47 @@ def test_signed_zero_weights_sum_like_fsum():
     assert_matches_fsum(weights, masks)
     values = AdditiveOracle(weights).many([0b00001, 0b00011, 0b11000])
     assert all(math.copysign(1.0, v) == 1.0 for v in values)  # as math.fsum gives
+
+
+big_int = st.one_of(st.integers(-(2**400), 2**400), st.integers(-3, 3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_subset_sums_rebuild_the_members_python_sums(data):
+    n = data.draw(st.one_of(st.just(64), st.integers(1, 64)))
+    channels = data.draw(st.integers(1, 3))
+    ints = data.draw(st.lists(st.lists(big_int, min_size=channels, max_size=channels),
+                              min_size=n, max_size=n))
+    masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=30))
+    masks += [0, (1 << n) - 1, 1 << (n - 1)]  # with n = 64, bit 63 is set
+    limbs = integer_limbs(np.array(ints, dtype=object))
+    totals = limb_integers(subset_sums(limbs, np.array(masks, dtype=np.uint64)))
+    assert totals.tolist() == [
+        [sum(ints[i][c] for i in coalition_members(s)) for c in range(channels)] for s in masks
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(big_int, st.builds(lambda m, e: m << e, st.integers(-(2**60), 2**60),
+                                               st.integers(0, 1100))), min_size=1, max_size=8),
+       st.integers(0, 2200))
+# An int beyond the float range with a quotient inside it; subnormal quotients
+# that rounding the int to 53 bits first would round a second time; quotients
+# that round up to the smallest normal or underflow to zero.
+@example([2**1100 + 1, -(2**1030)], 200)
+@example([139867267593726468051223], 1099)
+@example([-355755585930018538, 3100049003929404554 << 2], 1083)
+@example([2**53 - 1, -(2**53 - 1)], 1075)
+@example([1, -1, 2**40], 2200)
+def test_scaled_floats_round_once_like_integer_division(ints, scale):
+    try:
+        expected = [v / (1 << scale) for v in ints]
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            scaled_floats(np.array(ints, dtype=object), scale)
+        return
+    assert_bits_equal(scaled_floats(np.array(ints, dtype=object), scale), expected)
 
 
 def test_n64_prefix_masks_with_bit_63_set():

@@ -3,12 +3,15 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import royaltyshare
 from royaltyshare import OwnerDataset, save_owner_datasets
 from royaltyshare.cli import main
 
@@ -420,6 +423,49 @@ def test_non_finite_dataset_coordinate_is_exit_3(tmp_path, capsys):
     assert main(["attribute", "--config", config, "--event", "0,0"]) == 3
     err = capsys.readouterr().err
     assert "oracle failure" in err and f"{dataset}: line 3" in err
+
+
+@pytest.mark.parametrize("empty", ["dataset", "baseline"])
+def test_dataset_csv_without_rows_is_exit_3(tmp_path, capsys, empty):
+    header_only = tmp_path / "empty.csv"
+    header_only.write_text("owner_id,label,x0,x1\n", encoding="utf-8")
+    dataset = tmp_path / "owners.csv"
+    save_owner_datasets(dataset, [OwnerDataset(owner=0, points=np.eye(2))])
+    if empty == "dataset":
+        config = write_config(tmp_path / "config.json", dataset=str(header_only))
+    else:
+        config = write_config(tmp_path / "config.json", dataset=str(dataset),
+                              baseline={"kind": "dataset", "path": str(header_only)})
+    assert main(["attribute", "--config", config, "--event", "0,0"]) == 3
+    err = capsys.readouterr().err
+    assert "oracle failure" in err and f"{header_only}: the dataset has a header but no rows" in err
+
+
+def test_cli_path_imports_no_test_only_package(tmp_path):
+    script = """
+import json, sys
+sys.modules["scipy"] = sys.modules["hypothesis"] = None
+from royaltyshare.cli import main
+runs = [
+    ["simulate", "--kind", "clusters", "--owners", "3", "--points", "12", "--out", "owners.csv"],
+    ["attribute", "--config", "mle.json", "--out", "mle", "--event", "0.2,0.1"],
+    ["attribute", "--config", "chain.json", "--out", "chain", "--event", "0.2,0.1"],
+    ["developer-share", "--config", "mle.json", "--out", "dev", "--event", "0.2,0.1"],
+    ["simulate", "--kind", "ledger", "--transactions", "20", "--out", "ledger"],
+    ["settle", "--ledger", "ledger", "--beta", "0.7", "--out", "settled"],
+]
+json.dump({"dataset": "owners.csv"}, open("mle.json", "w"))
+json.dump({"dataset": "owners.csv", "oracle": {"kind": "gaussian_chain"}}, open("chain.json", "w"))
+print(json.dumps([main(argv) for argv in runs]))
+"""
+    # The child runs in tmp_path, so give it this package's location as an absolute path.
+    package_root = str(Path(royaltyshare.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [package_root, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0] * 6
 
 
 def test_invalid_beta_flag_is_an_argparse_error(tmp_path):

@@ -22,6 +22,7 @@ from royaltyshare import (
     save_owner_datasets,
     standard_normal_model,
 )
+from royaltyshare import density
 from royaltyshare.cli import main
 from royaltyshare.diffusion import ChainDensityOracle
 
@@ -56,6 +57,57 @@ def test_fit_gaussian_moments_equal_the_fraction_reference(seed):
     np.testing.assert_array_equal(model.mean, mean)
     np.testing.assert_array_equal(model.cov, cov)
     np.testing.assert_array_equal(model.mean, [math.fsum(col) / len(col) for col in points.T])
+
+
+@pytest.mark.parametrize("owners", [3, 4])
+@pytest.mark.parametrize("coordinates", ["spread", "small integers"])
+@pytest.mark.parametrize("seed", range(2))
+def test_pooled_batch_fits_equal_the_fraction_reference(owners, coordinates, seed):
+    rng = np.random.default_rng(40 + seed)
+    d = int(rng.integers(1, 4))
+    partition = []
+    for i in range(owners):
+        m = int(rng.integers(2, 7))
+        # Small integers need no scale, so their means need more bits than the data.
+        points = (spread_points(rng, m, d) if coordinates == "spread"
+                  else rng.integers(-9, 10, (m, d)).astype(float))
+        # Owner 0 has nothing under the label, so the coalition {0} falls back.
+        labels = tuple("b" * len(points)) if i == 0 else tuple(rng.choice(["a", "b"], len(points)))
+        partition.append(OwnerDataset(owner=i, points=points, labels=labels))
+    oracle = CoalitionDensityOracle(partition, standard_normal_model(d),
+                                    GenerationEvent(x=np.zeros(d), label="a"),
+                                    DensityOracleConfig(ridge=0.0))
+    masks = np.arange(1, 1 << owners, dtype=np.uint64)
+    pools, fallback = [], []
+    for s in masks.tolist():
+        owned = [partition[i] for i in range(owners) if s >> i & 1]
+        labeled = [ds.points[np.array(ds.labels) == "a"] for ds in owned]
+        fallback.append(not any(len(p) for p in labeled))
+        pools.append(np.concatenate([ds.points for ds in owned] if fallback[-1] else labeled))
+    counts, means, covs = oracle._fit_gaussians(masks, np.array(fallback))
+    assert fallback[0] and counts.tolist() == [len(p) for p in pools]
+    floored = []
+    for b, pooled in enumerate(pools):
+        mean, cov = fraction_reference(pooled)
+        np.testing.assert_array_equal(means[b], mean)
+        # Small pools can be rank deficient: the fit floors those as the reference would.
+        cov = cov[None]
+        floored.append(bool(density._floor_eigenvalues(cov, density.COVARIANCE_FLOOR)[0]))
+        np.testing.assert_array_equal(covs[b], cov[0])
+    assert {int(masks[b]) for b in np.flatnonzero(floored)} == oracle.covariance_floor_coalitions
+    assert not all(floored)
+
+
+def test_a_fill_in_blocks_equals_one_block(monkeypatch):
+    args = (labeled_partition(), standard_normal_model(2),
+            GenerationEvent(x=np.array([0.3, -0.2]), label="a"))
+    whole = CoalitionDensityOracle(*args, DensityOracleConfig(ridge=0.0))
+    values = whole.many(range(16))
+    monkeypatch.setattr(density, "_FIT_BLOCK", 3)
+    blocked = CoalitionDensityOracle(*args, DensityOracleConfig(ridge=0.0))
+    assert blocked.many(range(16)).tobytes() == values.tobytes()
+    assert blocked.fallback_coalitions == whole.fallback_coalitions
+    assert blocked.covariance_floor_coalitions == whole.covariance_floor_coalitions
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -15,7 +15,12 @@ from royaltyshare import (
     latent_mc_log_density,
     standard_normal_model,
 )
-from royaltyshare.diffusion import ChainDensityOracle, latent_mc_samples, latent_mc_stderr
+from royaltyshare.diffusion import (
+    ChainDensityOracle,
+    _floor_spd,
+    latent_mc_samples,
+    latent_mc_stderr,
+)
 from royaltyshare.seeding import derive_seed, rng_for
 
 
@@ -241,3 +246,31 @@ def test_chain_oracle_equals_the_scalar_estimate_per_coalition(dim):
         chain = gaussian_ddpm_chain(fit_gaussian(points, ridge=1e-6), schedule)
         expected = latent_mc_log_density(chain, event.x, 15, derive_seed(21, mask))
         assert value == expected - baseline.log_density(event.x)
+
+
+def floor_spd_reference(cov, floor):
+    """The chain's eigenvalue floor as one per-matrix formula, held against the batched one."""
+    cov = (cov + cov.T) / 2.0
+    if np.linalg.eigvalsh(cov)[0] < floor:
+        vals, vecs = np.linalg.eigh(cov)
+        cov = vecs @ np.diag(np.maximum(vals, floor)) @ vecs.T
+        cov = (cov + cov.T) / 2.0
+    return cov
+
+
+def test_shared_eigenvalue_floor_keeps_the_chain_bits():
+    rng = np.random.default_rng(900)
+    for _ in range(40):
+        d = int(rng.integers(1, 7))
+        a = rng.standard_normal((d, d))
+        v = rng.standard_normal(d)
+        covs = [
+            a @ a.T,
+            a @ a.T * 1e-13,
+            a @ a.T + a * 1e-15,  # not exactly symmetric, like the reverse kernel's covariance
+            np.diag(rng.standard_normal(d) ** 2 * rng.choice([0.0, 1e-14, 1.0], d)),
+            np.outer(v, v) + rng.standard_normal((d, d)) * 1e-15,
+            np.zeros((d, d)),
+        ]
+        for cov in covs:
+            assert _floor_spd(cov, 1e-12).tobytes() == floor_spd_reference(cov, 1e-12).tobytes()
