@@ -557,10 +557,13 @@ def load_owner_datasets(path: str | Path) -> list[OwnerDataset]:
 
     Owner ids must be dense 0..n-1. Labels come back as written; an owner
     whose label cells are all empty gets ``labels=None``. A NaN or infinite
-    coordinate raises :class:`NonFiniteError` naming the file and line, and
-    a file with no data rows raises :class:`EmptyDatasetError` naming it.
+    coordinate raises :class:`NonFiniteError` naming the file and line, an
+    owner id that is not an integer, or ids that are not dense, raise
+    :class:`DimensionMismatchError` naming the file and line, and a file
+    with no data rows raises :class:`EmptyDatasetError` naming it.
     """
     grouped: dict[int, list[tuple[list[float], str]]] = {}
+    first_line: dict[int, int] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -572,7 +575,13 @@ def load_owner_datasets(path: str | Path) -> list[OwnerDataset]:
                 continue
             if len(row) != d + 2:
                 raise DimensionMismatchError(f"{path}: row width {len(row)} != {d + 2}")
-            owner = int(row[0])
+            try:
+                owner = int(row[0])
+            except ValueError:
+                raise DimensionMismatchError(
+                    f"{path}: line {reader.line_num}: owner id {row[0]!r} is not an integer"
+                ) from None
+            first_line.setdefault(owner, reader.line_num)
             coords = [float(v) for v in row[2:]]
             if not all(math.isfinite(v) for v in coords):
                 raise NonFiniteError(
@@ -581,8 +590,12 @@ def load_owner_datasets(path: str | Path) -> list[OwnerDataset]:
             grouped.setdefault(owner, []).append((coords, row[1]))
     if not grouped:
         raise EmptyDatasetError(f"{path}: the dataset has a header but no rows")
-    if sorted(grouped) != list(range(len(grouped))):
-        raise ValueError(f"{path}: owner ids must be dense 0..n-1, got {sorted(grouped)}")
+    ids = sorted(grouped)
+    gap = next((k for k, owner in enumerate(ids) if owner != k), None)
+    if gap is not None:
+        raise DimensionMismatchError(
+            f"{path}: line {first_line[ids[gap]]}: owner ids must be dense 0..n-1, got {ids}"
+        )
     out = []
     for owner in range(len(grouped)):
         rows = grouped[owner]

@@ -23,8 +23,13 @@ class EmptyDatasetError(RoyaltyShareError):
     """A density fit was requested on zero points."""
 
 
-class DimensionMismatchError(RoyaltyShareError):
-    """A query point does not match the dimensionality of a fitted model."""
+class DimensionMismatchError(RoyaltyShareError, ValueError):
+    """Data does not have the layout expected of it.
+
+    A query point whose dimension differs from a fitted model's, owner data
+    of the wrong shape, or a dataset CSV with a bad header, row width or
+    owner id. A ``ValueError`` too, like numpy's own shape errors.
+    """
 
 
 class NonFiniteError(RoyaltyShareError):

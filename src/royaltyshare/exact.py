@@ -197,5 +197,7 @@ def loo_scores(game: CoalitionGame) -> np.ndarray:
     every copy while Shapley values split the credit.
     """
     grand = full_coalition(game.n)
-    vals = game.evaluate_many([grand] + [grand & ~(1 << i) for i in range(game.n)])
+    # A uint64 array: numpy infers float64 for a list of ints on both sides of 2**63.
+    vals = game.evaluate_many(
+        np.array([grand] + [grand & ~(1 << i) for i in range(game.n)], dtype=np.uint64))
     return vals[0] - vals[1:]

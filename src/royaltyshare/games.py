@@ -1,10 +1,11 @@
 """Coalition games over bitset coalitions with memoized utility evaluation.
 
 A coalition is a plain ``int`` used as a bitset: bit ``i`` set means player
-``i`` is a member. Using machine integers keeps coalition handling allocation
-free and makes dictionary memoization cheap. Games are sized at construction;
-any number of players up to the word size works, and solvers impose their own
-tighter caps.
+``i`` is a member. Coalitions fit one machine word, so a batch of them is a
+uint64 array, and the memo is two arrays searched by ``np.searchsorted``: the
+coalitions seen so far, sorted, and their utilities. Games are sized at
+construction; any number of players up to the word size works, and solvers
+impose their own tighter caps.
 
 A utility oracle is any callable ``oracle(coalition) -> float``. Oracles must
 be pure and deterministic: repeated calls with the same coalition return the
@@ -29,12 +30,13 @@ oracle sums one integer per player this way, and the Gaussian density oracle
 each owner's count and moment sums.
 
 :meth:`CoalitionGame.evaluate_many` is the evaluation path the solvers use: an
-array of coalitions in, an array of utilities out, with only the coalitions
-missing from the memo sent to the oracle, as one ``many`` call when the oracle
-has it and one call per coalition otherwise. :meth:`CoalitionGame.evaluate`
-answers one coalition from the memo when it can and sends a miss through
-:meth:`~CoalitionGame.evaluate_many`, so there is one place that calls the
-oracle and counts its calls.
+array of coalitions in, an array of utilities out. It looks the whole batch up
+in the memo with one ``searchsorted``, dedupes the misses with ``np.unique``,
+sends them to the oracle, as one ``many`` call when the oracle has it and one
+call per coalition otherwise, and merges them into the memo in linear time.
+:meth:`CoalitionGame.evaluate` answers one coalition with a dict lookup and a
+scalar binary search, and keeps a miss in a dict until the next batch call
+merges it, so a loop of single misses costs no copy of the memo per miss.
 """
 
 from __future__ import annotations
@@ -186,12 +188,59 @@ def scaled_floats(ints: np.ndarray, scale: int) -> np.ndarray:
 
 
 def coalition_array(masks, n: int) -> np.ndarray:
-    """Coalitions as a uint64 array; raises if one uses players outside ``range(n)``."""
-    arr = np.asarray(masks, dtype=np.uint64)
-    if arr.size and int(arr.max()) >> n:
+    """Integer coalitions as a uint64 array of the same shape.
+
+    Raises :class:`CoalitionBoundsError` if an entry is not an integer, is
+    negative, or uses players outside ``range(n)``.
+    """
+    arr = np.asarray(masks)
+    if not arr.size:
+        return arr.astype(np.uint64)
+    if arr.dtype.kind not in "iu":
+        raise CoalitionBoundsError(f"coalitions must be integer bitsets, got {arr.dtype}")
+    if arr.dtype.kind == "i" and arr.min() < 0:
+        raise CoalitionBoundsError(f"coalition {int(arr.min())} is negative")
+    arr = arr.astype(np.uint64, copy=False)
+    if int(arr.max()) >> n:
         raise CoalitionBoundsError(
             f"coalition {bin(int(arr.max()))} uses players outside range(0, {n})")
     return arr
+
+
+def _memo_positions(keys: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each mask sits in the sorted ``keys``, and whether it is there."""
+    pos = keys.searchsorted(masks)
+    if not keys.size:
+        return pos, np.zeros(masks.shape, dtype=bool)
+    return pos, keys[np.minimum(pos, keys.size - 1)] == masks
+
+
+def _merge(keys, values, new_keys, new_values) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted ``keys`` and sorted ``new_keys``, none shared, merged with their values.
+
+    Scatters the new keys to their final slots, their ``searchsorted``
+    positions shifted by the new keys before them, and the old keys to the
+    rest: linear time, no sort.
+    """
+    if not new_keys.size:
+        return keys, values
+    slots = keys.searchsorted(new_keys) + np.arange(new_keys.size)
+    old = np.ones(keys.size + slots.size, dtype=bool)
+    old[slots] = False
+    merged_keys = np.empty(old.size, dtype=np.uint64)
+    merged_keys[slots], merged_keys[old] = new_keys, keys
+    merged_values = np.empty(old.size)
+    merged_values[slots], merged_values[old] = new_values, values
+    return merged_keys, merged_values
+
+
+def _batch_values(batch, masks: np.ndarray) -> np.ndarray:
+    """A batch oracle's utilities of ``masks``, checked to be one per coalition."""
+    result = np.asarray(batch(masks), dtype=float)
+    if result.shape != (masks.size,):
+        raise OracleFailureError(
+            f"batch oracle returned shape {result.shape} for {masks.size} coalitions")
+    return result
 
 
 class AdditiveOracle:
@@ -244,13 +293,22 @@ class AdditiveOracle:
 class CoalitionGame:
     """A cooperative game: player count plus a memoized utility oracle.
 
-    Evaluation results are cached per coalition, so any solver built on top
-    pays for each coalition at most once. ``eval_count`` reports how many
-    oracle invocations actually happened; it never exceeds ``2**n``.
+    Evaluation results are memoized per coalition, so any solver built on top
+    pays for each coalition at most once. The memo is a pair of arrays, the
+    coalitions seen so far, sorted ascending as uint64, and their utilities
+    as float64, found by binary search, plus a dict of the single misses of
+    :meth:`evaluate` not yet merged into them. A merge copies the arrays, so
+    it costs O(memo): :meth:`evaluate_many` merges its whole batch at once,
+    and :meth:`evaluate` stores in the dict at O(1), which the next batch call
+    merges. A loop of single misses thus costs what a dict memo does, not a
+    copy per miss. ``eval_count`` reports how many oracle invocations
+    actually happened; it never exceeds ``2**n``.
 
-    Evaluation is safe to call from several threads. Distinct coalitions
-    evaluate in parallel; concurrent calls on the same coalition may duplicate
-    oracle work, but the first stored value wins and every caller sees it.
+    Evaluation is safe to call from several threads. The memo is one tuple,
+    replaced whole under a lock, and a merge starts a fresh dict, so a reader
+    always sees keys and values that match. Distinct coalitions evaluate in
+    parallel; concurrent calls on the same coalition may duplicate oracle
+    work, but the first stored value wins and every caller sees it.
     """
 
     def __init__(self, n: int, oracle: UtilityOracle):
@@ -258,7 +316,7 @@ class CoalitionGame:
             raise CoalitionBoundsError(f"player count {n} outside [0, {MAX_PLAYERS}]")
         self.n = n
         self._oracle = oracle
-        self._cache: dict[Coalition, float] = {}
+        self._memo = (np.empty(0, dtype=np.uint64), np.empty(0), {})
         self._eval_count = 0
         self._lock = threading.Lock()
 
@@ -266,24 +324,40 @@ class CoalitionGame:
     def eval_count(self) -> int:
         return self._eval_count
 
-    @property
-    def cache(self) -> dict[Coalition, float]:
-        """Read-only view intent: mutate only through the evaluate methods."""
-        return self._cache
-
     def evaluate(self, s: Coalition) -> float:
-        """Return the oracle's utility for coalition ``s``, caching it.
+        """Return the oracle's utility for coalition ``s``, memoizing it.
 
         Raises :class:`CoalitionBoundsError` if ``s`` sets bits at or above
         ``self.n``. Oracle exceptions propagate to the caller and nothing is
-        cached for that coalition.
+        memoized for that coalition.
         """
         if s < 0 or (s >> self.n):
             raise self._out_of_range(s)
-        try:
-            return self._cache[s]
-        except KeyError:
-            return float(self.evaluate_many([s])[0])
+        value = self._lookup(s)
+        if value is not None:
+            return value
+        batch = getattr(self._oracle, "many", None)
+        if batch is None:
+            value = float(self._oracle(s))
+        else:
+            value = float(_batch_values(batch, np.array([s], dtype=np.uint64))[0])
+        with self._lock:
+            held = self._lookup(s)
+            if held is not None:
+                return held
+            self._memo[2][s] = value
+            self._eval_count += 1
+        return value
+
+    def _lookup(self, s: Coalition) -> float | None:
+        keys, values, recent = self._memo
+        value = recent.get(s)
+        if value is None:
+            key = np.uint64(s)
+            i = keys.searchsorted(key)
+            if i < keys.size and keys[i] == key:
+                value = float(values[i])
+        return value
 
     def evaluate_many(self, masks) -> np.ndarray:
         """Return the utilities of an integer array of coalitions, same shape.
@@ -291,34 +365,78 @@ class CoalitionGame:
         Coalitions already in the memo are read from it; the missing ones go
         to the oracle once each, in order of first appearance, and each adds
         one to ``eval_count``. Raises :class:`CoalitionBoundsError` before
-        any oracle call if an entry sets bits at or above ``self.n``. If the
-        oracle raises, the coalitions evaluated before it are kept and
-        counted, the failing one is not; a batch oracle's ``many`` call that
-        raises keeps and counts nothing.
+        any oracle call if an entry is negative or sets bits at or above
+        ``self.n``. If the oracle raises, the coalitions evaluated before it
+        are kept and counted, the failing one is not; a batch oracle's
+        ``many`` call that raises, or returns other than one value per
+        coalition, keeps and counts nothing.
         """
-        arr = np.asarray(masks)
-        if arr.size and arr.dtype.kind not in "iu":
-            raise CoalitionBoundsError(f"coalitions must be integer bitsets, got {arr.dtype}")
-        keys = arr.ravel().tolist()
-        if arr.size and (arr.min() < 0 or max(keys) >> self.n):
-            raise self._out_of_range(min(keys) if arr.min() < 0 else max(keys))
-        memo = self._cache
-        missing = [s for s in dict.fromkeys(keys) if s not in memo]
-        fresh: list[float] = []
+        arr = coalition_array(masks, self.n)
+        flat = arr.ravel()
+        if self._memo[2]:
+            with self._lock:
+                self._memo = self._merged()
+        keys, values, _ = self._memo
+        pos, hit = _memo_positions(keys, flat)
+        if hit.all():
+            return values[pos].reshape(arr.shape)
+        # ``missing`` is sorted; ``order`` lists it in order of first appearance.
+        missing, first, inverse = np.unique(flat[~hit], return_index=True, return_inverse=True)
+        fresh = self._fill(missing, np.argsort(first))
+        out = np.empty(flat.size)
+        out[hit] = values[pos[hit]]
+        out[~hit] = fresh[inverse]
+        return out.reshape(arr.shape)
+
+    def _fill(self, missing: np.ndarray, order: np.ndarray) -> np.ndarray:
+        """Evaluate and memoize the sorted coalitions ``missing``; return their values.
+
+        The oracle sees ``missing[order]``: as one ``many`` call when it has
+        one, else one call per coalition. What it evaluated before raising is
+        kept and counted; a ``many`` call that raises or returns other than
+        one value per coalition keeps nothing.
+        """
+        fresh = np.empty(missing.size)
+        done = 0
         batch = getattr(self._oracle, "many", None)
         try:
             if batch is None:
-                for s in missing:
-                    fresh.append(float(self._oracle(s)))
-            elif missing:
-                fresh.extend(np.asarray(batch(missing), dtype=float).tolist())
+                for k, s in zip(order.tolist(), missing[order].tolist()):
+                    fresh[k] = float(self._oracle(s))
+                    done += 1
+            else:
+                fresh[order] = _batch_values(batch, missing[order])
+                done = missing.size
         finally:
-            with self._lock:
-                for s, value in zip(missing, fresh):
-                    if s not in memo:
-                        memo[s] = value
-                        self._eval_count += 1
-        return np.array([memo[s] for s in keys], dtype=float).reshape(arr.shape)
+            if done:
+                kept = np.zeros(missing.size, dtype=bool)
+                kept[order[:done]] = True
+                fresh[kept] = self._store(missing[kept], fresh[kept])
+        return fresh
+
+    def _store(self, new_keys: np.ndarray, new_values: np.ndarray) -> np.ndarray:
+        """Merge sorted ``new_keys`` into the memo; return the values it holds for them.
+
+        A key another caller stored first keeps its value and is not counted.
+        """
+        with self._lock:
+            keys, values, _ = self._merged()
+            pos, held = _memo_positions(keys, new_keys)
+            new_values[held] = values[pos[held]]
+            add = ~held
+            self._memo = _merge(keys, values, new_keys[add], new_values[add]) + ({},)
+            self._eval_count += int(np.count_nonzero(add))
+        return new_values
+
+    def _merged(self) -> tuple:
+        """The memo with its dict merged into the arrays; the lock must be held."""
+        keys, values, recent = self._memo
+        if not recent:
+            return self._memo
+        new_keys = np.fromiter(recent, dtype=np.uint64, count=len(recent))
+        new_values = np.fromiter(recent.values(), dtype=float, count=len(recent))
+        order = new_keys.argsort()
+        return _merge(keys, values, new_keys[order], new_values[order]) + ({},)
 
     def _out_of_range(self, s: Coalition) -> CoalitionBoundsError:
         return CoalitionBoundsError(

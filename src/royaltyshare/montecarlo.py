@@ -91,7 +91,7 @@ def truncated_walk(
     tolerance the walk stops once ``|v(N) - v(prefix)| <= tolerance`` and the
     players not yet seen are charged exactly 0.0. ``total_utility`` may be
     passed when v(N) is already known; otherwise it is read through the
-    game's cache.
+    game's memo.
     """
     n = game.n
     if sorted(ordering) != list(range(n)):

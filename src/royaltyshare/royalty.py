@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import NonFiniteError
 from .exact import ShapleyVector, exact_permission_shapley
-from .games import Coalition, CoalitionGame, EMPTY
+from .games import Coalition, CoalitionGame, EMPTY, coalition_array
 
 Solver = Callable[[CoalitionGame], ShapleyVector]
 
@@ -76,11 +76,11 @@ class PermissionGame:
     The augmented utility is v(S minus developer) when the developer is in S
     and zero otherwise. The base game must satisfy v(empty) = 0, which holds
     for relative utilities by construction; this is checked eagerly with one
-    (cached) evaluation.
+    (memoized) evaluation.
 
     The exact solve works on the base game alone. :attr:`augmented`, the
     ``(n+1)``-player game that a sampling solver walks, is built on first
-    access. Its batch oracle reads the base game through its cache, one
+    access. Its batch oracle reads the base game through its memo, one
     ``evaluate_many`` call per batch, so solving the permission game costs no
     more base-oracle calls than solving the base game itself.
     """
@@ -108,7 +108,7 @@ class _DeveloperVeto:
         self.base = base
 
     def many(self, masks: Sequence[Coalition]) -> np.ndarray:
-        arr = np.asarray(masks, dtype=np.uint64)
+        arr = coalition_array(masks, self.base.n + 1)
         dev_bit = np.uint64(1 << self.base.n)
         with_dev = (arr & dev_bit) != 0
         values = np.zeros(arr.size)

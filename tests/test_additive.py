@@ -21,6 +21,7 @@ from royaltyshare.games import (
     scaled_floats,
     subset_sums,
 )
+from royaltyshare.exact import loo_scores
 from royaltyshare.montecarlo import _prefix_masks
 
 
@@ -137,6 +138,13 @@ def test_n64_prefix_masks_with_bit_63_set():
     assert_matches_fsum(weights, masks)
 
 
+def test_loo_scores_at_64_players():
+    weights = [float(k) for k in range(64)]
+    game = CoalitionGame(64, AdditiveOracle(weights))
+    np.testing.assert_array_equal(loo_scores(game), weights)
+    assert game.eval_count == 65
+
+
 def test_many_equals_per_coalition_calls():
     rng = np.random.default_rng(5)
     weights = [float(w) for w in rng.normal(0.3, 1.0, 20)]
@@ -155,6 +163,17 @@ def test_evaluate_many_counts_each_new_coalition_once():
     assert game.eval_count == reference.eval_count == 5
     game.evaluate_many(range(32))
     assert game.eval_count == 32
+
+
+@pytest.mark.parametrize("n", [3, 64])
+def test_negative_coalitions_raise_naming_the_value(n):
+    oracle = AdditiveOracle([1.0] * n)
+    with pytest.raises(CoalitionBoundsError, match="coalition -1 is negative"):
+        oracle.many(np.array([-1]))
+    game = CoalitionGame(n, oracle)
+    with pytest.raises(CoalitionBoundsError, match="coalition -3 is negative"):
+        game.evaluate_many(np.array([[1, -3], [2, 0]]))
+    assert game.eval_count == 0
 
 
 def test_bad_weights_and_coalitions_raise():

@@ -425,6 +425,19 @@ def test_non_finite_dataset_coordinate_is_exit_3(tmp_path, capsys):
     assert "oracle failure" in err and f"{dataset}: line 3" in err
 
 
+@pytest.mark.parametrize("rows, message", [
+    ("0,,0.5,1.0\n2,,0.0,0.0\n0,,1.0,1.0\n", "line 3: owner ids must be dense"),
+    ("0,,0.5,1.0\nzero,,0.0,0.0\n", "line 3: owner id 'zero' is not an integer"),
+])
+def test_bad_dataset_owner_ids_are_exit_3(tmp_path, capsys, rows, message):
+    dataset = tmp_path / "owners.csv"
+    dataset.write_text("owner_id,label,x0,x1\n" + rows, encoding="utf-8")
+    config = write_config(tmp_path / "config.json", dataset=str(dataset))
+    assert main(["attribute", "--config", config, "--event", "0,0"]) == 3
+    err = capsys.readouterr().err
+    assert "oracle failure" in err and f"{dataset}: {message}" in err
+
+
 @pytest.mark.parametrize("empty", ["dataset", "baseline"])
 def test_dataset_csv_without_rows_is_exit_3(tmp_path, capsys, empty):
     header_only = tmp_path / "empty.csv"

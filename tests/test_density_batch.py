@@ -195,7 +195,8 @@ def test_evaluate_many_sends_only_missing_coalitions_in_one_batch():
     np.testing.assert_array_equal(values, [[0.5, 1.0], [1.5, 1.0], [0.0, 1.5]])
     assert oracle.batches == [[1], [2, 3, 0]]
     assert game.eval_count == 4
-    assert game.cache == {0: 0.0, 1: 0.5, 2: 1.0, 3: 1.5}
+    np.testing.assert_array_equal(game.evaluate_many([0, 1, 2, 3]), [0.0, 0.5, 1.0, 1.5])
+    assert len(oracle.batches) == 2 and game.eval_count == 4
     game.evaluate_many([3, 0, 1])
     assert len(oracle.batches) == 2 and game.eval_count == 4
 
@@ -206,8 +207,24 @@ def test_evaluate_many_caches_nothing_from_a_failing_batch():
     game.evaluate_many([1])
     with pytest.raises(OracleFailureError):
         game.evaluate_many([1, 4, 5, 6])
-    assert oracle.batches[-1] == [4, 5, 6]
-    assert game.cache == {1: 0.5} and game.eval_count == 1
+    assert oracle.batches[-1] == [4, 5, 6] and game.eval_count == 1
+    np.testing.assert_array_equal(game.evaluate_many([1]), [0.5])
+    assert len(oracle.batches) == 2 and game.eval_count == 1
+
+
+@pytest.mark.parametrize("resize", [lambda v: v[:-1], lambda v: np.append(v, 9.0)],
+                         ids=["short", "long"])
+def test_evaluate_many_rejects_a_batch_result_of_the_wrong_length(resize):
+    oracle = BatchOracle()
+    many = oracle.many
+    oracle.many = lambda masks: resize(many(masks))
+    game = CoalitionGame(3, oracle)
+    with pytest.raises(OracleFailureError, match="for 3 coalitions"):
+        game.evaluate_many([1, 2, 3])
+    assert game.eval_count == 0
+    oracle.many = many
+    np.testing.assert_array_equal(game.evaluate_many([1, 2, 3]), [0.5, 1.0, 1.5])
+    assert oracle.batches == [[1, 2, 3], [1, 2, 3]] and game.eval_count == 3
 
 
 def test_cli_duplicate_owners_get_bit_identical_phi_and_zero_loo(tmp_path):

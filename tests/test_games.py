@@ -33,7 +33,8 @@ def test_game_memoizes_and_counts_evaluations():
         assert game.evaluate(0b101) == 5.0
     assert calls == [0b101]
     assert game.eval_count == 1
-    assert game.cache == {0b101: 5.0}
+    np.testing.assert_array_equal(game.evaluate_many([0b101]), [5.0])
+    assert calls == [0b101] and game.eval_count == 1
 
 
 def test_game_rejects_out_of_range_coalitions():

@@ -9,11 +9,14 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_table, table_game
 from royaltyshare import (
     CoalitionBoundsError,
     CoalitionGame,
+    OracleFailureError,
     PermissionGame,
     TooManyPlayersError,
     developer_split,
@@ -135,8 +138,126 @@ def test_evaluate_many_keeps_what_it_evaluated_before_a_failure():
     game = CoalitionGame(2, oracle)
     with pytest.raises(RuntimeError):
         game.evaluate_many([1, 2, 3])
-    assert game.cache == {1: 1.0}
     assert game.eval_count == 1
+    np.testing.assert_array_equal(game.evaluate_many([1]), [1.0])
+    assert game.eval_count == 1
+
+
+def test_single_misses_merge_into_the_memo_before_a_batch():
+    calls = []
+    game = CoalitionGame(3, lambda s: calls.append(s) or float(s))
+    assert [game.evaluate(s) for s in (6, 1, 4, 1)] == [6.0, 1.0, 4.0, 1.0]
+    assert calls == [6, 1, 4] and game.eval_count == 3
+    np.testing.assert_array_equal(game.evaluate_many([4, 0, 6, 1, 2]), [4.0, 0.0, 6.0, 1.0, 2.0])
+    assert game.evaluate(5) == 5.0 and game.evaluate(2) == 2.0
+    np.testing.assert_array_equal(game.evaluate_many(np.arange(8)), np.arange(8.0))
+    assert calls == [6, 1, 4, 0, 2, 5, 3, 7] and game.eval_count == 8
+
+
+def utility(s: int) -> float:
+    return ((s * 0x9E3779B97F4A7C15) % 2**64) / 2.0**64 - 0.5
+
+
+class RecordingOracle:
+    """Records every coalition it receives, as a Python int; raises on ``fail_on``."""
+
+    def __init__(self, fail_on):
+        self.fail_on = fail_on
+        self.received = []
+
+    def __call__(self, s):
+        assert type(s) is int
+        self.received.append(s)
+        if s == self.fail_on:
+            raise OracleFailureError(f"coalition {s} fails")
+        return utility(s)
+
+
+class RecordingBatchOracle(RecordingOracle):
+    """The same, as a batch oracle: records each batch; a batch holding ``fail_on`` raises."""
+
+    def many(self, masks):
+        batch = [int(s) for s in masks]
+        self.received.append(batch)
+        if self.fail_on in batch:
+            raise OracleFailureError(f"coalition {self.fail_on} fails")
+        return np.array([utility(s) for s in batch])
+
+
+class DictMemo:
+    """Reference model of ``evaluate_many``'s documented semantics, over a plain dict."""
+
+    def __init__(self, batch, fail_on):
+        self.batch = batch
+        self.fail_on = fail_on
+        self.memo = {}
+        self.received = []
+
+    def evaluate_many(self, keys):
+        missing = [s for s in dict.fromkeys(keys) if s not in self.memo]
+        if not self.batch:
+            for s in missing:
+                self.received.append(s)
+                if s == self.fail_on:
+                    raise OracleFailureError
+                self.memo[s] = utility(s)
+        elif missing:
+            self.received.append(missing)
+            if self.fail_on in missing:
+                raise OracleFailureError
+            self.memo.update((s, utility(s)) for s in missing)
+        return [self.memo[s] for s in keys]
+
+
+@st.composite
+def memo_sessions(draw):
+    """A player count, an oracle kind and failing coalition, and a sequence of batches.
+
+    Batches draw from a small pool, so they repeat coalitions within and
+    across calls; at n = 64 the pool holds a coalition with bit 63 set. A
+    batch may instead be one coalition as a Python int, for ``evaluate``.
+    """
+    n = draw(st.one_of(st.just(64), st.integers(1, 63)))
+    pool = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=12))
+    if n == 64:
+        pool.append(draw(st.integers(1 << 63, (1 << 64) - 1)))
+    batches = []
+    for keys in draw(st.lists(st.lists(st.sampled_from(pool), max_size=10), max_size=6)):
+        if keys and draw(st.booleans()):
+            batches.append(keys[0])
+            continue
+        signed = max(keys, default=0) < 1 << 63 and draw(st.booleans())
+        arr = np.array(keys, dtype=np.int64 if signed else np.uint64)
+        if len(keys) % 2 == 0 and draw(st.booleans()):
+            arr = arr.reshape(2, -1)
+        batches.append(arr)
+    return n, draw(st.booleans()), draw(st.none() | st.sampled_from(pool)), batches
+
+
+@settings(max_examples=300, deadline=None)
+@given(memo_sessions())
+def test_array_memo_matches_a_dict_reference(session):
+    n, batch, fail_on, batches = session
+    oracle = (RecordingBatchOracle if batch else RecordingOracle)(fail_on)
+    game = CoalitionGame(n, oracle)
+    reference = DictMemo(batch, fail_on)
+    for masks in batches:
+        single = isinstance(masks, int)
+        call = game.evaluate if single else game.evaluate_many
+        try:
+            expected = reference.evaluate_many([masks] if single else masks.ravel().tolist())
+        except OracleFailureError:
+            with pytest.raises(OracleFailureError):
+                call(masks)
+        else:
+            values = call(masks)
+            if single:
+                assert type(values) is float and [values] == expected
+            else:
+                assert values.shape == masks.shape and values.dtype == np.float64
+                assert values.ravel().tolist() == expected
+        assert game.eval_count == len(reference.memo)
+        assert oracle.received == reference.received
 
 
 def test_concurrent_evaluate_many_pays_each_coalition_once():
@@ -163,3 +284,42 @@ def test_concurrent_evaluate_many_pays_each_coalition_once():
     for k, batch in enumerate(batches):
         np.testing.assert_array_equal(results[k], table[batch])
     assert game.eval_count == len(set(np.concatenate(batches).tolist()))
+
+
+def test_concurrent_single_misses_and_batches_lose_no_coalition():
+    """``evaluate`` stores its misses in a dict that ``evaluate_many`` merges
+    into the arrays; racing the two must neither lose nor double-count one."""
+    table = random_table(np.random.default_rng(73), 12)
+    game = table_game(table)
+    rng = np.random.default_rng(79)
+    singles = [rng.integers(0, 4096, size=1500).tolist() for _ in range(4)]
+    batches = [[rng.integers(0, 4096, size=20) for _ in range(60)] for _ in range(4)]
+    failures = []
+
+    def evaluate_each(masks):
+        for s in masks:
+            if game.evaluate(s) != table[s]:
+                failures.append(s)
+
+    def evaluate_batches(arrays):
+        for masks in arrays:
+            if not np.array_equal(game.evaluate_many(masks), table[masks]):
+                failures.append(masks)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=evaluate_each, args=(m,)) for m in singles]
+        threads += [threading.Thread(target=evaluate_batches, args=(b,)) for b in batches]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert failures == []
+    seen = sorted(set(sum(singles, [])) | set(np.concatenate(sum(batches, [])).tolist()))
+    assert game.eval_count == len(seen)
+    np.testing.assert_array_equal(game.evaluate_many(seen), table[seen])
+    assert game.eval_count == len(seen)
