@@ -471,10 +471,7 @@ def cmd_settle(args: argparse.Namespace) -> int:
             "settle needs a numeric beta (config 'beta' or --beta FLOAT); "
             "use developer-share to compute one from the permission game"
         )
-    ledger_path = Path(args.ledger)
-    if not ledger_path.is_dir():
-        raise StorageFailureError(f"ledger directory not found: {ledger_path}")
-    store = LedgerStore(ledger_path, create=False)
+    store = LedgerStore(args.ledger, create=False)
     if store.dropped_bytes:
         print(f"ledger: dropped a torn tail of {store.dropped_bytes} bytes", file=sys.stderr)
     root_seed = config["seed"]
@@ -702,7 +699,7 @@ def main(argv: list[str] | None = None) -> int:
     ) as exc:
         print(f"oracle failure: {exc}", file=sys.stderr)
         return 3
-    except (StorageFailureError, DuplicateIdError) as exc:
+    except (StorageFailureError, DuplicateIdError, OSError) as exc:
         print(f"storage failure: {exc}", file=sys.stderr)
         return 4
     except RoyaltyShareError as exc:

@@ -13,9 +13,13 @@ check the other.
 
 Every solver here is table first: it fills the game's 2^n utility table once
 through :meth:`~royaltyshare.games.CoalitionGame.evaluate_many`, so the oracle
-is paid at most once per coalition, and then works on that array alone.
-:func:`exact_permission_shapley` solves the developer's permission game from
-the same table without building the (n+1)-player game.
+is paid at most once per coalition, and then works on that array alone. One
+stratified kernel serves both stratified solvers. It gathers each player's
+marginals by inserting a zero bit at that player into the size-ordered
+coalitions of the others, so every stratum is a contiguous slice and one
+fsum. :func:`exact_shapley` runs it on the game's table, and
+:func:`exact_permission_shapley` on the developer's permission game, whose
+(n+1)-player table is the owners' table behind a half of zeros.
 
 fsum accumulation is order independent, which has a useful consequence:
 players whose marginal contribution multisets coincide get bit-identical
@@ -76,37 +80,31 @@ def _coalitions_by_size(n: int) -> np.ndarray:
     return np.argsort(sizes, kind="stable")
 
 
-def _groups(values: np.ndarray, lengths: list[int]) -> list[list[float]]:
-    """Split ``values`` into consecutive runs of the given lengths."""
-    out = []
-    start = 0
-    for length in lengths:
-        out.append(values[start : start + length].tolist())
-        start += length
-    return out
+def _shapley_from_table(table: np.ndarray, n: int) -> np.ndarray:
+    """Shapley values of the ``n``-player game whose utility table is ``table``.
+
+    Player i's stratum k is its marginals ``v(S + i) - v(S)`` over the
+    ``C(n-1, k)`` coalitions S of size k without i. Inserting a zero bit at i
+    into the size-ordered coalitions of the other ``n - 1`` players gives those
+    S for every k at once, each stratum a contiguous slice. One fsum per
+    stratum, divided by ``C(n-1, k)``, then one fsum over the strata, divided
+    by ``n``.
+    """
+    others = _coalitions_by_size(max(n - 1, 0))
+    weights = [math.comb(n - 1, k) for k in range(n)]
+    bounds = list(itertools.accumulate(weights, initial=0))
+    values = []
+    for i in range(n):
+        without = ((others >> i) << (i + 1)) | (others & ((1 << i) - 1))
+        marginals = memoryview(table[without | (1 << i)] - table[without])
+        strata = [math.fsum(marginals[a:b]) / w for a, b, w in zip(bounds, bounds[1:], weights)]
+        values.append(math.fsum(strata) / n)
+    return np.array(values, dtype=float)
 
 
-def _table_by_size(game: CoalitionGame, exact_limit: int) -> tuple[np.ndarray, np.ndarray]:
-    """The utility table and the coalitions grouped by size, for ``n <= exact_limit``."""
-    n = game.n
+def _check_limit(n: int, exact_limit: int) -> None:
     if n > exact_limit:
         raise TooManyPlayersError(f"{n} players exceeds exact enumeration limit {exact_limit}")
-    return _utility_table(game), _coalitions_by_size(n)
-
-
-def _marginal_groups(table: np.ndarray, by_size: np.ndarray, n: int):
-    """Per player i, its marginals ``v(S + i) - v(S)`` as lists grouped by ``|S|``."""
-    lengths = [math.comb(n - 1, j) for j in range(n)]
-    for i in range(n):
-        without = by_size[(by_size & (1 << i)) == 0]
-        yield _groups(table[without | (1 << i)] - table[without], lengths)
-
-
-def _stratified(groups: list[list[float]], players: int) -> float:
-    """One fsum per stratum ``k``, divided by ``C(players - 1, k)``, then one
-    fsum over the strata, divided by ``players``."""
-    strata = [math.fsum(group) / math.comb(players - 1, k) for k, group in enumerate(groups)]
-    return math.fsum(strata) / players
 
 
 def exact_shapley(game: CoalitionGame, exact_limit: int = DEFAULT_EXACT_LIMIT) -> ShapleyVector:
@@ -119,9 +117,8 @@ def exact_shapley(game: CoalitionGame, exact_limit: int = DEFAULT_EXACT_LIMIT) -
     ``exact_limit`` (default 20); beyond that the 2^n enumeration is no
     longer appropriate and a sampling estimator should be used.
     """
-    table, by_size = _table_by_size(game, exact_limit)
-    values = [_stratified(groups, game.n) for groups in _marginal_groups(table, by_size, game.n)]
-    return ShapleyVector(np.array(values, dtype=float), method="stratified")
+    _check_limit(game.n, exact_limit)
+    return ShapleyVector(_shapley_from_table(_utility_table(game), game.n), method="stratified")
 
 
 def exact_permission_shapley(
@@ -130,31 +127,19 @@ def exact_permission_shapley(
     """Exact Shapley values of ``game``'s permission game, from ``game``'s table.
 
     The permission game adds a developer as player ``n`` and is worth
-    ``v(S minus developer)`` when the developer is in S, zero otherwise.
-    Entry ``n`` of the result is the developer. This computes the same
-    numbers, bit for bit, as :func:`exact_shapley` on the ``(n+1)``-player
-    game, without building it: every marginal of that game is either a base
-    marginal, ``v(S)`` for the developer, or an exact zero.
+    ``v(S minus developer)`` when the developer is in S, zero otherwise: its
+    utility table is a zero half, the coalitions without the developer,
+    followed by ``game``'s table. Entry ``n`` of the result is the developer.
+    The numbers are those of :func:`exact_shapley` on the ``(n+1)``-player
+    game, bit for bit, without building it.
 
-    Raises :class:`TooManyPlayersError` when ``game.n`` exceeds ``exact_limit``.
+    Raises :class:`TooManyPlayersError` when ``game.n``, the owner count,
+    exceeds ``exact_limit``.
     """
     n = game.n
-    table, by_size = _table_by_size(game, exact_limit)
-    values = []
-    for groups in _marginal_groups(table, by_size, n):
-        # Stratum k of the n+1 players holds the base marginals over
-        # |T| = k - 1 (coalitions with the developer) and C(n-1, k) exact
-        # zeros (coalitions without). One 0.0 stands for the zeros: fsum of
-        # exact zeros depends only on whether a +0.0 is among them. Stratum 0
-        # is the empty coalition alone, a zero marginal.
-        for group in groups[:-1]:
-            group.append(0.0)
-        values.append(_stratified([[0.0], *groups], n + 1))
-    # The developer's marginal on a coalition S of owners is v(S) - 0.0, which
-    # is v(S) exactly; stratum k sums it over |S| = k.
-    values.append(_stratified(_groups(table[by_size], [math.comb(n, j) for j in range(n + 1)]),
-                              n + 1))
-    return ShapleyVector(np.array(values, dtype=float), method="stratified")
+    _check_limit(n, exact_limit)
+    values = _shapley_from_table(np.concatenate([np.zeros(1 << n), _utility_table(game)]), n + 1)
+    return ShapleyVector(values, method="stratified")
 
 
 def exact_shapley_by_permutations(game: CoalitionGame) -> ShapleyVector:
@@ -197,7 +182,5 @@ def loo_scores(game: CoalitionGame) -> np.ndarray:
     every copy while Shapley values split the credit.
     """
     grand = full_coalition(game.n)
-    # A uint64 array: numpy infers float64 for a list of ints on both sides of 2**63.
-    vals = game.evaluate_many(
-        np.array([grand] + [grand & ~(1 << i) for i in range(game.n)], dtype=np.uint64))
+    vals = game.evaluate_many([grand] + [grand & ~(1 << i) for i in range(game.n)])
     return vals[0] - vals[1:]

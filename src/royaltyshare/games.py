@@ -47,6 +47,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import CoalitionBoundsError, NonFiniteError, OracleFailureError
+from .seeding import uint64_array
 
 Coalition = int
 UtilityOracle = Callable[[Coalition], float]
@@ -190,18 +191,15 @@ def scaled_floats(ints: np.ndarray, scale: int) -> np.ndarray:
 def coalition_array(masks, n: int) -> np.ndarray:
     """Integer coalitions as a uint64 array of the same shape.
 
+    Python ints are read exactly, also in a list on both sides of 2**63.
     Raises :class:`CoalitionBoundsError` if an entry is not an integer, is
     negative, or uses players outside ``range(n)``.
     """
-    arr = np.asarray(masks)
-    if not arr.size:
-        return arr.astype(np.uint64)
-    if arr.dtype.kind not in "iu":
-        raise CoalitionBoundsError(f"coalitions must be integer bitsets, got {arr.dtype}")
-    if arr.dtype.kind == "i" and arr.min() < 0:
-        raise CoalitionBoundsError(f"coalition {int(arr.min())} is negative")
-    arr = arr.astype(np.uint64, copy=False)
-    if int(arr.max()) >> n:
+    try:
+        arr = uint64_array(masks, "coalition")
+    except (TypeError, ValueError) as exc:
+        raise CoalitionBoundsError(str(exc)) from None
+    if arr.size and int(arr.max()) >> n:
         raise CoalitionBoundsError(
             f"coalition {bin(int(arr.max()))} uses players outside range(0, {n})")
     return arr

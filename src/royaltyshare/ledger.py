@@ -32,7 +32,9 @@ uniform without-replacement sample and applies it to the whole pool, which is
 unbiased when prices do not co-vary with shares (constant pricing being the
 common case). Transactions whose attribution fails are quarantined into the
 report's ``failed_ids`` and left unsettled for a retry, never silently
-dropped.
+dropped. A pool whose share rows disagree on the owner count, or a sample
+in which every transaction fails attribution, cannot be settled and raises
+``StorageFailureError``.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -350,19 +352,16 @@ def _resolve_shares(
             failed.append(tx.id)
             continue
         try:
-            shares = attributor(tx)
-            _validate_shares(shares)
+            resolved.append(replace(tx, srs=attributor(tx)))
         except Exception:
             failed.append(tx.id)
-            continue
-        resolved.append(Transaction(id=tx.id, price=tx.price, event=tx.event, srs=shares))
     return resolved, failed
 
 
 def _owner_count(txs: list[Transaction]) -> int:
     counts = {len(tx.srs.shares) for tx in txs}
     if len(counts) > 1:
-        raise ValueError(f"share rows disagree on owner count: {sorted(counts)}")
+        raise StorageFailureError(f"share rows disagree on owner count: {sorted(counts)}")
     return counts.pop() if counts else 0
 
 
@@ -452,7 +451,7 @@ def settle_subsampled(
         sampled = [pool[int(i)] for i in indices]
         resolved, failed = _resolve_shares(sampled, attributor)
         if not resolved:
-            raise ValueError("every sampled transaction failed attribution")
+            raise StorageFailureError("every sampled transaction failed attribution")
         n = _owner_count(resolved)
         sample_prices = np.array([tx.price for tx in resolved])
         sample_shares = np.array([tx.srs.shares for tx in resolved])

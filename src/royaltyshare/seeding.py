@@ -50,25 +50,31 @@ def derive_seed(seed: int, *key: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _uint64(values, name: str) -> np.ndarray:
-    """``values`` as a flat uint64 array; anything outside [0, 2**64) is a ValueError.
+def uint64_array(values, name: str) -> np.ndarray:
+    """``values`` as a uint64 array of the same shape.
 
-    Python ints are read one by one: numpy turns a list that mixes small ints
-    with ints of 2**63 and more into floats.
+    An integer array is cast as it is, and an empty array of any dtype gives
+    an empty one. Anything else is read one Python int at a time: numpy turns
+    a list that mixes small ints with ints of 2**63 and more into floats.
+    Raises ``TypeError`` for an entry that is not an integer and
+    ``ValueError``, naming ``name``, for one outside [0, 2**64).
     """
-    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
-        if values.dtype.kind == "i" and np.any(values < 0):
-            raise ValueError(f"{name} must lie in [0, 2**64)")
-        return values.astype(np.uint64, copy=False).ravel()
-    if isinstance(values, np.ndarray):
-        values = values.ravel().tolist()
+    if isinstance(values, np.ndarray) and values.dtype.kind != "O":
+        if values.size and values.dtype.kind not in "iu":
+            raise TypeError(f"{name}s must be integers, got {values.dtype}")
+        if values.dtype.kind == "i" and values.size and values.min() < 0:
+            raise ValueError(f"{name} {int(values.min())} is negative")
+        return values.astype(np.uint64, copy=False)
+    objects = np.array(values, dtype=object)
     try:
-        ints = [operator.index(values)]
-    except TypeError:
-        ints = [operator.index(v) for v in values]
-    if any(not 0 <= v < 2**64 for v in ints):
-        raise ValueError(f"{name} must lie in [0, 2**64)")
-    return np.array(ints, dtype=np.uint64)
+        ints = [operator.index(v) for v in objects.ravel().tolist()]
+    except TypeError as exc:
+        raise TypeError(f"{name}s must be integers: {exc}") from None
+    if min(ints, default=0) < 0:
+        raise ValueError(f"{name} {min(ints)} is negative")
+    if max(ints, default=0) >> 64:
+        raise ValueError(f"{name} {max(ints)} is 2**64 or more")
+    return np.array(ints, dtype=np.uint64).reshape(objects.shape)
 
 
 def _hashmix(words: np.ndarray, const: int, mult: int) -> tuple[np.ndarray, int]:
@@ -99,7 +105,8 @@ def philox_keys(seeds, indices) -> np.ndarray:
     - output words are joined as ``lo | hi << 32``, so the keys do not
       depend on the host's byte order.
     """
-    seeds, indices = np.broadcast_arrays(_uint64(seeds, "seed"), _uint64(indices, "index"))
+    seeds, indices = np.broadcast_arrays(
+        uint64_array(seeds, "seed").ravel(), uint64_array(indices, "index").ravel())
 
     def halves(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return ((a & np.uint64(_MASK32)).astype(np.uint32),

@@ -176,6 +176,18 @@ def test_negative_coalitions_raise_naming_the_value(n):
     assert game.eval_count == 0
 
 
+def test_coalition_lists_on_both_sides_of_2_63_are_read_exactly():
+    game = CoalitionGame(64, AdditiveOracle([1.0] * 64))
+    assert game.evaluate_many([5, 2**63]).tolist() == [2.0, 1.0]
+    assert AdditiveOracle([1.0] * 64).many([2**64 - 1, 1]).tolist() == [64.0, 1.0]
+    with pytest.raises(CoalitionBoundsError, match="coalition -1 is negative"):
+        game.evaluate_many([2**63, -1])
+    with pytest.raises(CoalitionBoundsError):
+        game.evaluate_many([2**63, 2**64])
+    with pytest.raises(CoalitionBoundsError):
+        game.evaluate_many([2**63, 0.5])
+
+
 def test_bad_weights_and_coalitions_raise():
     with pytest.raises(NonFiniteError):
         AdditiveOracle([1.0, math.inf])

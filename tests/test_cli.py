@@ -243,6 +243,42 @@ def test_settle_drops_a_torn_tail_and_says_so(tmp_path, capsys):
     assert meta["total_income"] == 50.0 and meta["conservation_error"] <= 1e-9
 
 
+def hand_built_ledger(path, *lines):
+    path.mkdir()
+    (path / "transactions.log").write_text("".join(f"{line}\n" for line in lines),
+                                           encoding="utf-8")
+    return str(path)
+
+
+def test_settle_with_share_rows_of_different_lengths_is_exit_4(tmp_path, capsys):
+    ledger = hand_built_ledger(tmp_path / "ledger", "tx-1|1.0|0.0,0.0|0.5,0.5|0",
+                               "tx-2|1.0|0.0,0.0|0.25,0.25,0.5|0")
+    assert main(["settle", "--ledger", ledger, "--beta", "0.5",
+                 "--out", str(tmp_path / "out")]) == 4
+    assert "storage failure: share rows disagree on owner count" in capsys.readouterr().err
+
+
+def test_settle_sample_that_fails_attribution_throughout_is_exit_4(tmp_path, capsys):
+    ledger = hand_built_ledger(tmp_path / "ledger", "tx-1|1.0|0.0,0.0||0")
+    assert main(["settle", "--ledger", ledger, "--mode", "sample", "--sample-size", "1",
+                 "--beta", "0.5", "--out", str(tmp_path / "out")]) == 4
+    assert ("storage failure: every sampled transaction failed attribution"
+            in capsys.readouterr().err)
+
+
+def test_report_under_a_regular_file_is_exit_4(tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("", encoding="utf-8")
+    config = additive_config(tmp_path)
+    assert main(["attribute", "--config", config, "--out", str(blocker / "reports")]) == 4
+    assert capsys.readouterr().err.startswith("storage failure: ")
+
+
+def test_simulated_dataset_onto_a_directory_is_exit_4(tmp_path, capsys):
+    assert main(["simulate", "--kind", "clusters", "--out", str(tmp_path)]) == 4
+    assert capsys.readouterr().err.startswith("storage failure: ")
+
+
 _INTEGER_KEYS = ["seed", "solver.permutations", "oracle.steps", "density_mc_samples"]
 _NUMBER_KEYS = ["beta", "solver.truncation", "oracle.ridge", "baseline.ridge", "oracle.alpha",
                 "oracle.bandwidth"]

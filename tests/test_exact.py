@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 from conftest import GLOVE_EXACT, random_table, table_game
 from royaltyshare import (
     CoalitionGame,
+    PermissionGame,
     ShapleyVector,
     TooManyPlayersError,
     exact_shapley,
     exact_shapley_by_permutations,
     loo_scores,
 )
+from royaltyshare.exact import exact_permission_shapley
 
 
 def swap01(mask: int) -> int:
@@ -139,3 +141,41 @@ def test_linearity_of_exact_values(n, seed):
     combo = exact_shapley(table_game(0.7 * v + 1.3 * w)).values
     parts = 0.7 * exact_shapley(table_game(v)).values + 1.3 * exact_shapley(table_game(w)).values
     np.testing.assert_allclose(combo, parts, rtol=0, atol=1e-9)
+
+
+def formula_shapley(table: list[float], n: int) -> bytes:
+    """The bytes of the stratified formula read literally: per player, per
+    stratum, one fsum."""
+    values = []
+    for i in range(n):
+        strata = []
+        for k in range(n):
+            marginals = [table[s | 1 << i] - table[s] for s in range(1 << n)
+                         if not s >> i & 1 and bin(s).count("1") == k]
+            strata.append(math.fsum(marginals) / math.comb(n - 1, k))
+        values.append(math.fsum(strata) / n)
+    return np.array(values, dtype=float).tobytes()
+
+
+# Signed zeros and repeated values make exact ties and cancellations common.
+_utilities = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 3.0, 1e-300, -1e-300]),
+                       st.floats(min_value=-1e6, max_value=1e6))
+
+
+@st.composite
+def _tables(draw):
+    n = draw(st.integers(min_value=1, max_value=8))
+    table = draw(st.lists(_utilities, min_size=1 << n, max_size=1 << n))
+    table[0] = draw(st.sampled_from([0.0, -0.0]))
+    return n, table
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tables())
+def test_stratified_kernel_matches_the_formula_bit_for_bit(drawn):
+    n, table = drawn
+    game = table_game(table, n)
+    assert exact_shapley(game).values.tobytes() == formula_shapley(table, n)
+    permission = exact_permission_shapley(game).values.tobytes()
+    assert permission == exact_shapley(PermissionGame(game).augmented).values.tobytes()
+    assert permission == formula_shapley([0.0] * (1 << n) + table, n + 1)

@@ -207,7 +207,7 @@ def test_subsampled_sample_size_bounds(store):
 
 def test_subsampled_rejects_fully_failed_sample(store):
     store.record(make_tx("tx-1", 1.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(StorageFailureError):
         settle_subsampled(store, beta_data=1.0, sample_size=1, seed=0)
 
 
