@@ -198,8 +198,8 @@ def _load_config(args: argparse.Namespace) -> dict[str, Any]:
             raise ConfigError(f"config file not found: {path}")
         try:
             loaded = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"config is not valid UTF-8 JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config root must be a JSON object")
         config_dir = path.parent
@@ -230,6 +230,12 @@ def _checked_flag(check: tuple[Callable[[Any], bool], str],
 _count_flag = _checked_flag(_COUNT, int)
 _finite_flag = _checked_flag(_FINITE, float)
 _positive_flag = _checked_flag(_POSITIVE, float)
+_nonnegative_flag = _checked_flag(_NONNEGATIVE, float)
+
+
+def _alpha_flag(text: str) -> tuple[float, ...]:
+    """Comma-separated Dirichlet parameters, each a finite number > 0."""
+    return tuple(map(_positive_flag, text.split(",")))
 
 
 def _echoed(config: dict[str, Any]) -> dict[str, Any]:
@@ -480,6 +486,12 @@ def cmd_settle(args: argparse.Namespace) -> int:
     else:
         if args.sample_size is None:
             raise ConfigError("settle --mode sample needs --sample-size")
+        pool_size = len(store.unsettled())
+        if not 1 <= args.sample_size <= pool_size:
+            raise ConfigError(
+                f"--sample-size must lie in [1, {pool_size}], the unsettled pool, "
+                f"got {args.sample_size}"
+            )
         report = settle_subsampled(
             store,
             beta,
@@ -502,6 +514,7 @@ def cmd_settle(args: argparse.Namespace) -> int:
         "total_income": report.total_income,
         "sampled_fraction": report.sampled_fraction,
         "failed_ids": list(report.failed_ids),
+        "failed_reasons": report.failed_reasons,
         "correlated_warning": report.correlated_warning,
         "conservation_error": report.conservation_error,
     }
@@ -556,12 +569,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "seed": seed,
         }
     else:
+        alpha = args.alpha
+        if alpha is not None and len(alpha) != args.owners:
+            raise ConfigError(f"--alpha has {len(alpha)} values for {args.owners} owners")
         store = LedgerStore(out_path, create=True)
         if store.transactions():
             raise StorageFailureError(f"{out_path} already holds transactions")
-        alpha = None
-        if args.alpha:
-            alpha = tuple(float(v) for v in args.alpha.split(","))
         populate_synthetic_ledger(
             store,
             num_transactions=args.transactions,
@@ -658,8 +671,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--offset", type=_finite_flag, default=0.5)
     p.add_argument("--dim", type=_count_flag, default=2)
     p.add_argument("--transactions", type=_count_flag, default=1000)
-    p.add_argument("--price", type=float, default=1.0)
-    p.add_argument("--alpha", default=None, help="comma-separated Dirichlet parameters")
+    p.add_argument("--price", type=_nonnegative_flag, default=1.0)
+    p.add_argument("--alpha", type=_alpha_flag, default=None,
+                   help="comma-separated Dirichlet parameters, one per owner")
     p.set_defaults(func=cmd_simulate)
 
     return parser
@@ -695,7 +709,7 @@ def main(argv: list[str] | None = None) -> int:
         EmptyDatasetError,
         DimensionMismatchError,
         NonFiniteError,
-        np.linalg.LinAlgError,  # a ValueError, so caught ahead of the catch-all below
+        np.linalg.LinAlgError,
     ) as exc:
         print(f"oracle failure: {exc}", file=sys.stderr)
         return 3
@@ -704,9 +718,6 @@ def main(argv: list[str] | None = None) -> int:
         return 4
     except RoyaltyShareError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -558,36 +558,46 @@ def load_owner_datasets(path: str | Path) -> list[OwnerDataset]:
     Owner ids must be dense 0..n-1. Labels come back as written; an owner
     whose label cells are all empty gets ``labels=None``. A NaN or infinite
     coordinate raises :class:`NonFiniteError` naming the file and line, an
-    owner id that is not an integer, or ids that are not dense, raise
-    :class:`DimensionMismatchError` naming the file and line, and a file
-    with no data rows raises :class:`EmptyDatasetError` naming it.
+    owner id that is not an integer, a coordinate that is not a number, or
+    ids that are not dense, raise :class:`DimensionMismatchError` naming the
+    file and line, as does a file that is not UTF-8, and a file with no data
+    rows raises :class:`EmptyDatasetError` naming it.
     """
     grouped: dict[int, list[tuple[list[float], str]]] = {}
     first_line: dict[int, int] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[:2] != ["owner_id", "label"]:
-            raise DimensionMismatchError(f"{path}: expected header owner_id,label,x0,...")
-        d = len(header) - 2
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != d + 2:
-                raise DimensionMismatchError(f"{path}: row width {len(row)} != {d + 2}")
-            try:
-                owner = int(row[0])
-            except ValueError:
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or header[:2] != ["owner_id", "label"]:
                 raise DimensionMismatchError(
-                    f"{path}: line {reader.line_num}: owner id {row[0]!r} is not an integer"
-                ) from None
-            first_line.setdefault(owner, reader.line_num)
-            coords = [float(v) for v in row[2:]]
-            if not all(math.isfinite(v) for v in coords):
-                raise NonFiniteError(
-                    f"{path}: line {reader.line_num} has a non-finite coordinate"
-                )
-            grouped.setdefault(owner, []).append((coords, row[1]))
+                    f"{path}: expected header owner_id,label,x0,...")
+            d = len(header) - 2
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != d + 2:
+                    raise DimensionMismatchError(f"{path}: row width {len(row)} != {d + 2}")
+                try:
+                    owner = int(row[0])
+                except ValueError:
+                    raise DimensionMismatchError(
+                        f"{path}: line {reader.line_num}: owner id {row[0]!r} is not an integer"
+                    ) from None
+                first_line.setdefault(owner, reader.line_num)
+                try:
+                    coords = [float(v) for v in row[2:]]
+                except ValueError:
+                    raise DimensionMismatchError(
+                        f"{path}: line {reader.line_num}: a coordinate is not a number"
+                    ) from None
+                if not all(math.isfinite(v) for v in coords):
+                    raise NonFiniteError(
+                        f"{path}: line {reader.line_num} has a non-finite coordinate"
+                    )
+                grouped.setdefault(owner, []).append((coords, row[1]))
+    except UnicodeDecodeError as exc:
+        raise DimensionMismatchError(f"{path}: not UTF-8 text ({exc})") from None
     if not grouped:
         raise EmptyDatasetError(f"{path}: the dataset has a header but no rows")
     ids = sorted(grouped)

@@ -14,15 +14,24 @@ record's payouts to the balances in log order. Floats are serialized with
 repr and parse back bit-exactly, so reopening a store reproduces balances
 exactly.
 
+Replay streams the log and checks every line, but each text once: the
+settled copy of a sale differs from the sale's line only in the flag, so it
+has only its flag and its place in the log checked. Settled transactions are
+kept as their line text and decoded only when ``LedgerStore.transactions``
+asks for them, so opening a store builds ``Transaction`` objects for the
+unsettled pool alone.
+
 A crash can leave a torn tail: bytes after the last LF, or settled lines
 whose record never reached the log. That settlement never happened, so
 opening the store truncates the tail (with an fsync), its transactions stay
 unsettled, and ``LedgerStore.dropped_bytes`` says how many bytes went. A
-complete line that does not decode, a record whose count disagrees with the
-settled lines before it, settled lines followed by anything but their
-record, and a ``.json`` file in the directory other than a ``.meta.json``
-report sidecar (the balance snapshot of an older format, whose balances
-this log does not hold) raise ``StorageFailureError`` instead.
+complete line that does not decode or holds a value that ``Transaction``
+rejects (a NaN share or coordinate, say), a record whose count disagrees
+with the settled lines before it, settled lines followed by anything but
+their record, and a ``.json`` file in the directory other than a
+``.meta.json`` report sidecar (the balance snapshot of an older format,
+whose balances this log does not hold) raise ``StorageFailureError``
+instead.
 
 Settlement distributes the income of every unsettled transaction: a fraction
 ``beta_data`` flows to owners in proportion to per-transaction royalty
@@ -31,10 +40,11 @@ transaction; ``settle_subsampled`` estimates the mean share vector from a
 uniform without-replacement sample and applies it to the whole pool, which is
 unbiased when prices do not co-vary with shares (constant pricing being the
 common case). Transactions whose attribution fails are quarantined into the
-report's ``failed_ids`` and left unsettled for a retry, never silently
-dropped. A pool whose share rows disagree on the owner count, or a sample
-in which every transaction fails attribution, cannot be settled and raises
-``StorageFailureError``.
+report's ``failed_reasons``, each id with the exception's class and message
+(or "no shares and no attributor"), and left unsettled for a retry, never
+silently dropped. A pool whose share rows disagree on the owner count, or a
+sample in which every transaction fails attribution, cannot be settled and
+raises ``StorageFailureError``.
 """
 
 from __future__ import annotations
@@ -42,7 +52,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -72,22 +82,37 @@ class Transaction:
     srs: ShareVector | None = None
 
     def __post_init__(self) -> None:
-        if not self.id or any(c in self.id for c in "|\n"):
-            raise ValueError(f"transaction id {self.id!r} must be nonempty without '|'")
-        if not (math.isfinite(self.price) and self.price >= 0):
-            raise ValueError(f"price must be finite and nonnegative, got {self.price}")
-        if self.srs is not None:
-            _validate_shares(self.srs)
+        shares = None if self.srs is None else _floats(self.srs.shares)
+        _check_fields(self.id, self.price, _floats(self.event.x), shares)
 
 
-def _validate_shares(shares: ShareVector) -> None:
-    values = np.asarray(shares.shares, dtype=float)
-    if values.size == 0:
+def _floats(values) -> list[float]:
+    return np.asarray(values, dtype=float).ravel().tolist()
+
+
+def _check_fields(
+    tx_id: str, price: float, coords: list[float], shares: list[float] | None
+) -> None:
+    """The checks of one transaction, on plain Python values."""
+    if not tx_id or "|" in tx_id or "\n" in tx_id:
+        raise ValueError(f"transaction id {tx_id!r} must be nonempty without '|'")
+    if not (math.isfinite(price) and price >= 0):
+        raise ValueError(f"price must be finite and nonnegative, got {price}")
+    if not all(map(math.isfinite, coords)):
+        raise ValueError("event coordinates must be finite")
+    if shares is None:
+        return
+    if not shares:
         raise ValueError("share rows must be nonempty")
-    if np.any(values < 0):
+    if min(shares) < 0:
         raise ValueError("shares must be nonnegative")
-    if abs(math.fsum(values.tolist()) - 1.0) > _SHARE_SUM_TOL:
-        raise ValueError("shares must sum to 1")
+    try:
+        total = math.fsum(shares)
+    except OverflowError:  # finite shares whose sum is beyond the float range
+        total = math.inf
+    # Written so that a NaN or infinite share, whose sum is not finite, fails it too.
+    if not abs(total - 1.0) <= _SHARE_SUM_TOL:
+        raise ValueError("shares must be finite and sum to 1")
 
 
 @dataclass(frozen=True)
@@ -100,8 +125,12 @@ class SettlementReport:
     sampled_fraction: float
     estimator: str
     seed: int | None = None
-    failed_ids: tuple[str, ...] = ()
+    failed_reasons: dict[str, str] = field(default_factory=dict)  # quarantined id -> why
     correlated_warning: bool = False
+
+    @property
+    def failed_ids(self) -> tuple[str, ...]:
+        return tuple(self.failed_reasons)
 
     @property
     def conservation_error(self) -> float:
@@ -118,31 +147,36 @@ def _encode_event(event: GenerationEvent) -> str:
     return f"{coords};{event.label}"
 
 
-def _decode_event(ref: str) -> GenerationEvent:
-    coords, sep, label = ref.partition(";")
-    x = np.array([float(v) for v in coords.split(",")]) if coords else np.empty(0)
-    return GenerationEvent(x=x, label=label if sep else None)
-
-
 def _encode_line(tx: Transaction, settled: bool) -> str:
     srs = "" if tx.srs is None else ",".join(repr(float(v)) for v in tx.srs.shares)
     return f"{tx.id}|{repr(float(tx.price))}|{_encode_event(tx.event)}|{srs}|{int(settled)}\n"
 
 
-def _decode_line(line: str) -> tuple[Transaction, bool]:
+def _parse_line(
+    line: str,
+) -> tuple[str, float, list[float], str | None, list[float] | None, bool]:
+    """A transaction line's id, price, coordinates, label, shares and settled flag.
+
+    Checks the layout and the flag and parses the numbers, but checks no value.
+    """
     parts = line.split("|")
     if len(parts) != 5:
         raise ValueError(f"expected 5 fields, got {len(parts)}")
     tx_id, price, event_ref, srs_csv, flag = parts
     if flag not in ("0", "1"):
         raise ValueError(f"settled flag must be 0 or 1, got {flag!r}")
-    srs = None
-    if srs_csv:
-        srs = ShareVector(
-            shares=np.array([float(v) for v in srs_csv.split(",")]), degenerate=False
-        )
-    tx = Transaction(id=tx_id, price=float(price), event=_decode_event(event_ref), srs=srs)
-    return tx, flag == "1"
+    shares = list(map(float, srs_csv.split(","))) if srs_csv else None
+    price_value = float(price)
+    coords, sep, label = event_ref.partition(";")
+    x = list(map(float, coords.split(","))) if coords else []
+    return tx_id, price_value, x, label if sep else None, shares, flag == "1"
+
+
+def _decode_line(line: str) -> tuple[Transaction, bool]:
+    tx_id, price, coords, label, shares, settled = _parse_line(line)
+    srs = None if shares is None else ShareVector(shares=np.array(shares), degenerate=False)
+    event = GenerationEvent(x=np.array(coords, dtype=float), label=label)
+    return Transaction(id=tx_id, price=price, event=event, srs=srs), settled
 
 
 class _Record(NamedTuple):
@@ -163,19 +197,30 @@ def _decode_record(line: str) -> _Record:
     if len(parts) != 4:
         raise ValueError(f"expected 4 fields in a settlement record, got {len(parts)}")
     _, count, payouts_csv, developer = parts
-    payouts = [float(v) for v in payouts_csv.split(",")] if payouts_csv else []
+    payouts = list(map(float, payouts_csv.split(","))) if payouts_csv else []
     record = _Record(int(count), payouts, float(developer))
     if record.count < 0 or not all(map(math.isfinite, [*payouts, record.developer_payout])):
         raise ValueError("settlement record has a negative count or a non-finite payout")
     return record
 
 
-def _decode_entry(raw: bytes) -> _Record | tuple[Transaction, bool] | None:
-    """Decode one complete log line: a record, a transaction line, or None if blank."""
-    line = raw.decode("utf-8")
+def _check_entry(line: str, pool: dict[str, str]) -> _Record | tuple[str, bool] | None:
+    """Check one complete log line: a record, a transaction's id and flag, or None if blank.
+
+    ``pool`` maps ids to lines checked already. A transaction line whose text
+    before the flag is that of its id's line there has only its flag checked.
+    """
+    if line.startswith("|"):
+        return _decode_record(line)
+    tx_id = line.partition("|")[0]
+    known = pool.get(tx_id)
+    if known is not None and line[:-1] == known[:-1] and line[-1] in "01":
+        return tx_id, line[-1] == "1"
     if not line.strip():
         return None
-    return _decode_record(line) if line.startswith("|") else _decode_line(line)
+    tx_id, price, coords, _, shares, settled = _parse_line(line)
+    _check_fields(tx_id, price, coords, shares)
+    return tx_id, settled
 
 
 class LedgerStore:
@@ -187,16 +232,18 @@ class LedgerStore:
     append is one write and one fsync. A settlement's lines and its record go
     in one append, so after a crash the reopened store holds all of that
     settlement or none of it. ``dropped_bytes`` is the size of the torn tail
-    that opening the store truncated, 0 for an intact log.
+    that opening the store truncated, 0 for an intact log. The store holds
+    the unsettled pool as transactions and each settled transaction as its
+    log line, which ``transactions`` decodes on demand.
     """
 
     def __init__(self, path: str | Path, *, create: bool = True):
         self.path = Path(path)
         self.dropped_bytes = 0
         self._lock = threading.Lock()
-        self._order: list[str] = []
-        self._txs: dict[str, Transaction] = {}
-        self._settled: set[str] = set()
+        self._order: list[str] = []  # every id, in the order it entered the store
+        self._pool: dict[str, Transaction] = {}  # the unsettled transactions, in that order
+        self._settled: dict[str, str] = {}  # each settled id's log line
         self._balances: dict[int, float] = {}
         self._developer_balance = 0.0
         self._settlement_count = 0
@@ -225,8 +272,14 @@ class LedgerStore:
         return self.path / LOG_NAME
 
     def _replay(self) -> None:
-        """Rebuild the store from the log and truncate a torn tail."""
-        pending: list[Transaction] = []  # settled lines still waiting for their record
+        """Rebuild the store from the log and truncate a torn tail.
+
+        Every line is checked, but a text only once: the settled copy of a
+        sale's line has only its flag checked. Settled lines are kept as text,
+        and only the lines still unsettled at the end are decoded.
+        """
+        pool: dict[str, str] = {}  # unsettled id -> its checked line
+        pending: list[tuple[str, str]] = []  # settled lines still waiting for their record
         keep = size = 0  # bytes that stay in the log, bytes read
         with open(self._log_path, "rb") as fh:
             for number, raw in enumerate(fh, start=1):
@@ -234,7 +287,8 @@ class LedgerStore:
                 if not raw.endswith(b"\n"):
                     break  # the last line, cut before its LF
                 try:
-                    entry = _decode_entry(raw[:-1])
+                    line = raw[:-1].decode("utf-8")
+                    entry = _check_entry(line, pool)
                 except ValueError as exc:  # UnicodeDecodeError included
                     raise StorageFailureError(
                         f"malformed ledger line {number} ({exc}): {raw[:120]!r}"
@@ -245,21 +299,30 @@ class LedgerStore:
                             f"ledger line {number}: settlement record commits {entry.count} "
                             f"settled lines, but {len(pending)} precede it"
                         )
-                    self._commit(pending, entry.owner_payouts, entry.developer_payout)
+                    for tx_id, text in pending:
+                        if pool.pop(tx_id, None) is None and tx_id not in self._settled:
+                            self._order.append(tx_id)
+                        self._settled[tx_id] = text
+                    self._credit(entry.owner_payouts, entry.developer_payout)
                     pending = []
                 elif entry is not None:
-                    tx, settled = entry
+                    tx_id, settled = entry
                     if settled:
-                        pending.append(tx)
+                        pending.append((tx_id, line))
                     elif pending:
                         raise StorageFailureError(
                             f"ledger line {number}: the settled lines before it have no "
                             "settlement record"
                         )
+                    elif tx_id in self._settled:  # a sale line after its settlement
+                        self._settled[tx_id] = line
                     else:
-                        self._add(tx)
+                        if tx_id not in pool:
+                            self._order.append(tx_id)
+                        pool[tx_id] = line
                 if not pending:
                     keep = size
+        self._pool = {tx_id: _decode_line(line)[0] for tx_id, line in pool.items()}
         self.dropped_bytes = size - keep
         if self.dropped_bytes:
             with open(self._log_path, "r+b") as fh:
@@ -277,24 +340,23 @@ class LedgerStore:
         except OSError as exc:
             raise StorageFailureError(f"append to {self._log_path} failed: {exc}") from exc
 
-    def _add(self, tx: Transaction) -> None:
-        if tx.id not in self._txs:
-            self._order.append(tx.id)
-        self._txs[tx.id] = tx
-
     def record(self, tx: Transaction) -> None:
         """Durably append one transaction. Duplicate ids raise."""
         with self._lock:
-            if tx.id in self._txs:
+            if tx.id in self._pool or tx.id in self._settled:
                 raise DuplicateIdError(f"transaction id {tx.id!r} already recorded")
             self._append_lines([_encode_line(tx, settled=False)])
-            self._add(tx)
+            self._order.append(tx.id)
+            self._pool[tx.id] = tx
 
     def transactions(self) -> list[Transaction]:
-        return [self._txs[i] for i in self._order]
+        return [
+            self._pool[i] if i in self._pool else _decode_line(self._settled[i])[0]
+            for i in self._order
+        ]
 
     def unsettled(self) -> list[Transaction]:
-        return [self._txs[i] for i in self._order if i not in self._settled]
+        return list(self._pool.values())
 
     def is_settled(self, tx_id: str) -> bool:
         return tx_id in self._settled
@@ -311,16 +373,8 @@ class LedgerStore:
     def settlement_count(self) -> int:
         return self._settlement_count
 
-    def _commit(
-        self,
-        settled: list[Transaction],
-        owner_payouts: list[float] | np.ndarray,
-        developer_payout: float,
-    ) -> None:
-        """Apply one settlement in memory, as replaying its record does."""
-        for tx in settled:
-            self._add(tx)
-            self._settled.add(tx.id)
+    def _credit(self, owner_payouts: list[float] | np.ndarray, developer_payout: float) -> None:
+        """Add one settlement's payouts to the balances, as replaying its record does."""
         for i, amount in enumerate(owner_payouts):
             self._balances[i] = self._balances.get(i, 0.0) + float(amount)
         self._developer_balance += developer_payout
@@ -333,28 +387,30 @@ class LedgerStore:
         developer_payout: float,
     ) -> None:
         lines = [_encode_line(tx, settled=True) for tx in settled]
-        lines.append(_encode_record(len(settled), owner_payouts, developer_payout))
-        self._append_lines(lines)
-        self._commit(settled, owner_payouts, developer_payout)
+        self._append_lines([*lines, _encode_record(len(settled), owner_payouts, developer_payout)])
+        for tx, line in zip(settled, lines):
+            del self._pool[tx.id]
+            self._settled[tx.id] = line[:-1]
+        self._credit(owner_payouts, developer_payout)
 
 
 def _resolve_shares(
     txs: list[Transaction], attributor: Attributor | None
-) -> tuple[list[Transaction], list[str]]:
-    """Attach shares to each transaction, quarantining failures."""
+) -> tuple[list[Transaction], dict[str, str]]:
+    """Attach shares to each transaction, quarantining failures with their reasons."""
     resolved: list[Transaction] = []
-    failed: list[str] = []
+    failed: dict[str, str] = {}
     for tx in txs:
         if tx.srs is not None:
             resolved.append(tx)
             continue
         if attributor is None:
-            failed.append(tx.id)
+            failed[tx.id] = "no shares and no attributor"
             continue
         try:
             resolved.append(replace(tx, srs=attributor(tx)))
-        except Exception:
-            failed.append(tx.id)
+        except Exception as exc:
+            failed[tx.id] = f"{type(exc).__name__}: {exc}"
     return resolved, failed
 
 
@@ -401,7 +457,7 @@ def settle_full(
     if not 0.0 <= beta_data <= 1.0:
         raise ValueError(f"beta_data must lie in [0, 1], got {beta_data}")
     with store._lock:
-        pool = [tx for tx in store.unsettled()]
+        pool = store.unsettled()
         resolved, failed = _resolve_shares(pool, attributor)
         n = _owner_count(resolved)
         prices = [tx.price for tx in resolved]
@@ -416,7 +472,7 @@ def settle_full(
         total_income=total_income,
         sampled_fraction=1.0,
         estimator="full",
-        failed_ids=tuple(failed),
+        failed_reasons=failed,
     )
 
 
@@ -455,9 +511,8 @@ def settle_subsampled(
         n = _owner_count(resolved)
         sample_prices = np.array([tx.price for tx in resolved])
         sample_shares = np.array([tx.srs.shares for tx in resolved])
-        failed_set = set(failed)
         resolved_by_id = {tx.id: tx for tx in resolved}
-        settled = [resolved_by_id.get(tx.id, tx) for tx in pool if tx.id not in failed_set]
+        settled = [resolved_by_id.get(tx.id, tx) for tx in pool if tx.id not in failed]
         all_prices = [tx.price for tx in settled]
         total_income = math.fsum(all_prices)
         exact_collapse = (
@@ -483,7 +538,7 @@ def settle_subsampled(
         sampled_fraction=sample_size / len(pool) if pool else 0.0,
         estimator="subsampled",
         seed=seed,
-        failed_ids=tuple(failed),
+        failed_reasons=failed,
         correlated_warning=_correlation_flag(sample_prices, sample_shares),
     )
 

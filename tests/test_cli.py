@@ -266,6 +266,24 @@ def test_settle_sample_that_fails_attribution_throughout_is_exit_4(tmp_path, cap
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("line", ["tx-1|1.0|0.0,0.0|nan,1.0|0", "tx-1|1.0|nan,0.0|1.0|0"])
+def test_settle_on_a_non_finite_ledger_line_is_exit_4(tmp_path, capsys, line):
+    ledger = hand_built_ledger(tmp_path / "ledger", "tx-0|1.0|0.0,0.0|1.0|0", line)
+    assert main(["settle", "--ledger", ledger, "--beta", "0.5",
+                 "--out", str(tmp_path / "out")]) == 4
+    assert "storage failure: malformed ledger line 2" in capsys.readouterr().err
+
+
+def test_settle_writes_why_each_quarantined_sale_failed(tmp_path):
+    ledger = hand_built_ledger(tmp_path / "ledger", "tx-1|1.0|0.0,0.0|1.0|0",
+                               "tx-2|2.0|0.0,0.0||0")
+    out = tmp_path / "out"
+    assert main(["settle", "--ledger", ledger, "--beta", "0.5", "--out", str(out)]) == 0
+    meta = json.loads((out / "settlement.meta.json").read_text(encoding="utf-8"))
+    assert meta["failed_ids"] == ["tx-2"]
+    assert meta["failed_reasons"] == {"tx-2": "no shares and no attributor"}
+
+
 def test_report_under_a_regular_file_is_exit_4(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("", encoding="utf-8")
@@ -390,6 +408,11 @@ def test_simulate_size_flags_must_be_positive_integers(tmp_path, capsys):
     (["--kind", "ledger", "--transactions", "-5"], "an integer >= 1"),
     (["--kind", "ledger", "--transactions", "0"], "an integer >= 1"),
     (["--kind", "ledger", "--transactions", "2.5"], "an integer >= 1"),
+    (["--kind", "ledger", "--price", "-1"], "a finite number >= 0"),
+    (["--kind", "ledger", "--price", "nan"], "a finite number >= 0"),
+    (["--kind", "ledger", "--alpha", "abc"], "a finite number > 0"),
+    (["--kind", "ledger", "--alpha", "nan"], "a finite number > 0"),
+    (["--kind", "ledger", "--alpha", "-1"], "a finite number > 0"),
 ])
 def test_simulate_rejects_bad_shape_flags_at_parse_time(tmp_path, capsys, args, need):
     out = tmp_path / "fixture"
@@ -405,6 +428,34 @@ def test_simulate_ledger_twice_is_exit_4(tmp_path):
     args = ["simulate", "--kind", "ledger", "--transactions", "5", "--out", str(ledger)]
     assert main(args) == 0
     assert main(args) == 4
+
+
+def test_simulate_alpha_needs_one_value_per_owner(tmp_path, capsys):
+    ledger = tmp_path / "ledger"
+    assert main(["simulate", "--kind", "ledger", "--owners", "3", "--alpha", "1,2",
+                 "--out", str(ledger)]) == 2
+    assert "config error: --alpha has 2 values for 3 owners" in capsys.readouterr().err
+    assert not ledger.exists()
+
+
+def test_settle_sample_size_outside_the_pool_is_exit_2(tmp_path, capsys):
+    ledger, out = tmp_path / "ledger", tmp_path / "out"
+    assert main(["simulate", "--kind", "ledger", "--transactions", "10",
+                 "--out", str(ledger)]) == 0
+    log = (ledger / "transactions.log").read_bytes()
+    for size in ("0", "11"):
+        assert main(["settle", "--ledger", str(ledger), "--mode", "sample", "--sample-size", size,
+                     "--beta", "0.5", "--out", str(out)]) == 2
+        assert (f"config error: --sample-size must lie in [1, 10], the unsettled pool, got {size}"
+                in capsys.readouterr().err)
+    assert not out.exists() and (ledger / "transactions.log").read_bytes() == log
+
+
+def test_config_that_is_not_utf8_is_exit_2(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_bytes(b'{"seed": "\xff"}')
+    assert main(["attribute", "--config", str(config)]) == 2
+    assert "config error: config is not valid UTF-8 JSON" in capsys.readouterr().err
 
 
 def test_simulate_requires_out(tmp_path):
@@ -468,6 +519,19 @@ def test_non_finite_dataset_coordinate_is_exit_3(tmp_path, capsys):
 def test_bad_dataset_owner_ids_are_exit_3(tmp_path, capsys, rows, message):
     dataset = tmp_path / "owners.csv"
     dataset.write_text("owner_id,label,x0,x1\n" + rows, encoding="utf-8")
+    config = write_config(tmp_path / "config.json", dataset=str(dataset))
+    assert main(["attribute", "--config", config, "--event", "0,0"]) == 3
+    err = capsys.readouterr().err
+    assert "oracle failure" in err and f"{dataset}: {message}" in err
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"owner_id,label,x0,x1\n0,,0.5,1.0\n0,,abc,2.0\n", "line 3: a coordinate is not a number"),
+    (b"owner_id,label,x0,x1\n0,\xff,0.5,1.0\n", "not UTF-8 text"),
+])
+def test_dataset_that_does_not_parse_is_exit_3(tmp_path, capsys, content, message):
+    dataset = tmp_path / "owners.csv"
+    dataset.write_bytes(content)
     config = write_config(tmp_path / "config.json", dataset=str(dataset))
     assert main(["attribute", "--config", config, "--event", "0,0"]) == 3
     err = capsys.readouterr().err
@@ -609,11 +673,11 @@ GOLDEN_REPORT_DIGESTS = {
     "settle_full/settlement.csv":
         "0e5515f19f8d1284d284f6d11d2fee752efa0ea859a4f6c89318a338ca1aec46",
     "settle_full/settlement.meta.json":
-        "21765cd5c4cde374ce531e6df0bcc2f235b018469a95fed0b8f0075f1f594c0d",
+        "9a5918fc88f7a49704001f2704b68391bc332f60066e41e62d2c75c492106b53",
     "settle_sample/settlement.csv":
         "3557908753d19b3eb63107ae49f340b48f1caa46801db48c48627013e9304c6e",
     "settle_sample/settlement.meta.json":
-        "b709ec87ecaf2799d4f06825cf35952c6189827873c3f70c7cff73f80696d60e",
+        "c18c94edc5aff06bca071e4d156c4a2450f667b6f82d8acbcef5ccc101e2a615",
 }
 
 

@@ -2,10 +2,13 @@ from __future__ import annotations
 
 import math
 import os
+import tempfile
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from royaltyshare import (
     DuplicateIdError,
@@ -18,6 +21,7 @@ from royaltyshare import (
     settle_subsampled,
     write_settlement_csv,
 )
+from royaltyshare import ledger
 from royaltyshare.ledger import LOG_NAME
 
 
@@ -71,6 +75,33 @@ def test_duplicate_ids_rejected(store):
     store.record(make_tx("tx-1", 1.0))
     with pytest.raises(DuplicateIdError):
         store.record(make_tx("tx-1", 2.0))
+
+
+def test_a_settled_id_cannot_be_recorded_again(store):
+    store.record(make_tx("tx-1", 1.0, share_row(1.0)))
+    settle_full(store, beta_data=0.5)
+    for s in (store, LedgerStore(store.path, create=False)):
+        with pytest.raises(DuplicateIdError):
+            s.record(make_tx("tx-1", 2.0, share_row(1.0)))
+
+
+@pytest.mark.parametrize("shares, coords", [
+    ((math.nan, 1.0), (0.0, 0.0)),
+    ((math.inf, 0.0), (0.0, 0.0)),
+    ((1e308, 1e308), (0.0, 0.0)),  # finite, but math.fsum overflows
+    ((1.0,), (math.nan, 0.0)),
+    ((1.0,), (0.0, -math.inf)),
+])
+def test_non_finite_shares_and_coordinates_are_rejected(store, shares, coords):
+    with pytest.raises(ValueError, match="must be finite"):
+        store.record(make_tx("tx-1", 1.0, share_row(*shares), coords=coords))
+    assert store.transactions() == []
+    # The same transaction written by hand does not reopen.
+    srs = ",".join(map(repr, shares))
+    line = f"tx-1|1.0|{','.join(map(repr, coords))}|{srs}|0\n"
+    (store.path / LOG_NAME).write_text(line, encoding="utf-8")
+    with pytest.raises(StorageFailureError, match="line 1"):
+        LedgerStore(store.path, create=False)
 
 
 def test_event_labels_cannot_break_the_line_format(store):
@@ -129,6 +160,7 @@ def test_attribution_failures_are_quarantined(store):
 
     report = settle_full(store, beta_data=1.0, attributor=attributor)
     assert report.failed_ids == ("tx-bad",)
+    assert report.failed_reasons == {"tx-bad": "RuntimeError: oracle exploded"}
     assert store.is_settled("tx-good")
     assert not store.is_settled("tx-bad")
     assert [t.id for t in store.unsettled()] == ["tx-bad"]
@@ -139,6 +171,7 @@ def test_missing_shares_without_attributor_are_quarantined(store):
     store.record(make_tx("tx-1", 1.0))
     report = settle_full(store, beta_data=1.0)
     assert report.failed_ids == ("tx-1",)
+    assert report.failed_reasons == {"tx-1": "no shares and no attributor"}
     assert report.total_income == 0.0
 
 
@@ -345,21 +378,33 @@ def test_settled_lines_without_their_record_reopen_unsettled(store):
     assert (store.path / LOG_NAME).read_bytes() == before
 
 
-@pytest.mark.parametrize(
-    "tail",
-    [
-        b"tx-9|1.0|0.0,0.0;\xff\xfe|1.0|0\n",  # a complete line that is not UTF-8
-        b"|2|0.5|0.5\n",  # a record committing more settled lines than precede it
-        b"tx-1|1.0|0.0,0.0|1.0|1\ntx-9|1.0|0.0,0.0||0\n",  # settled line, then no record
-        b"tx-9|1.0|0.0,0.0||2\n",  # a settled flag that is neither 0 nor 1
-        b"tx-9|one|0.0,0.0||0\n",  # a price that is not a number
-    ],
-)
+# Tails appended to a one-line log, each with the number of the line that must raise.
+_CORRUPT_TAILS = {
+    b"tx-9|1.0|0.0,0.0;\xff\xfe|1.0|0\n": 2,  # a complete line that is not UTF-8
+    b"|2|0.5|0.5\n": 2,  # a record committing more settled lines than precede it
+    b"tx-1|1.0|0.0,0.0|1.0|1\ntx-9|1.0|0.0,0.0||0\n": 3,  # settled line, then no record
+    b"tx-9|1.0|0.0,0.0||2\n": 2,  # a settled flag that is neither 0 nor 1
+    b"tx-9|one|0.0,0.0||0\n": 2,  # a price that is not a number
+    b"tx-9|1.0|0.0,0.0|-0.5,1.5|0\n": 2,  # a negative share
+    b"tx-9|1.0|0.0,0.0|0.5,0.4|0\n": 2,  # shares summing to 0.9
+    b"tx-9|1.0|abc,0.0||0\n": 2,  # an event coordinate that is not a number
+    b"|1.0|0.0,0.0||0\n": 2,  # an empty id, which reads as a record of 5 fields
+    b"|0|nan|0.0\n": 2,  # a record with a non-finite payout
+    b"tx-9|1.0|0.0,0.0|nan,1.0|0\n": 2,  # a NaN share
+    b"tx-9|1.0|0.0,0.0|1e308,1e308|0\n": 2,  # finite shares whose sum overflows
+    # A corrupt sale and its settled copy of the same text: the first copy raises.
+    b"tx-9|1.0|0.0,0.0|0.5,0.4|0\ntx-9|1.0|0.0,0.0|0.5,0.4|1\n|1|0.9|0.0\n": 2,
+    # A valid sale whose settled copy carries other, corrupt shares.
+    b"tx-9|1.0|0.0,0.0|1.0|0\ntx-9|1.0|0.0,0.0|-1.0,2.0|1\n|1|1.0|0.0\n": 3,
+}
+
+
+@pytest.mark.parametrize("tail", list(_CORRUPT_TAILS))
 def test_corrupt_complete_lines_raise_on_reopen(store, tail):
     store.record(make_tx("tx-1", 1.0, share_row(1.0)))
     with open(store.path / LOG_NAME, "ab") as fh:
         fh.write(tail)
-    with pytest.raises(StorageFailureError):
+    with pytest.raises(StorageFailureError, match=rf"line {_CORRUPT_TAILS[tail]}\b"):
         LedgerStore(store.path, create=False)
 
 
@@ -375,3 +420,69 @@ def test_each_settlement_makes_one_fsync(store, monkeypatch):
     settle_subsampled(store, beta_data=0.5, sample_size=1, seed=0)
     assert len(fsyncs) == 3  # the sale and the second settlement
     assert sorted(f.name for f in store.path.iterdir()) == [LOG_NAME]
+
+
+def _fields(tx):
+    """A transaction's fields as bytes and text, equal only when equal bit for bit."""
+    shares = None if tx.srs is None else np.asarray(tx.srs.shares, dtype=float).tobytes()
+    x = np.asarray(tx.event.x, dtype=float).tobytes()
+    return tx.id, float(tx.price).hex(), x, tx.event.label, shares
+
+
+_sale = st.tuples(
+    st.floats(0.0, 1e6),  # price
+    st.one_of(st.none(), st.lists(st.integers(0, 9), min_size=3, max_size=3).filter(any)),
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=2),
+    st.one_of(st.none(), st.text("ab é", max_size=3)),  # label
+)
+_step = st.one_of(
+    st.tuples(st.just("record"), _sale),
+    st.tuples(st.just("full"), st.floats(0.0, 1.0)),
+    st.tuples(st.just("sample"), st.tuples(st.floats(0.0, 1.0), st.integers(1, 8),
+                                           st.integers(0, 2**32))),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_step, max_size=14))
+def test_a_reopened_store_equals_its_writer(steps):
+    with tempfile.TemporaryDirectory() as tmp:
+        store = LedgerStore(tmp)
+        for k, (op, arg) in enumerate(steps):
+            if op == "record":
+                price, weights, coords, label = arg
+                shares = None if weights is None else share_row(*np.array(weights) / sum(weights))
+                store.record(make_tx(f"tx-{k}", price, shares, coords, label))
+            elif op == "full":
+                settle_full(store, beta_data=arg)
+            elif store.unsettled():
+                beta, size, seed = arg
+                size = min(size, len(store.unsettled()))
+                try:
+                    settle_subsampled(store, beta_data=beta, sample_size=size, seed=seed)
+                except StorageFailureError:  # every sampled sale lacked shares
+                    pass
+        reopened = LedgerStore(tmp, create=False)
+        assert reopened.dropped_bytes == 0
+        assert repr(reopened.balances) == repr(store.balances)
+        assert repr(reopened.developer_balance) == repr(store.developer_balance)
+        assert reopened.settlement_count == store.settlement_count
+        assert list(map(_fields, reopened.unsettled())) == list(map(_fields, store.unsettled()))
+        assert [t.id for t in reopened.transactions()] == [t.id for t in store.transactions()]
+        assert list(map(_fields, reopened.transactions())) == list(
+            map(_fields, store.transactions()))
+
+
+def test_opening_decodes_only_the_unsettled_pool(store, monkeypatch):
+    for k in range(12):
+        store.record(make_tx(f"tx-{k}", 1.0, share_row(0.25, 0.75)))
+        if k % 4 == 3:
+            settle_full(store, beta_data=0.5)
+    store.record(make_tx("tx-12", 1.0, share_row(1.0, 0.0)))
+    store.record(make_tx("tx-13", 1.0))
+    decoded = []
+    real = ledger._decode_line
+    monkeypatch.setattr(ledger, "_decode_line", lambda line: decoded.append(line) or real(line))
+    reopened = LedgerStore(store.path, create=False)
+    assert len(decoded) == 2
+    assert [t.id for t in reopened.unsettled()] == ["tx-12", "tx-13"]
