@@ -91,11 +91,12 @@ _UNSET = object()  # no default: an absent key stays absent
 
 class _Key(NamedTuple):
     """A config key: the kinds of its section that read it (None: every kind),
-    the test a present value must pass, what the test asks, and its default."""
+    the test a present value must pass, what the test asks (or a function of
+    the failing value that says it), and its default."""
 
     kinds: tuple[str, ...] | None
     test: Callable[[Any], bool]
-    need: str
+    need: str | Callable[[Any], str]
     default: Any = _UNSET
 
 
@@ -113,7 +114,12 @@ def _one_of(*choices: str) -> tuple[Callable[[Any], bool], str]:
     return lambda v: v in choices, " or ".join(map(repr, choices))
 
 
-_COUNT = (lambda v: type(v) is int and v >= 1, "an integer >= 1")  # bool is not int
+# A count of 2**31 needs at least 16 GiB of arrays or objects, or 2**31
+# fsync'd ledger records, so counts stop below it.
+_MAX_COUNT = 2**31 - 1
+_COUNT = (lambda v: type(v) is int and 1 <= v <= _MAX_COUNT,  # bool is not int
+          lambda v: f"at most {_MAX_COUNT}" if type(v) is int and v > _MAX_COUNT
+          else "an integer >= 1")
 _NONNEGATIVE = (lambda v: _finite_number(v) and v >= 0, "a finite number >= 0")
 _FINITE = (_finite_number, "a finite number")
 _POSITIVE = (lambda v: _finite_number(v) and v > 0, "a finite number > 0")
@@ -175,8 +181,10 @@ def _resolve(loaded: dict[str, Any], overrides: dict[str, Any]) -> dict[str, Any
     for path, key in _SCHEMA.items():
         kind = flat.get(path.partition(".")[0] + ".kind")
         if path in flat:
-            if not key.test(flat[path]):
-                raise ConfigError(f"{path} must be {key.need}, got {flat[path]!r}")
+            value = flat[path]
+            if not key.test(value):
+                need = key.need(value) if callable(key.need) else key.need
+                raise ConfigError(f"{path} must be {need}, got {value!r}")
         elif key.default is _REQUIRED and kind in key.kinds:
             raise ConfigError(f"{path} is required when the kind is {kind!r}")
         elif key.default is not _UNSET and (key.kinds is None or kind in key.kinds):
@@ -210,7 +218,7 @@ def _load_config(args: argparse.Namespace) -> dict[str, Any]:
     return config
 
 
-def _checked_flag(check: tuple[Callable[[Any], bool], str],
+def _checked_flag(check: tuple[Callable[[Any], bool], str | Callable[[Any], str]],
                   convert: Callable[[str], Any]) -> Callable[[str], Any]:
     """An argparse ``type=`` that applies a config check at parse time."""
     test, need = check
@@ -221,7 +229,8 @@ def _checked_flag(check: tuple[Callable[[Any], bool], str],
         except ValueError:
             value = text
         if not test(value):
-            raise argparse.ArgumentTypeError(f"must be {need}, got {text!r}")
+            raise argparse.ArgumentTypeError(
+                f"must be {need(value) if callable(need) else need}, got {text!r}")
         return value
 
     return parse

@@ -35,7 +35,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -100,16 +100,10 @@ class OwnerDataset:
 
 @dataclass(frozen=True)
 class GaussianModel:
-    """A multivariate normal with precomputed Cholesky factor.
-
-    ``fit_count`` is the number of points the model was fit on (0 for models
-    built directly from moments).
-    """
+    """A multivariate normal with precomputed Cholesky factor."""
 
     mean: np.ndarray
     cov: np.ndarray
-    fit_count: int = 0
-    kind: str = field(default="gaussian_mle", init=False)
 
     def __post_init__(self) -> None:
         mean = np.asarray(self.mean, dtype=float)
@@ -139,8 +133,6 @@ class KernelDensityModel:
 
     support: np.ndarray
     bandwidth: float
-    fit_count: int = 0
-    kind: str = field(default="kde", init=False)
 
     def __post_init__(self) -> None:
         pts = np.asarray(self.support, dtype=float)
@@ -319,6 +311,11 @@ def _gaussian_log_densities(
     return -0.5 * (x.size * LOG_2PI + logdets + quad)
 
 
+def _check_ridge(ridge: float) -> None:
+    if not (math.isfinite(ridge) and ridge >= 0):
+        raise ValueError(f"ridge must be a finite number >= 0, got {ridge!r}")
+
+
 def fit_gaussian(points: np.ndarray, ridge: float = 0.0) -> GaussianModel:
     """Maximum likelihood Gaussian fit with a diagonal ridge.
 
@@ -335,11 +332,10 @@ def fit_gaussian(points: np.ndarray, ridge: float = 0.0) -> GaussianModel:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise EmptyDatasetError("gaussian fit requires a nonempty (m, d) array")
-    if ridge < 0:
-        raise ValueError("ridge must be nonnegative")
+    _check_ridge(ridge)
     scale = _exact_scale(pts)
     _, means, covs, _ = _fit_moments(_moment_integers([pts], scale), pts.shape[1], scale, ridge)
-    return GaussianModel(mean=means[0], cov=covs[0], fit_count=pts.shape[0])
+    return GaussianModel(mean=means[0], cov=covs[0])
 
 
 def scott_bandwidth(points: np.ndarray) -> float:
@@ -360,7 +356,7 @@ def fit_kde(points: np.ndarray, bandwidth: float | None = None) -> KernelDensity
         raise EmptyDatasetError("kde fit requires a nonempty (m, d) array")
     if bandwidth is None:
         bandwidth = scott_bandwidth(pts)
-    return KernelDensityModel(support=pts, bandwidth=bandwidth, fit_count=pts.shape[0])
+    return KernelDensityModel(support=pts, bandwidth=bandwidth)
 
 
 def standard_normal_model(dim: int) -> GaussianModel:
@@ -383,10 +379,10 @@ class DensityOracleConfig:
     def __post_init__(self) -> None:
         if self.kind not in ("gaussian_mle", "kde"):
             raise ValueError(f"unknown oracle kind {self.kind!r}")
-        if self.ridge < 0:
-            raise ValueError("ridge must be nonnegative")
-        if self.bandwidth is not None and self.bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
+        _check_ridge(self.ridge)
+        if self.bandwidth is not None and not (
+                math.isfinite(self.bandwidth) and self.bandwidth > 0):
+            raise ValueError(f"bandwidth must be a finite number > 0, got {self.bandwidth!r}")
 
 
 class CoalitionDensityOracle:

@@ -259,6 +259,8 @@ class ChainDensityOracle(CoalitionDensityOracle):
         num_samples: int = DEFAULT_NUM_TRAJECTORIES,
         seed: int = 0,
     ):
+        if num_samples < 1:
+            raise ValueError("num_samples must be at least 1")
         super().__init__(
             partition, baseline, event, DensityOracleConfig(kind="gaussian_mle", ridge=ridge)
         )
@@ -267,7 +269,7 @@ class ChainDensityOracle(CoalitionDensityOracle):
         self.seed = seed
 
     def _event_log_densities(self, masks, fallback) -> np.ndarray:
-        counts, means, covs = self._fit_gaussians(masks, fallback)
+        _, means, covs = self._fit_gaussians(masks, fallback)
         k = self.num_samples
         # Coalition s's root is derive_seed(seed, s); its trajectory j draws
         # from the stream (root, j). All keys of the batch come in one pass.
@@ -277,8 +279,7 @@ class ChainDensityOracle(CoalitionDensityOracle):
         generators = key_generators(keys)
         out = np.empty(len(masks))
         for b in range(len(masks)):
-            chain = gaussian_ddpm_chain(
-                GaussianModel(mean=means[b], cov=covs[b], fit_count=int(counts[b])), self.schedule)
+            chain = gaussian_ddpm_chain(GaussianModel(mean=means[b], cov=covs[b]), self.schedule)
             noise = _draw_noise(generators, k, self.schedule.steps, chain.dim)
             logs = _trajectory_log_densities(chain, self.event.x, noise)
             out[b] = logsumexp(logs) - math.log(k)

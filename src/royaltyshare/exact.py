@@ -51,14 +51,9 @@ _FSUM_CHUNK = 1 << 16
 
 @dataclass(frozen=True)
 class ShapleyVector:
-    """Attribution scores, one per player, plus the method that produced them.
-
-    ``method`` is ``"stratified"`` or ``"permutation"`` for the exact solvers
-    and ``"estimated"`` for Monte Carlo estimates.
-    """
+    """Attribution scores, one per player."""
 
     values: np.ndarray
-    method: str
 
     def __len__(self) -> int:
         return len(self.values)
@@ -102,28 +97,27 @@ def _shapley_from_table(table: np.ndarray, n: int) -> np.ndarray:
     return np.array(values, dtype=float)
 
 
-def _check_limit(n: int, exact_limit: int) -> None:
-    if n > exact_limit:
-        raise TooManyPlayersError(f"{n} players exceeds exact enumeration limit {exact_limit}")
+def _check_limit(n: int) -> None:
+    if n > DEFAULT_EXACT_LIMIT:
+        raise TooManyPlayersError(
+            f"{n} players exceeds exact enumeration limit {DEFAULT_EXACT_LIMIT}")
 
 
-def exact_shapley(game: CoalitionGame, exact_limit: int = DEFAULT_EXACT_LIMIT) -> ShapleyVector:
+def exact_shapley(game: CoalitionGame) -> ShapleyVector:
     """Compute exact Shapley values by stratified subset enumeration.
 
     The utility table is filled once through :meth:`CoalitionGame.evaluate_many`;
     each stratum is then one fsum over that table.
 
     Raises :class:`TooManyPlayersError` when ``game.n`` exceeds
-    ``exact_limit`` (default 20); beyond that the 2^n enumeration is no
+    ``DEFAULT_EXACT_LIMIT`` (20); beyond that the 2^n enumeration is no
     longer appropriate and a sampling estimator should be used.
     """
-    _check_limit(game.n, exact_limit)
-    return ShapleyVector(_shapley_from_table(_utility_table(game), game.n), method="stratified")
+    _check_limit(game.n)
+    return ShapleyVector(_shapley_from_table(_utility_table(game), game.n))
 
 
-def exact_permission_shapley(
-    game: CoalitionGame, exact_limit: int = DEFAULT_EXACT_LIMIT
-) -> ShapleyVector:
+def exact_permission_shapley(game: CoalitionGame) -> ShapleyVector:
     """Exact Shapley values of ``game``'s permission game, from ``game``'s table.
 
     The permission game adds a developer as player ``n`` and is worth
@@ -134,12 +128,12 @@ def exact_permission_shapley(
     game, bit for bit, without building it.
 
     Raises :class:`TooManyPlayersError` when ``game.n``, the owner count,
-    exceeds ``exact_limit``.
+    exceeds ``DEFAULT_EXACT_LIMIT``.
     """
     n = game.n
-    _check_limit(n, exact_limit)
+    _check_limit(n)
     values = _shapley_from_table(np.concatenate([np.zeros(1 << n), _utility_table(game)]), n + 1)
-    return ShapleyVector(values, method="stratified")
+    return ShapleyVector(values)
 
 
 def exact_shapley_by_permutations(game: CoalitionGame) -> ShapleyVector:
@@ -171,7 +165,7 @@ def exact_shapley_by_permutations(game: CoalitionGame) -> ShapleyVector:
                 buf[:] = [math.fsum(buf)]
     total = math.factorial(n)
     values = np.array([math.fsum(buf) / total for buf in buffers])
-    return ShapleyVector(values, method="permutation")
+    return ShapleyVector(values)
 
 
 def loo_scores(game: CoalitionGame) -> np.ndarray:

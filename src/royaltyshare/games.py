@@ -11,14 +11,12 @@ A utility oracle is any callable ``oracle(coalition) -> float``. Oracles must
 be pure and deterministic: repeated calls with the same coalition return the
 same value bit for bit. Oracles signal failure by raising, most specifically
 :class:`~royaltyshare.errors.OracleFailureError`, which callers see unchanged.
-
-An oracle may also be a batch oracle: one with a method
-``many(coalitions) -> array`` that returns the utilities of a list of
-coalitions, equal bit for bit to calling the oracle on each one. A batch either
-returns every value or raises, and a batch that raises leaves nothing in the
-memo. :class:`AdditiveOracle` (the sum of the members' weights) and
-:class:`~royaltyshare.density.CoalitionDensityOracle` are batch oracles, and so
-is the developer-augmented oracle of :class:`~royaltyshare.royalty.PermissionGame`.
+An oracle may also have a method ``many(coalitions) -> array`` that returns
+the utilities of a list of coalitions, equal bit for bit to calling the oracle
+on each one. :class:`AdditiveOracle` (the sum of the members' weights),
+:class:`~royaltyshare.density.CoalitionDensityOracle` and the
+developer-augmented oracle of :class:`~royaltyshare.royalty.PermissionGame`
+have it.
 
 Exact sums over coalitions share one kernel. Floats become exact integers at
 one power-of-two scale (:func:`exact_scale`, :func:`scaled_integers`), and
@@ -32,11 +30,13 @@ each owner's count and moment sums.
 :meth:`CoalitionGame.evaluate_many` is the evaluation path the solvers use: an
 array of coalitions in, an array of utilities out. It looks the whole batch up
 in the memo with one ``searchsorted``, dedupes the misses with ``np.unique``,
-sends them to the oracle, as one ``many`` call when the oracle has it and one
-call per coalition otherwise, and merges them into the memo in linear time.
-:meth:`CoalitionGame.evaluate` answers one coalition with a dict lookup and a
-scalar binary search, and keeps a miss in a dict until the next batch call
-merges it, so a loop of single misses costs no copy of the memo per miss.
+sends them to the oracle as one batch, and merges them into the memo in linear
+time. :meth:`CoalitionGame.evaluate` answers one coalition with a dict lookup
+and a scalar binary search, and keeps a miss in a dict until the next batch
+call merges it, so a loop of single misses costs no copy of the memo per miss.
+Both send their misses through :func:`_batch_values`, the one place the game
+calls its oracle, and a batch either returns one value per coalition or keeps
+nothing.
 """
 
 from __future__ import annotations
@@ -232,9 +232,19 @@ def _merge(keys, values, new_keys, new_values) -> tuple[np.ndarray, np.ndarray]:
     return merged_keys, merged_values
 
 
-def _batch_values(batch, masks: np.ndarray) -> np.ndarray:
-    """A batch oracle's utilities of ``masks``, checked to be one per coalition."""
-    result = np.asarray(batch(masks), dtype=float)
+def _batch_values(oracle, masks: np.ndarray) -> np.ndarray:
+    """The oracle's utilities of the uint64 coalitions ``masks``, one per coalition.
+
+    ``many`` is looked up on every call: an oracle that has it gets the whole
+    batch in one call; a plain oracle is called once per coalition, in batch
+    order, with Python ints. A result of the wrong shape raises
+    :class:`OracleFailureError`.
+    """
+    many = getattr(oracle, "many", None)
+    if many is None:
+        result = np.array([float(oracle(s)) for s in masks.tolist()])
+    else:
+        result = np.asarray(many(masks), dtype=float)
     if result.shape != (masks.size,):
         raise OracleFailureError(
             f"batch oracle returned shape {result.shape} for {masks.size} coalitions")
@@ -334,11 +344,7 @@ class CoalitionGame:
         value = self._lookup(s)
         if value is not None:
             return value
-        batch = getattr(self._oracle, "many", None)
-        if batch is None:
-            value = float(self._oracle(s))
-        else:
-            value = float(_batch_values(batch, np.array([s], dtype=np.uint64))[0])
+        value = float(_batch_values(self._oracle, np.array([s], dtype=np.uint64))[0])
         with self._lock:
             held = self._lookup(s)
             if held is not None:
@@ -364,10 +370,8 @@ class CoalitionGame:
         to the oracle once each, in order of first appearance, and each adds
         one to ``eval_count``. Raises :class:`CoalitionBoundsError` before
         any oracle call if an entry is negative or sets bits at or above
-        ``self.n``. If the oracle raises, the coalitions evaluated before it
-        are kept and counted, the failing one is not; a batch oracle's
-        ``many`` call that raises, or returns other than one value per
-        coalition, keeps and counts nothing.
+        ``self.n``. An oracle call that raises, or returns other than one
+        value per coalition, keeps and counts nothing of the batch.
         """
         arr = coalition_array(masks, self.n)
         flat = arr.ravel()
@@ -380,37 +384,14 @@ class CoalitionGame:
             return values[pos].reshape(arr.shape)
         # ``missing`` is sorted; ``order`` lists it in order of first appearance.
         missing, first, inverse = np.unique(flat[~hit], return_index=True, return_inverse=True)
-        fresh = self._fill(missing, np.argsort(first))
+        fresh = np.empty(missing.size)
+        order = np.argsort(first)
+        fresh[order] = _batch_values(self._oracle, missing[order])
+        fresh = self._store(missing, fresh)
         out = np.empty(flat.size)
         out[hit] = values[pos[hit]]
         out[~hit] = fresh[inverse]
         return out.reshape(arr.shape)
-
-    def _fill(self, missing: np.ndarray, order: np.ndarray) -> np.ndarray:
-        """Evaluate and memoize the sorted coalitions ``missing``; return their values.
-
-        The oracle sees ``missing[order]``: as one ``many`` call when it has
-        one, else one call per coalition. What it evaluated before raising is
-        kept and counted; a ``many`` call that raises or returns other than
-        one value per coalition keeps nothing.
-        """
-        fresh = np.empty(missing.size)
-        done = 0
-        batch = getattr(self._oracle, "many", None)
-        try:
-            if batch is None:
-                for k, s in zip(order.tolist(), missing[order].tolist()):
-                    fresh[k] = float(self._oracle(s))
-                    done += 1
-            else:
-                fresh[order] = _batch_values(batch, missing[order])
-                done = missing.size
-        finally:
-            if done:
-                kept = np.zeros(missing.size, dtype=bool)
-                kept[order[:done]] = True
-                fresh[kept] = self._store(missing[kept], fresh[kept])
-        return fresh
 
     def _store(self, new_keys: np.ndarray, new_values: np.ndarray) -> np.ndarray:
         """Merge sorted ``new_keys`` into the memo; return the values it holds for them.

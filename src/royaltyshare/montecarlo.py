@@ -160,7 +160,7 @@ def permutation_sample(game: CoalitionGame, config: EstimatorConfig) -> Estimate
         marginals[np.arange(m)[:, None], orderings] = np.diff(utilities, axis=1)
     estimate, stderr = _reduce(marginals)
     return EstimateReport(
-        estimate=ShapleyVector(estimate, method="estimated"),
+        estimate=ShapleyVector(estimate),
         stderr=stderr,
         permutations_used=m,
         oracle_calls=game.eval_count - calls_before,

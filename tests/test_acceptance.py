@@ -243,12 +243,14 @@ def run_all_cli_commands(root, monkeypatch, workers):
     """Run every subcommand with fixed seeds inside root; return produced files."""
     root.mkdir()
     monkeypatch.chdir(root)
-    (root / "config.json").write_text(
-        json.dumps(
-            {"dataset": "owners.csv", "solver": {"kind": "mc", "permutations": 300}, "seed": 17}
-        ),
-        encoding="utf-8",
-    )
+    configs = {
+        "config.json": {"solver": {"kind": "mc", "permutations": 300}},
+        "chain.json": {"oracle": {"kind": "gaussian_chain"}},
+        "kde.json": {"oracle": {"kind": "kde"}},
+    }
+    for name, config in configs.items():
+        (root / name).write_text(json.dumps({"dataset": "owners.csv", "seed": 17, **config}),
+                                 encoding="utf-8")
     commands = [
         ["simulate", "--kind", "clusters", "--layout", "graded", "--owners", "3",
          "--points", "25", "--spacing", "2.0", "--seed", "17", "--out", "owners.csv"],
@@ -258,6 +260,10 @@ def run_all_cli_commands(root, monkeypatch, workers):
          "--solver", "exact", "--out", "reports"],
         ["compare-loo", "--config", "config.json", "--event", "0.5,0.5",
          "--solver", "exact", "--out", "reports"],
+        ["attribute", "--config", "chain.json", "--event", "0.5,0.5",
+         "--solver", "exact", "--out", "reports_chain"],
+        ["attribute", "--config", "kde.json", "--event", "0.5,0.5",
+         "--solver", "exact", "--out", "reports_kde"],
         ["simulate", "--kind", "ledger", "--transactions", "80", "--seed", "17",
          "--out", "ledger"],
         ["simulate", "--kind", "ledger", "--transactions", "80", "--seed", "17",
@@ -271,7 +277,7 @@ def run_all_cli_commands(root, monkeypatch, workers):
         assert main(argv) == 0, argv
     produced = {}
     for path in sorted(root.rglob("*")):
-        if path.is_file() and path.name != "config.json":
+        if path.is_file() and path.name not in configs:
             produced[str(path.relative_to(root))] = path.read_bytes()
     return produced
 

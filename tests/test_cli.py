@@ -322,6 +322,32 @@ def test_config_value_of_the_wrong_type_is_exit_2(tmp_path, capsys, key, value):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("value", [10**23, 2**40])
+@pytest.mark.parametrize("key", ["solver.permutations", "oracle.steps", "density_mc_samples"])
+def test_config_count_beyond_the_bound_is_exit_2(tmp_path, capsys, key, value):
+    kind = "gaussian_chain" if key == "oracle.steps" else "additive"
+    config = {"oracle": {"kind": kind, "weights": [2.0, 4.0]}, "solver": {"kind": "mc"}}
+    head, _, field = key.partition(".")
+    if field:
+        config[head][field] = value
+    else:
+        config[head] = value
+    path = write_config(tmp_path / "config.json", **config)
+    assert main(["attribute", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert f"{key} must be at most 2147483647, got {value}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_simulate_count_flag_beyond_the_bound_is_an_argparse_error(tmp_path, capsys):
+    value = "100000000000000000000000"
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--kind", "ledger", "--transactions", value,
+              "--out", str(tmp_path / "ledger")])
+    assert exc.value.code == 2
+    assert f"--transactions: must be at most 2147483647, got '{value}'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 _ECHO_BASE = {"baseline": {"kind": "standard_normal"}, "beta": "permission",
               "dataset": "owners.csv", "density_mc_samples": 20, "out": "out", "seed": 0,
               "solver": {"kind": "exact"}}

@@ -56,7 +56,6 @@ def test_fit_gaussian_two_point_example():
     model = fit_gaussian(np.array([[-1.0], [1.0]]))
     assert model.mean[0] == 0.0
     assert model.cov[0, 0] == 1.0
-    assert model.fit_count == 2
 
 
 def test_fit_gaussian_floors_singular_covariance():
@@ -122,6 +121,24 @@ def test_oracle_config_validation():
         DensityOracleConfig(ridge=-1.0)
     with pytest.raises(ValueError):
         DensityOracleConfig(kind="kde", bandwidth=0.0)
+
+
+@pytest.mark.parametrize("ridge", [math.nan, math.inf, -1.0])
+def test_fit_gaussian_rejects_a_ridge_that_is_not_a_finite_number_at_least_zero(ridge):
+    with pytest.raises(ValueError, match="ridge"):
+        fit_gaussian(np.array([[-1.0], [1.0]]), ridge=ridge)
+
+
+@pytest.mark.parametrize("ridge", [math.nan, math.inf])
+def test_oracle_config_rejects_a_ridge_that_is_not_finite(ridge):
+    with pytest.raises(ValueError, match="ridge"):
+        DensityOracleConfig(ridge=ridge)
+
+
+@pytest.mark.parametrize("bandwidth", [math.nan, math.inf, -math.inf])
+def test_oracle_config_rejects_a_bandwidth_that_is_not_finite(bandwidth):
+    with pytest.raises(ValueError, match="bandwidth"):
+        DensityOracleConfig(kind="kde", bandwidth=bandwidth)
 
 
 def two_owner_partition(rng):

@@ -196,6 +196,14 @@ def test_chain_oracle_is_deterministic():
     assert first(0b01) != first(0b10)
 
 
+@pytest.mark.parametrize("num_samples", [0, -3])
+def test_chain_oracle_rejects_fewer_than_one_trajectory(num_samples):
+    datasets = [OwnerDataset(owner=0, points=np.zeros((3, 1)))]
+    with pytest.raises(ValueError, match="num_samples"):
+        ChainDensityOracle(datasets, standard_normal_model(1), GenerationEvent(x=np.zeros(1)),
+                           NoiseSchedule.uniform(3, 0.9), num_samples=num_samples)
+
+
 def reference_samples(chain, x, num_samples, seed):
     """The per-trajectory loop: one fresh stream, one reverse walk, one kernel each."""
     return np.array([

@@ -23,6 +23,7 @@ from royaltyshare import (
     exact_shapley,
     permission_shapley,
 )
+from royaltyshare import exact
 from royaltyshare.exact import exact_permission_shapley
 
 SOLVER_CORPUS_SEED = 20240421
@@ -92,11 +93,13 @@ def test_exact_permission_values_equal_the_augmented_game_solve():
         assert direct.tobytes() == augmented.tobytes(), (kind, n)
 
 
-def test_exact_permission_limit_counts_owners():
+def test_exact_permission_limit_counts_owners(monkeypatch):
     game = CoalitionGame(4, lambda s: 0.0)
-    assert len(exact_permission_shapley(game, exact_limit=4)) == 5
+    monkeypatch.setattr(exact, "DEFAULT_EXACT_LIMIT", 4)
+    assert len(exact_permission_shapley(game)) == 5
+    monkeypatch.setattr(exact, "DEFAULT_EXACT_LIMIT", 3)
     with pytest.raises(TooManyPlayersError):
-        exact_permission_shapley(game, exact_limit=3)
+        exact_permission_shapley(game)
 
 
 def test_exact_solvers_pay_each_coalition_once():
@@ -129,8 +132,11 @@ def test_evaluate_many_checks_bounds_before_any_oracle_call():
     assert calls == [] and game.eval_count == 0
 
 
-def test_evaluate_many_keeps_what_it_evaluated_before_a_failure():
+def test_evaluate_many_keeps_nothing_of_a_plain_oracle_batch_that_fails():
+    calls = []
+
     def oracle(s):
+        calls.append(s)
         if s == 2:
             raise RuntimeError("flaky")
         return float(s)
@@ -138,9 +144,9 @@ def test_evaluate_many_keeps_what_it_evaluated_before_a_failure():
     game = CoalitionGame(2, oracle)
     with pytest.raises(RuntimeError):
         game.evaluate_many([1, 2, 3])
-    assert game.eval_count == 1
+    assert calls == [1, 2] and game.eval_count == 0
     np.testing.assert_array_equal(game.evaluate_many([1]), [1.0])
-    assert game.eval_count == 1
+    assert calls == [1, 2, 1] and game.eval_count == 1
 
 
 def test_single_misses_merge_into_the_memo_before_a_batch():
@@ -194,18 +200,17 @@ class DictMemo:
         self.received = []
 
     def evaluate_many(self, keys):
+        """A batch oracle sees the misses in one call, a plain one each in turn
+        up to the failing one; either way a failing batch keeps nothing."""
         missing = [s for s in dict.fromkeys(keys) if s not in self.memo]
-        if not self.batch:
-            for s in missing:
-                self.received.append(s)
-                if s == self.fail_on:
-                    raise OracleFailureError
-                self.memo[s] = utility(s)
-        elif missing:
+        if self.batch and missing:
             self.received.append(missing)
-            if self.fail_on in missing:
+        for s in missing:
+            if not self.batch:
+                self.received.append(s)
+            if s == self.fail_on:
                 raise OracleFailureError
-            self.memo.update((s, utility(s)) for s in missing)
+        self.memo.update((s, utility(s)) for s in missing)
         return [self.memo[s] for s in keys]
 
 
