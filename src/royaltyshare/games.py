@@ -27,16 +27,17 @@ totals as Python ints, which :func:`scaled_floats` rounds once. The additive
 oracle sums one integer per player this way, and the Gaussian density oracle
 each owner's count and moment sums.
 
-:meth:`CoalitionGame.evaluate_many` is the evaluation path the solvers use: an
-array of coalitions in, an array of utilities out. It looks the whole batch up
-in the memo with one ``searchsorted``, dedupes the misses with ``np.unique``,
-sends them to the oracle as one batch, and merges them into the memo in linear
-time. :meth:`CoalitionGame.evaluate` answers one coalition with a dict lookup
-and a scalar binary search, and keeps a miss in a dict until the next batch
-call merges it, so a loop of single misses costs no copy of the memo per miss.
-Both send their misses through :func:`_batch_values`, the one place the game
-calls its oracle, and a batch either returns one value per coalition or keeps
-nothing.
+:meth:`CoalitionGame.evaluate_many` is the one evaluation path: an array of
+coalitions in, an array of utilities out. Under the game's lock it looks the
+whole batch up in the memo with one ``searchsorted``, dedupes the misses with
+``np.unique``, sends them to the oracle as one batch through
+:func:`_batch_values`, and merges them into the memo in linear time.
+:meth:`CoalitionGame.evaluate` is ``evaluate_many`` of one coalition. The
+lock is held for the whole call, oracle included, so each coalition reaches
+the oracle exactly once, even across threads, and a batch either returns one
+value per coalition or keeps nothing. An oracle may evaluate another game,
+as the permission game's oracle reads the base game, but never the game it
+serves: that call would wait on the lock its caller holds.
 """
 
 from __future__ import annotations
@@ -205,14 +206,6 @@ def coalition_array(masks, n: int) -> np.ndarray:
     return arr
 
 
-def _memo_positions(keys: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Where each mask sits in the sorted ``keys``, and whether it is there."""
-    pos = keys.searchsorted(masks)
-    if not keys.size:
-        return pos, np.zeros(masks.shape, dtype=bool)
-    return pos, keys[np.minimum(pos, keys.size - 1)] == masks
-
-
 def _merge(keys, values, new_keys, new_values) -> tuple[np.ndarray, np.ndarray]:
     """Sorted ``keys`` and sorted ``new_keys``, none shared, merged with their values.
 
@@ -302,21 +295,18 @@ class CoalitionGame:
     """A cooperative game: player count plus a memoized utility oracle.
 
     Evaluation results are memoized per coalition, so any solver built on top
-    pays for each coalition at most once. The memo is a pair of arrays, the
-    coalitions seen so far, sorted ascending as uint64, and their utilities
-    as float64, found by binary search, plus a dict of the single misses of
-    :meth:`evaluate` not yet merged into them. A merge copies the arrays, so
-    it costs O(memo): :meth:`evaluate_many` merges its whole batch at once,
-    and :meth:`evaluate` stores in the dict at O(1), which the next batch call
-    merges. A loop of single misses thus costs what a dict memo does, not a
-    copy per miss. ``eval_count`` reports how many oracle invocations
-    actually happened; it never exceeds ``2**n``.
+    pays for each coalition once. The memo is two arrays, the coalitions seen
+    so far, sorted ascending as uint64, and their utilities as float64, found
+    by binary search. Each :meth:`evaluate_many` call merges its misses into
+    them, which copies the arrays: a batch costs O(memo) once, and a loop of
+    single :meth:`evaluate` misses pays that copy per miss. ``eval_count``
+    reports how many coalitions the oracle actually evaluated; it never
+    exceeds ``2**n``.
 
-    Evaluation is safe to call from several threads. The memo is one tuple,
-    replaced whole under a lock, and a merge starts a fresh dict, so a reader
-    always sees keys and values that match. Distinct coalitions evaluate in
-    parallel; concurrent calls on the same coalition may duplicate oracle
-    work, but the first stored value wins and every caller sees it.
+    Evaluation is safe to call from several threads. Each call holds one
+    lock from lookup to merge, oracle included, so calls on one game run one
+    at a time and each coalition goes to the oracle once. The oracle may
+    evaluate another game but must not evaluate this one, or it deadlocks.
     """
 
     def __init__(self, n: int, oracle: UtilityOracle):
@@ -324,7 +314,8 @@ class CoalitionGame:
             raise CoalitionBoundsError(f"player count {n} outside [0, {MAX_PLAYERS}]")
         self.n = n
         self._oracle = oracle
-        self._memo = (np.empty(0, dtype=np.uint64), np.empty(0), {})
+        self._keys = np.empty(0, dtype=np.uint64)
+        self._values = np.empty(0)
         self._eval_count = 0
         self._lock = threading.Lock()
 
@@ -333,35 +324,8 @@ class CoalitionGame:
         return self._eval_count
 
     def evaluate(self, s: Coalition) -> float:
-        """Return the oracle's utility for coalition ``s``, memoizing it.
-
-        Raises :class:`CoalitionBoundsError` if ``s`` sets bits at or above
-        ``self.n``. Oracle exceptions propagate to the caller and nothing is
-        memoized for that coalition.
-        """
-        if s < 0 or (s >> self.n):
-            raise self._out_of_range(s)
-        value = self._lookup(s)
-        if value is not None:
-            return value
-        value = float(_batch_values(self._oracle, np.array([s], dtype=np.uint64))[0])
-        with self._lock:
-            held = self._lookup(s)
-            if held is not None:
-                return held
-            self._memo[2][s] = value
-            self._eval_count += 1
-        return value
-
-    def _lookup(self, s: Coalition) -> float | None:
-        keys, values, recent = self._memo
-        value = recent.get(s)
-        if value is None:
-            key = np.uint64(s)
-            i = keys.searchsorted(key)
-            if i < keys.size and keys[i] == key:
-                value = float(values[i])
-        return value
+        """Return the oracle's utility for coalition ``s``: :meth:`evaluate_many` of ``[s]``."""
+        return float(self.evaluate_many([s])[0])
 
     def evaluate_many(self, masks) -> np.ndarray:
         """Return the utilities of an integer array of coalitions, same shape.
@@ -369,58 +333,31 @@ class CoalitionGame:
         Coalitions already in the memo are read from it; the missing ones go
         to the oracle once each, in order of first appearance, and each adds
         one to ``eval_count``. Raises :class:`CoalitionBoundsError` before
-        any oracle call if an entry is negative or sets bits at or above
-        ``self.n``. An oracle call that raises, or returns other than one
-        value per coalition, keeps and counts nothing of the batch.
+        any oracle call if an entry is not an integer, is negative, or sets
+        bits at or above ``self.n``. An oracle call that raises, or returns
+        other than one value per coalition, keeps and counts nothing of the
+        batch.
         """
         arr = coalition_array(masks, self.n)
         flat = arr.ravel()
-        if self._memo[2]:
-            with self._lock:
-                self._memo = self._merged()
-        keys, values, _ = self._memo
-        pos, hit = _memo_positions(keys, flat)
-        if hit.all():
-            return values[pos].reshape(arr.shape)
-        # ``missing`` is sorted; ``order`` lists it in order of first appearance.
-        missing, first, inverse = np.unique(flat[~hit], return_index=True, return_inverse=True)
-        fresh = np.empty(missing.size)
-        order = np.argsort(first)
-        fresh[order] = _batch_values(self._oracle, missing[order])
-        fresh = self._store(missing, fresh)
+        with self._lock:
+            keys, values = self._keys, self._values
+            pos = keys.searchsorted(flat)
+            hit = (keys[np.minimum(pos, keys.size - 1)] == flat if keys.size
+                   else np.zeros(flat.shape, dtype=bool))
+            if hit.all():
+                return values[pos].reshape(arr.shape)
+            # ``missing`` is sorted; ``order`` lists it in order of first appearance.
+            missing, first, inverse = np.unique(flat[~hit], return_index=True, return_inverse=True)
+            fresh = np.empty(missing.size)
+            order = np.argsort(first)
+            fresh[order] = _batch_values(self._oracle, missing[order])
+            self._keys, self._values = _merge(keys, values, missing, fresh)
+            self._eval_count += missing.size
         out = np.empty(flat.size)
         out[hit] = values[pos[hit]]
         out[~hit] = fresh[inverse]
         return out.reshape(arr.shape)
-
-    def _store(self, new_keys: np.ndarray, new_values: np.ndarray) -> np.ndarray:
-        """Merge sorted ``new_keys`` into the memo; return the values it holds for them.
-
-        A key another caller stored first keeps its value and is not counted.
-        """
-        with self._lock:
-            keys, values, _ = self._merged()
-            pos, held = _memo_positions(keys, new_keys)
-            new_values[held] = values[pos[held]]
-            add = ~held
-            self._memo = _merge(keys, values, new_keys[add], new_values[add]) + ({},)
-            self._eval_count += int(np.count_nonzero(add))
-        return new_values
-
-    def _merged(self) -> tuple:
-        """The memo with its dict merged into the arrays; the lock must be held."""
-        keys, values, recent = self._memo
-        if not recent:
-            return self._memo
-        new_keys = np.fromiter(recent, dtype=np.uint64, count=len(recent))
-        new_values = np.fromiter(recent.values(), dtype=float, count=len(recent))
-        order = new_keys.argsort()
-        return _merge(keys, values, new_keys[order], new_values[order]) + ({},)
-
-    def _out_of_range(self, s: Coalition) -> CoalitionBoundsError:
-        return CoalitionBoundsError(
-            f"coalition {bin(s)} uses players outside range(0, {self.n})"
-        )
 
     def grand_coalition(self) -> Coalition:
         return full_coalition(self.n)

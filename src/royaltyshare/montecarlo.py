@@ -92,6 +92,12 @@ def truncated_walk(
     players not yet seen are charged exactly 0.0. ``total_utility`` may be
     passed when v(N) is already known; otherwise it is read through the
     game's memo.
+
+    Each prefix is one :meth:`~royaltyshare.games.CoalitionGame.evaluate`
+    call, and each miss merges into the memo, a copy of its arrays, so a
+    loop of walks costs O(memo) per new coalition: this is a small-n
+    reference, not a production path. :func:`permutation_sample` evaluates
+    all walks in one batch.
     """
     n = game.n
     if sorted(ordering) != list(range(n)):

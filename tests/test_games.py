@@ -38,11 +38,14 @@ def test_game_memoizes_and_counts_evaluations():
 
 
 def test_game_rejects_out_of_range_coalitions():
-    game = table_game(np.zeros(8))
-    with pytest.raises(CoalitionBoundsError):
-        game.evaluate(0b1000)
-    with pytest.raises(CoalitionBoundsError):
-        game.evaluate(-1)
+    calls = []
+    game = CoalitionGame(3, lambda s: calls.append(s) or 0.0)
+    for bad in (0b1000, -1, 1.5, 1 << 64):
+        with pytest.raises(CoalitionBoundsError):
+            game.evaluate(bad)
+        with pytest.raises(CoalitionBoundsError):
+            game.evaluate_many([bad])
+    assert calls == [] and game.eval_count == 0
 
 
 def test_game_rejects_bad_player_counts():

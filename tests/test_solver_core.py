@@ -267,7 +267,8 @@ def test_array_memo_matches_a_dict_reference(session):
 
 def test_concurrent_evaluate_many_pays_each_coalition_once():
     table = random_table(np.random.default_rng(67), 8)
-    game = table_game(table)
+    received = []
+    game = CoalitionGame(8, lambda s: received.append(s) or float(table[s]))
     rng = np.random.default_rng(71)
     batches = [rng.integers(0, 256, size=300) for _ in range(8)]
     results = {}
@@ -289,11 +290,12 @@ def test_concurrent_evaluate_many_pays_each_coalition_once():
     for k, batch in enumerate(batches):
         np.testing.assert_array_equal(results[k], table[batch])
     assert game.eval_count == len(set(np.concatenate(batches).tolist()))
+    assert sorted(received) == sorted(set(np.concatenate(batches).tolist()))
 
 
 def test_concurrent_single_misses_and_batches_lose_no_coalition():
-    """``evaluate`` stores its misses in a dict that ``evaluate_many`` merges
-    into the arrays; racing the two must neither lose nor double-count one."""
+    """``evaluate`` is ``evaluate_many`` of one coalition; racing single
+    misses against batches must neither lose nor double-count one."""
     table = random_table(np.random.default_rng(73), 12)
     game = table_game(table)
     rng = np.random.default_rng(79)
