@@ -168,17 +168,22 @@ def logsumexp(a: np.ndarray) -> float:
     divided by their count. A non-finite maximum falls back to the direct
     formula, as the reference does.
     """
-    a = np.asarray(a, dtype=float)
-    top = a.max()
-    if not math.isfinite(top):
-        with np.errstate(divide="ignore"):
-            return float(np.log(np.sum(np.exp(a))))
-    ties = a == top
-    m = np.sum(ties, dtype=float)
-    s = np.sum(np.exp(np.where(ties, -np.inf, a) - top))
-    if s != 0:
-        s = s / m
-    return float(np.log1p(s) + np.log(m) + top)
+    return float(_logsumexp_rows(np.asarray(a, dtype=float)[None])[0])
+
+
+def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    """:func:`logsumexp` of each row of a ``(B, K)`` array, each row on its own."""
+    top = a.max(axis=-1)
+    ties = a == top[:, None]
+    finite = np.isfinite(top)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # Rows with a non-finite maximum make NaNs here; they are replaced below.
+        m = np.sum(ties, axis=-1, dtype=float)
+        s = np.sum(np.exp(np.where(ties, -np.inf, a) - top[:, None]), axis=-1) / m
+        out = np.log1p(s) + np.log(m) + top
+        if not finite.all():
+            out[~finite] = np.log(np.sum(np.exp(a[~finite]), axis=-1))
+    return out
 
 
 def _check_query(x: np.ndarray, dim: int) -> np.ndarray:
@@ -286,28 +291,32 @@ def _cholesky_logdet(covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _forward_substitute(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``lower[b] @ w[b] = rhs[b]`` for every row ``b`` of ``rhs``.
+    """Solve ``lower[b] @ w[b] = rhs[b]`` for every row ``b`` of ``rhs`` ``(..., d)``.
 
-    Elementwise operations only, in a fixed order, so a row's result does not
-    depend on the batch it came in.
+    ``lower`` is ``(..., d, d)``, broadcast against the rows. Elementwise
+    operations only, in a fixed order, so a row's result does not depend on
+    the batch it came in.
     """
     w = np.empty_like(rhs)
-    for i in range(rhs.shape[1]):
-        acc = rhs[:, i].copy()
+    for i in range(rhs.shape[-1]):
+        acc = rhs[..., i].copy()
         for k in range(i):
-            acc -= lower[:, i, k] * w[:, k]
-        w[:, i] = acc / lower[:, i, i]
+            acc -= lower[..., i, k] * w[..., k]
+        w[..., i] = acc / lower[..., i, i]
     return w
 
 
 def _gaussian_log_densities(
     means: np.ndarray, chols: np.ndarray, logdets: np.ndarray, x: np.ndarray
 ) -> np.ndarray:
-    """Log density of ``x`` under each of B stacked Gaussians."""
+    """Log density of ``x`` under each of the stacked Gaussians ``means`` ``(..., d)``.
+
+    ``chols`` ``(..., d, d)`` and ``logdets`` broadcast against the means.
+    """
     w = _forward_substitute(chols, x - means)
     # A stacked matmul takes each row's dot product on its own (np.einsum
     # and np.sum do not), so a row's result does not depend on its batch.
-    quad = np.matmul(w[:, None, :], w[:, :, None])[:, 0, 0]
+    quad = np.matmul(w[..., None, :], w[..., :, None])[..., 0, 0]
     return -0.5 * (x.size * LOG_2PI + logdets + quad)
 
 
@@ -551,16 +560,21 @@ def save_owner_datasets(path: str | Path, datasets: Iterable[OwnerDataset]) -> N
 def load_owner_datasets(path: str | Path) -> list[OwnerDataset]:
     """Read the dataset CSV back into per-owner datasets.
 
-    Owner ids must be dense 0..n-1. Labels come back as written; an owner
-    whose label cells are all empty gets ``labels=None``. A NaN or infinite
-    coordinate raises :class:`NonFiniteError` naming the file and line, an
-    owner id that is not an integer, a coordinate that is not a number, or
-    ids that are not dense, raise :class:`DimensionMismatchError` naming the
-    file and line, as does a file that is not UTF-8, and a file with no data
-    rows raises :class:`EmptyDatasetError` naming it.
+    Owner ids must be dense 0..n-1; an owner's rows keep their file order,
+    wherever they stand in the file. Labels come back as written; an owner
+    whose label cells are all empty gets ``labels=None``. The rows are
+    checked in file order and the first bad one is named by its line: a row
+    of the wrong width, an owner id that is not an integer and a coordinate
+    that is not a number raise :class:`DimensionMismatchError`, and a NaN or
+    infinite coordinate raises :class:`NonFiniteError`. Then owner ids that
+    are not dense raise :class:`DimensionMismatchError` naming the first
+    line of the owner where they break off. A file that is not UTF-8, or
+    whose header has no coordinate column, raises
+    :class:`DimensionMismatchError`, and a file with no data rows raises
+    :class:`EmptyDatasetError`, naming the file.
     """
-    grouped: dict[int, list[tuple[list[float], str]]] = {}
-    first_line: dict[int, int] = {}
+    rows: list[list[str]] = []
+    lines: list[int] = []
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -569,49 +583,68 @@ def load_owner_datasets(path: str | Path) -> list[OwnerDataset]:
                 raise DimensionMismatchError(
                     f"{path}: expected header owner_id,label,x0,...")
             d = len(header) - 2
+            if d == 0:
+                raise DimensionMismatchError(f"{path}: the header names no coordinate column")
             for row in reader:
-                if not row:
-                    continue
-                if len(row) != d + 2:
-                    raise DimensionMismatchError(f"{path}: row width {len(row)} != {d + 2}")
-                try:
-                    owner = int(row[0])
-                except ValueError:
-                    raise DimensionMismatchError(
-                        f"{path}: line {reader.line_num}: owner id {row[0]!r} is not an integer"
-                    ) from None
-                first_line.setdefault(owner, reader.line_num)
-                try:
-                    coords = [float(v) for v in row[2:]]
-                except ValueError:
-                    raise DimensionMismatchError(
-                        f"{path}: line {reader.line_num}: a coordinate is not a number"
-                    ) from None
-                if not all(math.isfinite(v) for v in coords):
-                    raise NonFiniteError(
-                        f"{path}: line {reader.line_num} has a non-finite coordinate"
-                    )
-                grouped.setdefault(owner, []).append((coords, row[1]))
+                if row:
+                    rows.append(row)
+                    lines.append(reader.line_num)
     except UnicodeDecodeError as exc:
         raise DimensionMismatchError(f"{path}: not UTF-8 text ({exc})") from None
-    if not grouped:
+
+    # The fast path checks each kind over all rows at once; if one fails,
+    # the rows are walked in file order to name the first bad one.
+    try:
+        if list(map(len, rows)).count(d + 2) != len(rows):
+            raise ValueError
+        owners = list(map(int, [row[0] for row in rows]))
+        points = np.array(list(map(float, [v for row in rows for v in row[2:]])),
+                          dtype=float).reshape(len(rows), d)
+        if not np.isfinite(points).all():
+            raise ValueError
+    except ValueError:
+        raise _first_bad_row(path, rows, lines, d) from None
+    if not rows:
         raise EmptyDatasetError(f"{path}: the dataset has a header but no rows")
-    ids = sorted(grouped)
+
+    ids = sorted(set(owners))
     gap = next((k for k, owner in enumerate(ids) if owner != k), None)
     if gap is not None:
         raise DimensionMismatchError(
-            f"{path}: line {first_line[ids[gap]]}: owner ids must be dense 0..n-1, got {ids}"
+            f"{path}: line {lines[owners.index(ids[gap])]}: "
+            f"owner ids must be dense 0..n-1, got {ids}"
         )
+    owner_ids = np.array(owners)
+    order = np.argsort(owner_ids, kind="stable")
+    points = points[order]
+    labels = [rows[k][1] for k in order.tolist()]
+    ends = np.cumsum(np.bincount(owner_ids)).tolist()
     out = []
-    for owner in range(len(grouped)):
-        rows = grouped[owner]
-        points = np.array([r[0] for r in rows])
-        labels = tuple(r[1] for r in rows)
-        out.append(
-            OwnerDataset(
-                owner=owner,
-                points=points,
-                labels=None if all(lab == "" for lab in labels) else labels,
-            )
-        )
+    for owner, (start, end) in enumerate(zip([0, *ends], ends)):
+        owner_labels = tuple(labels[start:end])
+        out.append(OwnerDataset(owner=owner, points=points[start:end],
+                                labels=owner_labels if any(owner_labels) else None))
     return out
+
+
+def _first_bad_row(path, rows: list[list[str]], lines: list[int], d: int) -> Exception:
+    """The error of the first row that fails a check, in file order.
+
+    Within a row, width comes first, then the owner id, then the
+    coordinates, then their finiteness.
+    """
+    for row, line in zip(rows, lines):
+        if len(row) != d + 2:
+            return DimensionMismatchError(f"{path}: line {line}: row width {len(row)} != {d + 2}")
+        try:
+            int(row[0])
+        except ValueError:
+            return DimensionMismatchError(
+                f"{path}: line {line}: owner id {row[0]!r} is not an integer")
+        try:
+            coords = [float(v) for v in row[2:]]
+        except ValueError:
+            return DimensionMismatchError(f"{path}: line {line}: a coordinate is not a number")
+        if not all(math.isfinite(v) for v in coords):
+            return NonFiniteError(f"{path}: line {line} has a non-finite coordinate")
+    raise AssertionError("every row passes")

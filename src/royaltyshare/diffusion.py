@@ -15,8 +15,19 @@ kernel, which stays stable for kernel log-densities across the full double
 range. Trajectory k draws its noise from the stream derived from
 ``(seed, k)``; a stream is a pure function of its key, so running the
 trajectories as stacked arrays, or deriving every coalition's keys in one
-pass, never changes a bit. ``sample_latents`` and ``final_kernel`` are the
-per-trajectory reference the stacked estimator is tested against.
+pass, never changes a bit.
+
+The chain math lives in one place, :func:`_reverse_steps`, which builds the
+reverse steps of B data models at once as ``(B, T+1, d, d)`` arrays.
+:class:`GaussianReverseChain` is that function on one model, and
+:class:`ChainDensityOracle` runs it, and every trajectory of every
+coalition, once per sub-block of coalitions. A sub-block holds at most
+``_CHAIN_ELEMENTS`` noise and step elements (or one coalition), so the
+oracle's memory is bounded by that budget, not by the number of coalitions
+it is asked for. Each model's chain and estimate have the same bits
+whatever block it comes in. ``sample_latents`` and
+``final_kernel`` are the per-trajectory reference the stacked estimator is
+tested against.
 """
 
 from __future__ import annotations
@@ -24,7 +35,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -38,6 +49,7 @@ from .density import (  # noqa: F401
     _cholesky_logdet,
     _floor_eigenvalues,
     _gaussian_log_densities,
+    _logsumexp_rows,
     fit_gaussian,
     logsumexp,
 )
@@ -48,6 +60,12 @@ DEFAULT_NUM_TRAJECTORIES = 20
 # The exact reverse covariance is singular only for an alpha = 1 step (the
 # forward step adds no noise); this floor keeps the kernel a proper density.
 _POSTERIOR_FLOOR = 1e-12
+
+# A coalition's stacked chain holds K·T·d noise and a few (T+1)·d·d step
+# arrays. The chain oracle runs its coalitions in sub-blocks of at most this
+# many of those elements (at least one coalition), so its memory does not
+# grow with the fit block.
+_CHAIN_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -73,10 +91,63 @@ class NoiseSchedule:
         return self.alphas.size
 
 
-def _floor_spd(cov: np.ndarray, floor: float) -> np.ndarray:
-    covs = ((cov + cov.T) / 2.0)[None]
-    _floor_eigenvalues(covs, floor)
-    return covs[0]
+def _floor_spd(covs: np.ndarray, floor: float) -> np.ndarray:
+    """Symmetrized stacked ``(..., d, d)`` covariances, eigenvalues below ``floor`` raised."""
+    d = covs.shape[-1]
+    flat = ((covs + np.swapaxes(covs, -1, -2)) / 2.0).reshape(-1, d, d)
+    _floor_eigenvalues(flat, floor)
+    return flat.reshape(covs.shape)
+
+
+class ReverseSteps(NamedTuple):
+    """The reverse chains of B Gaussian data models under one schedule of T steps.
+
+    ``means`` ``(B, T+1, d)`` and ``covs`` ``(B, T+1, d, d)`` are the exact
+    marginals of x_t, t = 0..T. For t = 1..T, ``gains[:, t]`` and
+    ``kernel_covs[:, t]`` give the reverse conditional p(x_{t-1} | x_t):
+    mean ``means[:, t-1] + gains[:, t] @ (x_t - means[:, t])``, covariance
+    ``kernel_covs[:, t]``. Index 0 of ``kernel_covs`` holds the covariance
+    of x_T, where every trajectory starts; ``gains[:, 0]`` is zero. The
+    kernel covariances are floored, and ``chols`` are their lower factors.
+    """
+
+    means: np.ndarray
+    covs: np.ndarray
+    gains: np.ndarray
+    kernel_covs: np.ndarray
+    chols: np.ndarray
+
+
+def _reverse_steps(means: np.ndarray, covs: np.ndarray, schedule: NoiseSchedule) -> ReverseSteps:
+    """The reverse chains of the data models ``N(means[b], covs[b])``, all steps at once.
+
+    Each of ``solve``, the eigenvalue floor and ``cholesky`` runs once, over
+    all B models and T steps. They factor every matrix on its own, and every
+    elementwise step and matmul sees a matrix in the same memory layout
+    whatever B is, so a model's chain has the same bits in any batch. The
+    reverse conditional p(x_{t-1} | x_t) is that of the joint Gaussian of
+    (x_{t-1}, x_t).
+    """
+    b, d = means.shape
+    alphas = schedule.alphas
+    abars = np.cumprod(np.concatenate([[1.0], alphas]))[:, None, None]
+    marg_means = np.sqrt(abars[:, :, 0]) * means[:, None, :]
+    marg_covs = abars * covs[:, None] + (1.0 - abars) * np.eye(d)
+    marg_covs[:, 0] = covs
+    s_prev, s_next = marg_covs[:, :-1], marg_covs[:, 1:]
+    root_a = np.sqrt(alphas)[:, None, None]
+    # A gain is the transpose of what solve returns, so each one is held
+    # column-major: the matmuls below and in the trajectories then see it in
+    # the layout the per-matrix form gives it, and return its bits.
+    gains = np.zeros((b, alphas.size + 1, d, d)).swapaxes(2, 3)
+    gains[:, 1:] = root_a * np.linalg.solve(np.swapaxes(s_next, 2, 3),
+                                            np.swapaxes(s_prev, 2, 3)).swapaxes(2, 3)
+    kernel_covs = np.empty_like(marg_covs)
+    kernel_covs[:, 0] = marg_covs[:, -1]
+    kernel_covs[:, 1:] = s_prev - (root_a * gains[:, 1:]) @ s_prev
+    kernel_covs = _floor_spd(kernel_covs, _POSTERIOR_FLOOR)
+    return ReverseSteps(marg_means, marg_covs, gains, kernel_covs,
+                        np.linalg.cholesky(kernel_covs))
 
 
 class GaussianReverseChain:
@@ -85,40 +156,14 @@ class GaussianReverseChain:
     ``marginal_model(t)`` is the exact distribution of x_t (t = 0 is the data
     model). ``sample_latents`` draws one reverse trajectory (x_T, ..., x_1),
     and ``final_kernel`` maps x_1 to the Gaussian density of x_0 given x_1.
+    The chain is :func:`_reverse_steps` of one model; these two methods are
+    the per-trajectory reference the stacked estimator is tested against.
     """
 
     def __init__(self, data_model: GaussianModel, schedule: NoiseSchedule):
         self.data_model = data_model
         self.schedule = schedule
-        d = data_model.dim
-        eye = np.eye(d)
-        alphas = schedule.alphas
-        T = schedule.steps
-
-        # means[t], covs[t]: marginal parameters of x_t, t = 0..T
-        self._means = [np.asarray(data_model.mean, dtype=float)]
-        self._covs = [np.asarray(data_model.cov, dtype=float)]
-        abar = 1.0
-        for t in range(1, T + 1):
-            abar *= alphas[t - 1]
-            self._means.append(math.sqrt(abar) * self._means[0])
-            self._covs.append(abar * self._covs[0] + (1.0 - abar) * eye)
-
-        # Reverse conditionals p(x_{t-1} | x_t) for t = 1..T: a gain matrix
-        # and a covariance, from the joint Gaussian of (x_{t-1}, x_t).
-        self._gains: list[np.ndarray] = [np.empty(0)]  # index 0 unused
-        self._kernel_covs: list[np.ndarray] = [np.empty(0)]
-        self._kernel_chols: list[np.ndarray] = [np.empty(0)]
-        for t in range(1, T + 1):
-            root_a = math.sqrt(alphas[t - 1])
-            s_prev = self._covs[t - 1]
-            s_t = self._covs[t]
-            gain = root_a * np.linalg.solve(s_t.T, s_prev.T).T
-            cov = _floor_spd(s_prev - root_a * gain @ s_prev, _POSTERIOR_FLOOR)
-            self._gains.append(gain)
-            self._kernel_covs.append(cov)
-            self._kernel_chols.append(np.linalg.cholesky(cov))
-        self._top_chol = np.linalg.cholesky(_floor_spd(self._covs[T], _POSTERIOR_FLOOR))
+        self.steps = _reverse_steps(data_model.mean[None], data_model.cov[None], schedule)
 
     @property
     def dim(self) -> int:
@@ -127,26 +172,29 @@ class GaussianReverseChain:
     def marginal_model(self, t: int) -> GaussianModel:
         if not 0 <= t <= self.schedule.steps:
             raise ValueError(f"t must lie in [0, {self.schedule.steps}]")
-        return GaussianModel(mean=self._means[t].copy(), cov=self._covs[t].copy())
+        return GaussianModel(mean=self.steps.means[0, t].copy(),
+                             cov=self.steps.covs[0, t].copy())
 
     def kernel_mean(self, t: int, x_t: np.ndarray) -> np.ndarray:
         """Mean of x_{t-1} given x_t under the reverse conditional."""
-        return self._means[t - 1] + self._gains[t] @ (x_t - self._means[t])
+        means = self.steps.means[0]
+        return means[t - 1] + self.steps.gains[0, t] @ (x_t - means[t])
 
     def sample_latents(self, rng: np.random.Generator) -> list[np.ndarray]:
         """Draw one reverse trajectory and return (x_T, ..., x_1)."""
         T = self.schedule.steps
-        x = self._means[T] + self._top_chol @ rng.standard_normal(self.dim)
+        chols = self.steps.chols[0]
+        x = self.steps.means[0, T] + chols[0] @ rng.standard_normal(self.dim)
         traj = [x]
         for t in range(T, 1, -1):
-            x = self.kernel_mean(t, x) + self._kernel_chols[t] @ rng.standard_normal(self.dim)
+            x = self.kernel_mean(t, x) + chols[t] @ rng.standard_normal(self.dim)
             traj.append(x)
         return traj
 
     def final_kernel(self, x_1: np.ndarray) -> GaussianModel:
         """The Gaussian density of x_0 given the last latent x_1."""
         return GaussianModel(mean=self.kernel_mean(1, np.asarray(x_1, dtype=float)),
-                             cov=self._kernel_covs[1].copy())
+                             cov=self.steps.kernel_covs[0, 1].copy())
 
 
 def gaussian_ddpm_chain(data_model: GaussianModel, schedule: NoiseSchedule) -> GaussianReverseChain:
@@ -166,29 +214,29 @@ def _draw_noise(generators: Iterator[np.random.Generator], count: int, steps: in
 
 
 def _trajectory_log_densities(
-    chain: GaussianReverseChain, x: np.ndarray, noise: np.ndarray
+    steps: ReverseSteps, x: np.ndarray, noise: np.ndarray
 ) -> np.ndarray:
-    """log p(x | x_1^(k)) for the K trajectories driven by ``noise`` (K, T, d).
+    """log p(x | x_1^(b, k)) for chain b's K trajectories driven by ``noise`` (B, K, T, d).
 
-    Row k equals ``sample_latents`` on a stream drawing ``noise[k]``, then
-    ``final_kernel(x_1).log_density(x)``, bit for bit: every step is the
-    reference's operation on a stacked ``(d, d) @ (K, d, 1)`` matmul, and the
-    final kernel's covariance, the same for every trajectory, is factored
-    once.
+    Entry (b, k) equals ``sample_latents`` of chain b on a stream drawing
+    ``noise[b, k]``, then ``final_kernel(x_1).log_density(x)``, bit for bit:
+    every step is the reference's operation on a stacked
+    ``(B, 1, d, d) @ (B, K, d, 1)`` matmul, and each chain's final kernel
+    covariance, the same for all its trajectories, is factored once.
     """
-    T = chain.schedule.steps
-    means, gains = chain._means, chain._gains
+    T = noise.shape[2]
+    means = steps.means[:, :, None, :]  # (B, T+1, 1, d), broadcast over trajectories
 
-    def apply(matrix: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-        return (matrix @ vectors[:, :, None])[:, :, 0]
+    def apply(matrices: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+        return (matrices[:, None] @ vectors[..., None])[..., 0]
 
-    x_t = means[T] + apply(chain._top_chol, noise[:, 0])
+    x_t = means[:, T] + apply(steps.chols[:, 0], noise[:, :, 0])
     for step, t in enumerate(range(T, 1, -1), start=1):
-        x_t = (means[t - 1] + apply(gains[t], x_t - means[t])
-               + apply(chain._kernel_chols[t], noise[:, step]))
-    kernel_means = means[0] + apply(gains[1], x_t - means[1])
-    chols, logdets = _cholesky_logdet(chain._kernel_covs[1][None])
-    return _gaussian_log_densities(kernel_means, chols, logdets, x)
+        x_t = (means[:, t - 1] + apply(steps.gains[:, t], x_t - means[:, t])
+               + apply(steps.chols[:, t], noise[:, :, step]))
+    kernel_means = means[:, 0] + apply(steps.gains[:, 1], x_t - means[:, 1])
+    chols, logdets = _cholesky_logdet(steps.kernel_covs[:, 1])
+    return _gaussian_log_densities(kernel_means, chols[:, None], logdets[:, None], x)
 
 
 def latent_mc_samples(
@@ -207,7 +255,7 @@ def latent_mc_samples(
     x = _check_query(x, chain.dim)
     keys = philox_keys(seed, np.arange(num_samples, dtype=np.uint64))
     noise = _draw_noise(key_generators(keys), num_samples, chain.schedule.steps, chain.dim)
-    return _trajectory_log_densities(chain, x, noise)
+    return _trajectory_log_densities(chain.steps, x, noise[None])[0]
 
 
 def latent_mc_log_density(
@@ -245,7 +293,8 @@ class ChainDensityOracle(CoalitionDensityOracle):
     derived from ``(seed, coalition)``, so the oracle stays a deterministic
     pure function of the coalition, and its value equals
     ``latent_mc_log_density(chain, x, num_samples, derive_seed(seed, s))``.
-    The baseline stays analytic.
+    The coalitions run as stacked chains, in sub-blocks bounded by
+    ``_CHAIN_ELEMENTS``. The baseline stays analytic.
     """
 
     def __init__(
@@ -270,17 +319,21 @@ class ChainDensityOracle(CoalitionDensityOracle):
 
     def _event_log_densities(self, masks, fallback) -> np.ndarray:
         _, means, covs = self._fit_gaussians(masks, fallback)
-        k = self.num_samples
+        k, steps = self.num_samples, self.schedule.steps
         # Coalition s's root is derive_seed(seed, s); its trajectory j draws
         # from the stream (root, j). All keys of the batch come in one pass.
         roots = philox_keys(self.seed, masks)[:, 0]
         keys = philox_keys(np.repeat(roots, k),
                            np.tile(np.arange(k, dtype=np.uint64), len(masks)))
         generators = key_generators(keys)
+        d = means.shape[1]
+        size = max(1, _CHAIN_ELEMENTS // (k * steps * d + (steps + 1) * d * d))
         out = np.empty(len(masks))
-        for b in range(len(masks)):
-            chain = gaussian_ddpm_chain(GaussianModel(mean=means[b], cov=covs[b]), self.schedule)
-            noise = _draw_noise(generators, k, self.schedule.steps, chain.dim)
-            logs = _trajectory_log_densities(chain, self.event.x, noise)
-            out[b] = logsumexp(logs) - math.log(k)
+        for start in range(0, len(masks), size):
+            chains = _reverse_steps(means[start:start + size], covs[start:start + size],
+                                    self.schedule)
+            b = chains.means.shape[0]
+            noise = _draw_noise(generators, b * k, steps, d).reshape(b, k, steps, d)
+            logs = _trajectory_log_densities(chains, self.event.x, noise)
+            out[start:start + b] = _logsumexp_rows(logs) - math.log(k)
         return out

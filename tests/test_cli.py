@@ -564,6 +564,19 @@ def test_dataset_that_does_not_parse_is_exit_3(tmp_path, capsys, content, messag
     assert "oracle failure" in err and f"{dataset}: {message}" in err
 
 
+@pytest.mark.parametrize("content, message", [
+    ("owner_id,label,x0,x1\n0,,0.5,1.0\n\n0,,1.0\n", "line 4: row width 3 != 4"),
+    ("owner_id,label\n0,a\n", "the header names no coordinate column"),
+])
+def test_dataset_of_the_wrong_shape_is_exit_3(tmp_path, capsys, content, message):
+    dataset = tmp_path / "owners.csv"
+    dataset.write_text(content, encoding="utf-8")
+    config = write_config(tmp_path / "config.json", dataset=str(dataset))
+    assert main(["attribute", "--config", config, "--event", "0,0"]) == 3
+    err = capsys.readouterr().err
+    assert "oracle failure" in err and f"{dataset}: {message}" in err
+
+
 @pytest.mark.parametrize("empty", ["dataset", "baseline"])
 def test_dataset_csv_without_rows_is_exit_3(tmp_path, capsys, empty):
     header_only = tmp_path / "empty.csv"

@@ -27,7 +27,7 @@ from royaltyshare import (
     save_owner_datasets,
     standard_normal_model,
 )
-from royaltyshare.density import COVARIANCE_FLOOR, logsumexp, scott_bandwidth
+from royaltyshare.density import COVARIANCE_FLOOR, _logsumexp_rows, logsumexp, scott_bandwidth
 
 STANDARD_NORMAL_PEAK = -0.9189385332046727
 
@@ -301,3 +301,17 @@ def test_logsumexp_matches_scipy_bit_for_bit():
     for a in cases:
         ours, reference = logsumexp(a), float(special.logsumexp(a))
         assert np.float64(ours).tobytes() == np.float64(reference).tobytes(), a
+
+
+def test_row_logsumexp_matches_scipy_on_each_row_bit_for_bit():
+    special = pytest.importorskip("scipy.special")
+    rng = np.random.default_rng(19)
+    a = rng.normal(size=(12, 300)) * 50.0
+    a[1] = -np.inf
+    a[2, 7] = np.inf
+    a[3] = np.round(a[3])
+    a[4, ::3] = a[4].max()
+    a[5, :150] = -np.inf
+    rows = _logsumexp_rows(a)
+    for row, value in zip(a, rows):
+        assert value.tobytes() == np.float64(special.logsumexp(row)).tobytes(), row

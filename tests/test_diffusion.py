@@ -15,6 +15,8 @@ from royaltyshare import (
     latent_mc_log_density,
     standard_normal_model,
 )
+from royaltyshare import density, diffusion
+from royaltyshare.density import logsumexp
 from royaltyshare.diffusion import (
     ChainDensityOracle,
     _floor_spd,
@@ -254,6 +256,135 @@ def test_chain_oracle_equals_the_scalar_estimate_per_coalition(dim):
         chain = gaussian_ddpm_chain(fit_gaussian(points, ridge=1e-6), schedule)
         expected = latent_mc_log_density(chain, event.x, 15, derive_seed(21, mask))
         assert value == expected - baseline.log_density(event.x)
+
+
+def per_matrix_chain(model, alphas):
+    """The reverse chain built one matrix at a time: the stacked builder's reference.
+
+    Returns per step t the marginal means and covariances, the gains, the
+    floored kernel covariances (index 0: the top, x_T) and their factors,
+    in the layout ``ReverseSteps`` uses.
+    """
+    means, covs = [model.mean], [model.cov]
+    abar = 1.0
+    for alpha in alphas:
+        abar *= alpha
+        means.append(math.sqrt(abar) * model.mean)
+        covs.append(abar * model.cov + (1.0 - abar) * np.eye(model.dim))
+    gains, kernel_covs = [np.zeros_like(model.cov)], [floor_spd_reference(covs[-1], 1e-12)]
+    for t, alpha in enumerate(alphas, start=1):
+        root_a = math.sqrt(alpha)
+        gain = root_a * np.linalg.solve(covs[t].T, covs[t - 1].T).T
+        gains.append(gain)
+        kernel_covs.append(floor_spd_reference(covs[t - 1] - root_a * gain @ covs[t - 1], 1e-12))
+    return means, covs, gains, kernel_covs, [np.linalg.cholesky(c) for c in kernel_covs]
+
+
+def per_matrix_estimate(model, alphas, x, num_samples, seed):
+    """latent_mc_log_density through the per-matrix chain, one trajectory at a time."""
+    means, _, gains, kernel_covs, chols = per_matrix_chain(model, alphas)
+    T, logs = len(alphas), []
+    for k in range(num_samples):
+        rng = rng_for(seed, k)
+        x_t = means[T] + chols[0] @ rng.standard_normal(x.size)
+        for t in range(T, 1, -1):
+            x_t = (means[t - 1] + gains[t] @ (x_t - means[t])
+                   + chols[t] @ rng.standard_normal(x.size))
+        kernel_mean = means[0] + gains[1] @ (x_t - means[1])
+        logs.append(GaussianModel(mean=kernel_mean, cov=kernel_covs[1]).log_density(x))
+    return logsumexp(np.array(logs)) - math.log(num_samples)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5])
+@pytest.mark.parametrize("alphas", [[0.9, 1.0, 0.8], [1.0, 0.7], [1.0, 1.0]])
+def test_the_chain_equals_the_per_matrix_reference(dim, alphas):
+    rng = np.random.default_rng(60 + dim)
+    tiny = np.eye(dim)
+    tiny[-1, -1] = 1e-14  # below the posterior floor; with every alpha = 1 it floors the top
+    models = [random_model(rng, dim), GaussianModel(mean=np.ones(dim), cov=tiny)]
+    x = rng.standard_normal(dim)
+    for model in models:
+        chain = gaussian_ddpm_chain(model, NoiseSchedule(np.array(alphas)))
+        reference = per_matrix_chain(model, alphas)
+        for got, want in zip(chain.steps, reference):
+            for t, matrix in enumerate(want):
+                assert got[0, t].tobytes() == matrix.tobytes()
+        assert (latent_mc_log_density(chain, x, 12, 5)
+                == per_matrix_estimate(model, alphas, x, 12, 5))
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_chain_oracle_equals_the_per_matrix_reference(dim):
+    rng = np.random.default_rng(70 + dim)
+    datasets = [OwnerDataset(owner=i, points=rng.standard_normal((7, dim)) * (i + 1))
+                for i in range(3)]
+    datasets.append(OwnerDataset(owner=3, points=np.ones((2, dim))))  # floored fit
+    event = GenerationEvent(x=rng.standard_normal(dim))
+    alphas = [0.9, 1.0, 0.8]
+    oracle = ChainDensityOracle(datasets, standard_normal_model(dim), event,
+                                NoiseSchedule(np.array(alphas)), ridge=0.0, num_samples=9,
+                                seed=13)
+    values = oracle.many(range(1, 16))
+    for mask, value in zip(range(1, 16), values):
+        points = np.concatenate([datasets[i].points for i in range(4) if mask >> i & 1])
+        expected = per_matrix_estimate(fit_gaussian(points), alphas, event.x, 9,
+                                       derive_seed(13, mask))
+        assert value == expected - standard_normal_model(dim).log_density(event.x)
+
+
+def chain_partition():
+    """Owner 1 has no point under label "a"; owner 2's points coincide, so its
+    fit with no ridge has a zero covariance and is floored."""
+    rng = np.random.default_rng(8)
+    return [
+        OwnerDataset(owner=0, points=rng.standard_normal((6, 2)), labels=tuple("ababab")),
+        OwnerDataset(owner=1, points=rng.standard_normal((4, 2)) + 1.0, labels=tuple("bbbb")),
+        OwnerDataset(owner=2, points=np.ones((3, 2)), labels=tuple("aaa")),
+        OwnerDataset(owner=3, points=rng.standard_normal((5, 2)) * 2.0),
+    ]
+
+
+@pytest.mark.parametrize("block", [1, 3])
+def test_a_chain_fill_in_blocks_equals_one_block(monkeypatch, block):
+    def oracle():
+        return ChainDensityOracle(chain_partition(), standard_normal_model(2),
+                                  GenerationEvent(x=np.array([0.3, -0.2]), label="a"),
+                                  NoiseSchedule(np.array([0.9, 1.0, 0.8])), ridge=0.0,
+                                  num_samples=7, seed=4)
+
+    whole = oracle()
+    values = whole.many(range(16))
+    assert whole.fallback_coalitions and whole.covariance_floor_coalitions
+    monkeypatch.setattr(density, "_FIT_BLOCK", block)
+    blocked = oracle()
+    assert blocked.many(range(16)).tobytes() == values.tobytes()
+    assert blocked.fallback_coalitions == whole.fallback_coalitions
+    assert blocked.covariance_floor_coalitions == whole.covariance_floor_coalitions
+
+
+@pytest.mark.parametrize("budget, largest", [(1, 1), (3 * 58, 3), (3 * 58 - 1, 2)])
+def test_a_chain_run_in_sub_blocks_equals_one_block(monkeypatch, budget, largest):
+    # One coalition of this oracle holds 7·3·2 noise and 4·2·2 step elements: 58.
+    def oracle():
+        return ChainDensityOracle(chain_partition(), standard_normal_model(2),
+                                  GenerationEvent(x=np.array([0.3, -0.2]), label="a"),
+                                  NoiseSchedule(np.array([0.9, 1.0, 0.8])), ridge=0.0,
+                                  num_samples=7, seed=4)
+
+    sizes = []
+
+    def recording_steps(means, covs, schedule):
+        sizes.append(len(means))
+        return reverse_steps(means, covs, schedule)
+
+    reverse_steps = diffusion._reverse_steps
+    monkeypatch.setattr(diffusion, "_reverse_steps", recording_steps)
+    values = oracle().many(range(16))
+    assert len(sizes) == 1
+    fitted, sizes[:] = sizes[0], []
+    monkeypatch.setattr(diffusion, "_CHAIN_ELEMENTS", budget)
+    assert oracle().many(range(16)).tobytes() == values.tobytes()
+    assert max(sizes) == largest and sum(sizes) == fitted
 
 
 def floor_spd_reference(cov, floor):
