@@ -3,20 +3,32 @@
 Each recorded transaction carries a price and the royalty shares computed at
 generation time. Settlement folds unsettled transactions into owner balances;
 a subsampled settlement estimates the same payouts from a fraction of the
-pool.
+pool. The next day reopens the ledger, whose replay resumes at the
+checkpoint the first reopen left beside the log, records a few more sales
+and settles them as a second period.
 """
 
 from __future__ import annotations
 
 import tempfile
 
-from royaltyshare import LedgerStore, settle_full, settle_subsampled
+import numpy as np
+
+from royaltyshare import (
+    GenerationEvent,
+    LedgerStore,
+    ShareVector,
+    Transaction,
+    settle_full,
+    settle_subsampled,
+)
 from royaltyshare.synthetic import populate_synthetic_ledger
 
 
 def main() -> None:
     with tempfile.TemporaryDirectory(prefix="royalty-demo-") as root:
         settle_day(root)
+        next_day(root)
 
 
 def settle_day(root: str) -> None:
@@ -47,6 +59,33 @@ def settle_day(root: str) -> None:
     print()
     print("owner balances now carry the settled amounts:")
     for owner, balance in sorted(balances.items()):
+        print(f"  owner {owner}: {balance:>9.2f}")
+
+
+def next_day(root: str) -> None:
+    yesterday = LedgerStore(root, create=False)  # replays the whole log, then checkpoints it
+    sales = [
+        Transaction(
+            id=f"day2-{k}",
+            price=2.0,
+            event=GenerationEvent(x=np.array([0.1 * k, -0.2])),
+            srs=ShareVector(shares=np.array([0.4, 0.3, 0.2, 0.1]), degenerate=False),
+        )
+        for k in range(5)
+    ]
+    yesterday.record_many(sales)
+    store = LedgerStore(root, create=False)  # replays only the sales after the checkpoint
+    print()
+    print(f"next day: {len(store.unsettled())} new sales on top of {store.settlement_count} "
+          "settlement")
+    report = settle_full(store, 0.7)
+    print(f"  second period pays owners {report.owner_payouts.sum():.2f}, "
+          f"the developer {report.developer_payout:.2f}")
+    reopened = LedgerStore(root, create=False)
+    assert repr(reopened.balances) == repr(store.balances), "reopened balances differ"
+    assert reopened.settlement_count == 2 and not reopened.unsettled()
+    print(f"  reopened: {reopened.settlement_count} settlements, balances unchanged")
+    for owner, balance in sorted(reopened.balances.items()):
         print(f"  owner {owner}: {balance:>9.2f}")
 
 

@@ -17,9 +17,10 @@ is paid at most once per coalition, and then works on that array alone. One
 stratified kernel serves both stratified solvers. It gathers each player's
 marginals by inserting a zero bit at that player into the size-ordered
 coalitions of the others, so every stratum is a contiguous slice and one
-fsum. :func:`exact_shapley` runs it on the game's table, and
-:func:`exact_permission_shapley` on the developer's permission game, whose
-(n+1)-player table is the owners' table behind a half of zeros.
+fsum. :func:`exact_shapley` divides those stratum sums by their binomial
+weights, and :func:`exact_permission_shapley` takes the developer's
+permission game from the same sums with the (n+1)-player weights, plus one
+pass over the owners' table for the developer.
 
 fsum accumulation is order independent, which has a useful consequence:
 players whose marginal contribution multisets coincide get bit-identical
@@ -75,26 +76,22 @@ def _coalitions_by_size(n: int) -> np.ndarray:
     return np.argsort(sizes, kind="stable")
 
 
-def _shapley_from_table(table: np.ndarray, n: int) -> np.ndarray:
-    """Shapley values of the ``n``-player game whose utility table is ``table``.
+def _stratum_sums(table: np.ndarray, n: int) -> list[list[float]]:
+    """``F[i][k]``: the fsum of player i's marginals over the size-k coalitions without i.
 
-    Player i's stratum k is its marginals ``v(S + i) - v(S)`` over the
-    ``C(n-1, k)`` coalitions S of size k without i. Inserting a zero bit at i
-    into the size-ordered coalitions of the other ``n - 1`` players gives those
-    S for every k at once, each stratum a contiguous slice. One fsum per
-    stratum, divided by ``C(n-1, k)``, then one fsum over the strata, divided
-    by ``n``.
+    Player i's marginals are ``v(S + i) - v(S)`` over the ``C(n-1, k)``
+    coalitions S of size k without i. Inserting a zero bit at i into the
+    size-ordered coalitions of the other ``n - 1`` players gives those S for
+    every k at once, each stratum a contiguous slice and one fsum.
     """
     others = _coalitions_by_size(max(n - 1, 0))
-    weights = [math.comb(n - 1, k) for k in range(n)]
-    bounds = list(itertools.accumulate(weights, initial=0))
-    values = []
+    bounds = list(itertools.accumulate((math.comb(n - 1, k) for k in range(n)), initial=0))
+    sums = []
     for i in range(n):
         without = ((others >> i) << (i + 1)) | (others & ((1 << i) - 1))
         marginals = memoryview(table[without | (1 << i)] - table[without])
-        strata = [math.fsum(marginals[a:b]) / w for a, b, w in zip(bounds, bounds[1:], weights)]
-        values.append(math.fsum(strata) / n)
-    return np.array(values, dtype=float)
+        sums.append([math.fsum(marginals[a:b]) for a, b in zip(bounds, bounds[1:])])
+    return sums
 
 
 def _check_limit(n: int) -> None:
@@ -113,27 +110,43 @@ def exact_shapley(game: CoalitionGame) -> ShapleyVector:
     ``DEFAULT_EXACT_LIMIT`` (20); beyond that the 2^n enumeration is no
     longer appropriate and a sampling estimator should be used.
     """
-    _check_limit(game.n)
-    return ShapleyVector(_shapley_from_table(_utility_table(game), game.n))
+    n = game.n
+    _check_limit(n)
+    values = [
+        math.fsum([f / math.comb(n - 1, k) for k, f in enumerate(strata)]) / n
+        for strata in _stratum_sums(_utility_table(game), n)
+    ]
+    return ShapleyVector(np.array(values, dtype=float))
 
 
 def exact_permission_shapley(game: CoalitionGame) -> ShapleyVector:
     """Exact Shapley values of ``game``'s permission game, from ``game``'s table.
 
     The permission game adds a developer as player ``n`` and is worth
-    ``v(S minus developer)`` when the developer is in S, zero otherwise: its
-    utility table is a zero half, the coalitions without the developer,
-    followed by ``game``'s table. Entry ``n`` of the result is the developer.
-    The numbers are those of :func:`exact_shapley` on the ``(n+1)``-player
-    game, bit for bit, without building it.
+    ``v(S minus developer)`` when the developer is in S, zero otherwise.
+    Entry ``n`` of the result is the developer. The numbers are those of
+    :func:`exact_shapley` on the ``(n+1)``-player game, bit for bit, without
+    building it: there, owner i's stratum ``k + 1`` holds its stratum k of
+    ``game`` plus exact zeros (the coalitions without the developer), so it
+    is ``F[i][k] / C(n, k+1)``, and its stratum 0 is one zero. The
+    developer's stratum k holds ``v(T)`` for the ``C(n, k)`` coalitions T of
+    k owners.
 
     Raises :class:`TooManyPlayersError` when ``game.n``, the owner count,
     exceeds ``DEFAULT_EXACT_LIMIT``.
     """
     n = game.n
     _check_limit(n)
-    values = _shapley_from_table(np.concatenate([np.zeros(1 << n), _utility_table(game)]), n + 1)
-    return ShapleyVector(values)
+    table = _utility_table(game)
+    values = [
+        math.fsum([0.0] + [f / math.comb(n, k + 1) for k, f in enumerate(strata)]) / (n + 1)
+        for strata in _stratum_sums(table, n)
+    ]
+    by_size = memoryview(table[_coalitions_by_size(n)])
+    bounds = list(itertools.accumulate((math.comb(n, k) for k in range(n + 1)), initial=0))
+    developer = [math.fsum(by_size[a:b]) / (b - a) for a, b in zip(bounds, bounds[1:])]
+    values.append(math.fsum(developer) / (n + 1))
+    return ShapleyVector(np.array(values, dtype=float))
 
 
 def exact_shapley_by_permutations(game: CoalitionGame) -> ShapleyVector:

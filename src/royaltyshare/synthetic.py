@@ -88,6 +88,8 @@ def populate_synthetic_ledger(
 ) -> None:
     """Record constant-price transactions with synthetic share rows attached.
 
+    The whole fixture is one ``record_many`` batch: one write and one fsync.
+
     Share rows are Dirichlet draws, independent of the (constant) price, so
     the subsampled settlement estimator is unbiased on this fixture by
     construction. Events are small random vectors; they exist so every
@@ -99,11 +101,12 @@ def populate_synthetic_ledger(
         raise ValueError("dirichlet_alpha length must equal num_owners")
     alpha = np.asarray(dirichlet_alpha, dtype=float)
     width = len(str(max(num_transactions - 1, 0)))
+    txs = []
     for t in range(num_transactions):
         rng = rng_for(seed, t)
         shares = rng.dirichlet(alpha)
         event = GenerationEvent(x=rng.standard_normal(2))
-        store.record(
+        txs.append(
             Transaction(
                 id=f"tx-{t:0{width}d}",
                 price=price,
@@ -111,3 +114,4 @@ def populate_synthetic_ledger(
                 srs=ShareVector(shares=shares, degenerate=False),
             )
         )
+    store.record_many(txs)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import itertools
 import math
 import os
 import tempfile
@@ -22,7 +24,7 @@ from royaltyshare import (
     write_settlement_csv,
 )
 from royaltyshare import ledger
-from royaltyshare.ledger import LOG_NAME
+from royaltyshare.ledger import CHECKPOINT_NAME, LOG_NAME
 
 
 def share_row(*values):
@@ -75,6 +77,13 @@ def test_duplicate_ids_rejected(store):
     store.record(make_tx("tx-1", 1.0))
     with pytest.raises(DuplicateIdError):
         store.record(make_tx("tx-1", 2.0))
+    log = (store.path / LOG_NAME).read_bytes()
+    # A batch is checked whole, against the store and itself, and appends nothing if it fails.
+    for batch in (["tx-2", "tx-1"], ["tx-2", "tx-3", "tx-2"]):
+        with pytest.raises(DuplicateIdError):
+            store.record_many([make_tx(tx_id, 1.0) for tx_id in batch])
+    assert (store.path / LOG_NAME).read_bytes() == log
+    assert [tx.id for tx in store.transactions()] == ["tx-1"]
 
 
 def test_a_settled_id_cannot_be_recorded_again(store):
@@ -277,6 +286,22 @@ def test_concurrent_records_all_land(store):
         assert sum(1 for _ in fh) == 400
 
 
+def test_a_batch_is_one_append_with_the_bytes_of_single_records(tmp_path, monkeypatch):
+    txs = [make_tx(f"tx-{k}", 1.0 + k, share_row(0.5, 0.5), label="café") for k in range(5)]
+    one_by_one = LedgerStore(tmp_path / "one")
+    for tx in txs:
+        one_by_one.record(tx)
+    fsyncs = []
+    real_fsync = os.fsync
+    monkeypatch.setattr(os, "fsync", lambda fd: (fsyncs.append(fd), real_fsync(fd))[1])
+    batched = LedgerStore(tmp_path / "batch")
+    batched.record_many(txs)
+    batched.record_many([])
+    assert len(fsyncs) == 1
+    assert (batched.path / LOG_NAME).read_bytes() == (one_by_one.path / LOG_NAME).read_bytes()
+    assert list(map(_fields, batched.unsettled())) == list(map(_fields, txs))
+
+
 def test_settlement_csv_layout(tmp_path, store):
     store.record(make_tx("tx-1", 1.0, share_row(0.25, 0.75)))
     report = settle_full(store, beta_data=0.8)
@@ -332,14 +357,17 @@ def test_a_cut_anywhere_in_the_last_two_lines_recovers_a_consistent_ledger(tmp_p
     before = LedgerStore(tmp_path / "before")
     (before.path / LOG_NAME).write_bytes(data[:tail_start])
     before = LedgerStore(before.path, create=False)
+    checkpoint = (before.path / CHECKPOINT_NAME).read_bytes()  # of the log before the tail
     outcomes = {
         (full.settlement_count, tuple(full.balances.items()), full.developer_balance),
         (before.settlement_count, tuple(before.balances.items()), before.developer_balance),
     }
-    for cut in range(tail_start, len(data)):
-        path = tmp_path / f"cut-{cut}"
+    for cut, with_checkpoint in itertools.product(range(tail_start, len(data)), (False, True)):
+        path = tmp_path / f"cut-{cut}-{with_checkpoint}"
         path.mkdir()
         (path / LOG_NAME).write_bytes(data[:cut])
+        if with_checkpoint:
+            (path / CHECKPOINT_NAME).write_bytes(checkpoint)
         store = LedgerStore(path, create=False)
         kept = (path / LOG_NAME).read_bytes()
         assert store.dropped_bytes == cut - len(kept)
@@ -402,10 +430,18 @@ _CORRUPT_TAILS = {
 @pytest.mark.parametrize("tail", list(_CORRUPT_TAILS))
 def test_corrupt_complete_lines_raise_on_reopen(store, tail):
     store.record(make_tx("tx-1", 1.0, share_row(1.0)))
-    with open(store.path / LOG_NAME, "ab") as fh:
-        fh.write(tail)
-    with pytest.raises(StorageFailureError, match=rf"line {_CORRUPT_TAILS[tail]}\b"):
-        LedgerStore(store.path, create=False)
+    log = (store.path / LOG_NAME).read_bytes()
+    messages = []
+    for with_checkpoint in (False, True):
+        (store.path / LOG_NAME).write_bytes(log)
+        if with_checkpoint:  # of the first line, so that replay resumes at line 2
+            LedgerStore(store.path, create=False)
+        with open(store.path / LOG_NAME, "ab") as fh:
+            fh.write(tail)
+        with pytest.raises(StorageFailureError, match=rf"line {_CORRUPT_TAILS[tail]}\b") as exc:
+            LedgerStore(store.path, create=False)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
 
 
 def test_each_settlement_makes_one_fsync(store, monkeypatch):
@@ -437,6 +473,7 @@ _sale = st.tuples(
 )
 _step = st.one_of(
     st.tuples(st.just("record"), _sale),
+    st.tuples(st.just("reopen"), st.none()),
     st.tuples(st.just("full"), st.floats(0.0, 1.0)),
     st.tuples(st.just("sample"), st.tuples(st.floats(0.0, 1.0), st.integers(1, 8),
                                            st.integers(0, 2**32))),
@@ -453,6 +490,8 @@ def test_a_reopened_store_equals_its_writer(steps):
                 price, weights, coords, label = arg
                 shares = None if weights is None else share_row(*np.array(weights) / sum(weights))
                 store.record(make_tx(f"tx-{k}", price, shares, coords, label))
+            elif op == "reopen":  # replay resumes at the checkpoint this open writes
+                store = LedgerStore(tmp, create=False)
             elif op == "full":
                 settle_full(store, beta_data=arg)
             elif store.unsettled():
@@ -486,3 +525,123 @@ def test_opening_decodes_only_the_unsettled_pool(store, monkeypatch):
     reopened = LedgerStore(store.path, create=False)
     assert len(decoded) == 2
     assert [t.id for t in reopened.unsettled()] == ["tx-12", "tx-13"]
+
+
+def test_reopening_through_a_checkpoint_parses_only_the_suffix(tmp_path, monkeypatch):
+    for periods in (1, 5):
+        store = LedgerStore(tmp_path / f"periods-{periods}")
+        for p in range(periods):
+            for k in range(3):
+                store.record(make_tx(f"tx-{p}-{k}", 1.0, share_row(0.25, 0.75)))
+            settle_full(store, beta_data=0.5)
+        store.record(make_tx("kept", 1.0, share_row(1.0, 0.0)))
+        LedgerStore(store.path, create=False)  # checkpoints every line so far
+        store.record(make_tx("new-0", 1.0, share_row(0.5, 0.5)))
+        settle_full(store, beta_data=0.5)  # settles "kept" and "new-0"
+        store.record(make_tx("new-1", 1.0, share_row(0.5, 0.5)))
+        store.record(make_tx("new-2", 1.0))
+        parsed, decoded = [], []
+        with monkeypatch.context() as m:
+            real_parse, real_decode = ledger._parse_line, ledger._decode_line
+            m.setattr(ledger, "_parse_line", lambda line: parsed.append(line) or real_parse(line))
+            m.setattr(ledger, "_decode_line",
+                      lambda line: decoded.append(line) or real_decode(line))
+            reopened = LedgerStore(store.path, create=False)
+        # Each sale after the checkpoint is parsed once to check it, and each
+        # of the unsettled pool once more to decode it; the settled copies, the
+        # record and everything before the checkpoint are not parsed.
+        ids = [line.partition("|")[0] for line in parsed]
+        assert sorted(ids) == ["new-0", "new-1", "new-1", "new-2", "new-2"], periods
+        assert [line.partition("|")[0] for line in decoded] == ["new-1", "new-2"]
+        assert [t.id for t in reopened.unsettled()] == ["new-1", "new-2"]
+        assert reopened.settlement_count == periods + 1
+
+
+def _checkpointed_ledger(path):
+    """A small ledger whose checkpoint covers a settlement and two unsettled sales.
+
+    The log goes on after the checkpoint: a settlement that settles one of
+    those sales and quarantines the other, and one more sale.
+    """
+    store = LedgerStore(path)
+    store.record(make_tx("tx-0", 1.5, share_row(0.5, 0.5), label="café"))
+    store.record(make_tx("tx-1", 2.0, share_row(0.25, 0.75), coords=(1e-300, -3.0)))
+    settle_full(store, beta_data=0.6)
+    store.record(make_tx("tx-2", 0.5, share_row(1.0, 0.0)))
+    store.record(make_tx("tx-3", 3.0))
+    store = LedgerStore(path, create=False)
+    store.record(make_tx("tx-4", 1.0, share_row(0.0, 1.0)))
+    settle_full(store, beta_data=0.6)
+    store.record(make_tx("tx-5", 2.5, share_row(0.5, 0.5), label="naïve"))
+    return (path / LOG_NAME).read_bytes(), (path / CHECKPOINT_NAME).read_bytes()
+
+
+def _open_outcome(path, log, checkpoint=None):
+    """Open a ledger of ``log`` and ``checkpoint``; its state, or the error's text."""
+    for name, content in ((LOG_NAME, log), (CHECKPOINT_NAME, checkpoint)):
+        if content is None:
+            (path / name).unlink(missing_ok=True)
+        else:
+            (path / name).write_bytes(content)
+    try:
+        store = LedgerStore(path, create=False)
+    except StorageFailureError as exc:
+        return str(exc)
+    ids = [tx.id for tx in store.transactions()]
+    for tx_id in ids:
+        with pytest.raises(DuplicateIdError):
+            store.record(make_tx(tx_id, 1.0))
+    return (
+        store.dropped_bytes,
+        (path / LOG_NAME).read_bytes(),
+        repr(store.balances),
+        repr(store.developer_balance),
+        store.settlement_count,
+        list(map(_fields, store.unsettled())),
+        list(map(_fields, store.transactions())),
+        [store.is_settled(tx_id) for tx_id in ids],
+    )
+
+
+def test_a_cut_or_stale_checkpoint_opens_as_the_log_alone(tmp_path, monkeypatch):
+    path = tmp_path / "ledger"
+    log, checkpoint = _checkpointed_ledger(path)
+    expected = _open_outcome(path, log)
+    assert not isinstance(expected, str)
+    for cut in range(len(checkpoint) + 1):
+        assert _open_outcome(path, log, checkpoint[:cut]) == expected, cut
+    for position in range(len(checkpoint)):
+        flipped = bytearray(checkpoint)
+        flipped[position] ^= 0x01
+        assert _open_outcome(path, log, bytes(flipped)) == expected, position
+    # Intact checkpoints whose position disagrees with the log. A corrupt line
+    # after the checkpoint shows the line number replay counted to it.
+    corrupt = log + b"tx-9|one|0.0,0.0||0\n"
+    expected_error = _open_outcome(path, corrupt)
+    assert f"line {len(log.splitlines()) + 1} " in expected_error
+    held = ledger._decode_checkpoint(checkpoint)
+    for stale in (
+        held._replace(lines=held.lines + 1),
+        held._replace(offset=held.offset - 1),
+        held._replace(digest=hashlib.sha256(log).hexdigest()),
+    ):
+        raw = ledger._encode_checkpoint(stale)
+        assert _open_outcome(path, log, raw) == expected, stale
+        assert _open_outcome(path, corrupt, raw) == expected_error, stale
+    # A checkpoint that cannot be written leaves the open as it was.
+    monkeypatch.setattr(os, "replace", lambda *args: (_ for _ in ()).throw(PermissionError()))
+    assert _open_outcome(path, log) == expected
+    assert sorted(f.name for f in path.iterdir()) == [LOG_NAME]
+
+
+def test_a_byte_flipped_before_the_checkpoint_opens_as_the_log_alone(tmp_path):
+    path = tmp_path / "ledger"
+    log, checkpoint = _checkpointed_ledger(path)
+    covered = int(checkpoint.split(b"\n")[1].split()[0])  # the checkpoint's log offset
+    assert 0 < covered < len(log)
+    for position, mask in itertools.product(range(covered), (0x01, 0xFF)):
+        flipped = bytearray(log)
+        flipped[position] ^= mask
+        flipped = bytes(flipped)
+        expected = _open_outcome(path, flipped)
+        assert _open_outcome(path, flipped, checkpoint) == expected, (position, mask)
