@@ -17,26 +17,28 @@ exactly.
 
 Replay streams the log and checks every line, but each text once: the
 settled copy of a sale differs from the sale's line only in the flag, so it
-has only its flag and its place in the log checked. Settled transactions are
-kept as the offset of their line in the log's bytes and decoded only when
-``LedgerStore.transactions`` asks for them, so opening a store builds
-``Transaction`` objects for the unsettled pool alone.
+has only its flag and its place in the log checked. The store keeps every id,
+in entry order, with the offset of its line in the log's bytes; settled
+transactions are decoded from there only when ``LedgerStore.transactions``
+asks for them, so opening a store builds ``Transaction`` objects for the
+unsettled pool alone.
 
 An open whose replay got further than the stored checkpoint writes
 ``transactions.ckpt`` beside the log: the replay's state at its last commit
-boundary. It holds that boundary's byte offset and line number, the sha256
-of the log up to it, the balances, the developer balance and the settlement
-count (floats as repr), every id in the order it entered the store with its
-settled flag and the offset of the line replay keeps for it, and the sha256
-of its own bytes. The next open resumes replay at that offset only if the
-checkpoint's checksum, and the offset, line count and digest against the
-log, all match; the log's bytes before the offset are then verified by the
-digest and those after it by replay, and only the suffix is parsed.
-Otherwise replay starts at byte 0, so every open gives what a log-only open
-gives. The checkpoint is written to a temporary name and renamed, with no
-fsync: every fact in it is also in the log, it is never read without the
-log, and deleting it only costs the next open a full replay. A change to
-what replay accepts must change the checkpoint's version line.
+boundary. It holds that boundary's byte offset, the sha256 of the log up to
+it, the balances, the developer balance and the settlement count (floats as
+repr), every id in the order it entered the store with its settled flag and
+the offset of the line replay keeps for it, and the sha256 of its own bytes.
+The next open resumes replay at that offset only if the checkpoint's
+checksum, and the offset and digest against the log, all match; the log's
+bytes before the offset are then verified by the digest and those after it
+by replay, and only the suffix is parsed. Otherwise replay starts at byte 0,
+so every open gives what a log-only open gives; the number of a line named
+in an error is counted only then, from the log. The checkpoint is written to
+a temporary name and renamed, with no fsync: every fact in it is also in the
+log, it is never read without the log, and deleting it only costs the next
+open a full replay. A change to what replay accepts, or to the checkpoint's
+layout, must change the checkpoint's version line.
 
 A crash can leave a torn tail: bytes after the last LF, or settled lines
 whose record never reached the log. That settlement never happened, so
@@ -70,7 +72,6 @@ import contextlib
 import hashlib
 import math
 import os
-import re
 import threading
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -85,7 +86,7 @@ from .seeding import rng_for
 
 LOG_NAME = "transactions.log"
 CHECKPOINT_NAME = "transactions.ckpt"
-_CHECKPOINT_VERSION = "royaltyshare ledger checkpoint 1"
+_CHECKPOINT_VERSION = "royaltyshare ledger checkpoint 2"
 _CHUNK = 1 << 16  # bytes per read when hashing the checkpointed part of the log
 
 _SHARE_SUM_TOL = 1e-9
@@ -227,20 +228,18 @@ def _decode_record(line: str) -> _Record:
     return record
 
 
-def _check_entry(
-    line: str, pool: dict[str, tuple[int, str]]
-) -> _Record | tuple[str, bool] | None:
+def _check_entry(line: str, texts: dict[str, str]) -> _Record | tuple[str, bool] | None:
     """Check one complete log line: a record, a transaction's id and flag, or None if blank.
 
-    ``pool`` maps ids to the offset and text of lines checked already. A
-    transaction line whose text before the flag is that of its id's line there
-    has only its flag checked.
+    ``texts`` maps ids to the text of lines checked already. A transaction
+    line whose text before the flag is that of its id's line there has only
+    its flag checked.
     """
     if line.startswith("|"):
         return _decode_record(line)
     tx_id = line.partition("|")[0]
-    known = pool.get(tx_id)
-    if known is not None and line[:-1] == known[1][:-1] and line[-1] in "01":
+    known = texts.get(tx_id)
+    if known is not None and line[:-1] == known[:-1] and line[-1] in "01":
         return tx_id, line[-1] == "1"
     if not line.strip():
         return None
@@ -258,25 +257,23 @@ class _Checkpoint(NamedTuple):
     """The replay state at a commit boundary of the log, as ``transactions.ckpt`` holds it."""
 
     offset: int  # the boundary's byte offset in the log
-    lines: int  # the number of log lines before it
     digest: str  # the sha256 of the log's bytes before it
     settlement_count: int
     developer_balance: float
     balances: dict[int, float]
-    ids: list[str]  # every id, in the order it entered the store
-    flags: str  # "1" for each settled id, "0" for each unsettled one
-    starts: list[int]  # the offset of the line replay keeps for each id
+    offsets: dict[str, int]  # every id, in entry order -> the offset of the line replay keeps
+    flags: str  # "1" for each settled id, "0" for each unsettled one, in that order
 
 
 def _encode_checkpoint(ckpt: _Checkpoint) -> bytes:
     lines = [
         _CHECKPOINT_VERSION,
-        f"{ckpt.offset} {ckpt.lines} {ckpt.digest}",
+        f"{ckpt.offset} {ckpt.digest}",
         f"{ckpt.settlement_count} {ckpt.developer_balance!r}",
         ",".join(f"{owner}:{amount!r}" for owner, amount in ckpt.balances.items()),
         ckpt.flags,
-        ",".join(map(str, ckpt.starts)),
-        "|".join(ckpt.ids),
+        ",".join(map(str, ckpt.offsets.values())),
+        "|".join(ckpt.offsets),
     ]
     body = "".join(line + "\n" for line in lines).encode("utf-8")
     return body + hashlib.sha256(body).hexdigest().encode("ascii") + b"\n"
@@ -290,23 +287,23 @@ def _decode_checkpoint(raw: bytes) -> _Checkpoint:
     version, position, totals, balances, flags, starts, ids, _ = body.decode("utf-8").split("\n")
     if version != _CHECKPOINT_VERSION:
         raise ValueError(f"unknown checkpoint version {version!r}")
-    offset, lines, digest = position.split(" ")
+    offset, digest = position.split(" ")
     count, developer = totals.split(" ")
     pairs = (item.split(":") for item in balances.split(",")) if balances else ()
-    ckpt = _Checkpoint(
+    ids = ids.split("|") if ids else []
+    starts = list(map(int, starts.split(","))) if starts else []
+    offsets = dict(zip(ids, starts))
+    if not len(ids) == len(starts) == len(flags) == len(offsets):
+        raise ValueError("checkpoint columns disagree in length")
+    return _Checkpoint(
         offset=int(offset),
-        lines=int(lines),
         digest=digest,
         settlement_count=int(count),
         developer_balance=float(developer),
         balances={int(owner): float(amount) for owner, amount in pairs},
-        ids=ids.split("|") if ids else [],
+        offsets=offsets,
         flags=flags,
-        starts=list(map(int, starts.split(","))) if starts else [],
     )
-    if not len(ckpt.ids) == len(ckpt.flags) == len(ckpt.starts):
-        raise ValueError("checkpoint columns disagree in length")
-    return ckpt
 
 
 class LedgerStore:
@@ -319,19 +316,18 @@ class LedgerStore:
     and its record go in one append, so after a crash the reopened store holds
     all of that settlement or none of it. ``dropped_bytes`` is the size of the
     torn tail that opening the store truncated, 0 for an intact log. The store
-    holds the unsettled pool as transactions and each settled transaction as
-    the offset of its line, which ``transactions`` decodes on demand. Opening
-    a store renews the replay checkpoint beside the log; recording and
-    settling never write it.
+    maps every id, in entry order, to the offset of its line in the log and
+    holds the unsettled pool as transactions; ``transactions`` decodes the
+    settled ones from their lines on demand. Opening a store renews the replay
+    checkpoint beside the log; recording and settling never write it.
     """
 
     def __init__(self, path: str | Path, *, create: bool = True):
         self.path = Path(path)
         self.dropped_bytes = 0
         self._lock = threading.Lock()
-        self._order: list[str] = []  # every id, in the order it entered the store
+        self._offsets: dict[str, int] = {}  # every id, in entry order -> its line's log offset
         self._pool: dict[str, Transaction] = {}  # the unsettled transactions, in that order
-        self._settled: dict[str, int] = {}  # each settled id -> the log offset of its line
         self._balances: dict[int, float] = {}
         self._developer_balance = 0.0
         self._settlement_count = 0
@@ -368,39 +364,39 @@ class LedgerStore:
 
         Replay starts where a matching checkpoint ends, or at byte 0. Every
         line it reads is checked, but a text only once: the settled copy of a
-        sale's line has only its flag checked. Settled lines are kept as their
-        offsets, and only the lines still unsettled at the end are decoded.
+        sale's line has only its flag checked. Every id keeps the offset of
+        its line, and only the lines still unsettled at the end are decoded.
+        An error names its line by number, counted only when it is raised.
         """
-        pool: dict[str, tuple[int, str]] = {}  # unsettled id -> offset and text of its checked line
+        texts: dict[str, str] = {}  # each unsettled id -> the text of its checked line
         with open(self._log_path, "rb") as fh:
-            start, start_lines, digest = self._resume(fh, pool)
+            start, digest = self._resume(fh, texts)
             fh.seek(start)
             pending: list[tuple[str, int]] = []  # settled ids and line offsets awaiting a record
             unhashed: list[bytes] = []  # lines after the last commit boundary
             keep = size = start  # bytes that stay in the log, bytes read
-            keep_lines = start_lines
-            for number, raw in enumerate(fh, start=start_lines + 1):
+            for raw in fh:
                 offset = size
                 size += len(raw)
                 if not raw.endswith(b"\n"):
                     break  # the last line, cut before its LF
                 try:
                     line = raw[:-1].decode("utf-8")
-                    entry = _check_entry(line, pool)
+                    entry = _check_entry(line, texts)
                 except ValueError as exc:  # UnicodeDecodeError included
                     raise StorageFailureError(
-                        f"malformed ledger line {number} ({exc}): {raw[:120]!r}"
+                        f"malformed ledger line {self._line_number(offset)} ({exc}): "
+                        f"{raw[:120]!r}"
                     ) from exc
                 if isinstance(entry, _Record):
                     if entry.count != len(pending):
                         raise StorageFailureError(
-                            f"ledger line {number}: settlement record commits {entry.count} "
-                            f"settled lines, but {len(pending)} precede it"
+                            f"ledger line {self._line_number(offset)}: settlement record "
+                            f"commits {entry.count} settled lines, but {len(pending)} precede it"
                         )
                     for tx_id, at in pending:
-                        if pool.pop(tx_id, None) is None and tx_id not in self._settled:
-                            self._order.append(tx_id)
-                        self._settled[tx_id] = at
+                        texts.pop(tx_id, None)
+                        self._offsets[tx_id] = at
                     self._credit(entry.owner_payouts, entry.developer_payout)
                     pending = []
                 elif entry is not None:
@@ -409,83 +405,80 @@ class LedgerStore:
                         pending.append((tx_id, offset))
                     elif pending:
                         raise StorageFailureError(
-                            f"ledger line {number}: the settled lines before it have no "
-                            "settlement record"
+                            f"ledger line {self._line_number(offset)}: the settled lines "
+                            "before it have no settlement record"
                         )
-                    elif tx_id in self._settled:  # a sale line after its settlement
-                        self._settled[tx_id] = offset
+                    elif tx_id in self._offsets and tx_id not in texts:
+                        # A sale line after its settlement: the id stays settled.
+                        self._offsets[tx_id] = offset
                     else:
-                        if tx_id not in pool:
-                            self._order.append(tx_id)
-                        pool[tx_id] = (offset, line)
+                        texts[tx_id] = line
+                        self._offsets[tx_id] = offset
                 if pending:
                     unhashed.append(raw)
                 else:
-                    keep, keep_lines = size, number
+                    keep = size
                     if unhashed:
                         digest.update(b"".join(unhashed))
                         unhashed.clear()
                     digest.update(raw)
-        self._pool = {tx_id: _decode_line(line)[0] for tx_id, (_, line) in pool.items()}
+        self._pool = {tx_id: _decode_line(line)[0] for tx_id, line in texts.items()}
         self.dropped_bytes = size - keep
         if self.dropped_bytes:
             with open(self._log_path, "r+b") as fh:
                 fh.truncate(keep)
                 os.fsync(fh.fileno())
         if keep > start:
-            self._write_checkpoint(keep, keep_lines, digest.hexdigest(), pool)
+            self._write_checkpoint(keep, digest.hexdigest())
 
-    def _resume(
-        self, fh: BinaryIO, pool: dict[str, tuple[int, str]]
-    ) -> tuple[int, int, hashlib._Hash]:
+    def _line_number(self, offset: int) -> int:
+        """The number of the log line that starts at ``offset``."""
+        with open(self._log_path, "rb") as fh:
+            return fh.read(offset).count(b"\n") + 1
+
+    def _resume(self, fh: BinaryIO, texts: dict[str, str]) -> tuple[int, hashlib._Hash]:
         """Take the checkpoint's state if it matches the log open as ``fh``.
 
-        Returns the offset and line number replay resumes at, and the sha256
-        of the log before that offset: the checkpoint's, or 0, 0 and an empty
-        digest when there is no checkpoint or it does not match. ``pool``
-        receives the checkpoint's unsettled lines.
+        Returns the offset replay resumes at and the sha256 of the log before
+        it: the checkpoint's, or 0 and an empty digest when there is no
+        checkpoint or it does not match. ``texts`` receives the checkpoint's
+        unsettled lines.
         """
-        miss = 0, 0, hashlib.sha256()
+        miss = 0, hashlib.sha256()
         try:
             ckpt = _decode_checkpoint(self._checkpoint_path.read_bytes())
-        except (OSError, ValueError):  # no checkpoint, or a torn or corrupt one
+        except (OSError, ValueError):  # no checkpoint, or a torn, corrupt or older one
             return miss
-        prefix, lines, remaining = hashlib.sha256(), 0, ckpt.offset
+        prefix, remaining = hashlib.sha256(), ckpt.offset
         while remaining:
             chunk = fh.read(min(remaining, _CHUNK))
             if not chunk:  # the log ends before the checkpoint's offset
                 return miss
             prefix.update(chunk)
-            lines += chunk.count(b"\n")
             remaining -= len(chunk)
-        if lines != ckpt.lines or prefix.hexdigest() != ckpt.digest:
+        if prefix.hexdigest() != ckpt.digest:
             return miss
-        self._order = ckpt.ids
+        self._offsets = ckpt.offsets
         self._balances = ckpt.balances
         self._developer_balance = ckpt.developer_balance
         self._settlement_count = ckpt.settlement_count
-        self._settled = dict(zip(ckpt.ids, ckpt.starts))
-        for unsettled in re.finditer("0", ckpt.flags):
-            tx_id = ckpt.ids[unsettled.start()]
-            start = self._settled.pop(tx_id)
-            fh.seek(start)
-            pool[tx_id] = (start, fh.readline()[:-1].decode("utf-8"))
-        return ckpt.offset, ckpt.lines, prefix
+        ids, at = list(ckpt.offsets), ckpt.flags.find("0")
+        while at >= 0:  # each unsettled id
+            fh.seek(ckpt.offsets[ids[at]])
+            texts[ids[at]] = fh.readline()[:-1].decode("utf-8")
+            at = ckpt.flags.find("0", at + 1)
+        return ckpt.offset, prefix
 
-    def _write_checkpoint(
-        self, offset: int, lines: int, digest: str, pool: dict[str, tuple[int, str]]
-    ) -> None:
+    def _write_checkpoint(self, offset: int, digest: str) -> None:
         """Replace the checkpoint with the state at ``offset``; a failed write changes nothing."""
         ckpt = _Checkpoint(
             offset=offset,
-            lines=lines,
             digest=digest,
             settlement_count=self._settlement_count,
             developer_balance=self._developer_balance,
             balances=self._balances,
-            ids=self._order,
-            flags="".join(["0" if i in pool else "1" for i in self._order]),
-            starts=[pool[i][0] if i in pool else self._settled[i] for i in self._order],
+            offsets=self._offsets,
+            flags="".join(["0" if i in self._pool else "1" for i in self._offsets]),
         )
         temp = self._checkpoint_path.with_name(CHECKPOINT_NAME + ".tmp")
         try:
@@ -495,19 +488,23 @@ class LedgerStore:
             with contextlib.suppress(OSError):
                 temp.unlink(missing_ok=True)
 
-    def _append_lines(self, lines: list[str]) -> int:
-        """Append ``lines`` durably; returns the log offset they start at."""
+    def _append(self, txs: list[Transaction], settled: bool, record: str = "") -> None:
+        """Durably append the lines of ``txs``, then ``record``; each id gets its line's offset."""
+        lines = [_encode_line(tx, settled).encode("utf-8") for tx in txs]
         # One write call for the whole batch, so that an append from another
         # process lands before or after a settlement's lines, not among them.
-        payload = "".join(lines).encode("utf-8")
+        payload = b"".join([*lines, record.encode("utf-8")])
         try:
             with open(self._log_path, "ab") as fh:
                 fh.write(payload)
                 fh.flush()
                 os.fsync(fh.fileno())
-                return fh.tell() - len(payload)
+                offset = fh.tell() - len(payload)
         except OSError as exc:
             raise StorageFailureError(f"append to {self._log_path} failed: {exc}") from exc
+        for tx, line in zip(txs, lines):
+            self._offsets[tx.id] = offset
+            offset += len(line)
 
     def record_many(self, txs: Iterable[Transaction]) -> None:
         """Durably append a batch of transactions in one write and one fsync.
@@ -520,14 +517,12 @@ class LedgerStore:
         with self._lock:
             batch: set[str] = set()
             for tx in txs:
-                if tx.id in self._pool or tx.id in self._settled or tx.id in batch:
+                if tx.id in self._offsets or tx.id in batch:
                     raise DuplicateIdError(f"transaction id {tx.id!r} already recorded")
                 batch.add(tx.id)
-            lines = [_encode_line(tx, settled=False) for tx in txs]
-            if lines:
-                self._append_lines(lines)
+            if txs:
+                self._append(txs, settled=False)
             for tx in txs:
-                self._order.append(tx.id)
                 self._pool[tx.id] = tx
 
     def record(self, tx: Transaction) -> None:
@@ -538,19 +533,20 @@ class LedgerStore:
         """Every transaction in entry order; reads the settled ones' lines from the log."""
         with self._lock:  # so that no settlement moves an offset past the bytes read
             try:
-                log = self._log_path.read_bytes() if self._settled else b""
+                log = self._log_path.read_bytes() if len(self._offsets) > len(self._pool) else b""
             except OSError as exc:
                 raise StorageFailureError(f"cannot read {self._log_path}: {exc}") from exc
             return [
-                self._pool.get(i) or _decode_line(_line_at(log, self._settled[i]))[0]
-                for i in self._order
+                self._pool.get(i) or _decode_line(_line_at(log, at))[0]
+                for i, at in self._offsets.items()
             ]
 
     def unsettled(self) -> list[Transaction]:
         return list(self._pool.values())
 
     def is_settled(self, tx_id: str) -> bool:
-        return tx_id in self._settled
+        with self._lock:  # a batch being recorded has its offsets before its pool entries
+            return tx_id in self._offsets and tx_id not in self._pool
 
     @property
     def balances(self) -> dict[int, float]:
@@ -577,14 +573,12 @@ class LedgerStore:
         owner_payouts: np.ndarray,
         developer_payout: float,
     ) -> None:
-        lines = [_encode_line(tx, settled=True) for tx in settled]
-        offset = self._append_lines(
-            [*lines, _encode_record(len(settled), owner_payouts, developer_payout)]
+        self._append(
+            settled, settled=True,
+            record=_encode_record(len(settled), owner_payouts, developer_payout),
         )
-        for tx, line in zip(settled, lines):
+        for tx in settled:
             del self._pool[tx.id]
-            self._settled[tx.id] = offset
-            offset += len(line.encode("utf-8"))
         self._credit(owner_payouts, developer_payout)
 
 

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import os
+import sys
 import tempfile
 import threading
 
@@ -286,6 +287,31 @@ def test_concurrent_records_all_land(store):
         assert sum(1 for _ in fh) == 400
 
 
+def test_a_sale_being_recorded_never_reads_as_settled(store):
+    batches = [[f"tx-{b}-{k}" for k in range(50)] for b in range(20)]
+    seen, done = [], threading.Event()
+
+    def poll():
+        while not done.is_set():
+            seen.extend(batch[-1] for batch in batches if store.is_settled(batch[-1]))
+
+    pollers = [threading.Thread(target=poll) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in pollers:
+            t.start()
+        for batch in batches:
+            store.record_many(make_tx(tx_id, 1.0) for tx_id in batch)
+    finally:
+        done.set()
+        for t in pollers:
+            t.join(timeout=10)
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in pollers)
+    assert seen == []
+
+
 def test_a_batch_is_one_append_with_the_bytes_of_single_records(tmp_path, monkeypatch):
     txs = [make_tx(f"tx-{k}", 1.0 + k, share_row(0.5, 0.5), label="café") for k in range(5)]
     one_by_one = LedgerStore(tmp_path / "one")
@@ -527,15 +553,26 @@ def test_opening_decodes_only_the_unsettled_pool(store, monkeypatch):
     assert [t.id for t in reopened.unsettled()] == ["tx-12", "tx-13"]
 
 
-def test_reopening_through_a_checkpoint_parses_only_the_suffix(tmp_path, monkeypatch):
+def _checkpoint_offset(path):
+    """The log offset that the checkpoint in ledger directory ``path`` covers."""
+    return int((path / CHECKPOINT_NAME).read_bytes().split(b"\n")[1].split()[0])
+
+
+def _assert_a_reopen_parses_only_the_suffix(root, monkeypatch, history, min_prefix):
+    """Reopen ledgers whose checkpoints cover ``history``, settled first, and at least
+    ``min_prefix`` bytes; only the lines after each checkpoint are parsed."""
     for periods in (1, 5):
-        store = LedgerStore(tmp_path / f"periods-{periods}")
+        store = LedgerStore(root / f"periods-{periods}")
+        if history:
+            store.record_many(history)
+            settle_full(store, beta_data=0.5)
         for p in range(periods):
             for k in range(3):
                 store.record(make_tx(f"tx-{p}-{k}", 1.0, share_row(0.25, 0.75)))
             settle_full(store, beta_data=0.5)
         store.record(make_tx("kept", 1.0, share_row(1.0, 0.0)))
         LedgerStore(store.path, create=False)  # checkpoints every line so far
+        assert _checkpoint_offset(store.path) >= min_prefix
         store.record(make_tx("new-0", 1.0, share_row(0.5, 0.5)))
         settle_full(store, beta_data=0.5)  # settles "kept" and "new-0"
         store.record(make_tx("new-1", 1.0, share_row(0.5, 0.5)))
@@ -554,7 +591,34 @@ def test_reopening_through_a_checkpoint_parses_only_the_suffix(tmp_path, monkeyp
         assert sorted(ids) == ["new-0", "new-1", "new-1", "new-2", "new-2"], periods
         assert [line.partition("|")[0] for line in decoded] == ["new-1", "new-2"]
         assert [t.id for t in reopened.unsettled()] == ["new-1", "new-2"]
-        assert reopened.settlement_count == periods + 1
+        assert reopened.settlement_count == periods + 1 + bool(history)
+
+
+def test_reopening_through_a_checkpoint_parses_only_the_suffix(tmp_path, monkeypatch):
+    _assert_a_reopen_parses_only_the_suffix(tmp_path, monkeypatch, history=[], min_prefix=0)
+
+
+def test_a_checkpoint_longer_than_three_read_chunks_resumes_at_its_offset(tmp_path, monkeypatch):
+    # Each sale takes about 700 log bytes: its line and its settled copy.
+    history = [make_tx(f"old-{k}", 1.0, share_row(0.5, 0.5), label="x" * 300) for k in range(400)]
+    min_prefix = 3 * ledger._CHUNK + 1
+    _assert_a_reopen_parses_only_the_suffix(tmp_path, monkeypatch, history, min_prefix)
+    # A corrupt line after that checkpoint: only it is parsed, and the error
+    # names the line that a log-only open names.
+    path = tmp_path / "periods-5"
+    log, checkpoint = (path / LOG_NAME).read_bytes(), (path / CHECKPOINT_NAME).read_bytes()
+    assert _checkpoint_offset(path) == len(log) >= min_prefix
+    corrupt = log + b"tx-9|one|0.0,0.0||0\n"
+    expected_error = _open_outcome(path, corrupt)
+    assert f"line {len(log.splitlines()) + 1} " in expected_error
+    parsed, real_parse = [], ledger._parse_line
+    monkeypatch.setattr(ledger, "_parse_line", lambda line: parsed.append(line) or real_parse(line))
+    assert _open_outcome(path, corrupt, checkpoint) == expected_error
+    assert parsed == ["tx-9|one|0.0,0.0||0"]
+
+
+def _checksummed(body):
+    return body + hashlib.sha256(body).hexdigest().encode("ascii") + b"\n"
 
 
 def _checkpointed_ledger(path):
@@ -620,14 +684,37 @@ def test_a_cut_or_stale_checkpoint_opens_as_the_log_alone(tmp_path, monkeypatch)
     expected_error = _open_outcome(path, corrupt)
     assert f"line {len(log.splitlines()) + 1} " in expected_error
     held = ledger._decode_checkpoint(checkpoint)
-    for stale in (
-        held._replace(lines=held.lines + 1),
-        held._replace(offset=held.offset - 1),
-        held._replace(digest=hashlib.sha256(log).hexdigest()),
-    ):
-        raw = ledger._encode_checkpoint(stale)
-        assert _open_outcome(path, log, raw) == expected, stale
-        assert _open_outcome(path, corrupt, raw) == expected_error, stale
+    # Checkpoints of another version, each with a valid checksum: one of this
+    # layout, and one of version 1, which also held the log's line count.
+    body = checkpoint[:-65].split(b"\n")
+    assert body[0] == b"royaltyshare ledger checkpoint 2"
+    other_version = [b"royaltyshare ledger checkpoint 3", *body[1:]]
+    lines_before = log[: held.offset].count(b"\n")
+    version_1 = [
+        b"royaltyshare ledger checkpoint 1",
+        b"%d %d %s" % (held.offset, lines_before, held.digest.encode("ascii")),
+        *body[2:],
+    ]
+    _open_outcome(path, log)
+    renewed = (path / CHECKPOINT_NAME).read_bytes()  # what a log-only open writes
+    assert renewed.startswith(b"royaltyshare ledger checkpoint 2\n")
+    parsed = []
+    real_parse = ledger._parse_line
+    with monkeypatch.context() as m:
+        m.setattr(ledger, "_parse_line", lambda line: parsed.append(line) or real_parse(line))
+        _open_outcome(path, log)
+        parsed_by_a_log_only_open = parsed[:]
+        for raw in (
+            ledger._encode_checkpoint(held._replace(offset=held.offset - 1)),
+            ledger._encode_checkpoint(held._replace(digest=hashlib.sha256(log).hexdigest())),
+            _checksummed(b"\n".join(other_version)),
+            _checksummed(b"\n".join(version_1)),
+        ):
+            parsed.clear()
+            assert _open_outcome(path, log, raw) == expected, raw
+            assert parsed == parsed_by_a_log_only_open, raw  # replay started at byte 0
+            assert (path / CHECKPOINT_NAME).read_bytes() == renewed, raw
+            assert _open_outcome(path, corrupt, raw) == expected_error, raw
     # A checkpoint that cannot be written leaves the open as it was.
     monkeypatch.setattr(os, "replace", lambda *args: (_ for _ in ()).throw(PermissionError()))
     assert _open_outcome(path, log) == expected
@@ -645,3 +732,39 @@ def test_a_byte_flipped_before_the_checkpoint_opens_as_the_log_alone(tmp_path):
         flipped = bytes(flipped)
         expected = _open_outcome(path, flipped)
         assert _open_outcome(path, flipped, checkpoint) == expected, (position, mask)
+
+
+def test_a_sale_line_after_its_settlement_leaves_the_id_settled(tmp_path):
+    path = tmp_path / "ledger"
+    store = LedgerStore(path)
+    store.record(make_tx("tx-0", 1.0, share_row(0.5, 0.5)))
+    store.record(make_tx("tx-1", 2.0, share_row(1.0, 0.0)))
+    settle_full(store, beta_data=0.5)
+    store.record(make_tx("tx-2", 4.0, share_row(0.0, 1.0)))
+    LedgerStore(path, create=False)
+    log, checkpoint = (path / LOG_NAME).read_bytes(), (path / CHECKPOINT_NAME).read_bytes()
+    assert _checkpoint_offset(path) == len(log)
+    # A sale line for the settled tx-1, at another price.
+    resale = make_tx("tx-1", 8.0, share_row(0.25, 0.75), coords=(1.0, 2.0), label="again")
+    log += ledger._encode_line(resale, settled=False).encode("utf-8")
+    outcomes = []
+    for held in (None, checkpoint):
+        (path / CHECKPOINT_NAME).unlink(missing_ok=True)
+        if held is not None:
+            (path / CHECKPOINT_NAME).write_bytes(held)
+        (path / LOG_NAME).write_bytes(log)
+        store = LedgerStore(path, create=False)
+        assert store.is_settled("tx-1")
+        assert [tx.id for tx in store.unsettled()] == ["tx-2"]
+        assert list(map(_fields, store.transactions()))[1] == _fields(resale)
+        report = settle_full(store, beta_data=0.5)  # pays for tx-2 alone
+        assert report.total_income == 4.0
+        assert report.owner_payouts.tolist() == [0.0, 2.0]
+        reopened = LedgerStore(path, create=False)
+        assert reopened.unsettled() == [] and reopened.is_settled("tx-1")
+        outcomes.append((
+            repr(reopened.balances),
+            repr(reopened.developer_balance),
+            list(map(_fields, reopened.transactions())),
+        ))
+    assert outcomes[0] == outcomes[1]
