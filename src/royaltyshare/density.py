@@ -28,13 +28,27 @@ covariance numerator of the block is formed in one pass over object arrays,
 then rounded once; the covariance floor, Cholesky factor and log density run
 as stacked linear algebra. :func:`fit_gaussian` is the same fit on a batch
 of one.
+
+A process that prices many events reads the same owners' data each time,
+so two reductions are cached, each in an LRU of the last ``_CACHE_SIZE``
+distinct inputs, keyed by a sha256 digest: the dataset CSV's parse, keyed by
+the file's bytes, and an oracle's pooled scale and read-only moment limbs,
+keyed by n, the owners whose pool the event's label restricts, and the
+shapes and bytes of the point groups. Only results that returned are kept;
+errors are never cached. Nothing that depends on the event is cached, so
+``fallback_coalitions`` and ``covariance_floor_coalitions`` start empty on
+every oracle.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
+import hashlib
+import io
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -71,6 +85,40 @@ _KDE_BANDWIDTH_FLOOR = 1e-6
 # Coalitions per block of a batched fit: a fill of any size holds its limb
 # sums and Python-int moments for one block at a time.
 _FIT_BLOCK = 1024
+
+# Distinct contents whose parse, and whose owners' exact moments, stay cached.
+_CACHE_SIZE = 16
+
+
+class _DigestCache:
+    """A bounded LRU of results keyed by sha256 digests, safe across threads.
+
+    Only results that returned are kept: a computation that raises stores
+    nothing, so the same input raises again on the next call. Two threads
+    that miss on one key may both compute it; the results are equal.
+    """
+
+    def __init__(self, size: int):
+        self._size = size
+        self._entries: OrderedDict[bytes, object] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key: bytes, compute):
+        with self._lock:
+            if key in self._entries:
+                self._entries.move_to_end(key)
+                return self._entries[key]
+        value = compute()
+        with self._lock:
+            self._entries[key] = value
+            while len(self._entries) > self._size:
+                self._entries.popitem(last=False)
+        return value
+
+
+# Dataset CSV bytes -> parsed rows; an oracle's point groups -> exact moments.
+_DATASETS = _DigestCache(_CACHE_SIZE)
+_MOMENTS = _DigestCache(_CACHE_SIZE)
 
 
 @dataclass(frozen=True)
@@ -225,6 +273,25 @@ def _moment_integers(groups: Sequence[np.ndarray], scale: int) -> np.ndarray:
     ends = np.cumsum([len(g) for g in groups])
     return np.array([[len(g), *terms[end - len(g):end].sum(axis=0)]
                      for g, end in zip(groups, ends)], dtype=object)
+
+
+def _owner_moments(
+    groups: Sequence[np.ndarray], n: int, partial: list[int]
+) -> tuple[int, np.ndarray]:
+    """The pooled scale and each owner's moments as read-only limbs ``(2, n, K, L)``.
+
+    ``groups`` are one empty group, the n owners' whole datasets, then the
+    labeled pools of the owners in ``partial``. Pool 0 holds each owner's
+    labeled moments (its whole dataset's outside ``partial``), pool 1 its
+    whole dataset's.
+    """
+    scale = _exact_scale(np.concatenate(groups))
+    moments = _moment_integers(groups, scale)[1:]
+    pools = np.stack([moments[:n]] * 2)
+    pools[0, partial] = moments[n:]
+    limbs = integer_limbs(pools)
+    limbs.setflags(write=False)
+    return scale, limbs
 
 
 def _fit_moments(
@@ -452,12 +519,11 @@ class CoalitionDensityOracle:
             partial = [i for i in range(self.n) if labeled[i] is not everything[i]]
             groups = [np.empty((0, self.event.x.size)), *everything,
                       *(labeled[i] for i in partial)]
-            self._scale = _exact_scale(np.concatenate(groups))
-            moments = _moment_integers(groups, self._scale)[1:]
-            pools = np.stack([moments[:self.n]] * 2)
-            pools[0, partial] = moments[self.n:]
-            # Per pool and owner, the moments as limbs: shape (2, n, K, L).
-            self._limbs = integer_limbs(pools)
+            key = hashlib.sha256(repr((self.n, partial, [g.shape for g in groups])).encode())
+            for g in groups:
+                key.update(np.ascontiguousarray(g))
+            self._scale, self._limbs = _MOMENTS.get(
+                key.digest(), lambda: _owner_moments(groups, self.n, partial))
 
     def _labeled(self, ds: OwnerDataset) -> np.ndarray:
         if self.event.label is None or ds.labels is None:
@@ -572,25 +638,46 @@ def load_owner_datasets(path: str | Path) -> list[OwnerDataset]:
     whose header has no coordinate column, raises
     :class:`DimensionMismatchError`, and a file with no data rows raises
     :class:`EmptyDatasetError`, naming the file.
+
+    Every call reads the file's bytes. The parse is cached by their sha256,
+    for the last ``_CACHE_SIZE`` distinct contents, so a file whose bytes
+    changed is parsed again and equal bytes at any path are parsed once. A
+    file that fails is never cached: it raises the same error on every call.
+    The datasets returned are over a fresh copy of the cached points.
     """
-    rows: list[list[str]] = []
-    lines: list[int] = []
+    data = Path(path).read_bytes()
+    points, ends, labels = _DATASETS.get(hashlib.sha256(data).digest(),
+                                         lambda: _parse_owner_datasets(path, data))
+    points = points.copy()
+    return [OwnerDataset(owner=owner, points=points[start:end], labels=owner_labels)
+            for owner, (start, end, owner_labels) in enumerate(zip([0, *ends], ends, labels))]
+
+
+def _parse_owner_datasets(
+    path, data: bytes
+) -> tuple[np.ndarray, list[int], list[tuple[str, ...] | None]]:
+    """The points of ``data``, a dataset CSV, grouped by owner, read-only.
+
+    Returns the ``(rows, d)`` points in owner order, each owner's end row and
+    each owner's labels (``None`` when all are empty). Errors name ``path``.
+    """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or header[:2] != ["owner_id", "label"]:
-                raise DimensionMismatchError(
-                    f"{path}: expected header owner_id,label,x0,...")
-            d = len(header) - 2
-            if d == 0:
-                raise DimensionMismatchError(f"{path}: the header names no coordinate column")
-            for row in reader:
-                if row:
-                    rows.append(row)
-                    lines.append(reader.line_num)
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise DimensionMismatchError(f"{path}: not UTF-8 text ({exc})") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if header is None or header[:2] != ["owner_id", "label"]:
+        raise DimensionMismatchError(f"{path}: expected header owner_id,label,x0,...")
+    d = len(header) - 2
+    if d == 0:
+        raise DimensionMismatchError(f"{path}: the header names no coordinate column")
+    rows: list[list[str]] = []
+    lines: list[int] = []
+    for row in reader:
+        if row:
+            rows.append(row)
+            lines.append(reader.line_num)
 
     # The fast path checks each kind over all rows at once; if one fails,
     # the rows are walked in file order to name the first bad one.
@@ -617,14 +704,11 @@ def load_owner_datasets(path: str | Path) -> list[OwnerDataset]:
     owner_ids = np.array(owners)
     order = np.argsort(owner_ids, kind="stable")
     points = points[order]
+    points.setflags(write=False)
     labels = [rows[k][1] for k in order.tolist()]
     ends = np.cumsum(np.bincount(owner_ids)).tolist()
-    out = []
-    for owner, (start, end) in enumerate(zip([0, *ends], ends)):
-        owner_labels = tuple(labels[start:end])
-        out.append(OwnerDataset(owner=owner, points=points[start:end],
-                                labels=owner_labels if any(owner_labels) else None))
-    return out
+    owner_labels = [tuple(labels[start:end]) for start, end in zip([0, *ends], ends)]
+    return points, ends, [lab if any(lab) else None for lab in owner_labels]
 
 
 def _first_bad_row(path, rows: list[list[str]], lines: list[int], d: int) -> Exception:

@@ -564,6 +564,24 @@ def test_dataset_that_does_not_parse_is_exit_3(tmp_path, capsys, content, messag
     assert "oracle failure" in err and f"{dataset}: {message}" in err
 
 
+@pytest.mark.parametrize("bad", ["dataset", "baseline"])
+def test_dataset_not_utf8_past_its_first_rows_is_exit_3(tmp_path, capsys, bad):
+    # The invalid byte stands after many whole rows, well past any read buffer.
+    rows = "".join(f"{k % 2},,{k}.5,1.0\n" for k in range(10000))
+    content = ("owner_id,label,x0,x1\n" + rows).encode("utf-8") + b"0,\xe9,0.5,1.0\n"
+    good, broken = tmp_path / "good.csv", tmp_path / "broken.csv"
+    good.write_text("owner_id,label,x0,x1\n0,,0.5,1.0\n1,,1.5,2.0\n", encoding="utf-8")
+    broken.write_bytes(content)
+    if bad == "dataset":
+        config = write_config(tmp_path / "config.json", dataset=str(broken))
+    else:
+        config = write_config(tmp_path / "config.json", dataset=str(good),
+                              baseline={"kind": "dataset", "path": str(broken)})
+    assert main(["attribute", "--config", config, "--event", "0,0"]) == 3
+    err = capsys.readouterr().err
+    assert "oracle failure" in err and f"{broken}: not UTF-8 text" in err
+
+
 @pytest.mark.parametrize("content, message", [
     ("owner_id,label,x0,x1\n0,,0.5,1.0\n\n0,,1.0\n", "line 4: row width 3 != 4"),
     ("owner_id,label\n0,a\n", "the header names no coordinate column"),

@@ -159,3 +159,39 @@ def test_a_header_without_coordinates_is_rejected(tmp_path):
     with pytest.raises(DimensionMismatchError,
                        match=f"{re.escape(str(path))}: the header names no coordinate column"):
         load_owner_datasets(path)
+
+
+def test_a_file_rewritten_with_one_digit_changed_loads_the_new_points(tmp_path):
+    path = tmp_path / "owners.csv"
+    path.write_text("owner_id,label,x0\n0,,1.25\n1,,2.5\n", encoding="utf-8")
+    assert load_owner_datasets(path)[1].points.tolist() == [[2.5]]
+    size = path.stat().st_size
+    path.write_text("owner_id,label,x0\n0,,1.25\n1,,2.7\n", encoding="utf-8")
+    assert path.stat().st_size == size
+    assert load_owner_datasets(path)[1].points.tolist() == [[2.7]]
+
+
+@pytest.mark.parametrize("content, error, message", [
+    (b"owner_id,label,x0\n0,,1.0\n0,,x\n", DimensionMismatchError,
+     "line 3: a coordinate is not a number"),
+    (b"owner_id,label,x0\n0,,1.0\n0,\xff,2.0\n", DimensionMismatchError, "not UTF-8 text"),
+])
+def test_a_bad_file_fails_on_every_call_until_it_is_fixed(tmp_path, content, error, message):
+    path = tmp_path / "owners.csv"
+    path.write_bytes(content)
+    for _ in range(3):
+        with pytest.raises(error, match=f"{re.escape(str(path))}: {message}"):
+            load_owner_datasets(path)
+    path.write_bytes(b"owner_id,label,x0\n0,,1.0\n0,a,2.0\n")
+    (ds,) = load_owner_datasets(path)
+    assert ds.points.tolist() == [[1.0], [2.0]] and ds.labels == ("", "a")
+
+
+def test_writing_into_returned_points_does_not_change_the_next_load(tmp_path):
+    path = tmp_path / "owners.csv"
+    path.write_text("owner_id,label,x0,x1\n1,,3.0,4.0\n0,,1.0,2.0\n", encoding="utf-8")
+    first = load_owner_datasets(path)
+    for ds in first:
+        ds.points[:] = -1.0
+    assert [ds.points.tolist() for ds in load_owner_datasets(path)] == [[[1.0, 2.0]],
+                                                                        [[3.0, 4.0]]]

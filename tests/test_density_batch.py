@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +21,7 @@ from royaltyshare import (
     OracleFailureError,
     OwnerDataset,
     fit_gaussian,
+    load_owner_datasets,
     save_owner_datasets,
     standard_normal_model,
 )
@@ -152,6 +155,71 @@ def test_many_equals_per_coalition_calls_bitwise(kind):
     assert batched.covariance_floor_coalitions == single.covariance_floor_coalitions
     expected_floor = {0b0100, 0b0110} if kind != "kde" else set()
     assert batched.covariance_floor_coalitions == expected_floor
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "chain"])
+def test_oracles_from_equal_content_share_moments_but_not_records(kind):
+    make = ORACLES[kind]
+    event = GenerationEvent(x=np.array([0.3, -0.2]), label="a")
+    first = make(labeled_partition(), standard_normal_model(2), event)
+    values = first.many(range(16))
+    assert first.fallback_coalitions and first.covariance_floor_coalitions
+    second = make(labeled_partition(), standard_normal_model(2), event)
+    assert second._limbs is first._limbs and not second._limbs.flags.writeable
+    assert not second.fallback_coalitions and not second.covariance_floor_coalitions
+    assert second.many(range(16)).tobytes() == values.tobytes()
+    assert second.fallback_coalitions == first.fallback_coalitions
+    assert second.covariance_floor_coalitions == first.covariance_floor_coalitions
+
+
+def test_cached_moments_depend_on_how_the_points_split_into_owners_and_labels(monkeypatch):
+    points = np.array([[0.0, 1.0], [2.0, 0.5], [-1.0, 3.0]])
+    splits = [
+        [OwnerDataset(owner=0, points=points[:2]), OwnerDataset(owner=1, points=points[2:])],
+        [OwnerDataset(owner=0, points=points[:1]), OwnerDataset(owner=1, points=points[1:])],
+        [OwnerDataset(owner=0, points=points[:2], labels=("a", "b")),
+         OwnerDataset(owner=1, points=points[2:])],
+        [OwnerDataset(owner=0, points=points[:2], labels=("b", "a")),
+         OwnerDataset(owner=1, points=points[2:])],
+    ]
+    args = (standard_normal_model(2), GenerationEvent(x=np.zeros(2), label="a"),
+            DensityOracleConfig(ridge=0.0))
+    cached = [CoalitionDensityOracle(split, *args).many(range(4)).tobytes() for split in splits]
+    monkeypatch.setattr(density, "_MOMENTS", density._DigestCache(density._CACHE_SIZE))
+    assert cached == [CoalitionDensityOracle(split, *args).many(range(4)).tobytes()
+                      for split in splits]
+    assert len(set(cached)) == len(splits)
+
+
+def test_threads_load_and_fit_one_file_alike_and_the_caches_stay_bounded(tmp_path, monkeypatch):
+    # Empty caches, so the threads race on the first misses.
+    for name in ("_DATASETS", "_MOMENTS"):
+        monkeypatch.setattr(density, name, density._DigestCache(density._CACHE_SIZE))
+    path = tmp_path / "owners.csv"
+    save_owner_datasets(path, labeled_partition())
+    event = GenerationEvent(x=np.array([0.3, -0.2]), label="a")
+
+    def attribute(_):
+        partition = load_owner_datasets(path)
+        oracle = CoalitionDensityOracle(partition, standard_normal_model(2), event)
+        return ([(ds.points.tobytes(), ds.labels) for ds in partition],
+                oracle.many(range(16)).tobytes())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            results = list(pool.map(attribute, range(32), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(result == results[0] for result in results)
+    for k in range(density._CACHE_SIZE + 3):
+        other = tmp_path / f"owners{k}.csv"
+        save_owner_datasets(other, [OwnerDataset(owner=0, points=[[float(k)], [k + 0.5]])])
+        CoalitionDensityOracle(load_owner_datasets(other), standard_normal_model(1),
+                               GenerationEvent(x=np.zeros(1)))
+    assert len(density._DATASETS._entries) == density._CACHE_SIZE
+    assert len(density._MOMENTS._entries) == density._CACHE_SIZE
 
 
 def test_many_raises_for_a_coalition_without_points_and_records_nothing():
