@@ -21,6 +21,16 @@ and its sidecar. Each supplies only its file stem, its columns and its own
 sidecar keys; ``compare-loo`` reports the attribute columns without
 ``stderr``.
 
+Every report and sidecar replaces its file whole, through
+:func:`~royaltyshare.files.replace_file`, so a crash of the process leaves
+the old file or the new one, never a torn one. Only ``settle`` fsyncs its
+report: the event commands' and ``simulate``'s outputs are pure functions
+of what their sidecars echo, so a rerun rebuilds them, but a settlement is
+committed to the ledger before its report is written and cannot be settled
+again. A settle whose report cannot be written exits 4 with a line saying
+that the settlement was committed, how many transactions it settled and
+their income.
+
 Exit codes: 0 success, 2 config error (an unknown key at any level, and any
 present value that fails its key's check, included), 3 oracle failure (a
 covariance that linear algebra rejects, and an additive coalition sum beyond
@@ -35,7 +45,6 @@ import dataclasses
 import functools
 import json
 import math
-import os
 import re
 import sys
 from pathlib import Path
@@ -64,6 +73,7 @@ from .errors import (
     StorageFailureError,
 )
 from .exact import exact_shapley, loo_scores
+from .files import replace_file
 from .games import AdditiveOracle, CoalitionGame, coalition_members
 from .ledger import LedgerStore, settle_full, settle_subsampled, write_settlement_csv
 from .montecarlo import EstimatorConfig, permutation_sample
@@ -344,16 +354,8 @@ def _solve(game: CoalitionGame, config: dict[str, Any]):
     return report.estimate, report.stderr, info
 
 
-def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-        fh.flush()
-        os.fsync(fh.fileno())
-
-
-def _write_meta(path: Path, payload: dict[str, Any]) -> None:
-    _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+def _write_meta(path: Path, payload: dict[str, Any], *, durable: bool) -> None:
+    replace_file(path, json.dumps(payload, sort_keys=True, indent=2) + "\n", durable=durable)
 
 
 def _out_dir(config: dict[str, Any]) -> Path:
@@ -394,9 +396,10 @@ def _run_event_command(args: argparse.Namespace, stem: str, report) -> dict[str,
     game, oracle = _build_game(config, event)
     columns, own_meta = report(game, config)
     out = _out_dir(config)
+    out.mkdir(parents=True, exist_ok=True)
     report_path = out / f"{stem}.csv"
     rows = [",".join(columns), *(",".join(row) for row in zip(*columns.values()))]
-    _write_text(report_path, "".join(row + "\n" for row in rows))
+    replace_file(report_path, "".join(row + "\n" for row in rows), durable=False)
     meta = {
         "command": args.command,
         "config": _echoed(config),
@@ -405,7 +408,7 @@ def _run_event_command(args: argparse.Namespace, stem: str, report) -> dict[str,
         **own_meta,
         **_oracle_meta(oracle),
     }
-    _write_meta(out / f"{stem}.meta.json", meta)
+    _write_meta(out / f"{stem}.meta.json", meta, durable=False)
     print(f"wrote {report_path}")
     return meta
 
@@ -490,17 +493,20 @@ def cmd_settle(args: argparse.Namespace) -> int:
     if store.dropped_bytes:
         print(f"ledger: dropped a torn tail of {store.dropped_bytes} bytes", file=sys.stderr)
     root_seed = config["seed"]
-    if args.mode == "full":
-        report = settle_full(store, beta)
-    else:
+    pool_size = len(store.unsettled())
+    if args.mode == "sample":
         if args.sample_size is None:
             raise ConfigError("settle --mode sample needs --sample-size")
-        pool_size = len(store.unsettled())
         if not 1 <= args.sample_size <= pool_size:
             raise ConfigError(
                 f"--sample-size must lie in [1, {pool_size}], the unsettled pool, "
                 f"got {args.sample_size}"
             )
+    out = _out_dir(config)
+    out.mkdir(parents=True, exist_ok=True)  # before the commit, so a bad --out commits nothing
+    if args.mode == "full":
+        report = settle_full(store, beta)
+    else:
         report = settle_subsampled(
             store,
             beta,
@@ -509,10 +515,7 @@ def cmd_settle(args: argparse.Namespace) -> int:
         )
     # The report echoes the root seed, not the sampler's derived stream.
     report = dataclasses.replace(report, seed=root_seed)
-    out = _out_dir(config)
-    out.mkdir(parents=True, exist_ok=True)
     report_path = out / "settlement.csv"
-    write_settlement_csv(report, report_path)
     meta = {
         "command": "settle",
         "config": _echoed(config),
@@ -527,7 +530,17 @@ def cmd_settle(args: argparse.Namespace) -> int:
         "correlated_warning": report.correlated_warning,
         "conservation_error": report.conservation_error,
     }
-    _write_meta(out / "settlement.meta.json", meta)
+    # The ledger holds the settlement now, but not its quarantine, estimator
+    # or sampled fraction: only this report does, so it is written durably.
+    try:
+        write_settlement_csv(report, report_path)
+        _write_meta(out / "settlement.meta.json", meta, durable=True)
+    except OSError as exc:
+        raise StorageFailureError(
+            f"the settlement of {pool_size - len(store.unsettled())} transactions "
+            f"({report.total_income!r} income) is committed to the ledger, but its "
+            f"report was not written in full: {exc}"
+        ) from exc
     print(f"wrote {report_path}")
     print(
         f"settled {report.total_income!r} income, conservation_error="
@@ -601,7 +614,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "dirichlet_alpha": list(alpha) if alpha else None,
             "seed": seed,
         }
-    _write_meta(Path(str(out_path) + ".meta.json"), meta)
+    _write_meta(Path(str(out_path) + ".meta.json"), meta, durable=False)
     print(f"wrote {out_path}")
     return 0
 

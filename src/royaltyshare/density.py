@@ -61,6 +61,7 @@ from .errors import (
     NonFiniteError,
     OracleFailureError,
 )
+from .files import replace_file
 from .games import (
     Coalition,
     UtilityOracle,
@@ -610,17 +611,19 @@ def coalition_utility(
 
 
 def save_owner_datasets(path: str | Path, datasets: Iterable[OwnerDataset]) -> None:
+    """Write the datasets as one dataset CSV, replacing ``path`` whole (no fsync)."""
     datasets = sorted(datasets, key=lambda ds: ds.owner)
     if not datasets:
         raise EmptyDatasetError("nothing to save")
     d = datasets[0].points.shape[1]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["owner_id", "label"] + [f"x{j}" for j in range(d)])
-        for ds in datasets:
-            labels = ds.labels if ds.labels is not None else [""] * ds.points.shape[0]
-            for row, lab in zip(ds.points, labels):
-                writer.writerow([ds.owner, lab] + [repr(float(v)) for v in row])
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(["owner_id", "label"] + [f"x{j}" for j in range(d)])
+    for ds in datasets:
+        labels = ds.labels if ds.labels is not None else [""] * ds.points.shape[0]
+        for row, lab in zip(ds.points, labels):
+            writer.writerow([ds.owner, lab] + [repr(float(v)) for v in row])
+    replace_file(path, text.getvalue(), durable=False)
 
 
 def load_owner_datasets(path: str | Path) -> list[OwnerDataset]:

@@ -34,11 +34,11 @@ checksum, and the offset and digest against the log, all match; the log's
 bytes before the offset are then verified by the digest and those after it
 by replay, and only the suffix is parsed. Otherwise replay starts at byte 0,
 so every open gives what a log-only open gives; the number of a line named
-in an error is counted only then, from the log. The checkpoint is written to
-a temporary name and renamed, with no fsync: every fact in it is also in the
-log, it is never read without the log, and deleting it only costs the next
-open a full replay. A change to what replay accepts, or to the checkpoint's
-layout, must change the checkpoint's version line.
+in an error is counted only then, from the log. The checkpoint is replaced
+whole by :func:`~royaltyshare.files.replace_file`, with no fsync: every fact
+in it is also in the log, it is never read without the log, and deleting it
+only costs the next open a full replay. A change to what replay accepts, or
+to the checkpoint's layout, must change the checkpoint's version line.
 
 A crash can leave a torn tail: bytes after the last LF, or settled lines
 whose record never reached the log. That settlement never happened, so
@@ -64,6 +64,12 @@ report's ``failed_reasons``, each id with the exception's class and message
 silently dropped. A pool whose share rows disagree on the owner count, or a
 sample in which every transaction fails attribution, cannot be settled and
 raises ``StorageFailureError``.
+
+``write_settlement_csv`` replaces the report whole and fsyncs it and its
+directory. The settlement is committed to the log before its report is
+written, and the log's record holds neither the quarantine nor the
+estimator, so a crash in between leaves a settled ledger beside the previous
+report, and only the record's count and payouts to rebuild it from.
 """
 
 from __future__ import annotations
@@ -81,6 +87,7 @@ import numpy as np
 
 from .density import GenerationEvent
 from .errors import DuplicateIdError, StorageFailureError
+from .files import replace_file
 from .royalty import ShareVector
 from .seeding import rng_for
 
@@ -480,13 +487,9 @@ class LedgerStore:
             offsets=self._offsets,
             flags="".join(["0" if i in self._pool else "1" for i in self._offsets]),
         )
-        temp = self._checkpoint_path.with_name(CHECKPOINT_NAME + ".tmp")
-        try:
-            temp.write_bytes(_encode_checkpoint(ckpt))
-            os.replace(temp, self._checkpoint_path)
-        except OSError:  # a read-only directory, say: the next open replays more
-            with contextlib.suppress(OSError):
-                temp.unlink(missing_ok=True)
+        # A read-only directory, say: the next open replays more.
+        with contextlib.suppress(OSError):
+            replace_file(self._checkpoint_path, _encode_checkpoint(ckpt), durable=False)
 
     def _append(self, txs: list[Transaction], settled: bool, record: str = "") -> None:
         """Durably append the lines of ``txs``, then ``record``; each id gets its line's offset."""
@@ -732,11 +735,13 @@ def settle_subsampled(
 
 
 def write_settlement_csv(report: SettlementReport, path: str | Path) -> None:
-    """Write the settlement report CSV.
+    """Replace ``path`` with the settlement report CSV, durably.
 
     Format: a ``# total_income=... estimator=... seed=...`` comment line,
     the ``owner_id,payout`` header, one row per owner, and a trailing
-    ``developer,<payout>`` row.
+    ``developer,<payout>`` row. The file and its directory are fsynced: the
+    log's settlement record holds the count and the payouts, but not the
+    estimator or the seed, so a rerun cannot rebuild this report.
     """
     seed = "-" if report.seed is None else str(report.seed)
     lines = [
@@ -746,7 +751,4 @@ def write_settlement_csv(report: SettlementReport, path: str | Path) -> None:
     for i, amount in enumerate(report.owner_payouts):
         lines.append(f"{i},{repr(float(amount))}\n")
     lines.append(f"developer,{repr(float(report.developer_payout))}\n")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.writelines(lines)
-        fh.flush()
-        os.fsync(fh.fileno())
+    replace_file(path, "".join(lines), durable=True)
