@@ -30,14 +30,24 @@ as stacked linear algebra. :func:`fit_gaussian` is the same fit on a batch
 of one.
 
 A process that prices many events reads the same owners' data each time,
-so two reductions are cached, each in an LRU of the last ``_CACHE_SIZE``
-distinct inputs, keyed by a sha256 digest: the dataset CSV's parse, keyed by
-the file's bytes, and an oracle's pooled scale and read-only moment limbs,
-keyed by n, the owners whose pool the event's label restricts, and the
-shapes and bytes of the point groups. Only results that returned are kept;
-errors are never cached. Nothing that depends on the event is cached, so
-``fallback_coalitions`` and ``covariance_floor_coalitions`` start empty on
-every oracle.
+so three things are cached, each in an LRU of the last ``_CACHE_SIZE``
+distinct inputs, keyed by a sha256 digest:
+
+- the dataset CSV's parse, keyed by the file's bytes;
+- an oracle's pooled scale and read-only moment limbs, keyed by n, the
+  owners whose pool the event's label restricts, and the shapes and bytes
+  of the point groups;
+- a table of each coalition's Gaussian fit, keyed by those and the ridge.
+  A fit is everything before the log density: count, mean, covariance,
+  floor flag, Cholesky factor and log determinant. None of it depends on
+  the event's coordinates, so every event on the same owners' data, label
+  pools and ridge reads the same rows. A table holds at most
+  ``_FIT_TABLE_ELEMENTS`` floats; fits past that are computed on every call.
+
+Only results that returned are kept; errors are never cached. What an oracle
+records of its event is not cached: ``fallback_coalitions`` and
+``covariance_floor_coalitions`` start empty on every oracle and are filled
+as its coalitions are evaluated, the latter from the table's floor flags.
 """
 
 from __future__ import annotations
@@ -51,7 +61,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -65,6 +75,8 @@ from .files import replace_file
 from .games import (
     Coalition,
     UtilityOracle,
+    _find,
+    _merge,
     coalition_array,
     coalition_members,
     exact_scale,
@@ -87,8 +99,12 @@ _KDE_BANDWIDTH_FLOOR = 1e-6
 # sums and Python-int moments for one block at a time.
 _FIT_BLOCK = 1024
 
-# Distinct contents whose parse, and whose owners' exact moments, stay cached.
+# Distinct contents whose parse, owners' exact moments and fit table stay cached.
 _CACHE_SIZE = 16
+
+# Float64 elements one fit table holds at most, keys not counted: 2 MB, all
+# 16383 coalitions of 14 owners at d = 2. Fits past it are not stored.
+_FIT_TABLE_ELEMENTS = 1 << 18
 
 
 class _DigestCache:
@@ -117,9 +133,11 @@ class _DigestCache:
         return value
 
 
-# Dataset CSV bytes -> parsed rows; an oracle's point groups -> exact moments.
+# Dataset CSV bytes -> parsed rows; an oracle's point groups -> exact moments;
+# those groups and the ridge -> a _FitTable.
 _DATASETS = _DigestCache(_CACHE_SIZE)
 _MOMENTS = _DigestCache(_CACHE_SIZE)
+_FITS = _DigestCache(_CACHE_SIZE)
 
 
 @dataclass(frozen=True)
@@ -388,6 +406,79 @@ def _gaussian_log_densities(
     return -0.5 * (x.size * LOG_2PI + logdets + quad)
 
 
+def _fit_cuts(d: int) -> list[int]:
+    """Where each field of a fit row ends; the last is the row's width.
+
+    The fields: count, mean, covariance, floor flag, Cholesky factor and log
+    determinant.
+    """
+    return np.cumsum([1, d, d * d, 1, d * d, 1]).tolist()
+
+
+class _Fits(NamedTuple):
+    """Stacked Gaussian fits of B coalitions; :meth:`rows` is their fit table rows."""
+
+    counts: np.ndarray
+    means: np.ndarray
+    covs: np.ndarray
+    floored: np.ndarray
+    chols: np.ndarray
+    logdets: np.ndarray
+
+    @classmethod
+    def from_rows(cls, rows: np.ndarray, d: int) -> _Fits:
+        count, mean, cov, floor, chol, logdet = np.split(rows, _fit_cuts(d)[:-1], axis=1)
+        b = len(rows)
+        return cls(count[:, 0].astype(np.int64), mean, cov.reshape(b, d, d), floor[:, 0] != 0,
+                   chol.reshape(b, d, d), logdet[:, 0])
+
+    def rows(self) -> np.ndarray:
+        b = len(self.counts)
+        return np.concatenate([self.counts[:, None], self.means, self.covs.reshape(b, -1),
+                               self.floored[:, None], self.chols.reshape(b, -1),
+                               self.logdets[:, None]], axis=1)
+
+
+class _FitTable:
+    """The Gaussian fits of one owners' content and ridge, by coalition, safe across threads.
+
+    The coalitions are a sorted uint64 array, found with ``searchsorted`` as
+    in :class:`~royaltyshare.games.CoalitionGame`'s memo, with one float64
+    row of :class:`_Fits` each. A store copies both arrays and replaces them
+    whole under the lock, so a lookup reads them without it; two oracles
+    that miss on one coalition both fit it, and the first store keeps it.
+    Stores stop at ``_FIT_TABLE_ELEMENTS`` floats of rows.
+    """
+
+    def __init__(self, width: int):
+        self._lock = threading.Lock()
+        self._table = (np.empty(0, dtype=np.uint64), np.empty((0, width)))
+
+    def rows(self, masks: np.ndarray, fit) -> np.ndarray:
+        """The rows of the uint64 coalitions ``masks``, as a new array.
+
+        The coalitions not in the table are fit by ``fit(index)``: ``index``
+        holds the position in ``masks`` of each one's first appearance, in
+        ascending coalition order, and ``fit`` returns their rows. They are
+        stored only after it returns, so a fit that raises stores nothing.
+        """
+        keys, rows = self._table
+        pos, hit = _find(keys, masks)
+        if hit.all():
+            return rows[pos]
+        out = np.empty((masks.size, rows.shape[1]))
+        out[hit] = rows[pos[hit]]
+        missing, first, inverse = np.unique(masks[~hit], return_index=True, return_inverse=True)
+        fresh = fit(np.flatnonzero(~hit)[first])
+        out[~hit] = fresh[inverse]
+        with self._lock:
+            keys, rows = self._table
+            new = ~_find(keys, missing)[1]
+            room = max(0, _FIT_TABLE_ELEMENTS // rows.shape[1] - keys.size)
+            self._table = _merge(keys, rows, missing[new][:room], fresh[new][:room])
+        return out
+
+
 def _check_ridge(ridge: float) -> None:
     if not (math.isfinite(ridge) and ridge >= 0):
         raise ValueError(f"ridge must be a finite number >= 0, got {ridge!r}")
@@ -467,8 +558,11 @@ class CoalitionDensityOracle:
 
     :meth:`many` takes a sequence of coalitions and returns their utilities
     as an array; calling the oracle on one coalition is ``many([s])[0]``.
-    Gaussian fits read each owner's exact moments, computed once here, and
-    run stacked over the batch; KDE fits pool each coalition's points.
+    Gaussian fits come from the fit table of the owners' content and the
+    ridge, shared with every oracle on the same content: a coalition missing
+    from it is fit from each owner's exact moments, stacked over the batch,
+    and stored. Only the log density of the event runs on every call. KDE
+    fits pool each coalition's points.
 
     Conditioning: when the event carries a label and a coalition has labeled
     points, the fit uses only points with that label. A nonempty coalition
@@ -525,6 +619,9 @@ class CoalitionDensityOracle:
                 key.update(np.ascontiguousarray(g))
             self._scale, self._limbs = _MOMENTS.get(
                 key.digest(), lambda: _owner_moments(groups, self.n, partial))
+            key.update(float(config.ridge).hex().encode())
+            self._fit_table = _FITS.get(
+                key.digest(), lambda: _FitTable(_fit_cuts(self.event.x.size)[-1]))
 
     def _labeled(self, ds: OwnerDataset) -> np.ndarray:
         if self.event.label is None or ds.labels is None:
@@ -536,8 +633,10 @@ class CoalitionDensityOracle:
 
         Raises :class:`OracleFailureError` before any fit if a nonempty
         coalition holds no points; nothing is recorded then. The coalitions
-        are fit in blocks of at most ``_FIT_BLOCK``, so the memory a fill
-        takes does not grow with its size.
+        run in blocks of at most ``_FIT_BLOCK``, so the memory a fill takes
+        besides the fit table does not grow with its size. A block's misses
+        are fit together and stored when their fit returns: a fit that
+        raises stores nothing of its block.
         """
         masks = coalition_array(masks, self.n)
         live = masks != 0
@@ -561,17 +660,30 @@ class CoalitionDensityOracle:
     def _fit_gaussians(
         self, masks: np.ndarray, fallback: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Point counts, means and covariances of the coalitions' Gaussian fits.
+        """Point counts, means and covariances of the coalitions' Gaussian fits:
+        the first three fields of :meth:`_fits`."""
+        return self._fits(masks, fallback)[:3]
 
-        ``fallback[b]`` marks a coalition fit on its unconditioned pool.
+    def _fits(self, masks: np.ndarray, fallback: np.ndarray) -> _Fits:
+        """The coalitions' Gaussian fits, read from the fit table or fit and stored.
+
+        ``fallback[b]`` marks a coalition fit on its unconditioned pool. The
+        coalitions whose fit was floored are recorded here, on every call.
         """
+        rows = self._fit_table.rows(
+            masks, lambda index: self._fit_rows(masks[index], fallback[index]))
+        fits = _Fits.from_rows(rows, self.event.x.size)
+        self.covariance_floor_coalitions.update(masks[fits.floored].tolist())
+        return fits
+
+    def _fit_rows(self, masks: np.ndarray, fallback: np.ndarray) -> np.ndarray:
+        """Fit table rows of the coalitions, fit from the owners' exact moments."""
         sums = subset_sums(self._limbs[0], masks)
         if fallback.any():
             sums[fallback] = subset_sums(self._limbs[1], masks[fallback])
         counts, means, covs, floored = _fit_moments(
             limb_integers(sums), self.event.x.size, self._scale, self.config.ridge)
-        self.covariance_floor_coalitions.update(masks[floored].tolist())
-        return counts, means, covs
+        return _Fits(counts, means, covs, floored, *_cholesky_logdet(covs)).rows()
 
     def _event_log_densities(self, masks: np.ndarray, fallback: np.ndarray) -> np.ndarray:
         """Log density of the event under each nonempty coalition's fit;
@@ -586,9 +698,8 @@ class CoalitionDensityOracle:
                 )
                 for s, p in zip(masks.tolist(), fallback.tolist())
             ])
-        _, means, covs = self._fit_gaussians(masks, fallback)
-        chols, logdets = _cholesky_logdet(covs)
-        return _gaussian_log_densities(means, chols, logdets, x)
+        fits = self._fits(masks, fallback)
+        return _gaussian_log_densities(fits.means, fits.chols, fits.logdets, x)
 
 
 def coalition_utility(

@@ -287,11 +287,15 @@ def latent_mc_stderr(samples: np.ndarray) -> float:
 class ChainDensityOracle(CoalitionDensityOracle):
     """Coalition utility evaluated through the diffusion chain estimator.
 
-    Each coalition gets its Gaussian fit from the batched exact moments, the
-    fit is pushed through the reverse chain, and the event's log density is
-    estimated by ``num_samples`` latent trajectories. The trajectory seed is
-    derived from ``(seed, coalition)``, so the oracle stays a deterministic
-    pure function of the coalition, and its value equals
+    Each coalition's Gaussian fit is read from the fit table its Gaussian
+    parent shares with every oracle on the same owners' data and ridge (a
+    miss is fit from the batched exact moments and stored), the fit is
+    pushed through the reverse chain, and the event's log density is
+    estimated by ``num_samples`` latent trajectories. The chains and
+    trajectories depend on the event and the seed, so they run on every
+    call. The trajectory seed is derived from ``(seed, coalition)``, so the
+    oracle stays a deterministic pure function of the coalition, and its
+    value equals
     ``latent_mc_log_density(chain, x, num_samples, derive_seed(seed, s))``.
     The coalitions run as stacked chains, in sub-blocks bounded by
     ``_CHAIN_ELEMENTS``. The baseline stays analytic.

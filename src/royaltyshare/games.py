@@ -206,12 +206,21 @@ def coalition_array(masks, n: int) -> np.ndarray:
     return arr
 
 
+def _find(keys: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``searchsorted`` positions of ``masks`` in sorted ``keys``, and which are there."""
+    pos = keys.searchsorted(masks)
+    if not keys.size:
+        return pos, np.zeros(masks.shape, dtype=bool)
+    return pos, keys[np.minimum(pos, keys.size - 1)] == masks
+
+
 def _merge(keys, values, new_keys, new_values) -> tuple[np.ndarray, np.ndarray]:
     """Sorted ``keys`` and sorted ``new_keys``, none shared, merged with their values.
 
-    Scatters the new keys to their final slots, their ``searchsorted``
-    positions shifted by the new keys before them, and the old keys to the
-    rest: linear time, no sort.
+    The values are float64, one per key or one row per key. Scatters the new
+    keys to their final slots, their ``searchsorted`` positions shifted by
+    the new keys before them, and the old keys to the rest: linear time, no
+    sort.
     """
     if not new_keys.size:
         return keys, values
@@ -220,7 +229,7 @@ def _merge(keys, values, new_keys, new_values) -> tuple[np.ndarray, np.ndarray]:
     old[slots] = False
     merged_keys = np.empty(old.size, dtype=np.uint64)
     merged_keys[slots], merged_keys[old] = new_keys, keys
-    merged_values = np.empty(old.size)
+    merged_values = np.empty((old.size,) + values.shape[1:])
     merged_values[slots], merged_values[old] = new_values, values
     return merged_keys, merged_values
 
@@ -342,9 +351,7 @@ class CoalitionGame:
         flat = arr.ravel()
         with self._lock:
             keys, values = self._keys, self._values
-            pos = keys.searchsorted(flat)
-            hit = (keys[np.minimum(pos, keys.size - 1)] == flat if keys.size
-                   else np.zeros(flat.shape, dtype=bool))
+            pos, hit = _find(keys, flat)
             if hit.all():
                 return values[pos].reshape(arr.shape)
             # ``missing`` is sorted; ``order`` lists it in order of first appearance.

@@ -314,3 +314,167 @@ def test_cli_duplicate_owners_get_bit_identical_phi_and_zero_loo(tmp_path):
     rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
     assert rows[0]["phi"] == rows[1]["phi"]
     assert [float(r["loo"]) for r in rows] == [0.0, 0.0]
+
+
+@pytest.fixture
+def empty_caches(monkeypatch):
+    for name in ("_DATASETS", "_MOMENTS", "_FITS"):
+        monkeypatch.setattr(density, name, density._DigestCache(density._CACHE_SIZE))
+
+
+EVENT = GenerationEvent(x=np.array([0.3, -0.2]), label="a")
+
+
+def cold_values(monkeypatch, make, masks=range(16)):
+    """``make().many(masks)`` with every fit made anew: empty caches and a table budget of 0."""
+    with monkeypatch.context() as patch:
+        for name in ("_DATASETS", "_MOMENTS", "_FITS"):
+            patch.setattr(density, name, density._DigestCache(density._CACHE_SIZE))
+        patch.setattr(density, "_FIT_TABLE_ELEMENTS", 0)
+        oracle = make()
+        values = oracle.many(masks)
+        assert not oracle._fit_table._table[0].size
+        return values, oracle
+
+
+def table_keys(oracle):
+    return oracle._fit_table._table[0].tolist()
+
+
+@pytest.mark.parametrize("batches", [
+    [range(16)],
+    [[5, 3], range(16)],
+    [[15, 2, 2, 9, 2, 0], range(15, -1, -1)],
+    [[1], [3, 1], [2], [0, 2, 3], range(16)],
+], ids=["whole", "partial-then-full", "duplicates-then-reversed", "one-at-a-time"])
+@pytest.mark.parametrize("block", [1, 3, 1024])
+@pytest.mark.parametrize("kind", ["gaussian", "chain"])
+def test_warm_and_cold_fits_are_bit_equal(empty_caches, monkeypatch, kind, block, batches):
+    def make():
+        return ORACLES[kind](labeled_partition(), standard_normal_model(2), EVENT)
+
+    monkeypatch.setattr(density, "_FIT_BLOCK", block)
+    reference, cold = cold_values(monkeypatch, make)
+    seen = set()
+    cold_first = make()
+    for batch in batches:
+        masks = list(batch)
+        assert cold_first.many(masks).tobytes() == reference[masks].tobytes()
+        seen.update(s for s in masks if s)
+        assert table_keys(cold_first) == sorted(seen)
+    assert cold_first.fallback_coalitions == cold.fallback_coalitions == {0b0010}
+    assert cold_first.covariance_floor_coalitions == cold.covariance_floor_coalitions
+    warm = make()
+    assert warm._fit_table is cold_first._fit_table
+    masks = np.arange(1, 16, dtype=np.uint64)
+    fallback = (masks & warm._holders[0]) == 0
+    rows = warm._fits(masks, fallback).rows()
+    assert rows.tobytes() == cold._fit_rows(masks, fallback).tobytes()
+    for batch in batches:
+        masks = list(batch)
+        assert warm.many(masks).tobytes() == reference[masks].tobytes()
+    assert warm.covariance_floor_coalitions == cold.covariance_floor_coalitions
+
+
+def test_oracles_that_differ_in_ridge_label_or_bytes_never_share_fits(empty_caches, monkeypatch):
+    def make(partition=labeled_partition, event=EVENT, ridge=0.0):
+        return lambda: CoalitionDensityOracle(partition(), standard_normal_model(2), event,
+                                              DensityOracleConfig(ridge=ridge))
+
+    def nudged():
+        partition = labeled_partition()
+        points = partition[3].points.copy()
+        points[0, 0] = np.nextafter(points[0, 0], np.inf)
+        return [*partition[:3], OwnerDataset(owner=3, points=points)]
+
+    base = make()()
+    base.many(range(16))
+    variants = [make(ridge=1e-3), make(ridge=5e-324), make(event=GenerationEvent(EVENT.x, "b")),
+                make(event=GenerationEvent(EVENT.x)), make(partition=nudged)]
+    tables = {id(base._fit_table)}
+    for variant in variants:
+        oracle = variant()
+        tables.add(id(oracle._fit_table))
+        assert oracle.many(range(16)).tobytes() == cold_values(monkeypatch, variant)[0].tobytes()
+    assert len(tables) == 1 + len(variants)
+    assert make()()._fit_table is base._fit_table
+    chain = ChainDensityOracle(labeled_partition(), standard_normal_model(2), EVENT,
+                               NoiseSchedule.uniform(2, 0.9), ridge=0.0)
+    assert chain._fit_table is base._fit_table
+
+
+def test_writing_to_returned_fits_does_not_change_the_next_call(empty_caches):
+    oracle = ORACLES["gaussian"](labeled_partition(), standard_normal_model(2), EVENT)
+    masks = np.arange(1, 16, dtype=np.uint64)
+    fallback = (masks & oracle._holders[0]) == 0
+    expected = None
+    for _ in range(2):  # a cold call, then a warm one
+        counts, means, covs = oracle._fit_gaussians(masks, fallback)
+        values = oracle.many(range(16))
+        assert expected is None or values.tobytes() == expected.tobytes()
+        expected = values
+        fits = oracle._fits(masks, fallback)
+        for array in (counts, means, covs, *fits):
+            array[...] = 0
+    assert oracle.many(range(16)).tobytes() == expected.tobytes()
+
+
+def test_a_lowered_budget_stops_the_table_growing_and_values_stay_correct(
+        empty_caches, monkeypatch):
+    def make():
+        return ORACLES["gaussian"](labeled_partition(), standard_normal_model(2), EVENT)
+
+    reference = cold_values(monkeypatch, make)[0]
+    monkeypatch.setattr(density, "_FIT_TABLE_ELEMENTS", 6 * density._fit_cuts(2)[-1] - 1)
+    oracle = make()
+    assert oracle.many([7, 3, 1]).tobytes() == reference[[7, 3, 1]].tobytes()
+    assert table_keys(oracle) == [1, 3, 7]
+    for _ in range(2):
+        assert oracle.many(range(16)).tobytes() == reference.tobytes()
+        assert table_keys(oracle) == [1, 2, 3, 4, 7]
+
+
+def test_a_fill_that_raises_leaves_the_table_unchanged(empty_caches, monkeypatch):
+    oracle = ORACLES["gaussian"](labeled_partition(), standard_normal_model(2), EVENT)
+    oracle.many([1, 3])
+    table = oracle._fit_table._table
+
+    def reject(covs):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(density, "_cholesky_logdet", reject)
+        with pytest.raises(np.linalg.LinAlgError):
+            oracle.many(range(16))
+    assert oracle._fit_table._table is table
+    assert oracle.many([3, 1]).tobytes() == oracle.many([3, 1]).tobytes()
+    empty = CoalitionDensityOracle(
+        [OwnerDataset(owner=0, points=np.empty((0, 1))),
+         OwnerDataset(owner=1, points=np.array([[1.0], [2.0]]))],
+        standard_normal_model(1), GenerationEvent(x=np.zeros(1)))
+    with pytest.raises(OracleFailureError):
+        empty.many([0b10, 0b01])
+    assert table_keys(empty) == []
+
+
+def test_threads_over_one_content_fit_bit_identically(empty_caches, monkeypatch):
+    def make():
+        return ORACLES["gaussian"](labeled_partition(), standard_normal_model(2), EVENT)
+
+    reference = cold_values(monkeypatch, make)[0]
+
+    def attribute(seed):
+        masks = np.random.default_rng(seed).integers(0, 16, 24).tolist()
+        oracle = make()
+        return masks, oracle.many(masks).tobytes(), oracle.many(range(16)).tobytes()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            results = list(pool.map(attribute, range(32), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for masks, values, whole in results:
+        assert values == reference[masks].tobytes() and whole == reference.tobytes()
+    assert table_keys(make()) == list(range(1, 16))
