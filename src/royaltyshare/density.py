@@ -58,13 +58,13 @@ import hashlib
 import io
 import math
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from .cache import DigestCache
 from .errors import (
     DimensionMismatchError,
     EmptyDatasetError,
@@ -107,37 +107,11 @@ _CACHE_SIZE = 16
 _FIT_TABLE_ELEMENTS = 1 << 18
 
 
-class _DigestCache:
-    """A bounded LRU of results keyed by sha256 digests, safe across threads.
-
-    Only results that returned are kept: a computation that raises stores
-    nothing, so the same input raises again on the next call. Two threads
-    that miss on one key may both compute it; the results are equal.
-    """
-
-    def __init__(self, size: int):
-        self._size = size
-        self._entries: OrderedDict[bytes, object] = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, key: bytes, compute):
-        with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-                return self._entries[key]
-        value = compute()
-        with self._lock:
-            self._entries[key] = value
-            while len(self._entries) > self._size:
-                self._entries.popitem(last=False)
-        return value
-
-
 # Dataset CSV bytes -> parsed rows; an oracle's point groups -> exact moments;
 # those groups and the ridge -> a _FitTable.
-_DATASETS = _DigestCache(_CACHE_SIZE)
-_MOMENTS = _DigestCache(_CACHE_SIZE)
-_FITS = _DigestCache(_CACHE_SIZE)
+_DATASETS = DigestCache(_CACHE_SIZE)
+_MOMENTS = DigestCache(_CACHE_SIZE)
+_FITS = DigestCache(_CACHE_SIZE)
 
 
 @dataclass(frozen=True)

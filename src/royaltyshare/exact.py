@@ -22,6 +22,15 @@ weights, and :func:`exact_permission_shapley` takes the developer's
 permission game from the same sums with the (n+1)-player weights, plus one
 pass over the owners' table for the developer.
 
+The stratum sums are cached per process, for the last 16 distinct tables,
+keyed by the sha256 of the table's bytes (a table holds ``2**n`` floats, so
+its bytes fix n), as tuples no caller can change. ``attribute``,
+``developer-share`` and ``compare-loo`` on one game's content each fill
+their own table, so the oracle sees the same calls as before, but the
+stratified pass runs once. A pass that raises stores nothing: the same
+table raises again on the next call. The size-ordered coalitions the pass
+and the developer's strata walk are built once per n.
+
 fsum accumulation is order independent, which has a useful consequence:
 players whose marginal contribution multisets coincide get bit-identical
 Shapley values, so symmetry and duplication results hold exactly rather than
@@ -30,12 +39,15 @@ within a tolerance.
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .cache import DigestCache
 from .errors import TooManyPlayersError
 from .games import CoalitionGame, full_coalition
 
@@ -48,6 +60,12 @@ PERMUTATION_LIMIT = 10
 # Compact fsum buffers once they reach this length; keeps memory bounded for
 # the n=10 permutation enumeration without giving up exact rounding.
 _FSUM_CHUNK = 1 << 16
+
+# Distinct utility tables whose stratum sums stay cached.
+_CACHE_SIZE = 16
+
+# Utility table bytes -> its stratum sums.
+_STRATA = DigestCache(_CACHE_SIZE)
 
 
 @dataclass(frozen=True)
@@ -65,19 +83,33 @@ def _utility_table(game: CoalitionGame) -> np.ndarray:
     return game.evaluate_many(np.arange(1 << game.n, dtype=np.int64))
 
 
+@functools.cache
 def _coalitions_by_size(n: int) -> np.ndarray:
     """Every coalition of ``n`` players, grouped by size, ascending in a group.
 
-    Group ``j`` (size ``j``) holds ``C(n, j)`` coalitions.
+    Group ``j`` (size ``j``) holds ``C(n, j)`` coalitions. Built once per n
+    and returned read-only; for n up to 20 all of them take 16 MB.
     """
     sizes = np.zeros(1 << n, dtype=np.int8)
     for i in range(n):
         sizes[1 << i : 2 << i] = sizes[: 1 << i] + 1
-    return np.argsort(sizes, kind="stable")
+    order = np.argsort(sizes, kind="stable")
+    order.flags.writeable = False
+    return order
 
 
-def _stratum_sums(table: np.ndarray, n: int) -> list[list[float]]:
+def _stratum_sums(table: np.ndarray, n: int) -> tuple[tuple[float, ...], ...]:
     """``F[i][k]``: the fsum of player i's marginals over the size-k coalitions without i.
+
+    Cached per table content: ``table`` holds ``2**n`` floats, so the sha256
+    of its bytes fixes n as well. A pass that raises stores nothing.
+    """
+    table = np.ascontiguousarray(table, dtype=np.float64)
+    return _STRATA.get(hashlib.sha256(table.data).digest(), lambda: _stratum_pass(table, n))
+
+
+def _stratum_pass(table: np.ndarray, n: int) -> tuple[tuple[float, ...], ...]:
+    """The stratum sums of :func:`_stratum_sums`, computed from ``table``.
 
     Player i's marginals are ``v(S + i) - v(S)`` over the ``C(n-1, k)``
     coalitions S of size k without i. Inserting a zero bit at i into the
@@ -90,8 +122,8 @@ def _stratum_sums(table: np.ndarray, n: int) -> list[list[float]]:
     for i in range(n):
         without = ((others >> i) << (i + 1)) | (others & ((1 << i) - 1))
         marginals = memoryview(table[without | (1 << i)] - table[without])
-        sums.append([math.fsum(marginals[a:b]) for a, b in zip(bounds, bounds[1:])])
-    return sums
+        sums.append(tuple(math.fsum(marginals[a:b]) for a, b in zip(bounds, bounds[1:])))
+    return tuple(sums)
 
 
 def _check_limit(n: int) -> None:

@@ -13,6 +13,7 @@ import pytest
 
 import royaltyshare
 from royaltyshare import OwnerDataset, save_owner_datasets
+from royaltyshare.cache import DigestCache
 from royaltyshare.cli import main
 
 
@@ -662,12 +663,18 @@ def test_console_module_entry_point(tmp_path):
 def test_linear_algebra_failure_in_the_fit_is_exit_3(tmp_path, monkeypatch, capsys):
     from royaltyshare import density
 
+    factor, fits_rejected = density._cholesky_logdet, []
+
     def reject(covs):
+        # The baseline model factors its covariance too; only the coalition fit fails.
+        if sys._getframe(1).f_code.co_name != "_fit_rows":
+            return factor(covs)
+        fits_rejected.append(len(covs))
         raise np.linalg.LinAlgError("Matrix is not positive definite")
 
     # Empty caches, so the fit runs whatever test filled them first.
     for name in ("_DATASETS", "_MOMENTS", "_FITS"):
-        monkeypatch.setattr(density, name, density._DigestCache(density._CACHE_SIZE))
+        monkeypatch.setattr(density, name, DigestCache(density._CACHE_SIZE))
     monkeypatch.setattr(density, "_cholesky_logdet", reject)
     dataset = tmp_path / "owners.csv"
     rng = np.random.default_rng(4)
@@ -678,6 +685,7 @@ def test_linear_algebra_failure_in_the_fit_is_exit_3(tmp_path, monkeypatch, caps
     config = write_config(tmp_path / "config.json", dataset=str(dataset))
     assert main(["attribute", "--config", config, "--event", "0,0"]) == 3
     assert "oracle failure: Matrix is not positive definite" in capsys.readouterr().err
+    assert fits_rejected == [3]
 
 
 def test_covariance_floor_coalitions_are_echoed_in_sidecars(tmp_path):

@@ -26,6 +26,7 @@ from royaltyshare import (
     standard_normal_model,
 )
 from royaltyshare import density
+from royaltyshare.cache import DigestCache
 from royaltyshare.cli import main
 from royaltyshare.diffusion import ChainDensityOracle
 
@@ -107,7 +108,10 @@ def test_a_fill_in_blocks_equals_one_block(monkeypatch):
     whole = CoalitionDensityOracle(*args, DensityOracleConfig(ridge=0.0))
     values = whole.many(range(16))
     monkeypatch.setattr(density, "_FIT_BLOCK", 3)
+    # An empty fit cache, so the blocked oracle fits in blocks instead of reading.
+    monkeypatch.setattr(density, "_FITS", DigestCache(density._CACHE_SIZE))
     blocked = CoalitionDensityOracle(*args, DensityOracleConfig(ridge=0.0))
+    assert blocked._fit_table is not whole._fit_table
     assert blocked.many(range(16)).tobytes() == values.tobytes()
     assert blocked.fallback_coalitions == whole.fallback_coalitions
     assert blocked.covariance_floor_coalitions == whole.covariance_floor_coalitions
@@ -185,7 +189,7 @@ def test_cached_moments_depend_on_how_the_points_split_into_owners_and_labels(mo
     args = (standard_normal_model(2), GenerationEvent(x=np.zeros(2), label="a"),
             DensityOracleConfig(ridge=0.0))
     cached = [CoalitionDensityOracle(split, *args).many(range(4)).tobytes() for split in splits]
-    monkeypatch.setattr(density, "_MOMENTS", density._DigestCache(density._CACHE_SIZE))
+    monkeypatch.setattr(density, "_MOMENTS", DigestCache(density._CACHE_SIZE))
     assert cached == [CoalitionDensityOracle(split, *args).many(range(4)).tobytes()
                       for split in splits]
     assert len(set(cached)) == len(splits)
@@ -194,7 +198,7 @@ def test_cached_moments_depend_on_how_the_points_split_into_owners_and_labels(mo
 def test_threads_load_and_fit_one_file_alike_and_the_caches_stay_bounded(tmp_path, monkeypatch):
     # Empty caches, so the threads race on the first misses.
     for name in ("_DATASETS", "_MOMENTS"):
-        monkeypatch.setattr(density, name, density._DigestCache(density._CACHE_SIZE))
+        monkeypatch.setattr(density, name, DigestCache(density._CACHE_SIZE))
     path = tmp_path / "owners.csv"
     save_owner_datasets(path, labeled_partition())
     event = GenerationEvent(x=np.array([0.3, -0.2]), label="a")
@@ -319,7 +323,7 @@ def test_cli_duplicate_owners_get_bit_identical_phi_and_zero_loo(tmp_path):
 @pytest.fixture
 def empty_caches(monkeypatch):
     for name in ("_DATASETS", "_MOMENTS", "_FITS"):
-        monkeypatch.setattr(density, name, density._DigestCache(density._CACHE_SIZE))
+        monkeypatch.setattr(density, name, DigestCache(density._CACHE_SIZE))
 
 
 EVENT = GenerationEvent(x=np.array([0.3, -0.2]), label="a")
@@ -329,7 +333,7 @@ def cold_values(monkeypatch, make, masks=range(16)):
     """``make().many(masks)`` with every fit made anew: empty caches and a table budget of 0."""
     with monkeypatch.context() as patch:
         for name in ("_DATASETS", "_MOMENTS", "_FITS"):
-            patch.setattr(density, name, density._DigestCache(density._CACHE_SIZE))
+            patch.setattr(density, name, DigestCache(density._CACHE_SIZE))
         patch.setattr(density, "_FIT_TABLE_ELEMENTS", 0)
         oracle = make()
         values = oracle.many(masks)

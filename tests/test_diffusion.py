@@ -16,6 +16,7 @@ from royaltyshare import (
     standard_normal_model,
 )
 from royaltyshare import density, diffusion
+from royaltyshare.cache import DigestCache
 from royaltyshare.density import logsumexp
 from royaltyshare.diffusion import (
     ChainDensityOracle,
@@ -356,7 +357,10 @@ def test_a_chain_fill_in_blocks_equals_one_block(monkeypatch, block):
     values = whole.many(range(16))
     assert whole.fallback_coalitions and whole.covariance_floor_coalitions
     monkeypatch.setattr(density, "_FIT_BLOCK", block)
+    # An empty fit cache, so the blocked oracle fits in blocks instead of reading.
+    monkeypatch.setattr(density, "_FITS", DigestCache(density._CACHE_SIZE))
     blocked = oracle()
+    assert blocked._fit_table is not whole._fit_table
     assert blocked.many(range(16)).tobytes() == values.tobytes()
     assert blocked.fallback_coalitions == whole.fallback_coalitions
     assert blocked.covariance_floor_coalitions == whole.covariance_floor_coalitions

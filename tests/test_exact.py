@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -18,7 +21,10 @@ from royaltyshare import (
     exact_shapley_by_permutations,
     loo_scores,
 )
-from royaltyshare.exact import exact_permission_shapley
+from royaltyshare import exact
+from royaltyshare.cache import DigestCache
+from royaltyshare.cli import main
+from royaltyshare.exact import _coalitions_by_size, _stratum_sums, exact_permission_shapley
 
 
 def swap01(mask: int) -> int:
@@ -183,3 +189,125 @@ def test_stratified_kernel_matches_the_formula_bit_for_bit(drawn):
     permission = exact_permission_shapley(game).values.tobytes()
     assert permission == exact_shapley(PermissionGame(game).augmented).values.tobytes()
     assert permission == formula_shapley([0.0] * (1 << n) + table, n + 1)
+
+
+@pytest.fixture
+def counted_passes(monkeypatch):
+    """An empty stratum cache; the list records the n of each uncached pass."""
+    monkeypatch.setattr(exact, "_STRATA", DigestCache(exact._CACHE_SIZE))
+    passes = []
+    uncached = exact._stratum_pass
+
+    def counting(table, n):
+        passes.append(n)
+        return uncached(table, n)
+
+    monkeypatch.setattr(exact, "_stratum_pass", counting)
+    return passes
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_cold_and_warm_stratum_sums_are_bit_equal(counted_passes, n):
+    table = random_table(np.random.default_rng(n), n)
+    table[1] = -0.0
+    cold = [exact_shapley(table_game(table)).values.tobytes(),
+            exact_permission_shapley(table_game(table)).values.tobytes()]
+    warm = [exact_shapley(table_game(table)).values.tobytes(),
+            exact_permission_shapley(table_game(table)).values.tobytes()]
+    assert warm == cold and counted_passes == [n]
+    assert cold[0] == formula_shapley(table.tolist(), n)
+    assert cold[1] == formula_shapley([0.0] * (1 << n) + table.tolist(), n + 1)
+
+
+def test_tables_an_ulp_or_a_zero_sign_apart_get_their_own_entries(counted_passes):
+    table = random_table(np.random.default_rng(3), 3)
+    table[2] = 0.0
+    ulp, signed = table.copy(), table.copy()
+    ulp[1] = np.nextafter(ulp[1], np.inf)
+    signed[2] = -0.0
+    sums = [_stratum_sums(t, 3) for t in (table, ulp, signed)]
+    assert counted_passes == [3, 3, 3] and len(exact._STRATA._entries) == 3
+    assert sums == [exact._stratum_pass(t, 3) for t in (table, ulp, signed)]
+    # F[0][0] is v({0}) - v({}), and v({}) is 0.
+    assert sums[1][0][0] == ulp[1] != sums[0][0][0]
+
+
+def test_cached_stratum_sums_cannot_be_changed(counted_passes):
+    table = random_table(np.random.default_rng(4), 3)
+    sums = _stratum_sums(table, 3)
+    with pytest.raises(TypeError):
+        sums[0][0] = 1.0
+    with pytest.raises(TypeError):
+        sums[0] = (1.0, 2.0, 3.0)
+    assert _stratum_sums(table, 3) == exact._stratum_pass(table, 3)
+
+
+def test_coalitions_by_size_is_built_once_and_read_only():
+    order = _coalitions_by_size(4)
+    assert _coalitions_by_size(4) is order
+    assert [bin(int(s)).count("1") for s in order] == sorted(bin(s).count("1") for s in range(16))
+    with pytest.raises(ValueError):
+        order[0] = 1
+
+
+def test_attribute_developer_share_and_compare_loo_run_one_pass(tmp_path, monkeypatch,
+                                                                counted_passes):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"oracle": {"kind": "additive", "weights": [2.0, -1.0, 4.0, 0.5]},
+                                  "beta": "permission"}), encoding="utf-8")
+    out = tmp_path / "out"
+
+    def run(command, stem):
+        assert main([command, "--config", str(config), "--out", str(out)]) == 0
+        return [(out / f"{stem}{ext}").read_bytes() for ext in (".csv", ".meta.json")]
+
+    runs = [("attribute", "attribution"), ("developer-share", "developer_share"),
+            ("compare-loo", "compare_loo")]
+    warm = [run(*r) for r in runs]
+    assert counted_passes == [4]
+    cold = []
+    for r in runs:
+        monkeypatch.setattr(exact, "_STRATA", DigestCache(exact._CACHE_SIZE))
+        cold.append(run(*r))
+    assert cold == warm and counted_passes == [4] * 4
+
+
+def test_a_pass_that_raises_stores_nothing(counted_passes):
+    # Player 0's stratum 1 sums two marginals of 1e308: fsum overflows.
+    table = [0.0, 1e308, 0.0, 1e308, 0.0, 1e308, 0.0, 1e308]
+    for _ in range(2):
+        with pytest.raises(OverflowError):
+            exact_shapley(table_game(table))
+    assert counted_passes == [3, 3] and not exact._STRATA._entries
+
+
+def test_the_stratum_cache_stays_bounded(counted_passes):
+    rng = np.random.default_rng(6)
+    tables = [random_table(rng, 4) for _ in range(exact._CACHE_SIZE + 3)]
+    first = [exact_shapley(table_game(t)).values.tobytes() for t in tables]
+    assert len(exact._STRATA._entries) == exact._CACHE_SIZE
+    # The oldest three were evicted and run their pass again, with the same bits.
+    again = [exact_shapley(table_game(t)).values.tobytes() for t in tables[:3]]
+    assert again == first[:3] and len(counted_passes) == len(tables) + 3
+    assert len(exact._STRATA._entries) == exact._CACHE_SIZE
+
+
+def test_threads_get_bit_identical_stratum_sums(counted_passes):
+    rng = np.random.default_rng(7)
+    tables = [random_table(rng, 7) for _ in range(4)]
+
+    def solve(k):
+        game = table_game(tables[k % len(tables)])
+        return exact_shapley(game).values.tobytes(), exact_permission_shapley(game).values.tobytes()
+
+    expected = [(formula_shapley(t.tolist(), 7), formula_shapley([0.0] * 128 + t.tolist(), 8))
+                for t in tables]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            results = list(pool.map(solve, range(32), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [expected[k % len(tables)] for k in range(32)]
+    assert len(exact._STRATA._entries) == len(tables)
