@@ -17,28 +17,40 @@ exactly.
 
 Replay streams the log and checks every line, but each text once: the
 settled copy of a sale differs from the sale's line only in the flag, so it
-has only its flag and its place in the log checked. The store keeps every id,
-in entry order, with the offset of its line in the log's bytes; settled
+has only its flag and its place in the log checked. The store keeps the
+offset in the log's bytes of the line it keeps for each id; settled
 transactions are decoded from there only when ``LedgerStore.transactions``
 asks for them, so opening a store builds ``Transaction`` objects for the
-unsettled pool alone.
+unsettled pool alone. Its id map has two parts. The base is three arrays:
+every id's line offset by entry position, every id's 64-bit key (the first
+8 bytes of the BLAKE2b digest of its UTF-8 bytes) in ascending order, and
+the entry position of each key. Beside it one dict holds the ids added or
+moved since, the pool included. A lookup tries the dict, then
+``searchsorted`` on the keys; a key that matches is confirmed against the
+id's log line, so two ids that share a key stay apart. Every open that
+writes a checkpoint merges the dict into the base with numpy and keeps only
+the pool in the dict, so an open's Python work per id covers the pool and
+the lines replayed, not the settled history.
 
 An open whose replay got further than the stored checkpoint writes
 ``transactions.ckpt`` beside the log: the replay's state at its last commit
-boundary. It holds that boundary's byte offset, the sha256 of the log up to
-it, the balances, the developer balance and the settlement count (floats as
-repr), every id in the order it entered the store with its settled flag and
-the offset of the line replay keeps for it, and the sha256 of its own bytes.
-The next open resumes replay at that offset only if the checkpoint's
-checksum, and the offset and digest against the log, all match; the log's
-bytes before the offset are then verified by the digest and those after it
-by replay, and only the suffix is parsed. Otherwise replay starts at byte 0,
-so every open gives what a log-only open gives; the number of a line named
-in an error is counted only then, from the log. The checkpoint is replaced
-whole by :func:`~royaltyshare.files.replace_file`, with no fsync: every fact
-in it is also in the log, it is never read without the log, and deleting it
-only costs the next open a full replay. A change to what replay accepts, or
-to the checkpoint's layout, must change the checkpoint's version line.
+boundary. Its version 3 holds text lines (the version; that boundary's byte
+offset and the sha256 of the log up to it; the settlement count and the
+developer balance; the balances, floats as repr; the entry positions of the
+unsettled ids), the number of ids, the base's three columns as
+little-endian 64-bit integers, which the next open maps with
+``np.frombuffer``, and the sha256 of all of that. An id itself is read from
+its log line. The next open resumes replay at that offset only if the
+checkpoint's checksum, and the offset and digest against the log, all match;
+the log's bytes before the offset are then verified by the digest and those
+after it by replay, and only the suffix is parsed. Otherwise replay starts
+at byte 0, so every open gives what a log-only open gives; the number of a
+line named in an error is counted only then, from the log. The checkpoint
+is replaced whole by :func:`~royaltyshare.files.replace_file`, with no
+fsync: every fact in it is also in the log, it is never read without the
+log, and deleting it only costs the next open a full replay. A change to
+what replay accepts, to the checkpoint's layout or to the key, must change
+the checkpoint's version line.
 
 A crash can leave a torn tail: bytes after the last LF, or settled lines
 whose record never reached the log. That settlement never happened, so
@@ -81,7 +93,7 @@ import os
 import threading
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, NamedTuple
+from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -93,8 +105,10 @@ from .seeding import rng_for
 
 LOG_NAME = "transactions.log"
 CHECKPOINT_NAME = "transactions.ckpt"
-_CHECKPOINT_VERSION = "royaltyshare ledger checkpoint 2"
-_CHUNK = 1 << 16  # bytes per read when hashing the checkpointed part of the log
+_CHECKPOINT_VERSION = "royaltyshare ledger checkpoint 3"
+_CHUNK = 1 << 16  # bytes per read of the log's prefix, to hash it or count its lines
+_INT = np.dtype("<i8")  # the checkpoint's columns of offsets and entry positions
+_KEY = np.dtype("<u8")  # and of id keys
 
 _SHARE_SUM_TOL = 1e-9
 _CORRELATION_THRESHOLD = 0.5
@@ -260,6 +274,53 @@ def _line_at(log: bytes, start: int) -> str:
     return log[start : log.index(b"\n", start)].decode("utf-8")
 
 
+def _chunks(fh: BinaryIO, size: int) -> Iterator[bytes]:
+    """The next ``size`` bytes of ``fh``, or as many as it holds, in reads of ``_CHUNK``."""
+    while size:
+        chunk = fh.read(min(size, _CHUNK))
+        if not chunk:
+            return
+        yield chunk
+        size -= len(chunk)
+
+
+def _keys_of(ids: Iterable[str]) -> np.ndarray:
+    """The 64-bit key of each id: the first 8 bytes of its UTF-8 bytes' BLAKE2b digest.
+
+    The same in every process. Two ids may share a key, so a key that
+    matches is confirmed against the id's log line.
+    """
+    digests = b"".join(hashlib.blake2b(i.encode("utf-8"), digest_size=8).digest() for i in ids)
+    return np.frombuffer(digests, dtype=_KEY)
+
+
+class _Index(NamedTuple):
+    """Every id of a store at one moment, as arrays."""
+
+    offsets: np.ndarray  # by entry position: the log offset of the line kept for the id
+    keys: np.ndarray  # every id's key, ascending
+    positions: np.ndarray  # the entry position of the id of each key
+
+
+_EMPTY = _Index(np.empty(0, _INT), np.empty(0, _KEY), np.empty(0, _INT))
+
+
+def _merge(keys, positions, new_keys, new_positions) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending ``keys`` and ascending ``new_keys`` merged, each with its position.
+
+    Scatters the new keys to their final slots, their ``searchsorted``
+    positions shifted by the new keys before them, and the old keys to the
+    rest: linear time, no sort.
+    """
+    slots = keys.searchsorted(new_keys) + np.arange(new_keys.size)
+    old = np.ones(keys.size + slots.size, dtype=bool)
+    old[slots] = False
+    merged_keys, merged_positions = np.empty(old.size, _KEY), np.empty(old.size, _INT)
+    merged_keys[slots], merged_keys[old] = new_keys, keys
+    merged_positions[slots], merged_positions[old] = new_positions, positions
+    return merged_keys, merged_positions
+
+
 class _Checkpoint(NamedTuple):
     """The replay state at a commit boundary of the log, as ``transactions.ckpt`` holds it."""
 
@@ -268,8 +329,8 @@ class _Checkpoint(NamedTuple):
     settlement_count: int
     developer_balance: float
     balances: dict[int, float]
-    offsets: dict[str, int]  # every id, in entry order -> the offset of the line replay keeps
-    flags: str  # "1" for each settled id, "0" for each unsettled one, in that order
+    pool: list[int]  # the entry positions of the unsettled ids, in entry order
+    index: _Index
 
 
 def _encode_checkpoint(ckpt: _Checkpoint) -> bytes:
@@ -278,38 +339,44 @@ def _encode_checkpoint(ckpt: _Checkpoint) -> bytes:
         f"{ckpt.offset} {ckpt.digest}",
         f"{ckpt.settlement_count} {ckpt.developer_balance!r}",
         ",".join(f"{owner}:{amount!r}" for owner, amount in ckpt.balances.items()),
-        ckpt.flags,
-        ",".join(map(str, ckpt.offsets.values())),
-        "|".join(ckpt.offsets),
+        ",".join(map(str, ckpt.pool)),
+        str(ckpt.index.offsets.size),
     ]
-    body = "".join(line + "\n" for line in lines).encode("utf-8")
+    body = b"".join(
+        ["".join(line + "\n" for line in lines).encode("utf-8"),
+         *(column.tobytes() for column in ckpt.index)]
+    )
     return body + hashlib.sha256(body).hexdigest().encode("ascii") + b"\n"
 
 
 def _decode_checkpoint(raw: bytes) -> _Checkpoint:
-    """The checkpoint in ``raw``; ValueError if it is torn, corrupt or of another version."""
+    """The checkpoint in ``raw``; ValueError if it is torn, corrupt or of another version.
+
+    Its columns are read-only views of ``raw``.
+    """
     body, checksum = raw[:-65], raw[-65:]  # the last line: 64 hex digits and its LF
     if checksum != hashlib.sha256(body).hexdigest().encode("ascii") + b"\n":
         raise ValueError("checkpoint checksum mismatch")
-    version, position, totals, balances, flags, starts, ids, _ = body.decode("utf-8").split("\n")
+    *header, columns = body.split(b"\n", 6)
+    version, position, totals, balances, pool, count = (line.decode("utf-8") for line in header)
     if version != _CHECKPOINT_VERSION:
         raise ValueError(f"unknown checkpoint version {version!r}")
     offset, digest = position.split(" ")
-    count, developer = totals.split(" ")
+    settlement_count, developer = totals.split(" ")
     pairs = (item.split(":") for item in balances.split(",")) if balances else ()
-    ids = ids.split("|") if ids else []
-    starts = list(map(int, starts.split(","))) if starts else []
-    offsets = dict(zip(ids, starts))
-    if not len(ids) == len(starts) == len(flags) == len(offsets):
-        raise ValueError("checkpoint columns disagree in length")
+    size = int(count)
+    offsets, keys, positions = np.frombuffer(columns, dtype=_INT).reshape(3, size)
+    pool_positions = list(map(int, pool.split(","))) if pool else []
+    if not all(0 <= at < size for at in pool_positions):
+        raise ValueError("checkpoint pool position out of range")
     return _Checkpoint(
         offset=int(offset),
         digest=digest,
-        settlement_count=int(count),
+        settlement_count=int(settlement_count),
         developer_balance=float(developer),
         balances={int(owner): float(amount) for owner, amount in pairs},
-        offsets=offsets,
-        flags=flags,
+        pool=pool_positions,
+        index=_Index(offsets, keys.view(_KEY), positions),
     )
 
 
@@ -323,7 +390,8 @@ class LedgerStore:
     and its record go in one append, so after a crash the reopened store holds
     all of that settlement or none of it. ``dropped_bytes`` is the size of the
     torn tail that opening the store truncated, 0 for an intact log. The store
-    maps every id, in entry order, to the offset of its line in the log and
+    maps every id to the offset of its line in the log and its entry position,
+    through the base arrays and the dict of ids added or moved since, and
     holds the unsettled pool as transactions; ``transactions`` decodes the
     settled ones from their lines on demand. Opening a store renews the replay
     checkpoint beside the log; recording and settling never write it.
@@ -333,8 +401,11 @@ class LedgerStore:
         self.path = Path(path)
         self.dropped_bytes = 0
         self._lock = threading.Lock()
-        self._offsets: dict[str, int] = {}  # every id, in entry order -> its line's log offset
-        self._pool: dict[str, Transaction] = {}  # the unsettled transactions, in that order
+        self._base = _EMPTY  # every id as of the last checkpoint this store read or wrote
+        # The ids added or moved since, the pool included -> (line offset, entry position).
+        self._ids: dict[str, tuple[int, int]] = {}
+        self._count = 0  # the ids in the store, so the entry position of the next one
+        self._pool: dict[str, Transaction] = {}  # the unsettled transactions, in entry order
         self._balances: dict[int, float] = {}
         self._developer_balance = 0.0
         self._settlement_count = 0
@@ -403,7 +474,7 @@ class LedgerStore:
                         )
                     for tx_id, at in pending:
                         texts.pop(tx_id, None)
-                        self._offsets[tx_id] = at
+                        self._place(tx_id, at, self._position(tx_id))
                     self._credit(entry.owner_payouts, entry.developer_payout)
                     pending = []
                 elif entry is not None:
@@ -415,12 +486,12 @@ class LedgerStore:
                             f"ledger line {self._line_number(offset)}: the settled lines "
                             "before it have no settlement record"
                         )
-                    elif tx_id in self._offsets and tx_id not in texts:
-                        # A sale line after its settlement: the id stays settled.
-                        self._offsets[tx_id] = offset
                     else:
-                        texts[tx_id] = line
-                        self._offsets[tx_id] = offset
+                        position = self._position(tx_id)
+                        # A sale line after its settlement leaves the id settled.
+                        if position is None or tx_id in texts:
+                            texts[tx_id] = line
+                        self._place(tx_id, offset, position)
                 if pending:
                     unhashed.append(raw)
                 else:
@@ -436,12 +507,13 @@ class LedgerStore:
                 fh.truncate(keep)
                 os.fsync(fh.fileno())
         if keep > start:
+            self._rebase()
             self._write_checkpoint(keep, digest.hexdigest())
 
     def _line_number(self, offset: int) -> int:
         """The number of the log line that starts at ``offset``."""
         with open(self._log_path, "rb") as fh:
-            return fh.read(offset).count(b"\n") + 1
+            return sum(chunk.count(b"\n") for chunk in _chunks(fh, offset)) + 1
 
     def _resume(self, fh: BinaryIO, texts: dict[str, str]) -> tuple[int, hashlib._Hash]:
         """Take the checkpoint's state if it matches the log open as ``fh``.
@@ -456,43 +528,99 @@ class LedgerStore:
             ckpt = _decode_checkpoint(self._checkpoint_path.read_bytes())
         except (OSError, ValueError):  # no checkpoint, or a torn, corrupt or older one
             return miss
-        prefix, remaining = hashlib.sha256(), ckpt.offset
-        while remaining:
-            chunk = fh.read(min(remaining, _CHUNK))
-            if not chunk:  # the log ends before the checkpoint's offset
-                return miss
+        prefix = hashlib.sha256()
+        for chunk in _chunks(fh, ckpt.offset):
             prefix.update(chunk)
-            remaining -= len(chunk)
-        if prefix.hexdigest() != ckpt.digest:
+        # A log that ends before the checkpoint's offset fails the first test.
+        if fh.tell() != ckpt.offset or prefix.hexdigest() != ckpt.digest:
             return miss
-        self._offsets = ckpt.offsets
+        self._base = ckpt.index
+        self._count = ckpt.index.offsets.size
         self._balances = ckpt.balances
         self._developer_balance = ckpt.developer_balance
         self._settlement_count = ckpt.settlement_count
-        ids, at = list(ckpt.offsets), ckpt.flags.find("0")
-        while at >= 0:  # each unsettled id
-            fh.seek(ckpt.offsets[ids[at]])
-            texts[ids[at]] = fh.readline()[:-1].decode("utf-8")
-            at = ckpt.flags.find("0", at + 1)
+        for position in ckpt.pool:  # each unsettled id
+            offset = int(ckpt.index.offsets[position])
+            fh.seek(offset)
+            line = fh.readline()[:-1].decode("utf-8")
+            tx_id = line.partition("|")[0]
+            texts[tx_id] = line
+            self._ids[tx_id] = (offset, position)
         return ckpt.offset, prefix
 
+    def _position(self, tx_id: str) -> int | None:
+        """The entry position of ``tx_id``, or None if the store does not hold it."""
+        placed = self._ids.get(tx_id)
+        if placed is not None:
+            return placed[1]
+        keys = self._base.keys
+        if not keys.size:
+            return None
+        key = _keys_of([tx_id])[0]
+        candidates = self._base.positions[keys.searchsorted(key) : keys.searchsorted(key, "right")]
+        for position in candidates.tolist():  # one, but for two ids that share a key
+            if self._is_line_of(tx_id, int(self._base.offsets[position])):
+                return position
+        return None
+
+    def _is_line_of(self, tx_id: str, offset: int) -> bool:
+        """Whether the log line at ``offset`` is one of ``tx_id``'s."""
+        field = tx_id.encode("utf-8") + b"|"
+        try:
+            with open(self._log_path, "rb") as fh:
+                fh.seek(offset)
+                return fh.read(len(field)) == field
+        except OSError as exc:
+            raise StorageFailureError(f"cannot read {self._log_path}: {exc}") from exc
+
+    def _place(self, tx_id: str, offset: int, position: int | None) -> None:
+        """Keep ``tx_id``'s line at ``offset``; a new id (``position`` None) enters last."""
+        if position is None:
+            position, self._count = self._count, self._count + 1
+        self._ids[tx_id] = (offset, position)
+
+    def _entry_offsets(self) -> np.ndarray:
+        """Every id's line offset, by entry position: the base's, updated from ``_ids``."""
+        offsets = np.empty(self._count, dtype=_INT)
+        offsets[: self._base.offsets.size] = self._base.offsets
+        placed = np.array(list(self._ids.values()), dtype=_INT).reshape(-1, 2)
+        offsets[placed[:, 1]] = placed[:, 0]
+        return offsets
+
+    def _rebase(self) -> None:
+        """Merge ``_ids`` into the base, keeping only the pool in ``_ids``.
+
+        Only the ids new since the base are keyed; the rest is numpy.
+        """
+        base = self._base
+        new = [(tx_id, at) for tx_id, (_, at) in self._ids.items() if at >= base.offsets.size]
+        keys = _keys_of(tx_id for tx_id, _ in new)
+        order = np.argsort(keys, kind="stable")
+        positions = np.array([at for _, at in new], dtype=_INT)[order]
+        merged = _merge(base.keys, base.positions, keys[order], positions)
+        self._base = _Index(self._entry_offsets(), *merged)
+        self._ids = {tx_id: self._ids[tx_id] for tx_id in self._pool}
+
     def _write_checkpoint(self, offset: int, digest: str) -> None:
-        """Replace the checkpoint with the state at ``offset``; a failed write changes nothing."""
+        """Replace the checkpoint with the state at ``offset``; a failed write changes nothing.
+
+        The base must hold every id: called right after ``_rebase``.
+        """
         ckpt = _Checkpoint(
             offset=offset,
             digest=digest,
             settlement_count=self._settlement_count,
             developer_balance=self._developer_balance,
             balances=self._balances,
-            offsets=self._offsets,
-            flags="".join(["0" if i in self._pool else "1" for i in self._offsets]),
+            pool=[self._ids[tx_id][1] for tx_id in self._pool],
+            index=self._base,
         )
         # A read-only directory, say: the next open replays more.
         with contextlib.suppress(OSError):
             replace_file(self._checkpoint_path, _encode_checkpoint(ckpt), durable=False)
 
-    def _append(self, txs: list[Transaction], settled: bool, record: str = "") -> None:
-        """Durably append the lines of ``txs``, then ``record``; each id gets its line's offset."""
+    def _append(self, txs: list[Transaction], settled: bool, record: str = "") -> list[int]:
+        """Durably append the lines of ``txs``, then ``record``; the offset of each line."""
         lines = [_encode_line(tx, settled).encode("utf-8") for tx in txs]
         # One write call for the whole batch, so that an append from another
         # process lands before or after a settlement's lines, not among them.
@@ -505,9 +633,11 @@ class LedgerStore:
                 offset = fh.tell() - len(payload)
         except OSError as exc:
             raise StorageFailureError(f"append to {self._log_path} failed: {exc}") from exc
-        for tx, line in zip(txs, lines):
-            self._offsets[tx.id] = offset
+        offsets = []
+        for line in lines:
+            offsets.append(offset)
             offset += len(line)
+        return offsets
 
     def record_many(self, txs: Iterable[Transaction]) -> None:
         """Durably append a batch of transactions in one write and one fsync.
@@ -520,13 +650,13 @@ class LedgerStore:
         with self._lock:
             batch: set[str] = set()
             for tx in txs:
-                if tx.id in self._offsets or tx.id in batch:
+                if tx.id in batch or self._position(tx.id) is not None:
                     raise DuplicateIdError(f"transaction id {tx.id!r} already recorded")
                 batch.add(tx.id)
             if txs:
-                self._append(txs, settled=False)
-            for tx in txs:
-                self._pool[tx.id] = tx
+                for tx, at in zip(txs, self._append(txs, settled=False)):
+                    self._place(tx.id, at, None)
+                    self._pool[tx.id] = tx
 
     def record(self, tx: Transaction) -> None:
         """Durably append one transaction. Duplicate ids raise."""
@@ -535,21 +665,23 @@ class LedgerStore:
     def transactions(self) -> list[Transaction]:
         """Every transaction in entry order; reads the settled ones' lines from the log."""
         with self._lock:  # so that no settlement moves an offset past the bytes read
+            offsets = self._entry_offsets().tolist()
+            pool = {self._ids[tx_id][1]: tx for tx_id, tx in self._pool.items()}
             try:
-                log = self._log_path.read_bytes() if len(self._offsets) > len(self._pool) else b""
+                log = self._log_path.read_bytes() if len(offsets) > len(pool) else b""
             except OSError as exc:
                 raise StorageFailureError(f"cannot read {self._log_path}: {exc}") from exc
             return [
-                self._pool.get(i) or _decode_line(_line_at(log, at))[0]
-                for i, at in self._offsets.items()
+                pool.get(at) or _decode_line(_line_at(log, start))[0]
+                for at, start in enumerate(offsets)
             ]
 
     def unsettled(self) -> list[Transaction]:
         return list(self._pool.values())
 
     def is_settled(self, tx_id: str) -> bool:
-        with self._lock:  # a batch being recorded has its offsets before its pool entries
-            return tx_id in self._offsets and tx_id not in self._pool
+        with self._lock:  # a batch being recorded is placed before it enters the pool
+            return tx_id not in self._pool and self._position(tx_id) is not None
 
     @property
     def balances(self) -> dict[int, float]:
@@ -576,11 +708,12 @@ class LedgerStore:
         owner_payouts: np.ndarray,
         developer_payout: float,
     ) -> None:
-        self._append(
+        offsets = self._append(
             settled, settled=True,
             record=_encode_record(len(settled), owner_payouts, developer_payout),
         )
-        for tx in settled:
+        for tx, at in zip(settled, offsets):  # every pool id is in ``_ids``
+            self._place(tx.id, at, self._ids[tx.id][1])
             del self._pool[tx.id]
         self._credit(owner_payouts, developer_payout)
 

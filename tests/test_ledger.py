@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
+import json
 import math
 import os
+import subprocess
 import sys
 import tempfile
 import threading
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -538,6 +543,160 @@ def test_a_reopened_store_equals_its_writer(steps):
             map(_fields, store.transactions()))
 
 
+# Ids beyond tx-{k}: non-ASCII, a NUL, ids that are prefixes of other ids, and
+# ids longer than 64 bytes.
+_wide_id = st.one_of(
+    st.sampled_from(["tx", "tx-1", "tx-10", "\x00", "é\x00", "a" * 64, "a" * 65, "ü" * 40]),
+    st.text("at-é\x00中", min_size=1, max_size=3),
+)
+_wide_step = st.one_of(
+    st.tuples(st.just("record"), st.tuples(_wide_id, st.booleans())),  # id, priced with shares
+    st.tuples(st.just("reopen"), st.none()),
+    st.tuples(st.just("full"), st.none()),
+)
+
+
+def _one_key(ids):
+    """A key that every id shares, so that each lookup is settled by the log lines."""
+    return np.zeros(sum(1 for _ in ids), dtype=np.uint64)
+
+
+def _view(store, ids):
+    """What a store holds, as ``transactions``, ``unsettled`` and ``is_settled`` show it."""
+    return (
+        list(map(_fields, store.transactions())),
+        list(map(_fields, store.unsettled())),
+        [store.is_settled(tx_id) for tx_id in ids],
+    )
+
+
+@pytest.mark.parametrize("shared_key", [False, True])
+@settings(max_examples=30, deadline=None)
+@given(steps=st.lists(_wide_step, max_size=14), probes=st.lists(_wide_id, max_size=4))
+def test_a_reopen_through_the_checkpoint_equals_a_log_only_open_for_any_ids(
+    shared_key, steps, probes
+):
+    with tempfile.TemporaryDirectory() as tmp, contextlib.ExitStack() as stack:
+        if shared_key:
+            stack.enter_context(mock.patch.object(ledger, "_keys_of", _one_key))
+        path, log_only = Path(tmp) / "ledger", Path(tmp) / "log-only"
+        log_only.mkdir()
+        store = LedgerStore(path)
+        known: list[str] = []
+        for op, arg in [*steps, ("reopen", None)]:
+            if op == "record":
+                tx_id, priced = arg
+                tx = make_tx(tx_id, 1.0, share_row(0.5, 0.5) if priced else None)
+                if tx_id in known:
+                    with pytest.raises(DuplicateIdError):
+                        store.record(tx)
+                else:
+                    store.record(tx)
+                    known.append(tx_id)
+            elif op == "full":  # quarantines the sales without shares
+                settle_full(store, beta_data=0.5)
+            elif (path / LOG_NAME).exists():
+                (log_only / LOG_NAME).write_bytes((path / LOG_NAME).read_bytes())
+                expected = _view(LedgerStore(log_only, create=False), known + probes)
+                # The first open resumes at the last checkpoint, if any, and replays
+                # the rest; the second resumes at the checkpoint the first wrote.
+                for _ in range(2):
+                    store = LedgerStore(path, create=False)
+                    assert _checkpoint_offset(path) == (path / LOG_NAME).stat().st_size
+                    assert _view(store, known + probes) == expected
+                    for tx_id in known:
+                        with pytest.raises(DuplicateIdError):
+                            store.record(make_tx(tx_id, 1.0))
+
+
+_RESUME_IN_A_NEW_PROCESS = """
+import json, sys
+import numpy as np
+from royaltyshare import DuplicateIdError, GenerationEvent, LedgerStore, Transaction, ledger
+parsed, real_parse = [], ledger._parse_line
+ledger._parse_line = lambda line: parsed.append(line) or real_parse(line)
+store = LedgerStore(sys.argv[1], create=False)
+try:
+    store.record(Transaction(id="old-0", price=1.0, event=GenerationEvent(x=np.zeros(2))))
+    duplicate = False
+except DuplicateIdError:
+    duplicate = True
+print(json.dumps({
+    "parsed": sorted(line.partition("|")[0] for line in parsed),
+    "settled": [store.is_settled(f"old-{k}") for k in range(3)],
+    "duplicate": duplicate,
+    "unsettled": [tx.id for tx in store.unsettled()],
+}))
+"""
+
+
+def test_a_checkpoint_written_in_one_process_resumes_in_another(tmp_path):
+    path = tmp_path / "ledger"
+    store = LedgerStore(path)
+    store.record_many(make_tx(f"old-{k}", 1.0, share_row(0.5, 0.5)) for k in range(40))
+    settle_full(store, beta_data=0.5)
+    store.record(make_tx("kept", 1.0, share_row(1.0, 0.0)))
+    src = str(Path(ledger.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    # The checkpoint is written by an open in a process with one hash seed ...
+    subprocess.run([sys.executable, "-c", "import sys; from royaltyshare import LedgerStore; "
+                    "LedgerStore(sys.argv[1], create=False)", str(path)],
+                   env={**env, "PYTHONHASHSEED": "1"}, check=True)
+    assert _checkpoint_offset(path) == (path / LOG_NAME).stat().st_size
+    store.record(make_tx("new-0", 1.0, share_row(0.5, 0.5)))
+    # ... and read by one with another.
+    result = subprocess.run([sys.executable, "-c", _RESUME_IN_A_NEW_PROCESS, str(path)],
+                            env={**env, "PYTHONHASHSEED": "2"}, check=True,
+                            capture_output=True, text=True)
+    seen = json.loads(result.stdout)
+    # Only the pool is parsed: "kept" to decode it, "new-0" to check and to
+    # decode it. A full replay would parse each of the 40 old sales.
+    assert seen["parsed"] == ["kept", "new-0", "new-0"]
+    assert seen["settled"] == [True, True, True] and seen["duplicate"]
+    assert seen["unsettled"] == ["kept", "new-0"]
+
+
+def test_an_open_through_a_checkpoint_and_a_settle_skip_the_settled_history(
+    tmp_path, monkeypatch
+):
+    """Opening through a checkpoint of 1,200 settled ids and settling never decodes
+    a settled line, builds the entry-ordered list or keys an id of the history."""
+    path = tmp_path / "ledger"
+    store = LedgerStore(path)
+    for period in range(3):
+        store.record_many(
+            make_tx(f"old-{period}-{k}", 1.0, share_row(0.5, 0.5)) for k in range(400))
+        settle_full(store, beta_data=0.5)
+    store.record(make_tx("kept", 1.0, share_row(1.0, 0.0)))
+    LedgerStore(path, create=False)  # checkpoints every line so far
+    store.record_many(make_tx(f"new-{k}", 1.0, share_row(0.5, 0.5)) for k in range(3))
+    calls = {"_line_at": 0, "transactions": 0, "_decode_line": 0, "keyed ids": 0}
+    real_line_at, real_decode, real_keys = ledger._line_at, ledger._decode_line, ledger._keys_of
+    real_transactions = LedgerStore.transactions
+
+    def counted(name, real):
+        return lambda *args: calls.__setitem__(name, calls[name] + 1) or real(*args)
+
+    def keys_of(ids):
+        ids = list(ids)
+        calls["keyed ids"] += len(ids)
+        return real_keys(ids)
+
+    monkeypatch.setattr(ledger, "_line_at", counted("_line_at", real_line_at))
+    monkeypatch.setattr(ledger, "_decode_line", counted("_decode_line", real_decode))
+    monkeypatch.setattr(ledger, "_keys_of", keys_of)
+    monkeypatch.setattr(LedgerStore, "transactions", counted("transactions", real_transactions))
+    reopened = LedgerStore(path, create=False)
+    report = settle_full(reopened, beta_data=0.5)
+    assert report.total_income == 4.0
+    # The pool of four is decoded; the three new sales are keyed to look them
+    # up and again to add them to the checkpoint.
+    assert calls == {"_line_at": 0, "transactions": 0, "_decode_line": 4, "keyed ids": 6}
+    assert _checkpoint_offset(path) < (path / LOG_NAME).stat().st_size
+    assert reopened.is_settled("old-0-0") and reopened.is_settled("new-2")
+
+
 def test_opening_decodes_only_the_unsettled_pool(store, monkeypatch):
     for k in range(12):
         store.record(make_tx(f"tx-{k}", 1.0, share_row(0.25, 0.75)))
@@ -687,8 +846,8 @@ def test_a_cut_or_stale_checkpoint_opens_as_the_log_alone(tmp_path, monkeypatch)
     # Checkpoints of another version, each with a valid checksum: one of this
     # layout, and one of version 1, which also held the log's line count.
     body = checkpoint[:-65].split(b"\n")
-    assert body[0] == b"royaltyshare ledger checkpoint 2"
-    other_version = [b"royaltyshare ledger checkpoint 3", *body[1:]]
+    assert body[0] == b"royaltyshare ledger checkpoint 3"
+    other_version = [b"royaltyshare ledger checkpoint 4", *body[1:]]
     lines_before = log[: held.offset].count(b"\n")
     version_1 = [
         b"royaltyshare ledger checkpoint 1",
@@ -697,7 +856,7 @@ def test_a_cut_or_stale_checkpoint_opens_as_the_log_alone(tmp_path, monkeypatch)
     ]
     _open_outcome(path, log)
     renewed = (path / CHECKPOINT_NAME).read_bytes()  # what a log-only open writes
-    assert renewed.startswith(b"royaltyshare ledger checkpoint 2\n")
+    assert renewed.startswith(b"royaltyshare ledger checkpoint 3\n")
     parsed = []
     real_parse = ledger._parse_line
     with monkeypatch.context() as m:
@@ -719,6 +878,32 @@ def test_a_cut_or_stale_checkpoint_opens_as_the_log_alone(tmp_path, monkeypatch)
     monkeypatch.setattr(os, "replace", lambda *args: (_ for _ in ()).throw(PermissionError()))
     assert _open_outcome(path, log) == expected
     assert sorted(f.name for f in path.iterdir()) == [LOG_NAME]
+
+
+def test_a_version_2_checkpoint_opens_as_the_log_alone_and_is_replaced(tmp_path, monkeypatch):
+    path = tmp_path / "ledger"
+    log, checkpoint = _checkpointed_ledger(path)
+    held = ledger._decode_checkpoint(checkpoint)
+    # The same state in version 2's text columns: settled flags, offsets and ids.
+    lines = [ledger._line_at(log, at) for at in held.index.offsets.tolist()]
+    version_2 = _checksummed("".join(line + "\n" for line in [
+        "royaltyshare ledger checkpoint 2",
+        f"{held.offset} {held.digest}",
+        f"{held.settlement_count} {held.developer_balance!r}",
+        ",".join(f"{owner}:{amount!r}" for owner, amount in held.balances.items()),
+        "".join("0" if at in held.pool else "1" for at in range(len(lines))),
+        ",".join(map(str, held.index.offsets.tolist())),
+        "|".join(line.partition("|")[0] for line in lines),
+    ]).encode("utf-8"))
+    parsed, real_parse = [], ledger._parse_line
+    monkeypatch.setattr(ledger, "_parse_line", lambda line: parsed.append(line) or real_parse(line))
+    expected = _open_outcome(path, log)
+    renewed = (path / CHECKPOINT_NAME).read_bytes()
+    parsed_by_a_log_only_open = parsed[:]
+    parsed.clear()
+    assert _open_outcome(path, log, version_2) == expected
+    assert parsed == parsed_by_a_log_only_open  # replay started at byte 0
+    assert (path / CHECKPOINT_NAME).read_bytes() == renewed
 
 
 def test_a_byte_flipped_before_the_checkpoint_opens_as_the_log_alone(tmp_path):
