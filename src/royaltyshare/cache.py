@@ -1,9 +1,9 @@
 """The process-wide content cache that the density and exact layers share.
 
 A :class:`DigestCache` maps the sha256 digest of an input's bytes to the
-result computed from it. ``density`` keeps the dataset parse, the owners'
-exact moments and the coalition fit tables in three of them, and ``exact``
-keeps the stratum sums of each utility table in a fourth.
+result computed from it. ``density`` keeps the dataset parse in one of them
+and each owners' content's exact moments and fit table in another, and
+``exact`` keeps the stratum sums of each utility table in a third.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ class DigestCache:
 
     Only results that returned are kept: a computation that raises stores
     nothing, so the same input raises again on the next call. Two threads
-    that miss on one key may both compute it; the results are equal.
+    that miss on one key may both compute it; the first result stored is
+    kept, and both callers get it.
     """
 
     def __init__(self, size: int):
@@ -32,7 +33,8 @@ class DigestCache:
                 return self._entries[key]
         value = compute()
         with self._lock:
-            self._entries[key] = value
+            value = self._entries.setdefault(key, value)
+            self._entries.move_to_end(key)
             while len(self._entries) > self._size:
                 self._entries.popitem(last=False)
         return value

@@ -30,19 +30,20 @@ as stacked linear algebra. :func:`fit_gaussian` is the same fit on a batch
 of one.
 
 A process that prices many events reads the same owners' data each time,
-so three things are cached, each in an LRU of the last ``_CACHE_SIZE``
+so two things are cached, each in an LRU of the last ``_CACHE_SIZE``
 distinct inputs, keyed by a sha256 digest:
 
 - the dataset CSV's parse, keyed by the file's bytes;
-- an oracle's pooled scale and read-only moment limbs, keyed by n, the
-  owners whose pool the event's label restricts, and the shapes and bytes
-  of the point groups;
-- a table of each coalition's Gaussian fit, keyed by those and the ridge.
-  A fit is everything before the log density: count, mean, covariance,
+- an oracle's pooled scale, read-only moment limbs and fit table, keyed by
+  n, the owners whose pool the event's label restricts, the shapes and
+  bytes of the point groups, and the ridge. The fit table is a
+  :class:`~royaltyshare.games.CoalitionMemo` of each coalition's Gaussian
+  fit: everything before the log density, that is count, mean, covariance,
   floor flag, Cholesky factor and log determinant. None of it depends on
   the event's coordinates, so every event on the same owners' data, label
-  pools and ridge reads the same rows. A table holds at most
-  ``_FIT_TABLE_ELEMENTS`` floats; fits past that are computed on every call.
+  pools and ridge reads the same rows, and each coalition is fit once, even
+  across threads. A table holds at most ``_FIT_TABLE_ELEMENTS`` floats;
+  fits past that are computed on every call.
 
 Only results that returned are kept; errors are never cached. What an oracle
 records of its event is not cached: ``fallback_coalitions`` and
@@ -57,7 +58,6 @@ import functools
 import hashlib
 import io
 import math
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
@@ -74,9 +74,8 @@ from .errors import (
 from .files import replace_file
 from .games import (
     Coalition,
+    CoalitionMemo,
     UtilityOracle,
-    _find,
-    _merge,
     coalition_array,
     coalition_members,
     exact_scale,
@@ -99,18 +98,18 @@ _KDE_BANDWIDTH_FLOOR = 1e-6
 # sums and Python-int moments for one block at a time.
 _FIT_BLOCK = 1024
 
-# Distinct contents whose parse, owners' exact moments and fit table stay cached.
+# Distinct contents whose parse, and owners' moments and fit table, stay cached.
 _CACHE_SIZE = 16
 
-# Float64 elements one fit table holds at most, keys not counted: 2 MB, all
-# 16383 coalitions of 14 owners at d = 2. Fits past it are not stored.
+# Float64 elements of the rows one fit table holds at most, keys not counted:
+# 2 MB, all 16383 coalitions of 14 owners at d = 2. The memo's capacity is
+# this over the row width; fits past it are not stored.
 _FIT_TABLE_ELEMENTS = 1 << 18
 
 
-# Dataset CSV bytes -> parsed rows; an oracle's point groups -> exact moments;
-# those groups and the ridge -> a _FitTable.
+# Dataset CSV bytes -> parsed rows; an oracle's point groups and ridge -> its
+# pooled scale, exact moment limbs and fit table.
 _DATASETS = DigestCache(_CACHE_SIZE)
-_MOMENTS = DigestCache(_CACHE_SIZE)
 _FITS = DigestCache(_CACHE_SIZE)
 
 
@@ -413,46 +412,6 @@ class _Fits(NamedTuple):
                                self.logdets[:, None]], axis=1)
 
 
-class _FitTable:
-    """The Gaussian fits of one owners' content and ridge, by coalition, safe across threads.
-
-    The coalitions are a sorted uint64 array, found with ``searchsorted`` as
-    in :class:`~royaltyshare.games.CoalitionGame`'s memo, with one float64
-    row of :class:`_Fits` each. A store copies both arrays and replaces them
-    whole under the lock, so a lookup reads them without it; two oracles
-    that miss on one coalition both fit it, and the first store keeps it.
-    Stores stop at ``_FIT_TABLE_ELEMENTS`` floats of rows.
-    """
-
-    def __init__(self, width: int):
-        self._lock = threading.Lock()
-        self._table = (np.empty(0, dtype=np.uint64), np.empty((0, width)))
-
-    def rows(self, masks: np.ndarray, fit) -> np.ndarray:
-        """The rows of the uint64 coalitions ``masks``, as a new array.
-
-        The coalitions not in the table are fit by ``fit(index)``: ``index``
-        holds the position in ``masks`` of each one's first appearance, in
-        ascending coalition order, and ``fit`` returns their rows. They are
-        stored only after it returns, so a fit that raises stores nothing.
-        """
-        keys, rows = self._table
-        pos, hit = _find(keys, masks)
-        if hit.all():
-            return rows[pos]
-        out = np.empty((masks.size, rows.shape[1]))
-        out[hit] = rows[pos[hit]]
-        missing, first, inverse = np.unique(masks[~hit], return_index=True, return_inverse=True)
-        fresh = fit(np.flatnonzero(~hit)[first])
-        out[~hit] = fresh[inverse]
-        with self._lock:
-            keys, rows = self._table
-            new = ~_find(keys, missing)[1]
-            room = max(0, _FIT_TABLE_ELEMENTS // rows.shape[1] - keys.size)
-            self._table = _merge(keys, rows, missing[new][:room], fresh[new][:room])
-        return out
-
-
 def _check_ridge(ridge: float) -> None:
     if not (math.isfinite(ridge) and ridge >= 0):
         raise ValueError(f"ridge must be a finite number >= 0, got {ridge!r}")
@@ -591,11 +550,11 @@ class CoalitionDensityOracle:
             key = hashlib.sha256(repr((self.n, partial, [g.shape for g in groups])).encode())
             for g in groups:
                 key.update(np.ascontiguousarray(g))
-            self._scale, self._limbs = _MOMENTS.get(
-                key.digest(), lambda: _owner_moments(groups, self.n, partial))
             key.update(float(config.ridge).hex().encode())
-            self._fit_table = _FITS.get(
-                key.digest(), lambda: _FitTable(_fit_cuts(self.event.x.size)[-1]))
+            width = _fit_cuts(self.event.x.size)[-1]
+            self._scale, self._limbs, self._fit_table = _FITS.get(key.digest(), lambda: (
+                *_owner_moments(groups, self.n, partial),
+                CoalitionMemo(width, _FIT_TABLE_ELEMENTS // width)))
 
     def _labeled(self, ds: OwnerDataset) -> np.ndarray:
         if self.event.label is None or ds.labels is None:
@@ -614,7 +573,7 @@ class CoalitionDensityOracle:
         """
         masks = coalition_array(masks, self.n)
         live = masks != 0
-        fallback = live & ((masks & self._holders[0]) == 0)
+        fallback = live & self._fallback(masks)
         empty = fallback & ((masks & self._holders[1]) == 0)
         if empty.any():
             owners = coalition_members(int(masks[empty][0]))
@@ -624,42 +583,36 @@ class CoalitionDensityOracle:
         live = np.flatnonzero(live)
         for start in range(0, live.size, _FIT_BLOCK):
             block = live[start:start + _FIT_BLOCK]
-            values[block] = (self._event_log_densities(masks[block], fallback[block])
-                             - self.baseline_log)
+            values[block] = self._event_log_densities(masks[block]) - self.baseline_log
         return values
 
     def __call__(self, s: Coalition) -> float:
         return float(self.many([s])[0])
 
-    def _fit_gaussians(
-        self, masks: np.ndarray, fallback: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Point counts, means and covariances of the coalitions' Gaussian fits:
-        the first three fields of :meth:`_fits`."""
-        return self._fits(masks, fallback)[:3]
+    def _fallback(self, masks: np.ndarray) -> np.ndarray:
+        """Which coalitions hold no points under the event's label, so fit on all of theirs."""
+        return (masks & self._holders[0]) == 0
 
-    def _fits(self, masks: np.ndarray, fallback: np.ndarray) -> _Fits:
+    def _fits(self, masks: np.ndarray) -> _Fits:
         """The coalitions' Gaussian fits, read from the fit table or fit and stored.
 
-        ``fallback[b]`` marks a coalition fit on its unconditioned pool. The
-        coalitions whose fit was floored are recorded here, on every call.
+        The coalitions whose fit was floored are recorded here, on every call.
         """
-        rows = self._fit_table.rows(
-            masks, lambda index: self._fit_rows(masks[index], fallback[index]))
-        fits = _Fits.from_rows(rows, self.event.x.size)
+        fits = _Fits.from_rows(self._fit_table.get(masks, self._fit_rows), self.event.x.size)
         self.covariance_floor_coalitions.update(masks[fits.floored].tolist())
         return fits
 
-    def _fit_rows(self, masks: np.ndarray, fallback: np.ndarray) -> np.ndarray:
+    def _fit_rows(self, masks: np.ndarray) -> np.ndarray:
         """Fit table rows of the coalitions, fit from the owners' exact moments."""
         sums = subset_sums(self._limbs[0], masks)
+        fallback = self._fallback(masks)
         if fallback.any():
             sums[fallback] = subset_sums(self._limbs[1], masks[fallback])
         counts, means, covs, floored = _fit_moments(
             limb_integers(sums), self.event.x.size, self._scale, self.config.ridge)
         return _Fits(counts, means, covs, floored, *_cholesky_logdet(covs)).rows()
 
-    def _event_log_densities(self, masks: np.ndarray, fallback: np.ndarray) -> np.ndarray:
+    def _event_log_densities(self, masks: np.ndarray) -> np.ndarray:
         """Log density of the event under each nonempty coalition's fit;
         subclasses may replace the direct evaluation with an estimator."""
         x = self.event.x
@@ -670,9 +623,9 @@ class CoalitionDensityOracle:
                             bandwidth=self.config.bandwidth),
                     x,
                 )
-                for s, p in zip(masks.tolist(), fallback.tolist())
+                for s, p in zip(masks.tolist(), self._fallback(masks).tolist())
             ])
-        fits = self._fits(masks, fallback)
+        fits = self._fits(masks)
         return _gaussian_log_densities(fits.means, fits.chols, fits.logdets, x)
 
 

@@ -321,8 +321,9 @@ class ChainDensityOracle(CoalitionDensityOracle):
         self.num_samples = num_samples
         self.seed = seed
 
-    def _event_log_densities(self, masks, fallback) -> np.ndarray:
-        _, means, covs = self._fit_gaussians(masks, fallback)
+    def _event_log_densities(self, masks) -> np.ndarray:
+        fits = self._fits(masks)
+        means, covs = fits.means, fits.covs
         k, steps = self.num_samples, self.schedule.steps
         # Coalition s's root is derive_seed(seed, s); its trajectory j draws
         # from the stream (root, j). All keys of the batch come in one pass.

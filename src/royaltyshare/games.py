@@ -2,10 +2,8 @@
 
 A coalition is a plain ``int`` used as a bitset: bit ``i`` set means player
 ``i`` is a member. Coalitions fit one machine word, so a batch of them is a
-uint64 array, and the memo is two arrays searched by ``np.searchsorted``: the
-coalitions seen so far, sorted, and their utilities. Games are sized at
-construction; any number of players up to the word size works, and solvers
-impose their own tighter caps.
+uint64 array. Games are sized at construction; any number of players up to
+the word size works, and solvers impose their own tighter caps.
 
 A utility oracle is any callable ``oracle(coalition) -> float``. Oracles must
 be pure and deterministic: repeated calls with the same coalition return the
@@ -27,16 +25,20 @@ totals as Python ints, which :func:`scaled_floats` rounds once. The additive
 oracle sums one integer per player this way, and the Gaussian density oracle
 each owner's count and moment sums.
 
+:class:`CoalitionMemo` pays for each coalition's value once: the coalitions
+seen so far, sorted as uint64, and their values, float64 numbers or rows.
+Under its lock it looks a whole batch up with one ``searchsorted``, dedupes
+the misses with ``np.unique``, computes them in one call and merges them in
+linear time with :func:`merge_sorted`, so each coalition is computed once,
+even across threads, and a batch either returns one value per coalition or
+keeps nothing. A game's utilities and the density oracle's Gaussian fits
+are each held in one.
+
 :meth:`CoalitionGame.evaluate_many` is the one evaluation path: an array of
-coalitions in, an array of utilities out. Under the game's lock it looks the
-whole batch up in the memo with one ``searchsorted``, dedupes the misses with
-``np.unique``, sends them to the oracle as one batch through
-:func:`_batch_values`, and merges them into the memo in linear time.
-:meth:`CoalitionGame.evaluate` is ``evaluate_many`` of one coalition. The
-lock is held for the whole call, oracle included, so each coalition reaches
-the oracle exactly once, even across threads, and a batch either returns one
-value per coalition or keeps nothing. An oracle may evaluate another game,
-as the permission game's oracle reads the base game, but never the game it
+coalitions in, an array of utilities out, the misses sent to the oracle as
+one batch through :func:`_batch_values`. :meth:`CoalitionGame.evaluate` is
+``evaluate_many`` of one coalition. An oracle may evaluate another game, as
+the permission game's oracle reads the base game, but never the game it
 serves: that call would wait on the lock its caller holds.
 """
 
@@ -206,32 +208,74 @@ def coalition_array(masks, n: int) -> np.ndarray:
     return arr
 
 
-def _find(keys: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The ``searchsorted`` positions of ``masks`` in sorted ``keys``, and which are there."""
-    pos = keys.searchsorted(masks)
-    if not keys.size:
-        return pos, np.zeros(masks.shape, dtype=bool)
-    return pos, keys[np.minimum(pos, keys.size - 1)] == masks
+def merge_sorted(keys, values, new_keys, new_values) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending ``keys`` and ascending ``new_keys``, none shared, merged with their values.
 
-
-def _merge(keys, values, new_keys, new_values) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted ``keys`` and sorted ``new_keys``, none shared, merged with their values.
-
-    The values are float64, one per key or one row per key. Scatters the new
-    keys to their final slots, their ``searchsorted`` positions shifted by
-    the new keys before them, and the old keys to the rest: linear time, no
-    sort.
+    The values are one entry or one row per key; the merged arrays take the
+    dtypes of ``keys`` and ``values``. Scatters the new keys to their final
+    slots, their ``searchsorted`` positions shifted by the new keys before
+    them, and the old keys to the rest: linear time, no sort.
     """
     if not new_keys.size:
         return keys, values
     slots = keys.searchsorted(new_keys) + np.arange(new_keys.size)
     old = np.ones(keys.size + slots.size, dtype=bool)
     old[slots] = False
-    merged_keys = np.empty(old.size, dtype=np.uint64)
+    merged_keys = np.empty(old.size, dtype=keys.dtype)
     merged_keys[slots], merged_keys[old] = new_keys, keys
-    merged_values = np.empty((old.size,) + values.shape[1:])
+    merged_values = np.empty((old.size,) + values.shape[1:], dtype=values.dtype)
     merged_values[slots], merged_values[old] = new_values, values
     return merged_keys, merged_values
+
+
+class CoalitionMemo:
+    """Values computed once per coalition: sorted uint64 keys, float64 values, one lock.
+
+    A value is a float, or a row of ``width`` floats. The keys are found by
+    ``searchsorted`` and new ones merged in linear time with
+    :func:`merge_sorted`, which copies both arrays: a batch costs O(memo)
+    once. At most ``capacity`` keys are kept; past that, the coalitions not
+    kept are computed on every call. ``count`` is how many coalitions
+    ``compute`` has returned values for, kept or not.
+    """
+
+    def __init__(self, width: int | None = None, capacity: int = 1 << MAX_PLAYERS):
+        self._keys = np.empty(0, dtype=np.uint64)
+        self._values = np.empty((0,) if width is None else (0, width))
+        self._capacity = capacity
+        self._lock = threading.Lock()
+        self.count = 0
+
+    def get(self, masks: np.ndarray, compute: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+        """The values of the 1-D uint64 coalitions ``masks``, as a new array.
+
+        The coalitions not in the memo go to ``compute`` in one call, once
+        each, in order of first appearance, and it returns their values in
+        that order. The lowest of them are kept while there is room. The
+        lock is held for the whole call, ``compute`` included, so each
+        coalition is computed once even across threads, and ``compute`` must
+        not call this memo. A ``compute`` that raises keeps and counts
+        nothing.
+        """
+        with self._lock:
+            keys, values = self._keys, self._values
+            pos = keys.searchsorted(masks)
+            hit = (keys[np.minimum(pos, keys.size - 1)] == masks if keys.size
+                   else np.zeros(masks.shape, dtype=bool))
+            if hit.all():
+                return values[pos]
+            # ``missing`` is sorted; ``order`` lists it in order of first appearance.
+            missing, first, inverse = np.unique(masks[~hit], return_index=True, return_inverse=True)
+            fresh = np.empty(missing.shape + values.shape[1:])
+            order = np.argsort(first)
+            fresh[order] = compute(missing[order])
+            room = max(0, self._capacity - keys.size)
+            self._keys, self._values = merge_sorted(keys, values, missing[:room], fresh[:room])
+            self.count += missing.size
+        out = np.empty(masks.shape + values.shape[1:])
+        out[hit] = values[pos[hit]]
+        out[~hit] = fresh[inverse]
+        return out
 
 
 def _batch_values(oracle, masks: np.ndarray) -> np.ndarray:
@@ -303,19 +347,17 @@ class AdditiveOracle:
 class CoalitionGame:
     """A cooperative game: player count plus a memoized utility oracle.
 
-    Evaluation results are memoized per coalition, so any solver built on top
-    pays for each coalition once. The memo is two arrays, the coalitions seen
-    so far, sorted ascending as uint64, and their utilities as float64, found
-    by binary search. Each :meth:`evaluate_many` call merges its misses into
-    them, which copies the arrays: a batch costs O(memo) once, and a loop of
-    single :meth:`evaluate` misses pays that copy per miss. ``eval_count``
-    reports how many coalitions the oracle actually evaluated; it never
-    exceeds ``2**n``.
+    Evaluation results are memoized per coalition in a
+    :class:`CoalitionMemo`, so any solver built on top pays for each
+    coalition once; a loop of single :meth:`evaluate` misses pays the memo's
+    copy per miss. ``eval_count`` reports how many coalitions the oracle
+    actually evaluated; it never exceeds ``2**n``.
 
-    Evaluation is safe to call from several threads. Each call holds one
-    lock from lookup to merge, oracle included, so calls on one game run one
-    at a time and each coalition goes to the oracle once. The oracle may
-    evaluate another game but must not evaluate this one, or it deadlocks.
+    Evaluation is safe to call from several threads. Each call holds the
+    memo's lock from lookup to merge, oracle included, so calls on one game
+    run one at a time and each coalition goes to the oracle once. The oracle
+    may evaluate another game but must not evaluate this one, or it
+    deadlocks.
     """
 
     def __init__(self, n: int, oracle: UtilityOracle):
@@ -323,14 +365,11 @@ class CoalitionGame:
             raise CoalitionBoundsError(f"player count {n} outside [0, {MAX_PLAYERS}]")
         self.n = n
         self._oracle = oracle
-        self._keys = np.empty(0, dtype=np.uint64)
-        self._values = np.empty(0)
-        self._eval_count = 0
-        self._lock = threading.Lock()
+        self._memo = CoalitionMemo()
 
     @property
     def eval_count(self) -> int:
-        return self._eval_count
+        return self._memo.count
 
     def evaluate(self, s: Coalition) -> float:
         """Return the oracle's utility for coalition ``s``: :meth:`evaluate_many` of ``[s]``."""
@@ -348,23 +387,8 @@ class CoalitionGame:
         batch.
         """
         arr = coalition_array(masks, self.n)
-        flat = arr.ravel()
-        with self._lock:
-            keys, values = self._keys, self._values
-            pos, hit = _find(keys, flat)
-            if hit.all():
-                return values[pos].reshape(arr.shape)
-            # ``missing`` is sorted; ``order`` lists it in order of first appearance.
-            missing, first, inverse = np.unique(flat[~hit], return_index=True, return_inverse=True)
-            fresh = np.empty(missing.size)
-            order = np.argsort(first)
-            fresh[order] = _batch_values(self._oracle, missing[order])
-            self._keys, self._values = _merge(keys, values, missing, fresh)
-            self._eval_count += missing.size
-        out = np.empty(flat.size)
-        out[hit] = values[pos[hit]]
-        out[~hit] = fresh[inverse]
-        return out.reshape(arr.shape)
+        values = self._memo.get(arr.ravel(), lambda missing: _batch_values(self._oracle, missing))
+        return values.reshape(arr.shape)
 
     def grand_coalition(self) -> Coalition:
         return full_coalition(self.n)

@@ -100,6 +100,7 @@ import numpy as np
 from .density import GenerationEvent
 from .errors import DuplicateIdError, StorageFailureError
 from .files import replace_file
+from .games import merge_sorted
 from .royalty import ShareVector
 from .seeding import rng_for
 
@@ -303,22 +304,6 @@ class _Index(NamedTuple):
 
 
 _EMPTY = _Index(np.empty(0, _INT), np.empty(0, _KEY), np.empty(0, _INT))
-
-
-def _merge(keys, positions, new_keys, new_positions) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending ``keys`` and ascending ``new_keys`` merged, each with its position.
-
-    Scatters the new keys to their final slots, their ``searchsorted``
-    positions shifted by the new keys before them, and the old keys to the
-    rest: linear time, no sort.
-    """
-    slots = keys.searchsorted(new_keys) + np.arange(new_keys.size)
-    old = np.ones(keys.size + slots.size, dtype=bool)
-    old[slots] = False
-    merged_keys, merged_positions = np.empty(old.size, _KEY), np.empty(old.size, _INT)
-    merged_keys[slots], merged_keys[old] = new_keys, keys
-    merged_positions[slots], merged_positions[old] = new_positions, positions
-    return merged_keys, merged_positions
 
 
 class _Checkpoint(NamedTuple):
@@ -597,7 +582,7 @@ class LedgerStore:
         keys = _keys_of(tx_id for tx_id, _ in new)
         order = np.argsort(keys, kind="stable")
         positions = np.array([at for _, at in new], dtype=_INT)[order]
-        merged = _merge(base.keys, base.positions, keys[order], positions)
+        merged = merge_sorted(base.keys, base.positions, keys[order], positions)
         self._base = _Index(self._entry_offsets(), *merged)
         self._ids = {tx_id: self._ids[tx_id] for tx_id in self._pool}
 

@@ -673,7 +673,7 @@ def test_linear_algebra_failure_in_the_fit_is_exit_3(tmp_path, monkeypatch, caps
         raise np.linalg.LinAlgError("Matrix is not positive definite")
 
     # Empty caches, so the fit runs whatever test filled them first.
-    for name in ("_DATASETS", "_MOMENTS", "_FITS"):
+    for name in ("_DATASETS", "_FITS"):
         monkeypatch.setattr(density, name, DigestCache(density._CACHE_SIZE))
     monkeypatch.setattr(density, "_cholesky_logdet", reject)
     dataset = tmp_path / "owners.csv"

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -88,7 +89,7 @@ def test_pooled_batch_fits_equal_the_fraction_reference(owners, coordinates, see
         labeled = [ds.points[np.array(ds.labels) == "a"] for ds in owned]
         fallback.append(not any(len(p) for p in labeled))
         pools.append(np.concatenate([ds.points for ds in owned] if fallback[-1] else labeled))
-    counts, means, covs = oracle._fit_gaussians(masks, np.array(fallback))
+    counts, means, covs = oracle._fits(masks)[:3]
     assert fallback[0] and counts.tolist() == [len(p) for p in pools]
     floored = []
     for b, pooled in enumerate(pools):
@@ -189,7 +190,7 @@ def test_cached_moments_depend_on_how_the_points_split_into_owners_and_labels(mo
     args = (standard_normal_model(2), GenerationEvent(x=np.zeros(2), label="a"),
             DensityOracleConfig(ridge=0.0))
     cached = [CoalitionDensityOracle(split, *args).many(range(4)).tobytes() for split in splits]
-    monkeypatch.setattr(density, "_MOMENTS", DigestCache(density._CACHE_SIZE))
+    monkeypatch.setattr(density, "_FITS", DigestCache(density._CACHE_SIZE))
     assert cached == [CoalitionDensityOracle(split, *args).many(range(4)).tobytes()
                       for split in splits]
     assert len(set(cached)) == len(splits)
@@ -197,7 +198,7 @@ def test_cached_moments_depend_on_how_the_points_split_into_owners_and_labels(mo
 
 def test_threads_load_and_fit_one_file_alike_and_the_caches_stay_bounded(tmp_path, monkeypatch):
     # Empty caches, so the threads race on the first misses.
-    for name in ("_DATASETS", "_MOMENTS"):
+    for name in ("_DATASETS", "_FITS"):
         monkeypatch.setattr(density, name, DigestCache(density._CACHE_SIZE))
     path = tmp_path / "owners.csv"
     save_owner_datasets(path, labeled_partition())
@@ -223,7 +224,7 @@ def test_threads_load_and_fit_one_file_alike_and_the_caches_stay_bounded(tmp_pat
         CoalitionDensityOracle(load_owner_datasets(other), standard_normal_model(1),
                                GenerationEvent(x=np.zeros(1)))
     assert len(density._DATASETS._entries) == density._CACHE_SIZE
-    assert len(density._MOMENTS._entries) == density._CACHE_SIZE
+    assert len(density._FITS._entries) == density._CACHE_SIZE
 
 
 def test_many_raises_for_a_coalition_without_points_and_records_nothing():
@@ -322,7 +323,7 @@ def test_cli_duplicate_owners_get_bit_identical_phi_and_zero_loo(tmp_path):
 
 @pytest.fixture
 def empty_caches(monkeypatch):
-    for name in ("_DATASETS", "_MOMENTS", "_FITS"):
+    for name in ("_DATASETS", "_FITS"):
         monkeypatch.setattr(density, name, DigestCache(density._CACHE_SIZE))
 
 
@@ -332,17 +333,17 @@ EVENT = GenerationEvent(x=np.array([0.3, -0.2]), label="a")
 def cold_values(monkeypatch, make, masks=range(16)):
     """``make().many(masks)`` with every fit made anew: empty caches and a table budget of 0."""
     with monkeypatch.context() as patch:
-        for name in ("_DATASETS", "_MOMENTS", "_FITS"):
+        for name in ("_DATASETS", "_FITS"):
             patch.setattr(density, name, DigestCache(density._CACHE_SIZE))
         patch.setattr(density, "_FIT_TABLE_ELEMENTS", 0)
         oracle = make()
         values = oracle.many(masks)
-        assert not oracle._fit_table._table[0].size
+        assert not oracle._fit_table._keys.size
         return values, oracle
 
 
 def table_keys(oracle):
-    return oracle._fit_table._table[0].tolist()
+    return oracle._fit_table._keys.tolist()
 
 
 @pytest.mark.parametrize("batches", [
@@ -371,9 +372,8 @@ def test_warm_and_cold_fits_are_bit_equal(empty_caches, monkeypatch, kind, block
     warm = make()
     assert warm._fit_table is cold_first._fit_table
     masks = np.arange(1, 16, dtype=np.uint64)
-    fallback = (masks & warm._holders[0]) == 0
-    rows = warm._fits(masks, fallback).rows()
-    assert rows.tobytes() == cold._fit_rows(masks, fallback).tobytes()
+    rows = warm._fits(masks).rows()
+    assert rows.tobytes() == cold._fit_rows(masks).tobytes()
     for batch in batches:
         masks = list(batch)
         assert warm.many(masks).tobytes() == reference[masks].tobytes()
@@ -410,14 +410,13 @@ def test_oracles_that_differ_in_ridge_label_or_bytes_never_share_fits(empty_cach
 def test_writing_to_returned_fits_does_not_change_the_next_call(empty_caches):
     oracle = ORACLES["gaussian"](labeled_partition(), standard_normal_model(2), EVENT)
     masks = np.arange(1, 16, dtype=np.uint64)
-    fallback = (masks & oracle._holders[0]) == 0
     expected = None
     for _ in range(2):  # a cold call, then a warm one
-        counts, means, covs = oracle._fit_gaussians(masks, fallback)
+        counts, means, covs = oracle._fits(masks)[:3]
         values = oracle.many(range(16))
         assert expected is None or values.tobytes() == expected.tobytes()
         expected = values
-        fits = oracle._fits(masks, fallback)
+        fits = oracle._fits(masks)
         for array in (counts, means, covs, *fits):
             array[...] = 0
     assert oracle.many(range(16)).tobytes() == expected.tobytes()
@@ -441,7 +440,7 @@ def test_a_lowered_budget_stops_the_table_growing_and_values_stay_correct(
 def test_a_fill_that_raises_leaves_the_table_unchanged(empty_caches, monkeypatch):
     oracle = ORACLES["gaussian"](labeled_partition(), standard_normal_model(2), EVENT)
     oracle.many([1, 3])
-    table = oracle._fit_table._table
+    table = oracle._fit_table._keys, oracle._fit_table._values
 
     def reject(covs):
         raise np.linalg.LinAlgError("Matrix is not positive definite")
@@ -450,7 +449,7 @@ def test_a_fill_that_raises_leaves_the_table_unchanged(empty_caches, monkeypatch
         patch.setattr(density, "_cholesky_logdet", reject)
         with pytest.raises(np.linalg.LinAlgError):
             oracle.many(range(16))
-    assert oracle._fit_table._table is table
+    assert oracle._fit_table._keys is table[0] and oracle._fit_table._values is table[1]
     assert oracle.many([3, 1]).tobytes() == oracle.many([3, 1]).tobytes()
     empty = CoalitionDensityOracle(
         [OwnerDataset(owner=0, points=np.empty((0, 1))),
@@ -482,3 +481,35 @@ def test_threads_over_one_content_fit_bit_identically(empty_caches, monkeypatch)
     for masks, values, whole in results:
         assert values == reference[masks].tobytes() and whole == reference.tobytes()
     assert table_keys(make()) == list(range(1, 16))
+
+
+def test_threads_on_one_fit_table_fit_each_coalition_once(empty_caches, monkeypatch):
+    fit_rows, fitted = CoalitionDensityOracle._fit_rows, []
+
+    def recording_fit_rows(self, masks):
+        fitted.extend(masks.tolist())
+        return fit_rows(self, masks)
+
+    monkeypatch.setattr(CoalitionDensityOracle, "_fit_rows", recording_fit_rows)
+    reference = cold_values(monkeypatch, lambda: ORACLES["gaussian"](
+        labeled_partition(), standard_normal_model(2), EVENT))[0]
+    fitted.clear()
+    rng = np.random.default_rng(11)
+    orders = [rng.permutation(16) for _ in range(8)]
+    results, start = {}, threading.Barrier(8)
+
+    def attribute(k):
+        oracle = ORACLES["gaussian"](labeled_partition(), standard_normal_model(2), EVENT)
+        start.wait(timeout=60)
+        results[k] = [oracle.many(orders[k][start:start + 3]) for start in range(0, 16, 3)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            list(pool.map(attribute, range(8), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(fitted) == list(range(1, 16))
+    for k, order in enumerate(orders):
+        assert np.concatenate(results[k]).tobytes() == reference[order].tobytes()
