@@ -5,7 +5,8 @@ generation time. Settlement folds unsettled transactions into owner balances;
 a subsampled settlement estimates the same payouts from a fraction of the
 pool. The next day reopens the ledger, whose replay resumes at the
 checkpoint the first reopen left beside the log, records a few more sales
-and settles them as a second period.
+and settles them as a second period through another store on the same
+directory. The store that recorded those sales then sees them settled.
 """
 
 from __future__ import annotations
@@ -81,6 +82,11 @@ def next_day(root: str) -> None:
     report = settle_full(store, 0.7)
     print(f"  second period pays owners {report.owner_payouts.sum():.2f}, "
           f"the developer {report.developer_payout:.2f}")
+    # The recording store reads the other store's settlement from the log.
+    settled = sum(yesterday.is_settled(tx.id) for tx in sales)
+    assert settled == len(sales) and not yesterday.unsettled(), "the recorder is stale"
+    print(f"  the recording store sees {settled} of its {len(sales)} sales settled "
+          f"and {len(yesterday.unsettled())} unsettled")
     reopened = LedgerStore(root, create=False)
     assert repr(reopened.balances) == repr(store.balances), "reopened balances differ"
     assert reopened.settlement_count == 2 and not reopened.unsettled()

@@ -34,7 +34,7 @@ the lines replayed, not the settled history.
 
 An open whose replay got further than the stored checkpoint writes
 ``transactions.ckpt`` beside the log: the replay's state at its last commit
-boundary. Its version 3 holds text lines (the version; that boundary's byte
+boundary. Its version 4 holds text lines (the version; that boundary's byte
 offset and the sha256 of the log up to it; the settlement count and the
 developer balance; the balances, floats as repr; the entry positions of the
 unsettled ids), the number of ids, the base's three columns as
@@ -52,17 +52,36 @@ log, and deleting it only costs the next open a full replay. A change to
 what replay accepts, to the checkpoint's layout or to the key, must change
 the checkpoint's version line.
 
+Several stores, in one process or in many, may share one ledger
+directory. Every operation of a store holds an ``fcntl.flock`` on the
+directory's own descriptor, so no lock file appears: a shared one to read
+the store's view, an exclusive one to open the store, to record and to
+settle. Under the lock the store compares the log's size with the last
+commit boundary it applied; if the log has grown, replay resumes at that
+boundary, so the store acts on the log as it stands. A sale that another
+store settled is settled here too, and an id that another store recorded is
+a duplicate here too. That replay hashes nothing and writes no checkpoint. A
+settlement it applies, like one the store writes itself, merges the id map
+into the base arrays, so a store that only records holds no more than its
+unsettled pool in dicts. A log shorter than that boundary raises
+``StorageFailureError``. ``flock`` is POSIX only, and some network file
+systems do not honour it; there, stores in different processes or on
+different hosts are not ordered at all.
+
 A crash can leave a torn tail: bytes after the last LF, or settled lines
 whose record never reached the log. That settlement never happened, so
-opening the store truncates the tail (with an fsync), its transactions stay
-unsettled, and ``LedgerStore.dropped_bytes`` says how many bytes went. A
-complete line that does not decode or holds a value that ``Transaction``
-rejects (a NaN share or coordinate, say), a record whose count disagrees
-with the settled lines before it, settled lines followed by anything but
-their record, and a ``.json`` file in the directory other than a
-``.meta.json`` report sidecar (the balance snapshot of an older format,
-whose balances this log does not hold) raise ``StorageFailureError``
-instead.
+opening the store, or a replay under the exclusive lock, truncates the tail
+(with an fsync), its transactions stay unsettled, and
+``LedgerStore.dropped_bytes`` says how many bytes went. A writer appends
+under the exclusive lock, so no open or replay cuts a line that is being
+written. A complete line that does not decode or holds a value that
+``Transaction`` rejects (a NaN share or coordinate, say), a record whose
+count disagrees with the settled lines before it, settled lines followed by
+anything but their record, a settled line of an id that is settled already
+(before it or in the same settlement), and a ``.json`` file in the directory
+other than a ``.meta.json`` report sidecar (the balance snapshot of an older
+format, whose balances this log does not hold) raise
+``StorageFailureError`` instead.
 
 Settlement distributes the income of every unsettled transaction: a fraction
 ``beta_data`` flows to owners in proportion to per-transaction royalty
@@ -87,6 +106,7 @@ report, and only the record's count and payouts to rebuild it from.
 from __future__ import annotations
 
 import contextlib
+import fcntl
 import hashlib
 import math
 import os
@@ -106,7 +126,7 @@ from .seeding import rng_for
 
 LOG_NAME = "transactions.log"
 CHECKPOINT_NAME = "transactions.ckpt"
-_CHECKPOINT_VERSION = "royaltyshare ledger checkpoint 3"
+_CHECKPOINT_VERSION = "royaltyshare ledger checkpoint 4"
 _CHUNK = 1 << 16  # bytes per read of the log's prefix, to hash it or count its lines
 _INT = np.dtype("<i8")  # the checkpoint's columns of offsets and entry positions
 _KEY = np.dtype("<u8")  # and of id keys
@@ -368,29 +388,35 @@ def _decode_checkpoint(raw: bytes) -> _Checkpoint:
 class LedgerStore:
     """Directory-backed transaction store whose append-only log is its only state.
 
-    ``record`` and ``record_many`` may be called concurrently; appends are
-    serialized internally. Settlements take the same lock, so they see a
-    consistent pool and recordings that race a settlement simply land in the
-    next period. Every append is one write and one fsync. A settlement's lines
-    and its record go in one append, so after a crash the reopened store holds
-    all of that settlement or none of it. ``dropped_bytes`` is the size of the
-    torn tail that opening the store truncated, 0 for an intact log. The store
-    maps every id to the offset of its line in the log and its entry position,
-    through the base arrays and the dict of ids added or moved since, and
-    holds the unsettled pool as transactions; ``transactions`` decodes the
-    settled ones from their lines on demand. Opening a store renews the replay
-    checkpoint beside the log; recording and settling never write it.
+    Every operation holds the ledger's ``flock`` and first applies what other
+    stores appended since (see the module docstring), so several stores, in
+    one process or in many, may share a directory. Within one store a
+    ``threading.Lock`` serializes the calls: ``record`` and ``record_many``
+    may be called concurrently, and a settlement sees a consistent pool, so
+    recordings that race it simply land in the next period. Every append is
+    one write and one fsync. A settlement's lines and its record go in one
+    append, so after a crash the reopened store holds all of that settlement
+    or none of it. ``dropped_bytes`` is the size of the torn tails that this
+    store truncated, 0 for an intact log. The store maps every id to the
+    offset of its line in the log and its entry position, through the base
+    arrays and the dict of ids added or moved since, and holds the unsettled
+    pool as transactions; ``transactions`` decodes the settled ones from
+    their lines on demand. Opening a store renews the replay checkpoint
+    beside the log; recording and settling never write it.
     """
 
     def __init__(self, path: str | Path, *, create: bool = True):
         self.path = Path(path)
+        self._log_path = self.path / LOG_NAME
         self.dropped_bytes = 0
         self._lock = threading.Lock()
-        self._base = _EMPTY  # every id as of the last checkpoint this store read or wrote
+        self._end = 0  # the log offset of the last commit boundary this store applied
+        self._base = _EMPTY  # every id as of the last rebase
         # The ids added or moved since, the pool included -> (line offset, entry position).
         self._ids: dict[str, tuple[int, int]] = {}
         self._count = 0  # the ids in the store, so the entry position of the next one
         self._pool: dict[str, Transaction] = {}  # the unsettled transactions, in entry order
+        self._texts: dict[str, str] = {}  # the text of each unsettled id's checked line
         self._balances: dict[int, float] = {}
         self._developer_balance = 0.0
         self._settlement_count = 0
@@ -409,35 +435,91 @@ class LedgerStore:
                     f"{snapshot} is a balance snapshot from an older ledger format; "
                     "its balances are not in the log, so the ledger cannot be opened"
                 )
-            if self._log_path.exists():
-                self._replay()
+            fd = self._flock(exclusive=True)
+            try:
+                if self._log_path.exists():
+                    self._replay(opening=True, truncate=True)
+            finally:
+                os.close(fd)
         except OSError as exc:
             raise StorageFailureError(f"cannot open ledger at {self.path}: {exc}") from exc
-
-    @property
-    def _log_path(self) -> Path:
-        return self.path / LOG_NAME
 
     @property
     def _checkpoint_path(self) -> Path:
         return self.path / CHECKPOINT_NAME
 
-    def _replay(self) -> None:
-        """Rebuild the store from the log, truncate a torn tail and renew the checkpoint.
+    def _flock(self, exclusive: bool) -> int:
+        """A new descriptor of the ledger directory that holds its flock; closing it unlocks.
 
-        Replay starts where a matching checkpoint ends, or at byte 0. Every
-        line it reads is checked, but a text only once: the settled copy of a
-        sale's line has only its flag checked. Every id keeps the offset of
-        its line, and only the lines still unsettled at the end are decoded.
-        An error names its line by number, counted only when it is raised.
+        ``flock``, not ``lockf``: closing any descriptor of a file drops the
+        process's POSIX record locks on it.
         """
-        texts: dict[str, str] = {}  # each unsettled id -> the text of its checked line
+        fd = os.open(self.path, os.O_RDONLY)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX if exclusive else fcntl.LOCK_SH)
+        except BaseException:
+            os.close(fd)
+            raise
+        return fd
+
+    @contextlib.contextmanager
+    def _view(self, exclusive: bool) -> Iterator[None]:
+        """Hold this store's lock and the ledger's flock, with the log's news applied.
+
+        The exclusive lock also truncates a torn tail, so that an append
+        lands after the last complete line.
+        """
+        with self._lock:
+            try:
+                fd = self._flock(exclusive)
+            except OSError as exc:
+                raise StorageFailureError(f"cannot lock the ledger at {self.path}: {exc}") from exc
+            try:
+                self._sync(truncate=exclusive)
+                yield
+            finally:
+                os.close(fd)
+
+    def _sync(self, truncate: bool) -> None:
+        """Replay what the log holds past this store's last commit boundary, if anything."""
+        try:
+            try:
+                size = os.stat(self._log_path).st_size
+            except FileNotFoundError:
+                size = 0
+            if size < self._end:
+                raise StorageFailureError(
+                    f"{self._log_path} holds {size} bytes, fewer than the {self._end} "
+                    "this store has applied"
+                )
+            if size > self._end:
+                self._replay(opening=False, truncate=truncate)
+        except OSError as exc:
+            raise StorageFailureError(f"cannot read {self._log_path}: {exc}") from exc
+
+    def _replay(self, *, opening: bool, truncate: bool) -> None:
+        """Apply the log from where the store stands, up to its last commit boundary.
+
+        An open resumes where a matching checkpoint ends, or at byte 0, and
+        hashes what it reads; after that, replay resumes at the store's own
+        last commit boundary and hashes nothing. Every line read is checked,
+        but a text only once: the settled copy of a sale's line has only its
+        flag checked. Every id keeps the offset of its line, and only the
+        lines that stay unsettled are decoded. A torn tail is truncated if
+        ``truncate`` is set, or else left for a later replay. An open that
+        read past its start rebases the id map and renews the checkpoint; a
+        later replay that applies a settlement rebases it. An error names its
+        line by number, counted only when it is raised; the store then stands
+        at the last commit boundary before that line.
+        """
+        texts = self._texts  # each unsettled id -> the text of its checked line
         with open(self._log_path, "rb") as fh:
-            start, digest = self._resume(fh, texts)
+            start, digest = self._resume(fh, texts) if opening else (self._end, None)
             fh.seek(start)
-            pending: list[tuple[str, int]] = []  # settled ids and line offsets awaiting a record
+            pending: dict[str, int] = {}  # settled ids and line offsets awaiting a record
             unhashed: list[bytes] = []  # lines after the last commit boundary
-            keep = size = start  # bytes that stay in the log, bytes read
+            keep = size = self._end = start  # bytes that stay in the log, bytes read
+            settled = False
             for raw in fh:
                 offset = size
                 size += len(raw)
@@ -457,15 +539,23 @@ class LedgerStore:
                             f"ledger line {self._line_number(offset)}: settlement record "
                             f"commits {entry.count} settled lines, but {len(pending)} precede it"
                         )
-                    for tx_id, at in pending:
+                    for tx_id, at in pending.items():
                         texts.pop(tx_id, None)
+                        self._pool.pop(tx_id, None)
                         self._place(tx_id, at, self._position(tx_id))
                     self._credit(entry.owner_payouts, entry.developer_payout)
-                    pending = []
+                    pending, settled = {}, True
                 elif entry is not None:
-                    tx_id, settled = entry
-                    if settled:
-                        pending.append((tx_id, offset))
+                    tx_id, is_settled = entry
+                    if is_settled:
+                        if tx_id in pending or (
+                            tx_id not in texts and self._position(tx_id) is not None
+                        ):
+                            raise StorageFailureError(
+                                f"ledger line {self._line_number(offset)}: transaction "
+                                f"{tx_id!r} is settled already"
+                            )
+                        pending[tx_id] = offset
                     elif pending:
                         raise StorageFailureError(
                             f"ledger line {self._line_number(offset)}: the settled lines "
@@ -476,24 +566,30 @@ class LedgerStore:
                         # A sale line after its settlement leaves the id settled.
                         if position is None or tx_id in texts:
                             texts[tx_id] = line
+                            if not opening:  # an open decodes its pool once, at the end
+                                self._pool[tx_id] = _decode_line(line)[0]
                         self._place(tx_id, offset, position)
                 if pending:
                     unhashed.append(raw)
                 else:
-                    keep = size
-                    if unhashed:
-                        digest.update(b"".join(unhashed))
-                        unhashed.clear()
-                    digest.update(raw)
-        self._pool = {tx_id: _decode_line(line)[0] for tx_id, line in texts.items()}
-        self.dropped_bytes = size - keep
-        if self.dropped_bytes:
+                    keep = self._end = size
+                    if digest is not None:
+                        if unhashed:
+                            digest.update(b"".join(unhashed))
+                        digest.update(raw)
+                    unhashed.clear()
+        if opening:
+            self._pool = {tx_id: _decode_line(line)[0] for tx_id, line in texts.items()}
+        if size > keep and truncate:
             with open(self._log_path, "r+b") as fh:
                 fh.truncate(keep)
                 os.fsync(fh.fileno())
-        if keep > start:
+            self.dropped_bytes += size - keep
+        if opening and keep > start:
             self._rebase()
             self._write_checkpoint(keep, digest.hexdigest())
+        elif settled:
+            self._rebase()
 
     def _line_number(self, offset: int) -> int:
         """The number of the log line that starts at ``offset``."""
@@ -542,10 +638,12 @@ class LedgerStore:
         if not keys.size:
             return None
         key = _keys_of([tx_id])[0]
-        candidates = self._base.positions[keys.searchsorted(key) : keys.searchsorted(key, "right")]
-        for position in candidates.tolist():  # one, but for two ids that share a key
+        at = int(keys.searchsorted(key))
+        while at < keys.size and keys[at] == key:  # once, but for two ids that share a key
+            position = int(self._base.positions[at])
             if self._is_line_of(tx_id, int(self._base.offsets[position])):
                 return position
+            at += 1
         return None
 
     def _is_line_of(self, tx_id: str, offset: int) -> bool:
@@ -604,22 +702,25 @@ class LedgerStore:
         with contextlib.suppress(OSError):
             replace_file(self._checkpoint_path, _encode_checkpoint(ckpt), durable=False)
 
-    def _append(self, txs: list[Transaction], settled: bool, record: str = "") -> list[int]:
-        """Durably append the lines of ``txs``, then ``record``; the offset of each line."""
-        lines = [_encode_line(tx, settled).encode("utf-8") for tx in txs]
-        # One write call for the whole batch, so that an append from another
-        # process lands before or after a settlement's lines, not among them.
-        payload = b"".join([*lines, record.encode("utf-8")])
+    def _append(self, lines: list[str], record: str = "") -> list[int]:
+        """Durably append ``lines``, then ``record``; the offset of each line.
+
+        Called under the exclusive lock, so the log ends at the store's last
+        commit boundary and the payload ends at the next one.
+        """
+        encoded = [line.encode("utf-8") for line in lines]
+        payload = b"".join([*encoded, record.encode("utf-8")])
         try:
             with open(self._log_path, "ab") as fh:
                 fh.write(payload)
                 fh.flush()
                 os.fsync(fh.fileno())
-                offset = fh.tell() - len(payload)
+                self._end = fh.tell()
         except OSError as exc:
             raise StorageFailureError(f"append to {self._log_path} failed: {exc}") from exc
         offsets = []
-        for line in lines:
+        offset = self._end - len(payload)
+        for line in encoded:
             offsets.append(offset)
             offset += len(line)
         return offsets
@@ -632,16 +733,18 @@ class LedgerStore:
         hold raises ``ValueError``. A batch that raises appends nothing.
         """
         txs = list(txs)
-        with self._lock:
+        with self._view(exclusive=True):
             batch: set[str] = set()
             for tx in txs:
                 if tx.id in batch or self._position(tx.id) is not None:
                     raise DuplicateIdError(f"transaction id {tx.id!r} already recorded")
                 batch.add(tx.id)
             if txs:
-                for tx, at in zip(txs, self._append(txs, settled=False)):
+                lines = [_encode_line(tx, settled=False) for tx in txs]
+                for tx, line, at in zip(txs, lines, self._append(lines)):
                     self._place(tx.id, at, None)
                     self._pool[tx.id] = tx
+                    self._texts[tx.id] = line[:-1]
 
     def record(self, tx: Transaction) -> None:
         """Durably append one transaction. Duplicate ids raise."""
@@ -649,7 +752,7 @@ class LedgerStore:
 
     def transactions(self) -> list[Transaction]:
         """Every transaction in entry order; reads the settled ones' lines from the log."""
-        with self._lock:  # so that no settlement moves an offset past the bytes read
+        with self._view(exclusive=False):  # no settlement moves an offset past the bytes read
             offsets = self._entry_offsets().tolist()
             pool = {self._ids[tx_id][1]: tx for tx_id, tx in self._pool.items()}
             try:
@@ -662,23 +765,27 @@ class LedgerStore:
             ]
 
     def unsettled(self) -> list[Transaction]:
-        return list(self._pool.values())
+        with self._view(exclusive=False):
+            return list(self._pool.values())
 
     def is_settled(self, tx_id: str) -> bool:
-        with self._lock:  # a batch being recorded is placed before it enters the pool
+        with self._view(exclusive=False):  # a batch being recorded is placed before it is pooled
             return tx_id not in self._pool and self._position(tx_id) is not None
 
     @property
     def balances(self) -> dict[int, float]:
-        return dict(self._balances)
+        with self._view(exclusive=False):
+            return dict(self._balances)
 
     @property
     def developer_balance(self) -> float:
-        return self._developer_balance
+        with self._view(exclusive=False):
+            return self._developer_balance
 
     @property
     def settlement_count(self) -> int:
-        return self._settlement_count
+        with self._view(exclusive=False):
+            return self._settlement_count
 
     def _credit(self, owner_payouts: list[float] | np.ndarray, developer_payout: float) -> None:
         """Add one settlement's payouts to the balances, as replaying its record does."""
@@ -694,13 +801,15 @@ class LedgerStore:
         developer_payout: float,
     ) -> None:
         offsets = self._append(
-            settled, settled=True,
-            record=_encode_record(len(settled), owner_payouts, developer_payout),
+            [_encode_line(tx, settled=True) for tx in settled],
+            _encode_record(len(settled), owner_payouts, developer_payout),
         )
         for tx, at in zip(settled, offsets):  # every pool id is in ``_ids``
             self._place(tx.id, at, self._ids[tx.id][1])
             del self._pool[tx.id]
+            del self._texts[tx.id]
         self._credit(owner_payouts, developer_payout)
+        self._rebase()
 
 
 def _resolve_shares(
@@ -765,8 +874,8 @@ def settle_full(
     """
     if not 0.0 <= beta_data <= 1.0:
         raise ValueError(f"beta_data must lie in [0, 1], got {beta_data}")
-    with store._lock:
-        pool = store.unsettled()
+    with store._view(exclusive=apply):
+        pool = list(store._pool.values())
         resolved, failed = _resolve_shares(pool, attributor)
         n = _owner_count(resolved)
         prices = [tx.price for tx in resolved]
@@ -806,8 +915,8 @@ def settle_subsampled(
     """
     if not 0.0 <= beta_data <= 1.0:
         raise ValueError(f"beta_data must lie in [0, 1], got {beta_data}")
-    with store._lock:
-        pool = store.unsettled()
+    with store._view(exclusive=apply):
+        pool = list(store._pool.values())
         if not 1 <= sample_size <= len(pool):
             raise ValueError(
                 f"sample_size must lie in [1, {len(pool)}], got {sample_size}"

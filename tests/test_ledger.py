@@ -846,8 +846,8 @@ def test_a_cut_or_stale_checkpoint_opens_as_the_log_alone(tmp_path, monkeypatch)
     # Checkpoints of another version, each with a valid checksum: one of this
     # layout, and one of version 1, which also held the log's line count.
     body = checkpoint[:-65].split(b"\n")
-    assert body[0] == b"royaltyshare ledger checkpoint 3"
-    other_version = [b"royaltyshare ledger checkpoint 4", *body[1:]]
+    assert body[0] == b"royaltyshare ledger checkpoint 4"
+    other_version = [b"royaltyshare ledger checkpoint 3", *body[1:]]
     lines_before = log[: held.offset].count(b"\n")
     version_1 = [
         b"royaltyshare ledger checkpoint 1",
@@ -856,7 +856,7 @@ def test_a_cut_or_stale_checkpoint_opens_as_the_log_alone(tmp_path, monkeypatch)
     ]
     _open_outcome(path, log)
     renewed = (path / CHECKPOINT_NAME).read_bytes()  # what a log-only open writes
-    assert renewed.startswith(b"royaltyshare ledger checkpoint 3\n")
+    assert renewed.startswith(b"royaltyshare ledger checkpoint 4\n")
     parsed = []
     real_parse = ledger._parse_line
     with monkeypatch.context() as m:
@@ -953,3 +953,221 @@ def test_a_sale_line_after_its_settlement_leaves_the_id_settled(tmp_path):
             list(map(_fields, reopened.transactions())),
         ))
     assert outcomes[0] == outcomes[1]
+
+
+# Cross-process tests: each subprocess and barrier has a bound, so a locking
+# bug fails the test instead of hanging it.
+_BOUND_S = 60
+
+
+def _env():
+    """The environment of a subprocess that imports this package."""
+    src = str(Path(ledger.__file__).resolve().parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def _settlement_counts(log_path):
+    """The count of settled lines that each settlement record in the log commits."""
+    lines = log_path.read_text(encoding="utf-8").splitlines()
+    return [int(line.split("|")[1]) for line in lines if line.startswith("|")]
+
+
+_SETTLE_IN_A_NEW_PROCESS = """
+import sys
+from royaltyshare import LedgerStore, settle_full
+settle_full(LedgerStore(sys.argv[1], create=False), beta_data=0.7)
+"""
+
+
+@pytest.mark.parametrize("settler", ["same process", "subprocess"])
+def test_a_store_acts_on_a_settlement_that_another_store_made(tmp_path, settler):
+    path = tmp_path / "ledger"
+    recorder = LedgerStore(path)
+    for k in range(3):
+        recorder.record(make_tx(f"t{k}", 1.0, share_row(0.5, 0.5)))
+    if settler == "same process":
+        settle_full(LedgerStore(path, create=False), beta_data=0.7)
+    else:
+        subprocess.run([sys.executable, "-c", _SETTLE_IN_A_NEW_PROCESS, str(path)],
+                       env=_env(), check=True, timeout=_BOUND_S)
+    # The recorder sees the settlement: its pool is empty, and its id map
+    # holds no settled id outside the base arrays.
+    assert recorder.unsettled() == [] and recorder._ids == {}
+    assert all(recorder.is_settled(f"t{k}") for k in range(3))
+    assert settle_full(recorder, beta_data=0.7).total_income == 0.0  # pays nothing again
+    reopened = LedgerStore(path, create=False)
+    assert _settled_line_counts(path / LOG_NAME) == {"t0": 1, "t1": 1, "t2": 1}
+    assert _settlement_counts(path / LOG_NAME) == [3, 0]  # the recorder's settlement is empty
+    assert reopened.balances == pytest.approx({0: 1.05, 1: 1.05}, rel=1e-12)
+    assert reopened.developer_balance == pytest.approx(0.9, rel=1e-12)
+    for store in (recorder, reopened):
+        assert store.settlement_count == 2
+        assert repr(store.balances) == repr(reopened.balances)
+        assert repr(store.developer_balance) == repr(reopened.developer_balance)
+
+
+def test_a_stale_store_cannot_record_an_id_that_another_store_recorded(tmp_path):
+    path = tmp_path / "ledger"
+    stale = LedgerStore(path)
+    stale.record(make_tx("t0", 1.0, share_row(1.0)))
+    LedgerStore(path, create=False).record(make_tx("t9", 2.0, share_row(1.0)))
+    for batch in (["t9"], ["t1", "t9"]):
+        with pytest.raises(DuplicateIdError, match="'t9'"):
+            stale.record_many(make_tx(tx_id, 3.0, share_row(1.0)) for tx_id in batch)
+    assert [tx.id for tx in stale.unsettled()] == ["t0", "t9"]
+    assert stale.unsettled()[1].price == 2.0
+    assert (path / LOG_NAME).read_text(encoding="utf-8").count("t9|") == 1
+
+
+_SETTLE_AT_GO = """
+import sys
+from royaltyshare.cli import main
+print("ready", flush=True)
+sys.stdin.readline()
+sys.exit(main(["settle", "--ledger", sys.argv[1], "--beta", "0.7", "--out", sys.argv[2]]))
+"""
+
+
+def test_two_processes_that_settle_at_once_settle_each_sale_once(tmp_path):
+    from royaltyshare.cli import main
+
+    path = tmp_path / "ledger"
+    assert main(["simulate", "--kind", "ledger", "--transactions", "50", "--owners", "3",
+                 "--out", str(path)]) == 0
+    income = math.fsum(tx.price for tx in LedgerStore(path, create=False).unsettled())
+    barrier = threading.Barrier(2, timeout=_BOUND_S)
+    results = {}
+
+    def settle(name):
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _SETTLE_AT_GO, str(path), str(tmp_path / name)],
+            env=_env(), stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+        try:
+            assert proc.stdout.readline() == "ready\n"
+            barrier.wait()  # both processes have imported the package: release them at once
+            proc.communicate("go\n", timeout=_BOUND_S)
+            results[name] = proc.returncode
+        finally:
+            proc.kill()
+            proc.wait(timeout=_BOUND_S)
+
+    threads = [threading.Thread(target=settle, args=(name,)) for name in ("a", "b")]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=2 * _BOUND_S)
+    assert not any(t.is_alive() for t in threads)
+    assert results == {"a": 0, "b": 0}
+    reopened = LedgerStore(path, create=False)
+    ids = [tx.id for tx in reopened.transactions()]
+    assert len(ids) == 50 and reopened.unsettled() == []
+    assert _settled_line_counts(path / LOG_NAME) == dict.fromkeys(ids, 1)
+    assert sorted(_settlement_counts(path / LOG_NAME)) == [0, 50]
+    reported = [
+        json.loads((tmp_path / name / "settlement.meta.json").read_text(encoding="utf-8"))
+        for name in ("a", "b")
+    ]
+    assert sorted(meta["total_income"] for meta in reported) == [0.0, income]
+    paid = math.fsum([*reopened.balances.values(), reopened.developer_balance])
+    assert paid == pytest.approx(income, rel=1e-12)
+
+
+def _settled_twice(path):
+    """A ledger whose log settles t0 a second time, in a settlement of its own."""
+    store = LedgerStore(path)
+    store.record(make_tx("t0", 1.0, share_row(0.5, 0.5)))
+    store.record(make_tx("t1", 2.0, share_row(1.0, 0.0)))
+    settle_full(store, beta_data=0.7)
+    store.record(make_tx("t2", 4.0, share_row(0.0, 1.0)))
+    again = ledger._encode_line(make_tx("t0", 1.0, share_row(0.5, 0.5)), settled=True)
+    return again + ledger._encode_record(1, np.array([0.35, 0.35]), 0.3)
+
+
+def test_a_log_that_settles_an_id_twice_raises_naming_the_line(tmp_path, capsys):
+    from royaltyshare.cli import main
+
+    path = tmp_path / "ledger"
+    tail = _settled_twice(path)
+    live = LedgerStore(path, create=False)  # checkpoints the log before the tail
+    with open(path / LOG_NAME, "a", encoding="utf-8") as fh:
+        fh.write(tail)
+    log = (path / LOG_NAME).read_bytes()
+    message = r"ledger line 7: transaction 't0' is settled already"
+    # A store that replays the tail later raises, and again on its next call.
+    for _ in range(2):
+        with pytest.raises(StorageFailureError, match=message):
+            live.record(make_tx("t3", 1.0))
+    for checkpoint in (True, False):  # an open that resumes there, and one from byte 0
+        if not checkpoint:
+            (path / CHECKPOINT_NAME).unlink()
+        with pytest.raises(StorageFailureError, match=message):
+            LedgerStore(path, create=False)
+    out = tmp_path / "out"
+    assert main(["settle", "--ledger", str(path), "--beta", "0.7", "--out", str(out)]) == 4
+    assert "is settled already" in capsys.readouterr().err
+    assert (path / LOG_NAME).read_bytes() == log
+    # One id twice in one settlement: the second settled line raises.
+    path = tmp_path / "twice-in-one"
+    _settled_twice(path)
+    line = ledger._encode_line(make_tx("t2", 4.0, share_row(0.0, 1.0)), settled=True)
+    with open(path / LOG_NAME, "a", encoding="utf-8") as fh:
+        fh.write(line + line + ledger._encode_record(2, np.array([0.0, 5.6]), 2.4))
+    with pytest.raises(StorageFailureError, match=r"line 8: transaction 't2' is settled already"):
+        LedgerStore(path, create=False)
+
+
+def test_a_reader_leaves_a_torn_tail_for_the_next_writer_to_truncate(tmp_path):
+    path = tmp_path / "ledger"
+    store = LedgerStore(path)
+    store.record(make_tx("t0", 1.0, share_row(1.0)))
+    log = (path / LOG_NAME).read_bytes()
+    torn = ledger._encode_line(make_tx("t1", 1.0), settled=False).encode("utf-8")[:-3]
+    with open(path / LOG_NAME, "ab") as fh:
+        fh.write(torn)
+    assert [tx.id for tx in store.unsettled()] == ["t0"]  # under the shared lock
+    assert (path / LOG_NAME).read_bytes() == log + torn and store.dropped_bytes == 0
+    store.record(make_tx("t2", 1.0))  # under the exclusive lock
+    assert store.dropped_bytes == len(torn)
+    assert [tx.id for tx in LedgerStore(path, create=False).unsettled()] == ["t0", "t2"]
+
+
+_WRITE_UNDER_THE_LOCK = """
+import fcntl, os, sys, time
+from royaltyshare import GenerationEvent, Transaction, ledger
+import numpy as np
+path = sys.argv[1]
+line = ledger._encode_line(
+    Transaction(id="late", price=1.0, event=GenerationEvent(x=np.zeros(2))), settled=False
+).encode("utf-8")
+fd = os.open(path, os.O_RDONLY)
+fcntl.flock(fd, fcntl.LOCK_EX)
+with open(os.path.join(path, ledger.LOG_NAME), "ab") as fh:
+    fh.write(line[:5])
+    fh.flush()
+    print("partial", flush=True)
+    time.sleep(float(sys.argv[2]))  # an open started now must wait for the rest
+    fh.write(line[5:])
+    fh.flush()
+    os.fsync(fh.fileno())
+os.close(fd)
+"""
+
+
+def test_an_open_waits_for_an_append_in_flight_and_truncates_nothing(tmp_path):
+    path = tmp_path / "ledger"
+    LedgerStore(path).record(make_tx("t0", 1.0, share_row(1.0)))
+    proc = subprocess.Popen([sys.executable, "-c", _WRITE_UNDER_THE_LOCK, str(path), "0.5"],
+                            env=_env(), stdout=subprocess.PIPE, text=True)
+    try:
+        assert proc.stdout.readline() == "partial\n"
+        assert not (path / LOG_NAME).read_bytes().endswith(b"\n")  # a partial line on disk
+        store = LedgerStore(path, create=False)
+        assert proc.wait(timeout=_BOUND_S) == 0
+    finally:
+        proc.kill()
+        proc.wait(timeout=_BOUND_S)
+        proc.stdout.close()
+    assert store.dropped_bytes == 0
+    assert [tx.id for tx in store.unsettled()] == ["t0", "late"]
+    assert (path / LOG_NAME).read_bytes().endswith(b"|0\n")
