@@ -75,7 +75,13 @@ from .errors import (
 from .exact import exact_shapley, loo_scores
 from .files import replace_file
 from .games import AdditiveOracle, CoalitionGame, coalition_members
-from .ledger import LedgerStore, settle_full, settle_subsampled, write_settlement_csv
+from .ledger import (
+    LedgerStore,
+    _SampleSizeError,
+    settle_full,
+    settle_subsampled,
+    write_settlement_csv,
+)
 from .montecarlo import EstimatorConfig, permutation_sample
 from .royalty import (
     PermissionGame,
@@ -481,6 +487,12 @@ def cmd_compare_loo(args: argparse.Namespace) -> int:
     return 0
 
 
+def _sample_size_error(sample_size: int, pool_size: int) -> ConfigError:
+    return ConfigError(
+        f"--sample-size must lie in [1, {pool_size}], the unsettled pool, got {sample_size}"
+    )
+
+
 def cmd_settle(args: argparse.Namespace) -> int:
     config = _load_config(args)
     beta = config["beta"]
@@ -498,21 +510,21 @@ def cmd_settle(args: argparse.Namespace) -> int:
         if args.sample_size is None:
             raise ConfigError("settle --mode sample needs --sample-size")
         if not 1 <= args.sample_size <= pool_size:
-            raise ConfigError(
-                f"--sample-size must lie in [1, {pool_size}], the unsettled pool, "
-                f"got {args.sample_size}"
-            )
+            raise _sample_size_error(args.sample_size, pool_size)
     out = _out_dir(config)
     out.mkdir(parents=True, exist_ok=True)  # before the commit, so a bad --out commits nothing
     if args.mode == "full":
         report = settle_full(store, beta)
     else:
-        report = settle_subsampled(
-            store,
-            beta,
-            sample_size=args.sample_size,
-            seed=derive_seed(root_seed, _STREAM_SETTLE),
-        )
+        try:
+            report = settle_subsampled(
+                store,
+                beta,
+                sample_size=args.sample_size,
+                seed=derive_seed(root_seed, _STREAM_SETTLE),
+            )
+        except _SampleSizeError as exc:  # another store settled since the check above
+            raise _sample_size_error(args.sample_size, exc.pool_size) from exc
     # The report echoes the root seed, not the sampler's derived stream.
     report = dataclasses.replace(report, seed=root_seed)
     report_path = out / "settlement.csv"

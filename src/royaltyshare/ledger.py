@@ -17,28 +17,28 @@ exactly.
 
 Replay streams the log and checks every line, but each text once: the
 settled copy of a sale differs from the sale's line only in the flag, so it
-has only its flag and its place in the log checked. The store keeps the
-offset in the log's bytes of the line it keeps for each id; settled
-transactions are decoded from there only when ``LedgerStore.transactions``
-asks for them, so opening a store builds ``Transaction`` objects for the
-unsettled pool alone. Its id map has two parts. The base is three arrays:
-every id's line offset by entry position, every id's 64-bit key (the first
-8 bytes of the BLAKE2b digest of its UTF-8 bytes) in ascending order, and
-the entry position of each key. Beside it one dict holds the ids added or
-moved since, the pool included. A lookup tries the dict, then
-``searchsorted`` on the keys; a key that matches is confirmed against the
-id's log line, so two ids that share a key stay apart. Every open that
-writes a checkpoint merges the dict into the base with numpy and keeps only
-the pool in the dict, so an open's Python work per id covers the pool and
-the lines replayed, not the settled history.
+has only its flag and its place in the log checked. The store holds the
+unsettled pool as transactions and only a yes or no for every other id;
+``LedgerStore.transactions`` reads the committed log once and decodes each
+settled id's last line there, in the order of the ids' first lines, which
+is entry order. So opening a store builds ``Transaction`` objects for the
+unsettled pool alone. Its id map has two parts. The base is two arrays:
+every id's 64-bit key (the first 8 bytes of the BLAKE2b digest of its UTF-8
+bytes) in ascending order, and the log offset of one line of the id of each
+key. Beside it one dict holds the ids added since. A lookup tries the dict,
+then ``searchsorted`` on the keys; a key that matches is confirmed against
+the id's log line, so two ids that share a key stay apart. Every open that
+writes a checkpoint merges the dict into the base with numpy and empties
+it, so an open's Python work per id covers the pool and the lines replayed,
+not the settled history.
 
 An open whose replay got further than the stored checkpoint writes
 ``transactions.ckpt`` beside the log: the replay's state at its last commit
-boundary. Its version 4 holds text lines (the version; that boundary's byte
+boundary. Its version 5 holds text lines (the version; that boundary's byte
 offset and the sha256 of the log up to it; the settlement count and the
-developer balance; the balances, floats as repr; the entry positions of the
-unsettled ids), the number of ids, the base's three columns as
-little-endian 64-bit integers, which the next open maps with
+developer balance; the balances, floats as repr; the line offsets of the
+unsettled ids, in entry order), the number of ids, the base's two columns
+as little-endian 64-bit integers, which the next open maps with
 ``np.frombuffer``, and the sha256 of all of that. An id itself is read from
 its log line. The next open resumes replay at that offset only if the
 checkpoint's checksum, and the offset and digest against the log, all match;
@@ -50,7 +50,9 @@ is replaced whole by :func:`~royaltyshare.files.replace_file`, with no
 fsync: every fact in it is also in the log, it is never read without the
 log, and deleting it only costs the next open a full replay. A change to
 what replay accepts, to the checkpoint's layout or to the key, must change
-the checkpoint's version line.
+the checkpoint's version line; an open ignores a checkpoint of an older
+version, version 4's entry positions included, and replays from byte 0
+once.
 
 Several stores, in one process or in many, may share one ledger
 directory. Every operation of a store holds an ``fcntl.flock`` on the
@@ -61,9 +63,9 @@ commit boundary it applied; if the log has grown, replay resumes at that
 boundary, so the store acts on the log as it stands. A sale that another
 store settled is settled here too, and an id that another store recorded is
 a duplicate here too. That replay hashes nothing and writes no checkpoint. A
-settlement it applies, like one the store writes itself, merges the id map
-into the base arrays, so a store that only records holds no more than its
-unsettled pool in dicts. A log shorter than that boundary raises
+settlement it applies, like one the store writes itself, merges the ids
+added since into the base arrays, so a store that only records holds no
+more than its unsettled pool in dicts. A log shorter than that boundary raises
 ``StorageFailureError``. ``flock`` is POSIX only, and some network file
 systems do not honour it; there, stores in different processes or on
 different hosts are not ordered at all.
@@ -126,10 +128,10 @@ from .seeding import rng_for
 
 LOG_NAME = "transactions.log"
 CHECKPOINT_NAME = "transactions.ckpt"
-_CHECKPOINT_VERSION = "royaltyshare ledger checkpoint 4"
+_CHECKPOINT_VERSION = "royaltyshare ledger checkpoint 5"
 _CHUNK = 1 << 16  # bytes per read of the log's prefix, to hash it or count its lines
-_INT = np.dtype("<i8")  # the checkpoint's columns of offsets and entry positions
-_KEY = np.dtype("<u8")  # and of id keys
+_KEY = np.dtype("<u8")  # the checkpoint's column of id keys
+_INT = np.dtype("<i8")  # and of line offsets
 
 _SHARE_SUM_TOL = 1e-9
 _CORRELATION_THRESHOLD = 0.5
@@ -270,29 +272,31 @@ def _decode_record(line: str) -> _Record:
     return record
 
 
-def _check_entry(line: str, texts: dict[str, str]) -> _Record | tuple[str, bool] | None:
+class _Sale(NamedTuple):
+    """An unsettled transaction: the log offset and the text of its checked line, and itself."""
+
+    offset: int
+    text: str
+    tx: Transaction | None  # None while an open replays: it decodes its pool once, at the end
+
+
+def _check_entry(line: str, pool: dict[str, _Sale]) -> _Record | tuple[str, bool] | None:
     """Check one complete log line: a record, a transaction's id and flag, or None if blank.
 
-    ``texts`` maps ids to the text of lines checked already. A transaction
-    line whose text before the flag is that of its id's line there has only
-    its flag checked.
+    A transaction line whose text before the flag is that of its id's line
+    in ``pool``, which was checked already, has only its flag checked.
     """
     if line.startswith("|"):
         return _decode_record(line)
     tx_id = line.partition("|")[0]
-    known = texts.get(tx_id)
-    if known is not None and line[:-1] == known[:-1] and line[-1] in "01":
+    known = pool.get(tx_id)
+    if known is not None and line[:-1] == known.text[:-1] and line[-1] in "01":
         return tx_id, line[-1] == "1"
     if not line.strip():
         return None
     tx_id, price, coords, _, shares, settled = _parse_line(line)
     _check_fields(tx_id, price, coords, shares)
     return tx_id, settled
-
-
-def _line_at(log: bytes, start: int) -> str:
-    """The text of the log line that starts at offset ``start``, without its LF."""
-    return log[start : log.index(b"\n", start)].decode("utf-8")
 
 
 def _chunks(fh: BinaryIO, size: int) -> Iterator[bytes]:
@@ -318,12 +322,11 @@ def _keys_of(ids: Iterable[str]) -> np.ndarray:
 class _Index(NamedTuple):
     """Every id of a store at one moment, as arrays."""
 
-    offsets: np.ndarray  # by entry position: the log offset of the line kept for the id
     keys: np.ndarray  # every id's key, ascending
-    positions: np.ndarray  # the entry position of the id of each key
+    offsets: np.ndarray  # the log offset of one line of the id of each key
 
 
-_EMPTY = _Index(np.empty(0, _INT), np.empty(0, _KEY), np.empty(0, _INT))
+_EMPTY = _Index(np.empty(0, _KEY), np.empty(0, _INT))
 
 
 class _Checkpoint(NamedTuple):
@@ -334,7 +337,7 @@ class _Checkpoint(NamedTuple):
     settlement_count: int
     developer_balance: float
     balances: dict[int, float]
-    pool: list[int]  # the entry positions of the unsettled ids, in entry order
+    pool: list[int]  # the line offsets of the unsettled ids, in entry order
     index: _Index
 
 
@@ -345,7 +348,7 @@ def _encode_checkpoint(ckpt: _Checkpoint) -> bytes:
         f"{ckpt.settlement_count} {ckpt.developer_balance!r}",
         ",".join(f"{owner}:{amount!r}" for owner, amount in ckpt.balances.items()),
         ",".join(map(str, ckpt.pool)),
-        str(ckpt.index.offsets.size),
+        str(ckpt.index.keys.size),
     ]
     body = b"".join(
         ["".join(line + "\n" for line in lines).encode("utf-8"),
@@ -369,19 +372,18 @@ def _decode_checkpoint(raw: bytes) -> _Checkpoint:
     offset, digest = position.split(" ")
     settlement_count, developer = totals.split(" ")
     pairs = (item.split(":") for item in balances.split(",")) if balances else ()
-    size = int(count)
-    offsets, keys, positions = np.frombuffer(columns, dtype=_INT).reshape(3, size)
-    pool_positions = list(map(int, pool.split(","))) if pool else []
-    if not all(0 <= at < size for at in pool_positions):
-        raise ValueError("checkpoint pool position out of range")
+    keys, offsets = np.frombuffer(columns, dtype=_KEY).reshape(2, int(count))
+    pool_offsets = list(map(int, pool.split(","))) if pool else []
+    if not all(0 <= at < int(offset) for at in pool_offsets):
+        raise ValueError("checkpoint pool offset out of range")
     return _Checkpoint(
         offset=int(offset),
         digest=digest,
         settlement_count=int(settlement_count),
         developer_balance=float(developer),
         balances={int(owner): float(amount) for owner, amount in pairs},
-        pool=pool_positions,
-        index=_Index(offsets, keys.view(_KEY), positions),
+        pool=pool_offsets,
+        index=_Index(keys, offsets.view(_INT)),
     )
 
 
@@ -397,12 +399,12 @@ class LedgerStore:
     one write and one fsync. A settlement's lines and its record go in one
     append, so after a crash the reopened store holds all of that settlement
     or none of it. ``dropped_bytes`` is the size of the torn tails that this
-    store truncated, 0 for an intact log. The store maps every id to the
-    offset of its line in the log and its entry position, through the base
-    arrays and the dict of ids added or moved since, and holds the unsettled
-    pool as transactions; ``transactions`` decodes the settled ones from
-    their lines on demand. Opening a store renews the replay checkpoint
-    beside the log; recording and settling never write it.
+    store truncated, 0 for an intact log. The store knows every id by the
+    offset of one of its lines in the log, through the base arrays and the
+    dict of ids added since, and holds the unsettled pool as transactions;
+    ``transactions`` reads the committed log for the settled ones. Opening a
+    store renews the replay checkpoint beside the log; recording and
+    settling never write it.
     """
 
     def __init__(self, path: str | Path, *, create: bool = True):
@@ -412,11 +414,8 @@ class LedgerStore:
         self._lock = threading.Lock()
         self._end = 0  # the log offset of the last commit boundary this store applied
         self._base = _EMPTY  # every id as of the last rebase
-        # The ids added or moved since, the pool included -> (line offset, entry position).
-        self._ids: dict[str, tuple[int, int]] = {}
-        self._count = 0  # the ids in the store, so the entry position of the next one
-        self._pool: dict[str, Transaction] = {}  # the unsettled transactions, in entry order
-        self._texts: dict[str, str] = {}  # the text of each unsettled id's checked line
+        self._ids: dict[str, int] = {}  # the ids added since -> the offset of one of their lines
+        self._pool: dict[str, _Sale] = {}  # the unsettled transactions, in entry order
         self._balances: dict[int, float] = {}
         self._developer_balance = 0.0
         self._settlement_count = 0
@@ -504,17 +503,17 @@ class LedgerStore:
         hashes what it reads; after that, replay resumes at the store's own
         last commit boundary and hashes nothing. Every line read is checked,
         but a text only once: the settled copy of a sale's line has only its
-        flag checked. Every id keeps the offset of its line, and only the
-        lines that stay unsettled are decoded. A torn tail is truncated if
-        ``truncate`` is set, or else left for a later replay. An open that
+        flag checked. A new id keeps the offset of its first line, and only
+        the lines that stay unsettled are decoded. A torn tail is truncated
+        if ``truncate`` is set, or else left for a later replay. An open that
         read past its start rebases the id map and renews the checkpoint; a
         later replay that applies a settlement rebases it. An error names its
         line by number, counted only when it is raised; the store then stands
         at the last commit boundary before that line.
         """
-        texts = self._texts  # each unsettled id -> the text of its checked line
+        pool = self._pool
         with open(self._log_path, "rb") as fh:
-            start, digest = self._resume(fh, texts) if opening else (self._end, None)
+            start, digest = self._resume(fh) if opening else (self._end, None)
             fh.seek(start)
             pending: dict[str, int] = {}  # settled ids and line offsets awaiting a record
             unhashed: list[bytes] = []  # lines after the last commit boundary
@@ -527,7 +526,7 @@ class LedgerStore:
                     break  # the last line, cut before its LF
                 try:
                     line = raw[:-1].decode("utf-8")
-                    entry = _check_entry(line, texts)
+                    entry = _check_entry(line, pool)
                 except ValueError as exc:  # UnicodeDecodeError included
                     raise StorageFailureError(
                         f"malformed ledger line {self._line_number(offset)} ({exc}): "
@@ -540,17 +539,14 @@ class LedgerStore:
                             f"commits {entry.count} settled lines, but {len(pending)} precede it"
                         )
                     for tx_id, at in pending.items():
-                        texts.pop(tx_id, None)
-                        self._pool.pop(tx_id, None)
-                        self._place(tx_id, at, self._position(tx_id))
+                        if pool.pop(tx_id, None) is None:  # an id first seen settled
+                            self._ids[tx_id] = at
                     self._credit(entry.owner_payouts, entry.developer_payout)
                     pending, settled = {}, True
                 elif entry is not None:
                     tx_id, is_settled = entry
                     if is_settled:
-                        if tx_id in pending or (
-                            tx_id not in texts and self._position(tx_id) is not None
-                        ):
+                        if tx_id in pending or (tx_id not in pool and self._holds(tx_id)):
                             raise StorageFailureError(
                                 f"ledger line {self._line_number(offset)}: transaction "
                                 f"{tx_id!r} is settled already"
@@ -561,14 +557,13 @@ class LedgerStore:
                             f"ledger line {self._line_number(offset)}: the settled lines "
                             "before it have no settlement record"
                         )
-                    else:
-                        position = self._position(tx_id)
-                        # A sale line after its settlement leaves the id settled.
-                        if position is None or tx_id in texts:
-                            texts[tx_id] = line
-                            if not opening:  # an open decodes its pool once, at the end
-                                self._pool[tx_id] = _decode_line(line)[0]
-                        self._place(tx_id, offset, position)
+                    # A sale line after its settlement leaves the id settled.
+                    elif tx_id in pool or not self._holds(tx_id):
+                        if tx_id not in pool:
+                            self._ids[tx_id] = offset
+                        # An open decodes its pool once, at the end.
+                        tx = None if opening else _decode_line(line)[0]
+                        pool[tx_id] = _Sale(offset, line, tx)
                 if pending:
                     unhashed.append(raw)
                 else:
@@ -579,7 +574,7 @@ class LedgerStore:
                         digest.update(raw)
                     unhashed.clear()
         if opening:
-            self._pool = {tx_id: _decode_line(line)[0] for tx_id, line in texts.items()}
+            self._pool = {i: s._replace(tx=_decode_line(s.text)[0]) for i, s in pool.items()}
         if size > keep and truncate:
             with open(self._log_path, "r+b") as fh:
                 fh.truncate(keep)
@@ -596,13 +591,13 @@ class LedgerStore:
         with open(self._log_path, "rb") as fh:
             return sum(chunk.count(b"\n") for chunk in _chunks(fh, offset)) + 1
 
-    def _resume(self, fh: BinaryIO, texts: dict[str, str]) -> tuple[int, hashlib._Hash]:
+    def _resume(self, fh: BinaryIO) -> tuple[int, hashlib._Hash]:
         """Take the checkpoint's state if it matches the log open as ``fh``.
 
         Returns the offset replay resumes at and the sha256 of the log before
         it: the checkpoint's, or 0 and an empty digest when there is no
-        checkpoint or it does not match. ``texts`` receives the checkpoint's
-        unsettled lines.
+        checkpoint or it does not match. The pool receives the checkpoint's
+        unsettled lines, undecoded.
         """
         miss = 0, hashlib.sha256()
         try:
@@ -616,35 +611,29 @@ class LedgerStore:
         if fh.tell() != ckpt.offset or prefix.hexdigest() != ckpt.digest:
             return miss
         self._base = ckpt.index
-        self._count = ckpt.index.offsets.size
         self._balances = ckpt.balances
         self._developer_balance = ckpt.developer_balance
         self._settlement_count = ckpt.settlement_count
-        for position in ckpt.pool:  # each unsettled id
-            offset = int(ckpt.index.offsets[position])
+        for offset in ckpt.pool:
             fh.seek(offset)
             line = fh.readline()[:-1].decode("utf-8")
-            tx_id = line.partition("|")[0]
-            texts[tx_id] = line
-            self._ids[tx_id] = (offset, position)
+            self._pool[line.partition("|")[0]] = _Sale(offset, line, None)
         return ckpt.offset, prefix
 
-    def _position(self, tx_id: str) -> int | None:
-        """The entry position of ``tx_id``, or None if the store does not hold it."""
-        placed = self._ids.get(tx_id)
-        if placed is not None:
-            return placed[1]
+    def _holds(self, tx_id: str) -> bool:
+        """Whether the store holds ``tx_id``, settled or not."""
+        if tx_id in self._ids:
+            return True
         keys = self._base.keys
         if not keys.size:
-            return None
+            return False
         key = _keys_of([tx_id])[0]
         at = int(keys.searchsorted(key))
         while at < keys.size and keys[at] == key:  # once, but for two ids that share a key
-            position = int(self._base.positions[at])
-            if self._is_line_of(tx_id, int(self._base.offsets[position])):
-                return position
+            if self._is_line_of(tx_id, int(self._base.offsets[at])):
+                return True
             at += 1
-        return None
+        return False
 
     def _is_line_of(self, tx_id: str, offset: int) -> bool:
         """Whether the log line at ``offset`` is one of ``tx_id``'s."""
@@ -656,33 +645,14 @@ class LedgerStore:
         except OSError as exc:
             raise StorageFailureError(f"cannot read {self._log_path}: {exc}") from exc
 
-    def _place(self, tx_id: str, offset: int, position: int | None) -> None:
-        """Keep ``tx_id``'s line at ``offset``; a new id (``position`` None) enters last."""
-        if position is None:
-            position, self._count = self._count, self._count + 1
-        self._ids[tx_id] = (offset, position)
-
-    def _entry_offsets(self) -> np.ndarray:
-        """Every id's line offset, by entry position: the base's, updated from ``_ids``."""
-        offsets = np.empty(self._count, dtype=_INT)
-        offsets[: self._base.offsets.size] = self._base.offsets
-        placed = np.array(list(self._ids.values()), dtype=_INT).reshape(-1, 2)
-        offsets[placed[:, 1]] = placed[:, 0]
-        return offsets
-
     def _rebase(self) -> None:
-        """Merge ``_ids`` into the base, keeping only the pool in ``_ids``.
-
-        Only the ids new since the base are keyed; the rest is numpy.
-        """
-        base = self._base
-        new = [(tx_id, at) for tx_id, (_, at) in self._ids.items() if at >= base.offsets.size]
-        keys = _keys_of(tx_id for tx_id, _ in new)
+        """Merge the ids added since the base into it, keying only them, and empty ``_ids``."""
+        keys = _keys_of(self._ids)
         order = np.argsort(keys, kind="stable")
-        positions = np.array([at for _, at in new], dtype=_INT)[order]
-        merged = merge_sorted(base.keys, base.positions, keys[order], positions)
-        self._base = _Index(self._entry_offsets(), *merged)
-        self._ids = {tx_id: self._ids[tx_id] for tx_id in self._pool}
+        offsets = np.fromiter(self._ids.values(), dtype=_INT, count=len(self._ids))[order]
+        base = self._base
+        self._base = _Index(*merge_sorted(base.keys, base.offsets, keys[order], offsets))
+        self._ids = {}
 
     def _write_checkpoint(self, offset: int, digest: str) -> None:
         """Replace the checkpoint with the state at ``offset``; a failed write changes nothing.
@@ -695,7 +665,7 @@ class LedgerStore:
             settlement_count=self._settlement_count,
             developer_balance=self._developer_balance,
             balances=self._balances,
-            pool=[self._ids[tx_id][1] for tx_id in self._pool],
+            pool=[sale.offset for sale in self._pool.values()],
             index=self._base,
         )
         # A read-only directory, say: the next open replays more.
@@ -736,41 +706,51 @@ class LedgerStore:
         with self._view(exclusive=True):
             batch: set[str] = set()
             for tx in txs:
-                if tx.id in batch or self._position(tx.id) is not None:
+                if tx.id in batch or self._holds(tx.id):
                     raise DuplicateIdError(f"transaction id {tx.id!r} already recorded")
                 batch.add(tx.id)
             if txs:
                 lines = [_encode_line(tx, settled=False) for tx in txs]
                 for tx, line, at in zip(txs, lines, self._append(lines)):
-                    self._place(tx.id, at, None)
-                    self._pool[tx.id] = tx
-                    self._texts[tx.id] = line[:-1]
+                    self._ids[tx.id] = at
+                    self._pool[tx.id] = _Sale(at, line[:-1], tx)
 
     def record(self, tx: Transaction) -> None:
         """Durably append one transaction. Duplicate ids raise."""
         self.record_many([tx])
 
     def transactions(self) -> list[Transaction]:
-        """Every transaction in entry order; reads the settled ones' lines from the log."""
-        with self._view(exclusive=False):  # no settlement moves an offset past the bytes read
-            offsets = self._entry_offsets().tolist()
-            pool = {self._ids[tx_id][1]: tx for tx_id, tx in self._pool.items()}
+        """Every transaction in entry order: the pool's, and the others' last lines in the log.
+
+        Reads the log up to the last commit boundary once, in which the
+        order of the ids' first lines is entry order.
+        """
+        with self._view(exclusive=False):  # no writer changes the log while it is read
             try:
-                log = self._log_path.read_bytes() if len(offsets) > len(pool) else b""
+                with open(self._log_path, "rb") as fh:
+                    log = fh.read(self._end)
+            except FileNotFoundError:  # a store that has recorded nothing
+                log = b""
             except OSError as exc:
                 raise StorageFailureError(f"cannot read {self._log_path}: {exc}") from exc
-            return [
-                pool.get(at) or _decode_line(_line_at(log, start))[0]
-                for at, start in enumerate(offsets)
-            ]
+            last: dict[bytes, bytes] = {}  # each id -> its last line, in the order of its first
+            for raw in log.split(b"\n"):
+                tx_id, bar, _ = raw.partition(b"|")
+                if tx_id and bar:  # not a settlement record or a blank line
+                    last[tx_id] = raw
+            txs = []
+            for tx_id, raw in last.items():
+                sale = self._pool.get(tx_id.decode("utf-8"))
+                txs.append(sale.tx if sale else _decode_line(raw.decode("utf-8"))[0])
+            return txs
 
     def unsettled(self) -> list[Transaction]:
         with self._view(exclusive=False):
-            return list(self._pool.values())
+            return [sale.tx for sale in self._pool.values()]
 
     def is_settled(self, tx_id: str) -> bool:
-        with self._view(exclusive=False):  # a batch being recorded is placed before it is pooled
-            return tx_id not in self._pool and self._position(tx_id) is not None
+        with self._view(exclusive=False):
+            return tx_id not in self._pool and self._holds(tx_id)
 
     @property
     def balances(self) -> dict[int, float]:
@@ -800,16 +780,22 @@ class LedgerStore:
         owner_payouts: np.ndarray,
         developer_payout: float,
     ) -> None:
-        offsets = self._append(
+        self._append(
             [_encode_line(tx, settled=True) for tx in settled],
             _encode_record(len(settled), owner_payouts, developer_payout),
         )
-        for tx, at in zip(settled, offsets):  # every pool id is in ``_ids``
-            self._place(tx.id, at, self._ids[tx.id][1])
+        for tx in settled:
             del self._pool[tx.id]
-            del self._texts[tx.id]
         self._credit(owner_payouts, developer_payout)
         self._rebase()
+
+
+class _SampleSizeError(ValueError):
+    """A sample size outside [1, ``pool_size``], the pool that the settlement found."""
+
+    def __init__(self, sample_size: int, pool_size: int):
+        super().__init__(f"sample_size must lie in [1, {pool_size}], got {sample_size}")
+        self.pool_size = pool_size
 
 
 def _resolve_shares(
@@ -875,7 +861,7 @@ def settle_full(
     if not 0.0 <= beta_data <= 1.0:
         raise ValueError(f"beta_data must lie in [0, 1], got {beta_data}")
     with store._view(exclusive=apply):
-        pool = list(store._pool.values())
+        pool = [sale.tx for sale in store._pool.values()]
         resolved, failed = _resolve_shares(pool, attributor)
         n = _owner_count(resolved)
         prices = [tx.price for tx in resolved]
@@ -916,11 +902,9 @@ def settle_subsampled(
     if not 0.0 <= beta_data <= 1.0:
         raise ValueError(f"beta_data must lie in [0, 1], got {beta_data}")
     with store._view(exclusive=apply):
-        pool = list(store._pool.values())
+        pool = [sale.tx for sale in store._pool.values()]
         if not 1 <= sample_size <= len(pool):
-            raise ValueError(
-                f"sample_size must lie in [1, {len(pool)}], got {sample_size}"
-            )
+            raise _SampleSizeError(sample_size, len(pool))
         indices = np.sort(rng_for(seed).choice(len(pool), size=sample_size, replace=False))
         sampled = [pool[int(i)] for i in indices]
         resolved, failed = _resolve_shares(sampled, attributor)

@@ -478,6 +478,30 @@ def test_settle_sample_size_outside_the_pool_is_exit_2(tmp_path, capsys):
     assert not out.exists() and (ledger / "transactions.log").read_bytes() == log
 
 
+def test_settle_sample_size_is_checked_again_against_the_pool_under_the_lock(
+    tmp_path, capsys, monkeypatch
+):
+    from royaltyshare import cli
+
+    ledger, out = tmp_path / "ledger", tmp_path / "out"
+    assert main(["simulate", "--kind", "ledger", "--transactions", "10",
+                 "--out", str(ledger)]) == 0
+    real_settle, logs = cli.settle_subsampled, []
+
+    def settled_elsewhere_first(store, *args, **kwargs):
+        royaltyshare.settle_full(royaltyshare.LedgerStore(ledger, create=False), 0.5)
+        logs.append((ledger / "transactions.log").read_bytes())
+        return real_settle(store, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "settle_subsampled", settled_elsewhere_first)
+    assert main(["settle", "--ledger", str(ledger), "--mode", "sample", "--sample-size", "2",
+                 "--beta", "0.5", "--out", str(out)]) == 2
+    assert ("config error: --sample-size must lie in [1, 0], the unsettled pool, got 2"
+            in capsys.readouterr().err)
+    assert logs == [(ledger / "transactions.log").read_bytes()]  # it committed nothing
+    assert royaltyshare.LedgerStore(ledger, create=False).settlement_count == 1
+
+
 def test_config_that_is_not_utf8_is_exit_2(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_bytes(b'{"seed": "\xff"}')

@@ -516,11 +516,13 @@ _step = st.one_of(
 def test_a_reopened_store_equals_its_writer(steps):
     with tempfile.TemporaryDirectory() as tmp:
         store = LedgerStore(tmp)
+        recorded = []
         for k, (op, arg) in enumerate(steps):
             if op == "record":
                 price, weights, coords, label = arg
                 shares = None if weights is None else share_row(*np.array(weights) / sum(weights))
                 store.record(make_tx(f"tx-{k}", price, shares, coords, label))
+                recorded.append(f"tx-{k}")
             elif op == "reopen":  # replay resumes at the checkpoint this open writes
                 store = LedgerStore(tmp, create=False)
             elif op == "full":
@@ -539,6 +541,7 @@ def test_a_reopened_store_equals_its_writer(steps):
         assert reopened.settlement_count == store.settlement_count
         assert list(map(_fields, reopened.unsettled())) == list(map(_fields, store.unsettled()))
         assert [t.id for t in reopened.transactions()] == [t.id for t in store.transactions()]
+        assert [t.id for t in reopened.transactions()] == recorded  # entry order, independently
         assert list(map(_fields, reopened.transactions())) == list(
             map(_fields, store.transactions()))
 
@@ -671,8 +674,8 @@ def test_an_open_through_a_checkpoint_and_a_settle_skip_the_settled_history(
     store.record(make_tx("kept", 1.0, share_row(1.0, 0.0)))
     LedgerStore(path, create=False)  # checkpoints every line so far
     store.record_many(make_tx(f"new-{k}", 1.0, share_row(0.5, 0.5)) for k in range(3))
-    calls = {"_line_at": 0, "transactions": 0, "_decode_line": 0, "keyed ids": 0}
-    real_line_at, real_decode, real_keys = ledger._line_at, ledger._decode_line, ledger._keys_of
+    calls = {"transactions": 0, "_decode_line": 0, "keyed ids": 0}
+    real_decode, real_keys = ledger._decode_line, ledger._keys_of
     real_transactions = LedgerStore.transactions
 
     def counted(name, real):
@@ -683,7 +686,6 @@ def test_an_open_through_a_checkpoint_and_a_settle_skip_the_settled_history(
         calls["keyed ids"] += len(ids)
         return real_keys(ids)
 
-    monkeypatch.setattr(ledger, "_line_at", counted("_line_at", real_line_at))
     monkeypatch.setattr(ledger, "_decode_line", counted("_decode_line", real_decode))
     monkeypatch.setattr(ledger, "_keys_of", keys_of)
     monkeypatch.setattr(LedgerStore, "transactions", counted("transactions", real_transactions))
@@ -692,7 +694,7 @@ def test_an_open_through_a_checkpoint_and_a_settle_skip_the_settled_history(
     assert report.total_income == 4.0
     # The pool of four is decoded; the three new sales are keyed to look them
     # up and again to add them to the checkpoint.
-    assert calls == {"_line_at": 0, "transactions": 0, "_decode_line": 4, "keyed ids": 6}
+    assert calls == {"transactions": 0, "_decode_line": 4, "keyed ids": 6}
     assert _checkpoint_offset(path) < (path / LOG_NAME).stat().st_size
     assert reopened.is_settled("old-0-0") and reopened.is_settled("new-2")
 
@@ -846,8 +848,8 @@ def test_a_cut_or_stale_checkpoint_opens_as_the_log_alone(tmp_path, monkeypatch)
     # Checkpoints of another version, each with a valid checksum: one of this
     # layout, and one of version 1, which also held the log's line count.
     body = checkpoint[:-65].split(b"\n")
-    assert body[0] == b"royaltyshare ledger checkpoint 4"
-    other_version = [b"royaltyshare ledger checkpoint 3", *body[1:]]
+    assert body[0] == b"royaltyshare ledger checkpoint 5"
+    other_version = [b"royaltyshare ledger checkpoint 4", *body[1:]]
     lines_before = log[: held.offset].count(b"\n")
     version_1 = [
         b"royaltyshare ledger checkpoint 1",
@@ -856,7 +858,7 @@ def test_a_cut_or_stale_checkpoint_opens_as_the_log_alone(tmp_path, monkeypatch)
     ]
     _open_outcome(path, log)
     renewed = (path / CHECKPOINT_NAME).read_bytes()  # what a log-only open writes
-    assert renewed.startswith(b"royaltyshare ledger checkpoint 4\n")
+    assert renewed.startswith(b"royaltyshare ledger checkpoint 5\n")
     parsed = []
     real_parse = ledger._parse_line
     with monkeypatch.context() as m:
@@ -880,28 +882,57 @@ def test_a_cut_or_stale_checkpoint_opens_as_the_log_alone(tmp_path, monkeypatch)
     assert sorted(f.name for f in path.iterdir()) == [LOG_NAME]
 
 
-def test_a_version_2_checkpoint_opens_as_the_log_alone_and_is_replaced(tmp_path, monkeypatch):
-    path = tmp_path / "ledger"
-    log, checkpoint = _checkpointed_ledger(path)
-    held = ledger._decode_checkpoint(checkpoint)
-    # The same state in version 2's text columns: settled flags, offsets and ids.
-    lines = [ledger._line_at(log, at) for at in held.index.offsets.tolist()]
-    version_2 = _checksummed("".join(line + "\n" for line in [
-        "royaltyshare ledger checkpoint 2",
+def _last_lines(log, end):
+    """The offset of each id's last line before ``end`` in ``log``, in the order of its first."""
+    last, offset = {}, 0
+    for raw in log[:end].split(b"\n"):
+        tx_id, bar, _ = raw.partition(b"|")
+        if tx_id and bar:  # not a settlement record
+            last[tx_id.decode("utf-8")] = offset
+        offset += len(raw) + 1
+    return last
+
+
+def _older_checkpoint(version, log, held):
+    """The state of checkpoint ``held`` in the layout of version 2 or version 4."""
+    last = _last_lines(log, held.offset)
+    ids, offsets = list(last), list(last.values())
+    pool = {log[at:].partition(b"|")[0].decode("utf-8") for at in held.pool}
+    head = [
+        f"royaltyshare ledger checkpoint {version}",
         f"{held.offset} {held.digest}",
         f"{held.settlement_count} {held.developer_balance!r}",
         ",".join(f"{owner}:{amount!r}" for owner, amount in held.balances.items()),
-        "".join("0" if at in held.pool else "1" for at in range(len(lines))),
-        ",".join(map(str, held.index.offsets.tolist())),
-        "|".join(line.partition("|")[0] for line in lines),
-    ]).encode("utf-8"))
+    ]
+    if version == 2:  # text columns: settled flags, offsets and ids, by entry position
+        head += ["".join("0" if tx_id in pool else "1" for tx_id in ids),
+                 ",".join(map(str, offsets)), "|".join(ids)]
+        return _checksummed("".join(line + "\n" for line in head).encode("utf-8"))
+    # Version 4: the pool's entry positions, then three binary columns: the line
+    # offsets by entry position, the keys ascending and the entry position of each key.
+    head += [",".join(str(at) for at, tx_id in enumerate(ids) if tx_id in pool), str(len(ids))]
+    keys = ledger._keys_of(ids)
+    order = np.argsort(keys, kind="stable")
+    columns = [np.array(offsets, dtype="<i8"), keys[order], order.astype("<i8")]
+    return _checksummed("".join(line + "\n" for line in head).encode("utf-8")
+                        + b"".join(column.tobytes() for column in columns))
+
+
+@pytest.mark.parametrize("version", [2, 4])
+def test_a_version_2_checkpoint_opens_as_the_log_alone_and_is_replaced(
+    tmp_path, monkeypatch, version
+):
+    path = tmp_path / "ledger"
+    log, checkpoint = _checkpointed_ledger(path)
+    older = _older_checkpoint(version, log, ledger._decode_checkpoint(checkpoint))
     parsed, real_parse = [], ledger._parse_line
     monkeypatch.setattr(ledger, "_parse_line", lambda line: parsed.append(line) or real_parse(line))
     expected = _open_outcome(path, log)
     renewed = (path / CHECKPOINT_NAME).read_bytes()
+    assert renewed.startswith(b"royaltyshare ledger checkpoint 5\n")
     parsed_by_a_log_only_open = parsed[:]
     parsed.clear()
-    assert _open_outcome(path, log, version_2) == expected
+    assert _open_outcome(path, log, older) == expected
     assert parsed == parsed_by_a_log_only_open  # replay started at byte 0
     assert (path / CHECKPOINT_NAME).read_bytes() == renewed
 
@@ -1130,6 +1161,21 @@ def test_a_reader_leaves_a_torn_tail_for_the_next_writer_to_truncate(tmp_path):
     store.record(make_tx("t2", 1.0))  # under the exclusive lock
     assert store.dropped_bytes == len(torn)
     assert [tx.id for tx in LedgerStore(path, create=False).unsettled()] == ["t0", "t2"]
+    # Complete settled lines with no record after them: t0 and t2, and t3, which
+    # no sale line names. A reader lists the sales as their sale lines read.
+    sales = [make_tx("t0", 1.0, share_row(1.0)), make_tx("t2", 1.0)]
+    reader = LedgerStore(path, create=False)
+    log = (path / LOG_NAME).read_bytes()
+    tail = "".join(ledger._encode_line(make_tx(tx_id, 1.0, share_row(1.0)), settled=True)
+                   for tx_id in ("t0", "t2", "t3")).encode("utf-8")
+    with open(path / LOG_NAME, "ab") as fh:
+        fh.write(tail)
+    assert list(map(_fields, reader.transactions())) == list(map(_fields, sales))
+    assert not reader.is_settled("t2") and not reader.is_settled("t3")
+    assert (path / LOG_NAME).read_bytes() == log + tail and reader.dropped_bytes == 0
+    store.record(make_tx("t4", 1.0))
+    assert store.dropped_bytes == len(torn) + len(tail)
+    assert [tx.id for tx in LedgerStore(path, create=False).transactions()] == ["t0", "t2", "t4"]
 
 
 _WRITE_UNDER_THE_LOCK = """
