@@ -607,7 +607,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if alpha is not None and len(alpha) != args.owners:
             raise ConfigError(f"--alpha has {len(alpha)} values for {args.owners} owners")
         store = LedgerStore(out_path, create=True)
-        if store.transactions():
+        if not store._is_empty():
             raise StorageFailureError(f"{out_path} already holds transactions")
         populate_synthetic_ledger(
             store,

@@ -5,15 +5,17 @@ Storage layout: a ledger is a directory holding one append-only log,
 replay checkpoint, ``transactions.ckpt``, that is a cache of the log. Lines are
 UTF-8 with LF terminators. A transaction line is
 ``id|price|event-ref|srs-csv|settled-flag``. Settling appends, in one write
-and one fsync, an updated line per settled transaction (same id, shares
-filled in, flag 1) and then one settlement record
+and one fsync, each settled sale's line as it stands in the log with its
+flag set to 1, and then one settlement record
 ``|count|owner-payouts-csv|developer-payout``. The record's first field is
 empty, which no transaction id can be, and ``count`` is the number of
 settled lines right before it that it commits. Replay takes the last line
 per id, applies settled lines only when their record follows, and adds each
 record's payouts to the balances in log order. Floats are serialized with
 repr and parse back bit-exactly, so reopening a store reproduces balances
-exactly.
+exactly. Ledgers from versions whose settlements filled in missing shares
+hold settled lines that differ from their sale lines beyond the flag; they
+are checked in full and still replay.
 
 Replay streams the log and checks every line, but each text once: the
 settled copy of a sale differs from the sale's line only in the flag, so it
@@ -87,16 +89,18 @@ format, whose balances this log does not hold) raise
 
 Settlement distributes the income of every unsettled transaction: a fraction
 ``beta_data`` flows to owners in proportion to per-transaction royalty
-shares, the rest to the developer. ``settle_full`` attributes every
-transaction; ``settle_subsampled`` estimates the mean share vector from a
-uniform without-replacement sample and applies it to the whole pool, which is
-unbiased when prices do not co-vary with shares (constant pricing being the
-common case). Transactions whose attribution fails are quarantined into the
-report's ``failed_reasons``, each id with the exception's class and message
-(or "no shares and no attributor"), and left unsettled for a retry, never
-silently dropped. A pool whose share rows disagree on the owner count, or a
-sample in which every transaction fails attribution, cannot be settled and
-raises ``StorageFailureError``.
+shares recorded with each sale, the rest to the developer. ``settle_full``
+pays every transaction by its own shares; ``settle_subsampled`` estimates the
+mean share vector from a uniform without-replacement sample and applies it to
+the whole pool, which is unbiased when prices do not co-vary with shares
+(constant pricing being the common case). Both only flip flags: no share is
+computed at settlement. A sale recorded without shares is quarantined when
+``settle_full`` meets it or ``settle_subsampled`` samples it (unsampled, it
+is paid at the sample mean like the rest): the report's ``failed_reasons``
+gives it the reason "no shares and no attributor", the only one, and it is
+left unsettled for a retry, never silently dropped. A pool whose share rows
+disagree on the owner count, sampled or not, or a sample in which no
+transaction has shares, cannot be settled and raises ``StorageFailureError``.
 
 ``write_settlement_csv`` replaces the report whole and fsyncs it and its
 directory. The settlement is committed to the log before its report is
@@ -113,9 +117,9 @@ import hashlib
 import math
 import os
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple
+from typing import BinaryIO, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -136,9 +140,6 @@ _INT = np.dtype("<i8")  # and of line offsets
 _SHARE_SUM_TOL = 1e-9
 _CORRELATION_THRESHOLD = 0.5
 _CORRELATION_MIN_SAMPLE = 10
-
-Attributor = Callable[["Transaction"], ShareVector]
-
 
 @dataclass(frozen=True)
 class Transaction:
@@ -752,6 +753,11 @@ class LedgerStore:
         with self._view(exclusive=False):
             return tx_id not in self._pool and self._holds(tx_id)
 
+    def _is_empty(self) -> bool:
+        """Whether the store holds no transaction; settlement records do not count."""
+        with self._view(exclusive=False):
+            return not self._ids and not self._base.keys.size
+
     @property
     def balances(self) -> dict[int, float]:
         with self._view(exclusive=False):
@@ -775,17 +781,15 @@ class LedgerStore:
         self._settlement_count += 1
 
     def _apply_settlement(
-        self,
-        settled: list[Transaction],
-        owner_payouts: np.ndarray,
-        developer_payout: float,
+        self, settled: list[_Sale], owner_payouts: np.ndarray, developer_payout: float
     ) -> None:
+        """Append each sale's line with its flag set, then the record, and apply them."""
         self._append(
-            [_encode_line(tx, settled=True) for tx in settled],
+            [sale.text[:-1] + "1\n" for sale in settled],
             _encode_record(len(settled), owner_payouts, developer_payout),
         )
-        for tx in settled:
-            del self._pool[tx.id]
+        for sale in settled:
+            del self._pool[sale.tx.id]
         self._credit(owner_payouts, developer_payout)
         self._rebase()
 
@@ -798,28 +802,9 @@ class _SampleSizeError(ValueError):
         self.pool_size = pool_size
 
 
-def _resolve_shares(
-    txs: list[Transaction], attributor: Attributor | None
-) -> tuple[list[Transaction], dict[str, str]]:
-    """Attach shares to each transaction, quarantining failures with their reasons."""
-    resolved: list[Transaction] = []
-    failed: dict[str, str] = {}
-    for tx in txs:
-        if tx.srs is not None:
-            resolved.append(tx)
-            continue
-        if attributor is None:
-            failed[tx.id] = "no shares and no attributor"
-            continue
-        try:
-            resolved.append(replace(tx, srs=attributor(tx)))
-        except Exception as exc:
-            failed[tx.id] = f"{type(exc).__name__}: {exc}"
-    return resolved, failed
-
-
 def _owner_count(txs: list[Transaction]) -> int:
-    counts = {len(tx.srs.shares) for tx in txs}
+    """The length of every share row in ``txs``, 0 if none has one; rows that disagree raise."""
+    counts = {len(tx.srs.shares) for tx in txs if tx.srs is not None}
     if len(counts) > 1:
         raise StorageFailureError(f"share rows disagree on owner count: {sorted(counts)}")
     return counts.pop() if counts else 0
@@ -845,84 +830,60 @@ def _exact_owner_payouts(txs: list[Transaction], n: int, beta_data: float) -> np
     )
 
 
-def settle_full(
-    store: LedgerStore,
-    beta_data: float,
-    attributor: Attributor | None = None,
-    *,
-    apply: bool = True,
-) -> SettlementReport:
-    """Settle every unsettled transaction with exact per-transaction attribution.
+def settle_full(store: LedgerStore, beta_data: float, *, apply: bool = True) -> SettlementReport:
+    """Settle every unsettled transaction by its own recorded shares.
 
     With ``apply=False`` the report is computed but nothing is written: no
     transaction is marked settled and no balance moves. Useful for previewing
     a settlement or comparing estimators against the same pool.
     """
-    if not 0.0 <= beta_data <= 1.0:
-        raise ValueError(f"beta_data must lie in [0, 1], got {beta_data}")
-    with store._view(exclusive=apply):
-        pool = [sale.tx for sale in store._pool.values()]
-        resolved, failed = _resolve_shares(pool, attributor)
-        n = _owner_count(resolved)
-        prices = [tx.price for tx in resolved]
-        total_income = math.fsum(prices)
-        owner_payouts = _exact_owner_payouts(resolved, n, beta_data)
-        developer_payout = (1.0 - beta_data) * total_income
-        if apply:
-            store._apply_settlement(resolved, owner_payouts, developer_payout)
-    return SettlementReport(
-        owner_payouts=owner_payouts,
-        developer_payout=developer_payout,
-        total_income=total_income,
-        sampled_fraction=1.0,
-        estimator="full",
-        failed_reasons=failed,
-    )
+    return _settle(store, beta_data, None, None, apply)
 
 
 def settle_subsampled(
-    store: LedgerStore,
-    beta_data: float,
-    sample_size: int,
-    seed: int,
-    attributor: Attributor | None = None,
-    *,
-    apply: bool = True,
+    store: LedgerStore, beta_data: float, sample_size: int, seed: int, *, apply: bool = True
 ) -> SettlementReport:
     """Settle the whole pool using a sampled estimate of the mean share vector.
 
     A uniform without-replacement sample of ``sample_size`` transactions is
-    attributed; every unsettled transaction is then paid according to the
-    sample mean. When the sample covers the entire pool and prices are
-    constant the estimator coincides with :func:`settle_full`, and the
+    drawn; every unsettled transaction is then paid according to the sample
+    mean of their shares. When the sample covers the entire pool and prices
+    are constant the estimator coincides with :func:`settle_full`, and the
     implementation takes the exact summation path so the results are equal
     bit for bit. ``apply=False`` computes the report without writing
     anything, which allows estimator studies over many seeds on one pool.
     """
+    return _settle(store, beta_data, sample_size, seed, apply)
+
+
+def _settle(
+    store: LedgerStore, beta_data: float, sample_size: int | None, seed: int | None, apply: bool
+) -> SettlementReport:
+    """Settle the pool exactly, or at the mean of a sample when ``sample_size`` is set."""
     if not 0.0 <= beta_data <= 1.0:
         raise ValueError(f"beta_data must lie in [0, 1], got {beta_data}")
+    sampled = sample_size is not None
     with store._view(exclusive=apply):
-        pool = [sale.tx for sale in store._pool.values()]
-        if not 1 <= sample_size <= len(pool):
-            raise _SampleSizeError(sample_size, len(pool))
-        indices = np.sort(rng_for(seed).choice(len(pool), size=sample_size, replace=False))
-        sampled = [pool[int(i)] for i in indices]
-        resolved, failed = _resolve_shares(sampled, attributor)
-        if not resolved:
+        pool = list(store._pool.values())
+        drawn = txs = [sale.tx for sale in pool]
+        if sampled:
+            if not 1 <= sample_size <= len(pool):
+                raise _SampleSizeError(sample_size, len(pool))
+            indices = np.sort(rng_for(seed).choice(len(pool), size=sample_size, replace=False))
+            drawn = [txs[int(i)] for i in indices]
+        failed = {tx.id: "no shares and no attributor" for tx in drawn if tx.srs is None}
+        resolved = [tx for tx in drawn if tx.srs is not None]
+        if sampled and not resolved:
             raise StorageFailureError("every sampled transaction failed attribution")
-        n = _owner_count(resolved)
-        sample_prices = np.array([tx.price for tx in resolved])
-        sample_shares = np.array([tx.srs.shares for tx in resolved])
-        resolved_by_id = {tx.id: tx for tx in resolved}
-        settled = [resolved_by_id.get(tx.id, tx) for tx in pool if tx.id not in failed]
-        all_prices = [tx.price for tx in settled]
-        total_income = math.fsum(all_prices)
-        exact_collapse = (
+        n = _owner_count(txs)  # over the whole pool, sampled or not
+        settled = [sale for sale in pool if sale.tx.id not in failed]
+        total_income = math.fsum(sale.tx.price for sale in settled)
+        exact = not sampled or (
             not failed
-            and len(resolved) == len(pool)
-            and all(tx.price == pool[0].price for tx in pool)
+            and len(resolved) == len(txs)
+            and all(tx.price == txs[0].price for tx in txs)
         )
-        if exact_collapse:
+        if exact:
             owner_payouts = _exact_owner_payouts(resolved, n, beta_data)
         else:
             k = len(resolved)
@@ -937,11 +898,13 @@ def settle_subsampled(
         owner_payouts=owner_payouts,
         developer_payout=developer_payout,
         total_income=total_income,
-        sampled_fraction=sample_size / len(pool) if pool else 0.0,
-        estimator="subsampled",
+        sampled_fraction=sample_size / len(pool) if sampled else 1.0,
+        estimator="subsampled" if sampled else "full",
         seed=seed,
         failed_reasons=failed,
-        correlated_warning=_correlation_flag(sample_prices, sample_shares),
+        correlated_warning=sampled and _correlation_flag(
+            np.array([tx.price for tx in resolved]), np.array([tx.srs.shares for tx in resolved])
+        ),
     )
 
 

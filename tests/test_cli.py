@@ -259,6 +259,34 @@ def test_settle_with_share_rows_of_different_lengths_is_exit_4(tmp_path, capsys)
     assert "storage failure: share rows disagree on owner count" in capsys.readouterr().err
 
 
+def test_settle_sample_with_share_rows_of_different_lengths_is_exit_4(tmp_path, capsys):
+    ledger = hand_built_ledger(tmp_path / "ledger", "a|1.0|0.0,0.0|0.5,0.5|0",
+                               "b|1.0|0.0,0.0|0.25,0.25,0.5|0")
+    log = (tmp_path / "ledger" / "transactions.log").read_bytes()
+    out = tmp_path / "out"
+    assert main(["settle", "--ledger", ledger, "--mode", "sample", "--sample-size", "1",
+                 "--beta", "0.5", "--out", str(out)]) == 4
+    assert ("storage failure: share rows disagree on owner count: [2, 3]"
+            in capsys.readouterr().err)
+    assert (tmp_path / "ledger" / "transactions.log").read_bytes() == log
+    assert not (out / "settlement.csv").exists()
+
+
+def test_a_settled_line_is_its_sale_line_with_only_the_flag_changed(tmp_path):
+    # Not the canonical encoding, which would write "tx-1|1.0|0.0,0.0|1.0|0".
+    ledger = hand_built_ledger(tmp_path / "ledger", "tx-1|1|0,0|1|0")
+    assert main(["settle", "--ledger", ledger, "--mode", "full", "--beta", "0.5",
+                 "--out", str(tmp_path / "out")]) == 0
+    log = tmp_path / "ledger" / "transactions.log"
+    assert log.read_text(encoding="utf-8") == "tx-1|1|0,0|1|0\ntx-1|1|0,0|1|1\n|1|0.5|0.5\n"
+    for checkpointed in (True, False):
+        if not checkpointed:
+            (tmp_path / "ledger" / "transactions.ckpt").unlink()
+        reopened = royaltyshare.LedgerStore(ledger, create=False)
+        assert reopened.balances == {0: 0.5} and reopened.developer_balance == 0.5
+        assert reopened.is_settled("tx-1")
+
+
 def test_settle_sample_that_fails_attribution_throughout_is_exit_4(tmp_path, capsys):
     ledger = hand_built_ledger(tmp_path / "ledger", "tx-1|1.0|0.0,0.0||0")
     assert main(["settle", "--ledger", ledger, "--mode", "sample", "--sample-size", "1",
@@ -455,6 +483,34 @@ def test_simulate_ledger_twice_is_exit_4(tmp_path):
     args = ["simulate", "--kind", "ledger", "--transactions", "5", "--out", str(ledger)]
     assert main(args) == 0
     assert main(args) == 4
+
+
+def test_simulate_refuses_a_ledger_with_transactions_without_decoding_it(
+    tmp_path, capsys, monkeypatch
+):
+    from royaltyshare import ledger as ledger_module
+
+    ledger = tmp_path / "ledger"
+    args = ["simulate", "--kind", "ledger", "--transactions", "50", "--out", str(ledger)]
+    assert main(args) == 0
+    assert main(["settle", "--ledger", str(ledger), "--beta", "0.5",
+                 "--out", str(tmp_path / "out")]) == 0
+    log = (ledger / "transactions.log").read_bytes()
+    real, decoded = ledger_module._decode_line, []
+    monkeypatch.setattr(ledger_module, "_decode_line",
+                        lambda line: decoded.append(line) or real(line))
+    assert main(args) == 4
+    assert f"storage failure: {ledger} already holds transactions" in capsys.readouterr().err
+    assert decoded == []
+    assert (ledger / "transactions.log").read_bytes() == log
+
+
+def test_simulate_accepts_a_ledger_whose_only_record_is_an_empty_settlement(tmp_path):
+    ledger = tmp_path / "ledger"
+    royaltyshare.settle_full(royaltyshare.LedgerStore(ledger), 0.5)
+    assert (ledger / "transactions.log").read_text(encoding="utf-8") == "|0||0.0\n"
+    assert main(["simulate", "--kind", "ledger", "--transactions", "5", "--out", str(ledger)]) == 0
+    assert len(royaltyshare.LedgerStore(ledger, create=False).unsettled()) == 5
 
 
 def test_simulate_alpha_needs_one_value_per_owner(tmp_path, capsys):

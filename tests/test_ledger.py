@@ -165,21 +165,39 @@ def test_preview_mode_changes_nothing(store):
 
 
 def test_attribution_failures_are_quarantined(store):
-    store.record(make_tx("tx-good", 1.0))
+    store.record(make_tx("tx-good", 1.0, share_row(1.0)))
     store.record(make_tx("tx-bad", 1.0))
-
-    def attributor(tx):
-        if tx.id == "tx-bad":
-            raise RuntimeError("oracle exploded")
-        return share_row(1.0)
-
-    report = settle_full(store, beta_data=1.0, attributor=attributor)
+    report = settle_full(store, beta_data=1.0)
     assert report.failed_ids == ("tx-bad",)
-    assert report.failed_reasons == {"tx-bad": "RuntimeError: oracle exploded"}
+    assert report.failed_reasons == {"tx-bad": "no shares and no attributor"}
     assert store.is_settled("tx-good")
     assert not store.is_settled("tx-bad")
     assert [t.id for t in store.unsettled()] == ["tx-bad"]
     assert report.owner_payouts[0] == 1.0
+
+
+@pytest.mark.parametrize(
+    "seed, failed, income, payouts",
+    [
+        # The sample is tx-a and tx-bad: tx-bad is quarantined, and tx-c is paid
+        # at tx-a's shares.
+        (3, {"tx-bad": "no shares and no attributor"}, 5.0, [1.25, 3.75]),
+        # The sample is tx-a and tx-c: tx-bad is paid at their mean, 0.5 each.
+        (0, {}, 7.0, [3.5, 3.5]),
+    ],
+)
+def test_a_sampled_sale_without_shares_is_quarantined_and_an_unsampled_one_is_paid(
+    store, seed, failed, income, payouts
+):
+    store.record(make_tx("tx-a", 1.0, share_row(0.25, 0.75)))
+    store.record(make_tx("tx-bad", 2.0))
+    store.record(make_tx("tx-c", 4.0, share_row(0.75, 0.25)))
+    report = settle_subsampled(store, beta_data=1.0, sample_size=2, seed=seed)
+    assert report.failed_reasons == failed
+    assert report.total_income == income
+    assert report.owner_payouts.tolist() == payouts
+    assert [t.id for t in store.unsettled()] == list(failed)
+    assert store.is_settled("tx-a") and store.is_settled("tx-c")
 
 
 def test_missing_shares_without_attributor_are_quarantined(store):
@@ -257,6 +275,17 @@ def test_subsampled_rejects_fully_failed_sample(store):
     store.record(make_tx("tx-1", 1.0))
     with pytest.raises(StorageFailureError):
         settle_subsampled(store, beta_data=1.0, sample_size=1, seed=0)
+
+
+def test_a_sampled_settle_checks_the_owner_count_of_every_share_row(store):
+    store.record(make_tx("a", 1.0, share_row(0.5, 0.5)))
+    store.record(make_tx("b", 1.0, share_row(0.25, 0.25, 0.5)))
+    log = (store.path / LOG_NAME).read_bytes()
+    # Seed 0 samples "a" alone, whose row has two owners.
+    with pytest.raises(StorageFailureError, match=r"disagree on owner count: \[2, 3\]"):
+        settle_subsampled(store, beta_data=1.0, sample_size=1, seed=0)
+    assert (store.path / LOG_NAME).read_bytes() == log
+    assert [t.id for t in store.unsettled()] == ["a", "b"]
 
 
 def test_price_share_correlation_warning(tmp_path):
