@@ -549,7 +549,7 @@ def cmd_settle(args: argparse.Namespace) -> int:
         _write_meta(out / "settlement.meta.json", meta, durable=True)
     except OSError as exc:
         raise StorageFailureError(
-            f"the settlement of {pool_size - len(store.unsettled())} transactions "
+            f"the settlement of {report.settled_count} transactions "
             f"({report.total_income!r} income) is committed to the ledger, but its "
             f"report was not written in full: {exc}"
         ) from exc

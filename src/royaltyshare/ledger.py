@@ -19,42 +19,46 @@ are checked in full and still replay.
 
 Replay streams the log and checks every line, but each text once: the
 settled copy of a sale differs from the sale's line only in the flag, so it
-has only its flag and its place in the log checked. The store holds the
-unsettled pool as transactions and only a yes or no for every other id;
+has only its flag and its place in the log checked. The store holds each
+unsettled line's text and offset, and only a yes or no for every other id.
+The first read of the pool (``unsettled``, ``transactions`` or a
+settlement) decodes each of its lines into a ``Transaction`` and keeps it,
+so a store that never reads its pool never decodes it.
 ``LedgerStore.transactions`` reads the committed log once and decodes each
 settled id's last line there, in the order of the ids' first lines, which
-is entry order. So opening a store builds ``Transaction`` objects for the
-unsettled pool alone. Its id map has two parts. The base is two arrays:
-every id's 64-bit key (the first 8 bytes of the BLAKE2b digest of its UTF-8
+is entry order. The id map has two parts. The base is two arrays: every
+id's 64-bit key (the first 8 bytes of the BLAKE2b digest of its UTF-8
 bytes) in ascending order, and the log offset of one line of the id of each
 key. Beside it one dict holds the ids added since. A lookup tries the dict,
 then ``searchsorted`` on the keys; a key that matches is confirmed against
-the id's log line, so two ids that share a key stay apart. Every open that
-writes a checkpoint merges the dict into the base with numpy and empties
-it, so an open's Python work per id covers the pool and the lines replayed,
-not the settled history.
+the id's log line, so two ids that share a key stay apart. Every settlement
+and every open that writes a checkpoint merges the dict into the base with
+numpy and empties it, so an open's Python work per id covers the lines
+replayed, not the settled history.
 
-An open whose replay got further than the stored checkpoint writes
-``transactions.ckpt`` beside the log: the replay's state at its last commit
-boundary. Its version 5 holds text lines (the version; that boundary's byte
-offset and the sha256 of the log up to it; the settlement count and the
-developer balance; the balances, floats as repr; the line offsets of the
-unsettled ids, in entry order), the number of ids, the base's two columns
-as little-endian 64-bit integers, which the next open maps with
+An open resumes at the checkpoint, taking all of its state or none of it,
+and runs the replay that every call runs (see below). If that got further,
+it writes ``transactions.ckpt`` beside the log: the state at the last
+commit boundary, the checkpoint's digest extended by the bytes replayed.
+Its version 5 holds text lines (the version; that boundary's byte offset
+and the sha256 of the log up to it; the settlement count and the developer
+balance; the balances, floats as repr; the line offsets of the unsettled
+ids, in entry order), the number of ids, the base's two columns as
+little-endian 64-bit integers, which the next open maps with
 ``np.frombuffer``, and the sha256 of all of that. An id itself is read from
-its log line. The next open resumes replay at that offset only if the
-checkpoint's checksum, and the offset and digest against the log, all match;
-the log's bytes before the offset are then verified by the digest and those
-after it by replay, and only the suffix is parsed. Otherwise replay starts
-at byte 0, so every open gives what a log-only open gives; the number of a
-line named in an error is counted only then, from the log. The checkpoint
-is replaced whole by :func:`~royaltyshare.files.replace_file`, with no
-fsync: every fact in it is also in the log, it is never read without the
-log, and deleting it only costs the next open a full replay. A change to
-what replay accepts, to the checkpoint's layout or to the key, must change
-the checkpoint's version line; an open ignores a checkpoint of an older
-version, version 4's entry positions included, and replays from byte 0
-once.
+its log line. The next open resumes at that offset only if the checkpoint's
+checksum, and the offset and digest against the log, all match; the log's
+bytes before the offset are then verified by the digest and those after it
+by replay, and only the suffix is parsed. Otherwise replay starts at byte
+0, so every open gives what a log-only open gives; the number of a line
+named in an error is counted from the log only when it is raised. The
+checkpoint is replaced whole by :func:`~royaltyshare.files.replace_file`,
+with no fsync: every fact in it is also in the log, it is never read
+without the log, and deleting it only costs the next open a full replay. A
+change to what replay accepts, to the checkpoint's layout or to the key,
+must change the checkpoint's version line; an open ignores a checkpoint of
+an older version, version 4's entry positions included, and replays from
+byte 0 once.
 
 Several stores, in one process or in many, may share one ledger
 directory. Every operation of a store holds an ``fcntl.flock`` on the
@@ -64,12 +68,12 @@ settle. Under the lock the store compares the log's size with the last
 commit boundary it applied; if the log has grown, replay resumes at that
 boundary, so the store acts on the log as it stands. A sale that another
 store settled is settled here too, and an id that another store recorded is
-a duplicate here too. That replay hashes nothing and writes no checkpoint. A
+a duplicate here too. Replay hashes nothing and writes no checkpoint. A
 settlement it applies, like one the store writes itself, merges the ids
 added since into the base arrays, so a store that only records holds no
-more than its unsettled pool in dicts. A log shorter than that boundary raises
-``StorageFailureError``. ``flock`` is POSIX only, and some network file
-systems do not honour it; there, stores in different processes or on
+more than its unsettled pool in dicts. A log shorter than that boundary
+raises ``StorageFailureError``. ``flock`` is POSIX only, and some network
+file systems do not honour it; there, stores in different processes or on
 different hosts are not ordered at all.
 
 A crash can leave a torn tail: bytes after the last LF, or settled lines
@@ -196,6 +200,7 @@ class SettlementReport:
     seed: int | None = None
     failed_reasons: dict[str, str] = field(default_factory=dict)  # quarantined id -> why
     correlated_warning: bool = False
+    settled_count: int = 0  # the transactions this settlement settles
 
     @property
     def failed_ids(self) -> tuple[str, ...]:
@@ -278,7 +283,7 @@ class _Sale(NamedTuple):
 
     offset: int
     text: str
-    tx: Transaction | None  # None while an open replays: it decodes its pool once, at the end
+    tx: Transaction | None  # None until the pool is first read, unless it was recorded here
 
 
 def _check_entry(line: str, pool: dict[str, _Sale]) -> _Record | tuple[str, bool] | None:
@@ -402,10 +407,10 @@ class LedgerStore:
     or none of it. ``dropped_bytes`` is the size of the torn tails that this
     store truncated, 0 for an intact log. The store knows every id by the
     offset of one of its lines in the log, through the base arrays and the
-    dict of ids added since, and holds the unsettled pool as transactions;
-    ``transactions`` reads the committed log for the settled ones. Opening a
-    store renews the replay checkpoint beside the log; recording and
-    settling never write it.
+    dict of ids added since, and holds the unsettled pool as lines, decoded
+    when the pool is first read; ``transactions`` reads the committed log for
+    the settled ones. Opening a store renews the replay checkpoint beside
+    the log; recording and settling never write it.
     """
 
     def __init__(self, path: str | Path, *, create: bool = True):
@@ -437,16 +442,15 @@ class LedgerStore:
                 )
             fd = self._flock(exclusive=True)
             try:
-                if self._log_path.exists():
-                    self._replay(opening=True, truncate=True)
+                digest = self._resume()
+                start = self._end
+                self._sync(truncate=True)
+                if self._end > start:
+                    self._renew_checkpoint(start, digest)
             finally:
                 os.close(fd)
         except OSError as exc:
             raise StorageFailureError(f"cannot open ledger at {self.path}: {exc}") from exc
-
-    @property
-    def _checkpoint_path(self) -> Path:
-        return self.path / CHECKPOINT_NAME
 
     def _flock(self, exclusive: bool) -> int:
         """A new descriptor of the ledger directory that holds its flock; closing it unlocks.
@@ -475,7 +479,10 @@ class LedgerStore:
             except OSError as exc:
                 raise StorageFailureError(f"cannot lock the ledger at {self.path}: {exc}") from exc
             try:
-                self._sync(truncate=exclusive)
+                try:
+                    self._sync(truncate=exclusive)
+                except OSError as exc:
+                    raise StorageFailureError(f"cannot read {self._log_path}: {exc}") from exc
                 yield
             finally:
                 os.close(fd)
@@ -483,42 +490,33 @@ class LedgerStore:
     def _sync(self, truncate: bool) -> None:
         """Replay what the log holds past this store's last commit boundary, if anything."""
         try:
-            try:
-                size = os.stat(self._log_path).st_size
-            except FileNotFoundError:
-                size = 0
-            if size < self._end:
-                raise StorageFailureError(
-                    f"{self._log_path} holds {size} bytes, fewer than the {self._end} "
-                    "this store has applied"
-                )
-            if size > self._end:
-                self._replay(opening=False, truncate=truncate)
-        except OSError as exc:
-            raise StorageFailureError(f"cannot read {self._log_path}: {exc}") from exc
+            size = os.stat(self._log_path).st_size
+        except FileNotFoundError:
+            size = 0
+        if size < self._end:
+            raise StorageFailureError(
+                f"{self._log_path} holds {size} bytes, fewer than the {self._end} "
+                "this store has applied"
+            )
+        if size > self._end:
+            self._replay(truncate)
 
-    def _replay(self, *, opening: bool, truncate: bool) -> None:
-        """Apply the log from where the store stands, up to its last commit boundary.
+    def _replay(self, truncate: bool) -> None:
+        """Apply the log from the store's last commit boundary up to the log's last one.
 
-        An open resumes where a matching checkpoint ends, or at byte 0, and
-        hashes what it reads; after that, replay resumes at the store's own
-        last commit boundary and hashes nothing. Every line read is checked,
-        but a text only once: the settled copy of a sale's line has only its
-        flag checked. A new id keeps the offset of its first line, and only
-        the lines that stay unsettled are decoded. A torn tail is truncated
-        if ``truncate`` is set, or else left for a later replay. An open that
-        read past its start rebases the id map and renews the checkpoint; a
-        later replay that applies a settlement rebases it. An error names its
-        line by number, counted only when it is raised; the store then stands
-        at the last commit boundary before that line.
+        Every line read is checked, but a text only once: the settled copy of
+        a sale's line has only its flag checked. A new id keeps the offset of
+        its first line, and a sale line joins the pool undecoded. A torn tail
+        is truncated if ``truncate`` is set, or else left for a later replay.
+        A replay that applies a settlement rebases the id map. An error names
+        its line by number, counted only when it is raised; the store then
+        stands at the last commit boundary before that line.
         """
         pool = self._pool
         with open(self._log_path, "rb") as fh:
-            start, digest = self._resume(fh) if opening else (self._end, None)
-            fh.seek(start)
+            fh.seek(self._end)
             pending: dict[str, int] = {}  # settled ids and line offsets awaiting a record
-            unhashed: list[bytes] = []  # lines after the last commit boundary
-            keep = size = self._end = start  # bytes that stay in the log, bytes read
+            keep = size = self._end  # bytes that stay in the log, bytes read
             settled = False
             for raw in fh:
                 offset = size
@@ -562,29 +560,15 @@ class LedgerStore:
                     elif tx_id in pool or not self._holds(tx_id):
                         if tx_id not in pool:
                             self._ids[tx_id] = offset
-                        # An open decodes its pool once, at the end.
-                        tx = None if opening else _decode_line(line)[0]
-                        pool[tx_id] = _Sale(offset, line, tx)
-                if pending:
-                    unhashed.append(raw)
-                else:
+                        pool[tx_id] = _Sale(offset, line, None)
+                if not pending:
                     keep = self._end = size
-                    if digest is not None:
-                        if unhashed:
-                            digest.update(b"".join(unhashed))
-                        digest.update(raw)
-                    unhashed.clear()
-        if opening:
-            self._pool = {i: s._replace(tx=_decode_line(s.text)[0]) for i, s in pool.items()}
         if size > keep and truncate:
             with open(self._log_path, "r+b") as fh:
                 fh.truncate(keep)
                 os.fsync(fh.fileno())
             self.dropped_bytes += size - keep
-        if opening and keep > start:
-            self._rebase()
-            self._write_checkpoint(keep, digest.hexdigest())
-        elif settled:
+        if settled:
             self._rebase()
 
     def _line_number(self, offset: int) -> int:
@@ -592,34 +576,34 @@ class LedgerStore:
         with open(self._log_path, "rb") as fh:
             return sum(chunk.count(b"\n") for chunk in _chunks(fh, offset)) + 1
 
-    def _resume(self, fh: BinaryIO) -> tuple[int, hashlib._Hash]:
-        """Take the checkpoint's state if it matches the log open as ``fh``.
+    def _resume(self) -> hashlib._Hash:
+        """Take all of the checkpoint's state, ``_end`` included, if it matches the log, or none.
 
-        Returns the offset replay resumes at and the sha256 of the log before
-        it: the checkpoint's, or 0 and an empty digest when there is no
-        checkpoint or it does not match. The pool receives the checkpoint's
-        unsettled lines, undecoded.
+        Returns the sha256 of the log before ``_end``. The pool's lines stay undecoded.
         """
-        miss = 0, hashlib.sha256()
-        try:
-            ckpt = _decode_checkpoint(self._checkpoint_path.read_bytes())
-        except (OSError, ValueError):  # no checkpoint, or a torn, corrupt or older one
-            return miss
         prefix = hashlib.sha256()
-        for chunk in _chunks(fh, ckpt.offset):
-            prefix.update(chunk)
-        # A log that ends before the checkpoint's offset fails the first test.
-        if fh.tell() != ckpt.offset or prefix.hexdigest() != ckpt.digest:
-            return miss
+        try:
+            ckpt = _decode_checkpoint((self.path / CHECKPOINT_NAME).read_bytes())
+            pool = {}
+            with open(self._log_path, "rb") as fh:
+                for chunk in _chunks(fh, ckpt.offset):
+                    prefix.update(chunk)
+                # A log that ends before the checkpoint's offset fails the first test.
+                if fh.tell() != ckpt.offset or prefix.hexdigest() != ckpt.digest:
+                    return hashlib.sha256()
+                for offset in ckpt.pool:
+                    fh.seek(offset)
+                    line = fh.readline()[:-1].decode("utf-8")
+                    pool[line.partition("|")[0]] = _Sale(offset, line, None)
+        except (OSError, ValueError):  # no checkpoint or log, or a torn, corrupt or older one
+            return hashlib.sha256()
+        self._end = ckpt.offset
         self._base = ckpt.index
+        self._pool = pool
         self._balances = ckpt.balances
         self._developer_balance = ckpt.developer_balance
         self._settlement_count = ckpt.settlement_count
-        for offset in ckpt.pool:
-            fh.seek(offset)
-            line = fh.readline()[:-1].decode("utf-8")
-            self._pool[line.partition("|")[0]] = _Sale(offset, line, None)
-        return ckpt.offset, prefix
+        return prefix
 
     def _holds(self, tx_id: str) -> bool:
         """Whether the store holds ``tx_id``, settled or not."""
@@ -655,14 +639,20 @@ class LedgerStore:
         self._base = _Index(*merge_sorted(base.keys, base.offsets, keys[order], offsets))
         self._ids = {}
 
-    def _write_checkpoint(self, offset: int, digest: str) -> None:
-        """Replace the checkpoint with the state at ``offset``; a failed write changes nothing.
+    def _renew_checkpoint(self, start: int, digest: hashlib._Hash) -> None:
+        """Rebase, then replace the checkpoint with the state at ``_end``.
 
-        The base must hold every id: called right after ``_rebase``.
+        ``digest`` holds the log before ``start``; the bytes up to ``_end`` are
+        added here. A failed write changes nothing.
         """
+        self._rebase()
+        with open(self._log_path, "rb") as fh:
+            fh.seek(start)
+            for chunk in _chunks(fh, self._end - start):
+                digest.update(chunk)
         ckpt = _Checkpoint(
-            offset=offset,
-            digest=digest,
+            offset=self._end,
+            digest=digest.hexdigest(),
             settlement_count=self._settlement_count,
             developer_balance=self._developer_balance,
             balances=self._balances,
@@ -671,7 +661,7 @@ class LedgerStore:
         )
         # A read-only directory, say: the next open replays more.
         with contextlib.suppress(OSError):
-            replace_file(self._checkpoint_path, _encode_checkpoint(ckpt), durable=False)
+            replace_file(self.path / CHECKPOINT_NAME, _encode_checkpoint(ckpt), durable=False)
 
     def _append(self, lines: list[str], record: str = "") -> list[int]:
         """Durably append ``lines``, then ``record``; the offset of each line.
@@ -739,6 +729,7 @@ class LedgerStore:
                 tx_id, bar, _ = raw.partition(b"|")
                 if tx_id and bar:  # not a settlement record or a blank line
                     last[tx_id] = raw
+            self._read_pool()
             txs = []
             for tx_id, raw in last.items():
                 sale = self._pool.get(tx_id.decode("utf-8"))
@@ -747,7 +738,14 @@ class LedgerStore:
 
     def unsettled(self) -> list[Transaction]:
         with self._view(exclusive=False):
-            return [sale.tx for sale in self._pool.values()]
+            return [sale.tx for sale in self._read_pool()]
+
+    def _read_pool(self) -> list[_Sale]:
+        """The pool's sales in entry order; each line is decoded the first time it is read."""
+        for tx_id, sale in self._pool.items():
+            if sale.tx is None:
+                self._pool[tx_id] = sale._replace(tx=_decode_line(sale.text)[0])
+        return list(self._pool.values())
 
     def is_settled(self, tx_id: str) -> bool:
         with self._view(exclusive=False):
@@ -864,7 +862,7 @@ def _settle(
         raise ValueError(f"beta_data must lie in [0, 1], got {beta_data}")
     sampled = sample_size is not None
     with store._view(exclusive=apply):
-        pool = list(store._pool.values())
+        pool = store._read_pool()
         drawn = txs = [sale.tx for sale in pool]
         if sampled:
             if not 1 <= sample_size <= len(pool):
@@ -905,6 +903,7 @@ def _settle(
         correlated_warning=sampled and _correlation_flag(
             np.array([tx.price for tx in resolved]), np.array([tx.srs.shares for tx in resolved])
         ),
+        settled_count=len(settled),
     )
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import errno
 import json
 import os
@@ -241,6 +242,31 @@ def test_a_settle_whose_report_fails_says_the_settlement_is_committed(tmp_path, 
     assert main(settle) == 0
     assert (tmp_path / "out" / "settlement.csv").read_text(encoding="utf-8").startswith(
         "# total_income=0.0 estimator=full")
+
+
+def test_a_failed_report_counts_the_sales_recorded_elsewhere_right_before_the_settle(
+    tmp_path, monkeypatch, capsys
+):
+    from royaltyshare import cli
+
+    ledger = tmp_path / "ledger"
+    assert main(["simulate", "--kind", "ledger", "--transactions", "10", "--price", "1.5",
+                 "--out", str(ledger)]) == 0
+    real_settle = cli.settle_full
+
+    def recorded_elsewhere_first(store, *args, **kwargs):
+        other = LedgerStore(ledger, create=False)
+        sale = other.unsettled()[0]
+        other.record_many(dataclasses.replace(sale, id=f"late-{k}") for k in range(3))
+        return real_settle(store, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "settle_full", recorded_elsewhere_first)
+    fail_at("replace", monkeypatch)
+    assert main(["settle", "--ledger", str(ledger), "--beta", "0.7",
+                 "--out", str(tmp_path / "out")]) == 4
+    assert capsys.readouterr().err.startswith(
+        "storage failure: the settlement of 13 transactions (19.5 income) is committed")
+    assert LedgerStore(ledger, create=False).unsettled() == []
 
 
 def test_a_settle_whose_out_cannot_be_made_commits_nothing(tmp_path):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import fcntl
 import hashlib
 import itertools
 import json
@@ -545,6 +546,8 @@ _step = st.one_of(
 def test_a_reopened_store_equals_its_writer(steps):
     with tempfile.TemporaryDirectory() as tmp:
         store = LedgerStore(tmp)
+        # A store that only reads, so it advances through the replay every call runs.
+        follower = LedgerStore(tmp, create=False)
         recorded = []
         for k, (op, arg) in enumerate(steps):
             if op == "record":
@@ -563,6 +566,7 @@ def test_a_reopened_store_equals_its_writer(steps):
                     settle_subsampled(store, beta_data=beta, sample_size=size, seed=seed)
                 except StorageFailureError:  # every sampled sale lacked shares
                     pass
+            follower.unsettled()
         reopened = LedgerStore(tmp, create=False)
         assert reopened.dropped_bytes == 0
         assert repr(reopened.balances) == repr(store.balances)
@@ -573,6 +577,12 @@ def test_a_reopened_store_equals_its_writer(steps):
         assert [t.id for t in reopened.transactions()] == recorded  # entry order, independently
         assert list(map(_fields, reopened.transactions())) == list(
             map(_fields, store.transactions()))
+        assert repr(follower.balances) == repr(reopened.balances)
+        assert repr(follower.developer_balance) == repr(reopened.developer_balance)
+        assert follower.settlement_count == reopened.settlement_count
+        assert list(map(_fields, follower.unsettled())) == list(map(_fields, reopened.unsettled()))
+        assert list(map(_fields, follower.transactions())) == list(
+            map(_fields, reopened.transactions()))
 
 
 # Ids beyond tx-{k}: non-ASCII, a NUL, ids that are prefixes of other ids, and
@@ -653,11 +663,12 @@ try:
     duplicate = False
 except DuplicateIdError:
     duplicate = True
+unsettled = [tx.id for tx in store.unsettled()]  # decodes the pool
 print(json.dumps({
     "parsed": sorted(line.partition("|")[0] for line in parsed),
     "settled": [store.is_settled(f"old-{k}") for k in range(3)],
     "duplicate": duplicate,
-    "unsettled": [tx.id for tx in store.unsettled()],
+    "unsettled": unsettled,
 }))
 """
 
@@ -739,8 +750,9 @@ def test_opening_decodes_only_the_unsettled_pool(store, monkeypatch):
     real = ledger._decode_line
     monkeypatch.setattr(ledger, "_decode_line", lambda line: decoded.append(line) or real(line))
     reopened = LedgerStore(store.path, create=False)
-    assert len(decoded) == 2
+    assert len(decoded) == 0
     assert [t.id for t in reopened.unsettled()] == ["tx-12", "tx-13"]
+    assert len(decoded) == 2
 
 
 def _checkpoint_offset(path):
@@ -774,6 +786,7 @@ def _assert_a_reopen_parses_only_the_suffix(root, monkeypatch, history, min_pref
             m.setattr(ledger, "_decode_line",
                       lambda line: decoded.append(line) or real_decode(line))
             reopened = LedgerStore(store.path, create=False)
+            reopened.unsettled()
         # Each sale after the checkpoint is parsed once to check it, and each
         # of the unsettled pool once more to decode it; the settled copies, the
         # record and everything before the checkpoint are not parsed.
@@ -1175,6 +1188,31 @@ def test_a_log_that_settles_an_id_twice_raises_naming_the_line(tmp_path, capsys)
         fh.write(line + line + ledger._encode_record(2, np.array([0.0, 5.6]), 2.4))
     with pytest.raises(StorageFailureError, match=r"line 8: transaction 't2' is settled already"):
         LedgerStore(path, create=False)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists descriptors in /proc")
+def test_a_failed_call_leaves_no_ledger_descriptor_open(tmp_path):
+    """The flock is held on a raw descriptor, whose leak raises no ResourceWarning."""
+    path = tmp_path / "ledger"
+    store = LedgerStore(path)
+    store.record_many(make_tx(f"t{k}", 1.0, share_row(1.0)) for k in range(2))
+    log = (path / LOG_NAME).read_bytes()
+
+    def assert_released(call, message):
+        before = sorted(os.listdir("/proc/self/fd"))
+        with pytest.raises(StorageFailureError, match=message):
+            call()
+        assert sorted(os.listdir("/proc/self/fd")) == before
+        fd = os.open(path, os.O_RDONLY)
+        try:  # a descriptor left holding the flock would make this raise, not block
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        finally:
+            os.close(fd)
+
+    (path / LOG_NAME).write_bytes(log + b"t2|one|0.0,0.0||0\n")
+    assert_released(lambda: LedgerStore(path, create=False), "malformed ledger line 3 ")
+    (path / LOG_NAME).write_bytes(log.splitlines(keepends=True)[0])
+    assert_released(store.unsettled, "fewer than the")
 
 
 def test_a_reader_leaves_a_torn_tail_for_the_next_writer_to_truncate(tmp_path):
