@@ -53,8 +53,13 @@ def replace_file(path: str | Path, data: str | bytes, *, durable: bool) -> None:
             os.unlink(temp)
         raise
     if durable:
-        fd = os.open(directory or os.curdir, os.O_RDONLY)
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
+        fsync_directory(directory or os.curdir)
+
+
+def fsync_directory(path: str | Path) -> None:
+    """Fsync directory ``path``, so that the names made or replaced in it survive a power cut."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)

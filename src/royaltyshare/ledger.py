@@ -4,12 +4,14 @@ Storage layout: a ledger is a directory holding one append-only log,
 ``transactions.log``, which is the ledger's only persisted state, and a
 replay checkpoint, ``transactions.ckpt``, that is a cache of the log. Lines are
 UTF-8 with LF terminators. A transaction line is
-``id|price|event-ref|srs-csv|settled-flag``. Settling appends, in one write
-and one fsync, each settled sale's line as it stands in the log with its
-flag set to 1, and then one settlement record
+``id|price|event-ref|srs-csv|settled-flag``. Settling appends, in one
+append, each settled sale's line as it stands in the log with its flag set
+to 1, and then one settlement record
 ``|count|owner-payouts-csv|developer-payout``. The record's first field is
 empty, which no transaction id can be, and ``count`` is the number of
-settled lines right before it that it commits. Replay takes the last line
+settled lines right before it that it commits. A settlement that settles
+nothing appends nothing, but replay accepts the ``|0|`` records that older
+versions appended for one. Replay takes the last line
 per id, applies settled lines only when their record follows, and adds each
 record's payouts to the balances in log order. Floats are serialized with
 repr and parse back bit-exactly, so reopening a store reproduces balances
@@ -66,12 +68,12 @@ directory's own descriptor, so no lock file appears: a shared one to read
 the store's view, an exclusive one to open the store, to record and to
 settle. Under the lock the store compares the log's size with the last
 commit boundary it applied; if the log has grown, replay resumes at that
-boundary, so the store acts on the log as it stands. A sale that another
-store settled is settled here too, and an id that another store recorded is
-a duplicate here too. Replay hashes nothing and writes no checkpoint. A
-settlement it applies, like one the store writes itself, merges the ids
-added since into the base arrays, so a store that only records holds no
-more than its unsettled pool in dicts. A log shorter than that boundary
+boundary, so the store acts on the log as it stands. A store applies its
+own appends the same way, replaying each one right after its fsync, so it
+holds what its log holds and nothing else. Replay hashes nothing and writes
+no checkpoint. A settlement it applies merges the ids added since into the
+base arrays, so a store that only records holds no more than its unsettled
+pool in dicts. A log shorter than that boundary
 raises ``StorageFailureError``. ``flock`` is POSIX only, and some network
 file systems do not honour it; there, stores in different processes or on
 different hosts are not ordered at all.
@@ -89,7 +91,14 @@ anything but their record, a settled line of an id that is settled already
 (before it or in the same settlement), and a ``.json`` file in the directory
 other than a ``.meta.json`` report sidecar (the balance snapshot of an older
 format, whose balances this log does not hold) raise
-``StorageFailureError`` instead.
+``StorageFailureError`` instead. An append writes through an unbuffered
+descriptor and fsyncs it. If either fails, it cuts the log back to the last
+commit boundary and fsyncs it, so a call that raises leaves the log and the
+store as they were (Rebello et al., USENIX ATC 2020, on what a failed fsync
+leaves); if the cut fails too, the error says that the log's tail is
+unknown. The append that makes the log fsyncs the ledger directory, and a
+store that makes that directory fsyncs its parent, so that their names are
+durable too.
 
 Settlement distributes the income of every unsettled transaction: a fraction
 ``beta_data`` flows to owners in proportion to per-transaction royalty
@@ -129,7 +138,7 @@ import numpy as np
 
 from .density import GenerationEvent
 from .errors import DuplicateIdError, StorageFailureError
-from .files import replace_file
+from .files import fsync_directory, replace_file
 from .games import merge_sorted
 from .royalty import ShareVector
 from .seeding import rng_for
@@ -283,7 +292,7 @@ class _Sale(NamedTuple):
 
     offset: int
     text: str
-    tx: Transaction | None  # None until the pool is first read, unless it was recorded here
+    tx: Transaction | None  # None until the pool is first read
 
 
 def _check_entry(line: str, pool: dict[str, _Sale]) -> _Record | tuple[str, bool] | None:
@@ -396,21 +405,18 @@ def _decode_checkpoint(raw: bytes) -> _Checkpoint:
 class LedgerStore:
     """Directory-backed transaction store whose append-only log is its only state.
 
-    Every operation holds the ledger's ``flock`` and first applies what other
-    stores appended since (see the module docstring), so several stores, in
-    one process or in many, may share a directory. Within one store a
-    ``threading.Lock`` serializes the calls: ``record`` and ``record_many``
-    may be called concurrently, and a settlement sees a consistent pool, so
-    recordings that race it simply land in the next period. Every append is
-    one write and one fsync. A settlement's lines and its record go in one
-    append, so after a crash the reopened store holds all of that settlement
-    or none of it. ``dropped_bytes`` is the size of the torn tails that this
-    store truncated, 0 for an intact log. The store knows every id by the
-    offset of one of its lines in the log, through the base arrays and the
-    dict of ids added since, and holds the unsettled pool as lines, decoded
-    when the pool is first read; ``transactions`` reads the committed log for
-    the settled ones. Opening a store renews the replay checkpoint beside
-    the log; recording and settling never write it.
+    Every operation holds the ledger's ``flock`` and first applies what was
+    appended since, and the store applies its own appends by the same replay
+    (see the module docstring), so several stores may share a directory.
+    Within one store a ``threading.Lock`` serializes the calls: ``record``
+    and ``record_many`` may be called concurrently, and a settlement sees a
+    consistent pool, so recordings that race it simply land in the next
+    period. A settlement's lines and its record go in one append, so after a
+    crash the reopened store holds all of that settlement or none of it, and
+    an append that fails is cut back before it raises. ``dropped_bytes`` is
+    the size of the torn tails that this store truncated, 0 for an intact
+    log. Opening a store renews the replay checkpoint beside the log;
+    recording and settling never write it.
     """
 
     def __init__(self, path: str | Path, *, create: bool = True):
@@ -427,7 +433,9 @@ class LedgerStore:
         self._settlement_count = 0
         try:
             if create:
-                self.path.mkdir(parents=True, exist_ok=True)
+                with contextlib.suppress(FileExistsError):  # made before, maybe just now
+                    self.path.mkdir(parents=True)
+                    fsync_directory(self.path.parent)  # which holds the new name
             if not self.path.is_dir():
                 raise StorageFailureError(f"{self.path} is not a ledger directory")
             # The ledger writes no JSON: one here that is not a report sidecar is the
@@ -540,7 +548,10 @@ class LedgerStore:
                     for tx_id, at in pending.items():
                         if pool.pop(tx_id, None) is None:  # an id first seen settled
                             self._ids[tx_id] = at
-                    self._credit(entry.owner_payouts, entry.developer_payout)
+                    for i, amount in enumerate(entry.owner_payouts):
+                        self._balances[i] = self._balances.get(i, 0.0) + amount
+                    self._developer_balance += entry.developer_payout
+                    self._settlement_count += 1
                     pending, settled = {}, True
                 elif entry is not None:
                     tx_id, is_settled = entry
@@ -663,31 +674,36 @@ class LedgerStore:
         with contextlib.suppress(OSError):
             replace_file(self.path / CHECKPOINT_NAME, _encode_checkpoint(ckpt), durable=False)
 
-    def _append(self, lines: list[str], record: str = "") -> list[int]:
-        """Durably append ``lines``, then ``record``; the offset of each line.
+    def _append(self, lines: list[str]) -> None:
+        """Durably append ``lines``, which end at a commit boundary, then replay them.
 
-        Called under the exclusive lock, so the log ends at the store's last
-        commit boundary and the payload ends at the next one.
+        Called under the exclusive lock; a failure cuts the log back to ``_end``.
         """
-        encoded = [line.encode("utf-8") for line in lines]
-        payload = b"".join([*encoded, record.encode("utf-8")])
+        payload = memoryview("".join(lines).encode("utf-8"))
         try:
-            with open(self._log_path, "ab") as fh:
-                fh.write(payload)
-                fh.flush()
-                os.fsync(fh.fileno())
-                self._end = fh.tell()
+            fd = os.open(self._log_path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
         except OSError as exc:
             raise StorageFailureError(f"append to {self._log_path} failed: {exc}") from exc
-        offsets = []
-        offset = self._end - len(payload)
-        for line in encoded:
-            offsets.append(offset)
-            offset += len(line)
-        return offsets
+        try:
+            while payload:
+                payload = payload[os.write(fd, payload):]
+            os.fsync(fd)
+            if not self._end:  # this append made the log, whose name the directory holds
+                fsync_directory(self.path)
+        except OSError as exc:
+            message = f"append to {self._log_path} failed: {exc}"
+            try:
+                os.ftruncate(fd, self._end)
+                os.fsync(fd)
+            except OSError as cut:
+                message += f"; cutting it back failed too ({cut}), so the log's tail is unknown"
+            raise StorageFailureError(message) from exc
+        finally:
+            os.close(fd)
+        self._replay(truncate=True)
 
     def record_many(self, txs: Iterable[Transaction]) -> None:
-        """Durably append a batch of transactions in one write and one fsync.
+        """Durably append a batch of transactions in one append.
 
         The whole batch is checked first: an id already in the store or twice
         in the batch raises ``DuplicateIdError``, and a label the log cannot
@@ -701,10 +717,7 @@ class LedgerStore:
                     raise DuplicateIdError(f"transaction id {tx.id!r} already recorded")
                 batch.add(tx.id)
             if txs:
-                lines = [_encode_line(tx, settled=False) for tx in txs]
-                for tx, line, at in zip(txs, lines, self._append(lines)):
-                    self._ids[tx.id] = at
-                    self._pool[tx.id] = _Sale(at, line[:-1], tx)
+                self._append([_encode_line(tx, settled=False) for tx in txs])
 
     def record(self, tx: Transaction) -> None:
         """Durably append one transaction. Duplicate ids raise."""
@@ -770,26 +783,6 @@ class LedgerStore:
     def settlement_count(self) -> int:
         with self._view(exclusive=False):
             return self._settlement_count
-
-    def _credit(self, owner_payouts: list[float] | np.ndarray, developer_payout: float) -> None:
-        """Add one settlement's payouts to the balances, as replaying its record does."""
-        for i, amount in enumerate(owner_payouts):
-            self._balances[i] = self._balances.get(i, 0.0) + float(amount)
-        self._developer_balance += developer_payout
-        self._settlement_count += 1
-
-    def _apply_settlement(
-        self, settled: list[_Sale], owner_payouts: np.ndarray, developer_payout: float
-    ) -> None:
-        """Append each sale's line with its flag set, then the record, and apply them."""
-        self._append(
-            [sale.text[:-1] + "1\n" for sale in settled],
-            _encode_record(len(settled), owner_payouts, developer_payout),
-        )
-        for sale in settled:
-            del self._pool[sale.tx.id]
-        self._credit(owner_payouts, developer_payout)
-        self._rebase()
 
 
 class _SampleSizeError(ValueError):
@@ -890,8 +883,9 @@ def _settle(
             ]
             owner_payouts = np.array([beta_data * total_income * m for m in mean_shares])
         developer_payout = (1.0 - beta_data) * total_income
-        if apply:
-            store._apply_settlement(settled, owner_payouts, developer_payout)
+        if apply and settled:  # each sale's line with its flag set, then the record
+            store._append([*(sale.text[:-1] + "1\n" for sale in settled),
+                           _encode_record(len(settled), owner_payouts, developer_payout)])
     return SettlementReport(
         owner_payouts=owner_payouts,
         developer_payout=developer_payout,

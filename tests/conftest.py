@@ -1,6 +1,9 @@
-"""Shared fixtures: table-backed games and the seeded random-game corpus."""
+"""Shared fixtures: table-backed games, the seeded random-game corpus and append faults."""
 
 from __future__ import annotations
+
+import errno
+import os
 
 import numpy as np
 import pytest
@@ -50,3 +53,64 @@ GLOVE_EXACT = np.array([1.0 / 6.0, 1.0 / 6.0, 2.0 / 3.0])
 def glove_game():
     """Two left-glove holders and one right-glove holder; phi (1/6, 1/6, 2/3)."""
     return table_game(GLOVE_TABLE)
+
+
+class AppendFaults:
+    """Faults in the writes to one file, such as a ledger's log, for its descriptors only.
+
+    Armed with :meth:`arm`: ``os.write`` stores ``write_bytes`` bytes in all
+    and then fails with ``ENOSPC``, the next ``os.fsync`` fails with ``EIO``
+    (once, so the fsync after a cut succeeds), and ``os.ftruncate`` fails
+    with ``EIO``. A descriptor is the file's if it names the same inode.
+    """
+
+    def __init__(self, monkeypatch):
+        self.path = None
+        self.write_bytes = None
+        self.fsync_fails = self.ftruncate_fails = False
+        real_write, real_fsync, real_ftruncate = os.write, os.fsync, os.ftruncate
+
+        def write(fd, data):
+            if self.write_bytes is None or not self._hits(fd):
+                return real_write(fd, data)
+            if not self.write_bytes:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            written = real_write(fd, memoryview(data)[: self.write_bytes])
+            self.write_bytes -= written
+            return written
+
+        def fsync(fd):
+            if self.fsync_fails and self._hits(fd):
+                self.fsync_fails = False
+                raise OSError(errno.EIO, os.strerror(errno.EIO))
+            real_fsync(fd)
+
+        def ftruncate(fd, length):
+            if self.ftruncate_fails and self._hits(fd):
+                raise OSError(errno.EIO, os.strerror(errno.EIO))
+            real_ftruncate(fd, length)
+
+        monkeypatch.setattr(os, "write", write)
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "ftruncate", ftruncate)
+
+    def arm(self, path, *, write_bytes=None, fsync_fails=False, ftruncate_fails=False):
+        self.path = path
+        self.write_bytes = write_bytes
+        self.fsync_fails = fsync_fails
+        self.ftruncate_fails = ftruncate_fails
+
+    def disarm(self):
+        self.arm(None)
+
+    def _hits(self, fd):
+        try:
+            return self.path is not None and os.path.samestat(os.fstat(fd), os.stat(self.path))
+        except OSError:
+            return False
+
+
+@pytest.fixture()
+def append_faults(monkeypatch):
+    """An :class:`AppendFaults`, disarmed."""
+    return AppendFaults(monkeypatch)

@@ -507,8 +507,9 @@ def test_simulate_refuses_a_ledger_with_transactions_without_decoding_it(
 
 def test_simulate_accepts_a_ledger_whose_only_record_is_an_empty_settlement(tmp_path):
     ledger = tmp_path / "ledger"
-    royaltyshare.settle_full(royaltyshare.LedgerStore(ledger), 0.5)
-    assert (ledger / "transactions.log").read_text(encoding="utf-8") == "|0||0.0\n"
+    # The record that earlier versions appended for a settlement of nothing.
+    ledger.mkdir()
+    (ledger / "transactions.log").write_text("|0||0.0\n", encoding="utf-8")
     assert main(["simulate", "--kind", "ledger", "--transactions", "5", "--out", str(ledger)]) == 0
     assert len(royaltyshare.LedgerStore(ledger, create=False).unsettled()) == 5
 

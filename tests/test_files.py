@@ -10,7 +10,14 @@ import os
 import numpy as np
 import pytest
 
-from royaltyshare import LedgerStore, OwnerDataset, files, save_owner_datasets
+from royaltyshare import (
+    GenerationEvent,
+    LedgerStore,
+    OwnerDataset,
+    Transaction,
+    files,
+    save_owner_datasets,
+)
 from royaltyshare.cli import main
 from royaltyshare.ledger import CHECKPOINT_NAME, LOG_NAME
 
@@ -176,7 +183,7 @@ def test_a_temp_name_is_hidden_beside_its_target_and_never_json(tmp_path, monkey
         if os.path.dirname(src) == str(ledger):
             with open(src, "w", encoding="utf-8") as fh:
                 fh.write("{}")
-    assert LedgerStore(ledger, create=False).settlement_count == 2
+    assert LedgerStore(ledger, create=False).settlement_count == 1  # the second settles nothing
 
 
 def _counted_fsyncs(monkeypatch):
@@ -209,17 +216,34 @@ def test_only_settle_and_ledger_appends_fsync(tmp_path, monkeypatch):
             assert main([command, "--config", config, "--out", "out", "--event", "0,0"]) == 0
     assert synced == []
     assert main(["simulate", "--kind", "ledger", "--transactions", "10", "--out", "ledger"]) == 0
-    assert synced == [_identity("ledger/transactions.log")]  # the one append
+    # The new ledger directory's name, the one append, and the new log's name.
+    assert synced == [_identity("."), _identity("ledger/transactions.log"), _identity("ledger")]
     synced.clear()
-    for _ in range(2):
+    for settles in (True, False):  # the second settle finds nothing to settle
         assert main(["settle", "--ledger", "ledger", "--beta", "0.7", "--out", "settled"]) == 0
         directory = _identity("settled")
         assert synced == [
-            _identity("ledger/transactions.log"),  # the settlement's append
+            *[_identity("ledger/transactions.log")] * settles,  # the settlement's append
             _identity("settled/settlement.csv"), directory,
             _identity("settled/settlement.meta.json"), directory,
         ]
         synced.clear()
+
+
+def test_a_new_ledger_fsyncs_the_directory_entries_it_makes(tmp_path, monkeypatch):
+    synced = _counted_fsyncs(monkeypatch)
+    path = tmp_path / "ledger"
+    store = LedgerStore(path)
+    LedgerStore(path)  # a directory made already adds no name
+    assert synced == [_identity(tmp_path)]  # the parent, which holds the new directory's name
+    synced.clear()
+    sales = [Transaction(id=f"t{k}", price=1.0, event=GenerationEvent(x=np.zeros(2)))
+             for k in range(2)]
+    store.record(sales[0])
+    assert synced == [_identity(path / LOG_NAME), _identity(path)]  # the append, the log's name
+    synced.clear()
+    store.record(sales[1])
+    assert synced == [_identity(path / LOG_NAME)]
 
 
 def test_a_settle_whose_report_fails_says_the_settlement_is_committed(tmp_path, monkeypatch,

@@ -3,6 +3,7 @@ from __future__ import annotations
 import contextlib
 import fcntl
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -16,7 +17,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from royaltyshare import (
@@ -352,13 +353,15 @@ def test_a_batch_is_one_append_with_the_bytes_of_single_records(tmp_path, monkey
     one_by_one = LedgerStore(tmp_path / "one")
     for tx in txs:
         one_by_one.record(tx)
+    batched = LedgerStore(tmp_path / "batch")
     fsyncs = []
     real_fsync = os.fsync
-    monkeypatch.setattr(os, "fsync", lambda fd: (fsyncs.append(fd), real_fsync(fd))[1])
-    batched = LedgerStore(tmp_path / "batch")
+    monkeypatch.setattr(os, "fsync", lambda fd: (fsyncs.append(os.fstat(fd).st_ino),
+                                                 real_fsync(fd))[1])
     batched.record_many(txs)
     batched.record_many([])
-    assert len(fsyncs) == 1
+    # One fsync of the log; the first append also fsyncs the directory that holds its name.
+    assert fsyncs.count((batched.path / LOG_NAME).stat().st_ino) == 1
     assert (batched.path / LOG_NAME).read_bytes() == (one_by_one.path / LOG_NAME).read_bytes()
     assert list(map(_fields, batched.unsettled())) == list(map(_fields, txs))
 
@@ -1071,11 +1074,11 @@ def test_a_store_acts_on_a_settlement_that_another_store_made(tmp_path, settler)
     assert settle_full(recorder, beta_data=0.7).total_income == 0.0  # pays nothing again
     reopened = LedgerStore(path, create=False)
     assert _settled_line_counts(path / LOG_NAME) == {"t0": 1, "t1": 1, "t2": 1}
-    assert _settlement_counts(path / LOG_NAME) == [3, 0]  # the recorder's settlement is empty
+    assert _settlement_counts(path / LOG_NAME) == [3]  # the recorder's settle appends nothing
     assert reopened.balances == pytest.approx({0: 1.05, 1: 1.05}, rel=1e-12)
     assert reopened.developer_balance == pytest.approx(0.9, rel=1e-12)
     for store in (recorder, reopened):
-        assert store.settlement_count == 2
+        assert store.settlement_count == 1
         assert repr(store.balances) == repr(reopened.balances)
         assert repr(store.developer_balance) == repr(reopened.developer_balance)
 
@@ -1136,7 +1139,7 @@ def test_two_processes_that_settle_at_once_settle_each_sale_once(tmp_path):
     ids = [tx.id for tx in reopened.transactions()]
     assert len(ids) == 50 and reopened.unsettled() == []
     assert _settled_line_counts(path / LOG_NAME) == dict.fromkeys(ids, 1)
-    assert sorted(_settlement_counts(path / LOG_NAME)) == [0, 50]
+    assert _settlement_counts(path / LOG_NAME) == [50]  # the later settle appends nothing
     reported = [
         json.loads((tmp_path / name / "settlement.meta.json").read_text(encoding="utf-8"))
         for name in ("a", "b")
@@ -1284,3 +1287,154 @@ def test_an_open_waits_for_an_append_in_flight_and_truncates_nothing(tmp_path):
     assert store.dropped_bytes == 0
     assert [tx.id for tx in store.unsettled()] == ["t0", "late"]
     assert (path / LOG_NAME).read_bytes().endswith(b"|0\n")
+
+
+def _state(store, ids):
+    """A store's balances and counts, bit for bit, and its view of ``ids``."""
+    return (repr(store.balances), repr(store.developer_balance), store.settlement_count,
+            *_view(store, ids))
+
+
+def _cli_settle(store):
+    """The CLI settle of ``store``'s ledger; exit 4 raises its message."""
+    from royaltyshare.cli import main
+
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        status = main(["settle", "--ledger", str(store.path), "--beta", "0.7",
+                       "--out", str(store.path.parent / "out")])
+    if status:
+        assert status == 4
+        raise StorageFailureError(err.getvalue())
+
+
+_APPENDS = {
+    "record": lambda store: store.record(make_tx("t3", 1.0, share_row(0.5, 0.5))),
+    "record_many": lambda store: store.record_many(
+        make_tx(f"t{k}", 1.0, share_row(0.5, 0.5)) for k in (3, 4, 5)),
+    "settle_full": lambda store: settle_full(store, beta_data=0.7),
+    "settle_subsampled": lambda store: settle_subsampled(
+        store, beta_data=0.7, sample_size=2, seed=0),
+    "cli settle": _cli_settle,
+}
+
+
+@pytest.mark.parametrize("fault", ["short write", "failed fsync", "failed cut"])
+@pytest.mark.parametrize("call", list(_APPENDS))
+def test_a_failed_append_leaves_the_log_and_the_store_as_they_were(
+    tmp_path, append_faults, call, fault
+):
+    path = tmp_path / "ledger"
+    ids = [f"t{k}" for k in range(6)]
+    store = LedgerStore(path)
+    store.record_many(make_tx(f"t{k}", 1.0, share_row(0.5, 0.5)) for k in range(3))
+    log = (path / LOG_NAME).read_bytes()
+    before = _state(store, ids)
+    line = len(log) // 3  # the length of every line of every payload but the record
+    if fault == "short write":  # the payload's first line and 5 bytes more, or 5 of one line
+        append_faults.arm(path / LOG_NAME, write_bytes=5 if call == "record" else line + 5)
+    else:  # the whole payload is written, and its fsync fails
+        append_faults.arm(path / LOG_NAME, fsync_fails=True,
+                          ftruncate_fails=fault == "failed cut")
+    with pytest.raises(StorageFailureError, match=r"append to \S+ failed") as failed:
+        _APPENDS[call](store)
+    append_faults.disarm()
+    if fault == "failed cut":
+        # The log keeps the append, which the store takes as a fresh open does.
+        assert "the log's tail is unknown" in str(failed.value)
+        assert _state(store, ids) == _state(LedgerStore(path, create=False), ids) != before
+        return
+    assert (path / LOG_NAME).read_bytes() == log
+    assert _state(store, ids) == before
+    assert _state(LedgerStore(path, create=False), ids) == before
+    _APPENDS[call](store)  # a retry
+    after = _state(store, ids)
+    assert after != before and _state(LedgerStore(path, create=False), ids) == after
+
+
+_session_id = st.sampled_from([f"s{k}" for k in range(6)])
+_session_call = st.one_of(
+    st.tuples(st.just("record"), _session_id, st.booleans()),  # with shares or without
+    st.tuples(st.just("record_many"), st.lists(_session_id, min_size=1, max_size=3)),
+    st.tuples(st.just("full"), st.booleans()),  # apply
+    st.tuples(st.just("sample"), st.integers(1, 4), st.booleans()),  # sample size, apply
+)
+# The bytes a write stores before ENOSPC (None: every byte), a failed fsync, a failed cut.
+_session_fault = st.one_of(
+    st.none(), st.tuples(st.one_of(st.none(), st.integers(0, 60)), st.booleans(), st.booleans())
+)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.tuples(st.integers(0, 1), _session_call, _session_fault), max_size=12))
+def test_two_stores_with_append_faults_each_equal_a_log_only_open(append_faults, steps):
+    """Each store applies its own appends, failed or not, as an open of the log alone does."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp)
+        stores = [LedgerStore(path), LedgerStore(path, create=False)]
+        ids = [f"s{k}" for k in range(6)]
+        known: set[str] = set()
+        for k, (which, (op, *args), fault) in enumerate(steps):
+            store = stores[which]
+            log = (path / LOG_NAME).read_bytes() if (path / LOG_NAME).exists() else b""
+            batch = [args[0]] if op == "record" else args[0] if op == "record_many" else []
+            duplicate = len(set(batch)) < len(batch) or bool(known & set(batch))
+            if fault is not None:
+                write_bytes, fsync_fails, ftruncate_fails = fault
+                append_faults.arm(path / LOG_NAME, write_bytes=write_bytes,
+                                  fsync_fails=fsync_fails, ftruncate_fails=ftruncate_fails)
+            try:
+                if op == "record":
+                    shares = share_row(0.5, 0.5) if args[1] else None
+                    store.record(make_tx(args[0], 1.0 + k, shares))
+                elif op == "record_many":
+                    store.record_many(make_tx(tx_id, 1.0 + k, share_row(0.25, 0.75))
+                                      for tx_id in args[0])
+                elif op == "full":
+                    settle_full(store, beta_data=0.7, apply=args[0])
+                elif store.unsettled():
+                    size = min(args[0], len(store.unsettled()))
+                    settle_subsampled(store, beta_data=0.7, sample_size=size, seed=k,
+                                      apply=args[1])
+            except DuplicateIdError:
+                assert duplicate
+            except StorageFailureError as exc:
+                if "append to" not in str(exc):
+                    assert "every sampled transaction failed attribution" in str(exc)
+                else:
+                    assert fault is not None
+                    if not fault[2]:  # the cut succeeded
+                        assert (path / LOG_NAME).read_bytes() == log
+            else:
+                assert not duplicate
+            finally:
+                append_faults.disarm()
+            (path / CHECKPOINT_NAME).unlink(missing_ok=True)
+            log_only = LedgerStore(path, create=False)
+            expected = _state(log_only, ids)
+            known = {tx.id for tx in log_only.transactions()}
+            for s in stores:
+                assert _state(s, ids) == expected, k
+
+
+@pytest.mark.parametrize("blank", [b"\n", b" \t\n"])
+def test_a_blank_log_line_is_skipped_by_an_open_and_by_a_live_store(tmp_path, blank):
+    path = tmp_path / "ledger"
+    store = LedgerStore(path)
+    store.record(make_tx("t0", 1.0, share_row(0.5, 0.5)))
+    with open(path / LOG_NAME, "ab") as fh:
+        fh.write(blank)
+    # The live store replays the blank line under the lock of this record.
+    store.record(make_tx("t1", 2.0, share_row(1.0, 0.0)))
+    assert [tx.id for tx in store.unsettled()] == ["t0", "t1"] and store.dropped_bytes == 0
+    settle_full(store, beta_data=0.5)
+    log = (path / LOG_NAME).read_bytes()
+    assert blank in log.splitlines(keepends=True)
+    ids = ["t0", "t1"]
+    expected = _state(store, ids)
+    for checkpoint in (False, True):
+        if not checkpoint:
+            (path / CHECKPOINT_NAME).unlink(missing_ok=True)
+        reopened = LedgerStore(path, create=False)
+        assert _state(reopened, ids) == expected
+        assert reopened.dropped_bytes == 0 and (path / LOG_NAME).read_bytes() == log
