@@ -501,14 +501,16 @@ def cmd_settle(args: argparse.Namespace) -> int:
             "settle needs a numeric beta (config 'beta' or --beta FLOAT); "
             "use developer-share to compute one from the permission game"
         )
+    if args.mode == "sample" and args.sample_size is None:
+        raise ConfigError("settle --mode sample needs --sample-size")
+    if args.mode == "full" and args.sample_size is not None:
+        raise ConfigError("settle --sample-size needs --mode sample")
     store = LedgerStore(args.ledger, create=False)
     if store.dropped_bytes:
         print(f"ledger: dropped a torn tail of {store.dropped_bytes} bytes", file=sys.stderr)
     root_seed = config["seed"]
-    pool_size = len(store.unsettled())
     if args.mode == "sample":
-        if args.sample_size is None:
-            raise ConfigError("settle --mode sample needs --sample-size")
+        pool_size = store._pool_size()
         if not 1 <= args.sample_size <= pool_size:
             raise _sample_size_error(args.sample_size, pool_size)
     out = _out_dir(config)

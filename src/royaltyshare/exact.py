@@ -207,10 +207,24 @@ def exact_shapley_by_permutations(game: CoalitionGame) -> ShapleyVector:
             prev = cur
         for buf in buffers:
             if len(buf) >= _FSUM_CHUNK:
-                buf[:] = [math.fsum(buf)]
+                buf[:] = _exact_parts(buf)
     total = math.factorial(n)
     values = np.array([math.fsum(buf) / total for buf in buffers])
     return ShapleyVector(values)
+
+
+def _exact_parts(values: list[float]) -> list[float]:
+    """Floats whose exact sum is that of ``values``, so an fsum over them rounds alike.
+
+    The first part is the fsum of ``values``, which alone would round the
+    partial sum; each next one is the rounded rest, until the rest is exactly
+    zero, or not finite as an fsum of the whole would be.
+    """
+    parts: list[float] = []
+    while True:
+        parts.append(math.fsum(values + [-p for p in parts]))
+        if parts[-1] == 0.0 or not math.isfinite(parts[-1]):
+            return parts
 
 
 def loo_scores(game: CoalitionGame) -> np.ndarray:

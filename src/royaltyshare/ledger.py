@@ -22,13 +22,14 @@ are checked in full and still replay.
 Replay streams the log and checks every line, but each text once: the
 settled copy of a sale differs from the sale's line only in the flag, so it
 has only its flag and its place in the log checked. The store holds each
-unsettled line's text and offset, and only a yes or no for every other id.
-The first read of the pool (``unsettled``, ``transactions`` or a
-settlement) decodes each of its lines into a ``Transaction`` and keeps it,
-so a store that never reads its pool never decodes it.
+unsettled line's text and offset, and only a yes or no for every other id;
+only replay, and the checkpoint resume of an open, change what it holds.
+``LedgerStore.unsettled`` decodes the pool's lines into ``Transaction``s on
+every call and keeps none, and a settlement parses each pool line once for
+its id, price and shares, without checking it again.
 ``LedgerStore.transactions`` reads the committed log once and decodes each
-settled id's last line there, in the order of the ids' first lines, which
-is entry order. The id map has two parts. The base is two arrays: every
+id's last line there, in the order of the ids' first lines, which is entry
+order. The id map has two parts. The base is two arrays: every
 id's 64-bit key (the first 8 bytes of the BLAKE2b digest of its UTF-8
 bytes) in ascending order, and the log offset of one line of the id of each
 key. Beside it one dict holds the ids added since. A lookup tries the dict,
@@ -128,6 +129,7 @@ import contextlib
 import fcntl
 import hashlib
 import math
+import operator
 import os
 import threading
 from dataclasses import dataclass, field
@@ -288,11 +290,10 @@ def _decode_record(line: str) -> _Record:
 
 
 class _Sale(NamedTuple):
-    """An unsettled transaction: the log offset and the text of its checked line, and itself."""
+    """An unsettled transaction: the log offset and the text of its checked line."""
 
     offset: int
     text: str
-    tx: Transaction | None  # None until the pool is first read
 
 
 def _check_entry(line: str, pool: dict[str, _Sale]) -> _Record | tuple[str, bool] | None:
@@ -416,7 +417,10 @@ class LedgerStore:
     an append that fails is cut back before it raises. ``dropped_bytes`` is
     the size of the torn tails that this store truncated, 0 for an intact
     log. Opening a store renews the replay checkpoint beside the log;
-    recording and settling never write it.
+    recording and settling never write it. Only replay and an open's
+    checkpoint resume change what a store holds: ``unsettled`` and
+    ``transactions`` decode the lines they return on every call and keep
+    none, and a settlement parses each pool line once.
     """
 
     def __init__(self, path: str | Path, *, create: bool = True):
@@ -514,7 +518,7 @@ class LedgerStore:
 
         Every line read is checked, but a text only once: the settled copy of
         a sale's line has only its flag checked. A new id keeps the offset of
-        its first line, and a sale line joins the pool undecoded. A torn tail
+        its first line, and a sale line joins the pool as its text. A torn tail
         is truncated if ``truncate`` is set, or else left for a later replay.
         A replay that applies a settlement rebases the id map. An error names
         its line by number, counted only when it is raised; the store then
@@ -571,7 +575,7 @@ class LedgerStore:
                     elif tx_id in pool or not self._holds(tx_id):
                         if tx_id not in pool:
                             self._ids[tx_id] = offset
-                        pool[tx_id] = _Sale(offset, line, None)
+                        pool[tx_id] = _Sale(offset, line)
                 if not pending:
                     keep = self._end = size
         if size > keep and truncate:
@@ -590,7 +594,7 @@ class LedgerStore:
     def _resume(self) -> hashlib._Hash:
         """Take all of the checkpoint's state, ``_end`` included, if it matches the log, or none.
 
-        Returns the sha256 of the log before ``_end``. The pool's lines stay undecoded.
+        Returns the sha256 of the log before ``_end``.
         """
         prefix = hashlib.sha256()
         try:
@@ -605,7 +609,7 @@ class LedgerStore:
                 for offset in ckpt.pool:
                     fh.seek(offset)
                     line = fh.readline()[:-1].decode("utf-8")
-                    pool[line.partition("|")[0]] = _Sale(offset, line, None)
+                    pool[line.partition("|")[0]] = _Sale(offset, line)
         except (OSError, ValueError):  # no checkpoint or log, or a torn, corrupt or older one
             return hashlib.sha256()
         self._end = ckpt.offset
@@ -724,10 +728,11 @@ class LedgerStore:
         self.record_many([tx])
 
     def transactions(self) -> list[Transaction]:
-        """Every transaction in entry order: the pool's, and the others' last lines in the log.
+        """Every transaction in entry order, decoded from its id's last line in the log.
 
         Reads the log up to the last commit boundary once, in which the
-        order of the ids' first lines is entry order.
+        order of the ids' first lines is entry order. An unsettled id's last
+        line there is its line in the pool.
         """
         with self._view(exclusive=False):  # no writer changes the log while it is read
             try:
@@ -742,23 +747,12 @@ class LedgerStore:
                 tx_id, bar, _ = raw.partition(b"|")
                 if tx_id and bar:  # not a settlement record or a blank line
                     last[tx_id] = raw
-            self._read_pool()
-            txs = []
-            for tx_id, raw in last.items():
-                sale = self._pool.get(tx_id.decode("utf-8"))
-                txs.append(sale.tx if sale else _decode_line(raw.decode("utf-8"))[0])
-            return txs
+            return [_decode_line(raw.decode("utf-8"))[0] for raw in last.values()]
 
     def unsettled(self) -> list[Transaction]:
+        """The unsettled transactions in entry order, decoded from their lines on each call."""
         with self._view(exclusive=False):
-            return [sale.tx for sale in self._read_pool()]
-
-    def _read_pool(self) -> list[_Sale]:
-        """The pool's sales in entry order; each line is decoded the first time it is read."""
-        for tx_id, sale in self._pool.items():
-            if sale.tx is None:
-                self._pool[tx_id] = sale._replace(tx=_decode_line(sale.text)[0])
-        return list(self._pool.values())
+            return [_decode_line(sale.text)[0] for sale in self._pool.values()]
 
     def is_settled(self, tx_id: str) -> bool:
         with self._view(exclusive=False):
@@ -768,6 +762,11 @@ class LedgerStore:
         """Whether the store holds no transaction; settlement records do not count."""
         with self._view(exclusive=False):
             return not self._ids and not self._base.keys.size
+
+    def _pool_size(self) -> int:
+        """The number of unsettled transactions, without decoding them."""
+        with self._view(exclusive=False):
+            return len(self._pool)
 
     @property
     def balances(self) -> dict[int, float]:
@@ -793,12 +792,11 @@ class _SampleSizeError(ValueError):
         self.pool_size = pool_size
 
 
-def _owner_count(txs: list[Transaction]) -> int:
-    """The length of every share row in ``txs``, 0 if none has one; rows that disagree raise."""
-    counts = {len(tx.srs.shares) for tx in txs if tx.srs is not None}
+def _check_owner_count(rows: list[list[float] | None]) -> None:
+    """Raise if the share rows in ``rows`` disagree on their length, the owner count."""
+    counts = {len(row) for row in rows if row is not None}
     if len(counts) > 1:
         raise StorageFailureError(f"share rows disagree on owner count: {sorted(counts)}")
-    return counts.pop() if counts else 0
 
 
 def _correlation_flag(prices: np.ndarray, shares: np.ndarray) -> bool:
@@ -812,13 +810,6 @@ def _correlation_flag(prices: np.ndarray, shares: np.ndarray) -> bool:
         if abs(r) > _CORRELATION_THRESHOLD:
             return True
     return False
-
-
-def _exact_owner_payouts(txs: list[Transaction], n: int, beta_data: float) -> np.ndarray:
-    """``beta_data`` times each owner's price-weighted shares, summed exactly."""
-    return np.array(
-        [beta_data * math.fsum(tx.price * float(tx.srs.shares[i]) for tx in txs) for i in range(n)]
-    )
 
 
 def settle_full(store: LedgerStore, beta_data: float, *, apply: bool = True) -> SettlementReport:
@@ -855,36 +846,40 @@ def _settle(
         raise ValueError(f"beta_data must lie in [0, 1], got {beta_data}")
     sampled = sample_size is not None
     with store._view(exclusive=apply):
-        pool = store._read_pool()
-        drawn = txs = [sale.tx for sale in pool]
+        pool = list(store._pool.values())
+        ids, prices, rows = [], [], []
+        for sale in pool:  # replay checked each line: here it is only parsed, once
+            tx_id, price, _, _, shares, _ = _parse_line(sale.text)
+            ids.append(tx_id)
+            prices.append(price)
+            rows.append(shares)
+        drawn = range(len(pool))
         if sampled:
             if not 1 <= sample_size <= len(pool):
                 raise _SampleSizeError(sample_size, len(pool))
-            indices = np.sort(rng_for(seed).choice(len(pool), size=sample_size, replace=False))
-            drawn = [txs[int(i)] for i in indices]
-        failed = {tx.id: "no shares and no attributor" for tx in drawn if tx.srs is None}
-        resolved = [tx for tx in drawn if tx.srs is not None]
+            drawn = np.sort(rng_for(seed).choice(len(pool), size=sample_size, replace=False))
+        failed = {ids[i]: "no shares and no attributor" for i in drawn if rows[i] is None}
+        resolved = [i for i in drawn if rows[i] is not None]
         if sampled and not resolved:
             raise StorageFailureError("every sampled transaction failed attribution")
-        n = _owner_count(txs)  # over the whole pool, sampled or not
-        settled = [sale for sale in pool if sale.tx.id not in failed]
-        total_income = math.fsum(sale.tx.price for sale in settled)
+        _check_owner_count(rows)  # over the whole pool, sampled or not
+        settled = [i for i, tx_id in enumerate(ids) if tx_id not in failed]
+        total_income = math.fsum(prices[i] for i in settled)
         exact = not sampled or (
-            not failed
-            and len(resolved) == len(txs)
-            and all(tx.price == txs[0].price for tx in txs)
+            not failed and len(resolved) == len(pool) and all(p == prices[0] for p in prices)
         )
-        if exact:
-            owner_payouts = _exact_owner_payouts(resolved, n, beta_data)
-        else:
-            k = len(resolved)
-            mean_shares = [
-                math.fsum(float(tx.srs.shares[i]) for tx in resolved) / k for i in range(n)
-            ]
-            owner_payouts = np.array([beta_data * total_income * m for m in mean_shares])
+        resolved_prices = [prices[i] for i in resolved]
+        resolved_rows = [rows[i] for i in resolved]
+        columns = zip(*resolved_rows)  # one column of shares per owner
+        if exact:  # each owner's price-weighted shares, summed exactly
+            weighted = [math.fsum(map(operator.mul, resolved_prices, c)) for c in columns]
+            owner_payouts = np.array([beta_data * w for w in weighted])
+        else:  # the sample's mean shares
+            means = [math.fsum(c) / len(resolved) for c in columns]
+            owner_payouts = np.array([beta_data * total_income * m for m in means])
         developer_payout = (1.0 - beta_data) * total_income
         if apply and settled:  # each sale's line with its flag set, then the record
-            store._append([*(sale.text[:-1] + "1\n" for sale in settled),
+            store._append([*(pool[i].text[:-1] + "1\n" for i in settled),
                            _encode_record(len(settled), owner_payouts, developer_payout)])
     return SettlementReport(
         owner_payouts=owner_payouts,
@@ -895,7 +890,7 @@ def _settle(
         seed=seed,
         failed_reasons=failed,
         correlated_warning=sampled and _correlation_flag(
-            np.array([tx.price for tx in resolved]), np.array([tx.srs.shares for tx in resolved])
+            np.array(resolved_prices), np.array(resolved_rows)
         ),
         settled_count=len(settled),
     )

@@ -116,9 +116,6 @@ class _DeveloperVeto:
             values[with_dev] = self.base.evaluate_many(arr[with_dev] ^ dev_bit)
         return values
 
-    def __call__(self, s: Coalition) -> float:
-        return float(self.many([s])[0])
-
 
 def permission_shapley(pg: PermissionGame, solver: Solver | None = None) -> ShapleyVector:
     """Shapley values of the augmented game; entry ``pg.developer`` is the developer.

@@ -111,6 +111,16 @@ def test_developer_share_permission_additive(tmp_path):
     assert abs(meta["beta_data"] - 0.5) <= 1e-12
 
 
+def test_developer_share_permission_with_the_mc_solver(tmp_path):
+    config = additive_config(tmp_path, weights=(2.0, 4.0, 1.0),
+                             solver={"kind": "mc", "permutations": 200})
+    out = tmp_path / "reports"
+    assert main(["developer-share", "--config", config, "--out", str(out)]) == 0
+    fractions = [float(r["payout_fraction"]) for r in read_rows(out / "developer_share.csv")]
+    assert len(fractions) == 4 and min(fractions) >= 0.0
+    assert abs(math.fsum(fractions) - 1.0) <= 1e-12
+
+
 def test_developer_share_fixed_beta(tmp_path):
     config = additive_config(tmp_path)
     out = tmp_path / "reports"
@@ -192,19 +202,38 @@ def test_unknown_config_key_is_exit_2(tmp_path):
     assert main(["attribute", "--config", config]) == 2
 
 
-def test_settle_requires_numeric_beta(tmp_path):
+def test_settle_requires_numeric_beta(tmp_path, capsys):
     ledger = tmp_path / "ledger"
     assert main(["simulate", "--kind", "ledger", "--transactions", "10",
                  "--out", str(ledger)]) == 0
     assert main(["settle", "--ledger", str(ledger)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: settle needs a numeric beta (config 'beta' or --beta FLOAT); ")
 
 
-def test_settle_sample_requires_sample_size(tmp_path):
+def test_settle_sample_requires_sample_size(tmp_path, capsys):
     ledger = tmp_path / "ledger"
     assert main(["simulate", "--kind", "ledger", "--transactions", "10",
                  "--out", str(ledger)]) == 0
     assert main(["settle", "--ledger", str(ledger), "--mode", "sample",
                  "--beta", "0.5"]) == 2
+    assert capsys.readouterr().err == "config error: settle --mode sample needs --sample-size\n"
+
+
+def test_settle_sample_size_without_sample_mode_is_exit_2_before_the_ledger_opens(
+    tmp_path, capsys
+):
+    ledger, out = tmp_path / "ledger", tmp_path / "out"
+    assert main(["simulate", "--kind", "ledger", "--transactions", "10",
+                 "--out", str(ledger)]) == 0
+    files = {p.name: p.read_bytes() for p in ledger.iterdir()}
+    for path, mode in ((ledger, []), (ledger, ["--mode", "full"]), (tmp_path / "absent", [])):
+        assert main(["settle", "--ledger", str(path), *mode, "--sample-size", "5",
+                     "--beta", "0.5", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: settle --sample-size needs --mode sample\n")
+    assert not out.exists()
+    assert {p.name: p.read_bytes() for p in ledger.iterdir()} == files
 
 
 def test_settle_missing_ledger_is_exit_4(tmp_path):
@@ -568,6 +597,29 @@ def test_config_that_is_not_utf8_is_exit_2(tmp_path, capsys):
 
 def test_simulate_requires_out(tmp_path):
     assert main(["simulate", "--kind", "clusters"]) == 2
+
+
+@pytest.mark.parametrize("config, event, message", [
+    (None, "0,0", "config file not found: "),
+    ([1, 2], "0,0", "config root must be a JSON object"),
+    ({"dataset": "owners.csv"}, "0,zero", "--event must be comma-separated numbers: "),
+    ({"dataset": "owners.csv"}, "nan,0", "--event coordinates must be finite"),
+    ({"dataset": "absent.csv"}, "0,0", "dataset not found: "),
+    ({"dataset": "owners.csv", "baseline": {"kind": "dataset", "path": "absent.csv"}}, "0,0",
+     "baseline dataset not found: "),
+])
+def test_input_errors_are_exit_2_with_their_message(tmp_path, capsys, config, event, message):
+    save_owner_datasets(tmp_path / "owners.csv", [OwnerDataset(owner=0, points=np.eye(2))])
+    path = tmp_path / "config.json"
+    if config is not None:
+        path.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "reports"
+    assert main(["attribute", "--config", str(path), "--event", event, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message}") and err.count("\n") == 1
+    if message.endswith("not found: "):
+        assert err.endswith(f"{tmp_path / ('config.json' if config is None else 'absent.csv')}\n")
+    assert not out.exists()
 
 
 def test_missing_dataset_is_exit_2(tmp_path):

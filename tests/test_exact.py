@@ -81,6 +81,18 @@ def test_routes_agree_on_random_games():
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-9)
 
 
+def test_compacted_permutation_buffers_give_the_bits_of_one_fsum(monkeypatch):
+    # Marginals over sixteen orders of magnitude: a compaction that kept only
+    # the rounded partial sum would move the last bits of most values.
+    rng = np.random.default_rng(61)
+    tables = [random_table(rng, 5) * np.logspace(-8, 8, 32) for _ in range(10)]
+    whole = [exact_shapley_by_permutations(table_game(t)).values for t in tables]
+    monkeypatch.setattr(exact, "_FSUM_CHUNK", 7)  # of 120 marginals per player
+    for table, values in zip(tables, whole):
+        np.testing.assert_array_equal(exact_shapley_by_permutations(table_game(table)).values,
+                                      values)
+
+
 def test_nonzero_empty_utility_efficiency():
     rng = np.random.default_rng(29)
     table = random_table(rng, 4)

@@ -133,6 +133,12 @@ def test_additive_game_has_zero_stderr():
     np.testing.assert_array_equal(report.estimate.values, weights)
 
 
+def test_one_permutation_has_zero_stderr(glove_game):
+    report = permutation_sample(glove_game, EstimatorConfig(num_permutations=1, seed=6))
+    assert report.permutations_used == 1
+    np.testing.assert_array_equal(report.stderr, np.zeros(3))
+
+
 def test_truncation_reduces_oracle_calls():
     plain = permutation_sample(saturating_game(), EstimatorConfig(num_permutations=200, seed=2))
     truncated = permutation_sample(

@@ -157,6 +157,47 @@ def test_permission_game_reuses_base_cache():
     assert len(calls) <= 16
 
 
+def test_monte_carlo_developer_split_agrees_with_the_exact_one():
+    # Additive owners plus interactions: every Shapley value is positive, so
+    # no share clamps and each share is its value over v(N), the same for the
+    # exact and the sampled values, since every walk telescopes to v(N).
+    weights = np.array([1.0, 2.0, 0.5, 1.5])
+    members = (np.arange(16)[:, None] >> np.arange(4)) & 1
+    table = members @ weights
+    table += 0.25 * random_table(np.random.default_rng(59), 4)
+    seen = []
+
+    class CountedTable:
+        def many(self, masks):
+            seen.extend(np.asarray(masks).tolist())
+            return table[np.asarray(masks, dtype=np.int64)]
+
+    reports = []
+
+    def solver(game):
+        reports.append(permutation_sample(game, EstimatorConfig(num_permutations=3000, seed=19)))
+        return reports[-1].estimate
+
+    pg = PermissionGame(CoalitionGame(4, CountedTable()))
+    sampled = developer_split(pg, solver)
+    exact = developer_split(pg)
+    [report] = reports
+    assert report.permutations_used == 3000 and np.all(report.stderr > 0)
+    phi = permission_shapley(pg).values
+    assert np.all(phi > 0) and np.all(report.estimate.values > 0)
+    assert np.all(np.abs(report.estimate.values - phi) <= 4 * report.stderr)
+    assert sampled.beta_data == 1.0 - sampled.developer_share
+    np.testing.assert_array_equal(
+        [*sampled.owner_payout_fractions, sampled.developer_share],
+        royalty_shares(report.estimate).shares)
+    np.testing.assert_array_less(
+        np.abs([*sampled.owner_payout_fractions, sampled.developer_share]
+               - np.array([*exact.owner_payout_fractions, exact.developer_share])),
+        4 * report.stderr / table[-1] + 1e-12)
+    # The sampled walks, the exact split and v(empty) all read one memo.
+    assert len(seen) == len(set(seen)) <= 16
+
+
 def test_fixed_split_scales_shares():
     shares = ShareVector(shares=np.array([0.25, 0.75]), degenerate=False)
     split = fixed_split(0.6, shares)
