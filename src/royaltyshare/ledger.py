@@ -21,33 +21,36 @@ are checked in full and still replay.
 
 Replay streams the log and checks every line, but each text once: the
 settled copy of a sale differs from the sale's line only in the flag, so it
-has only its flag and its place in the log checked. The store holds each
+has only its flag and its place in the log checked, and a line equal to the
+one that the store's own append wrote at its place, which the store encoded
+from checked values, has only its id and flag read. The store holds each
 unsettled line's text and offset, and only a yes or no for every other id;
 only replay, and the checkpoint resume of an open, change what it holds.
 ``LedgerStore.unsettled`` decodes the pool's lines into ``Transaction``s on
-every call and keeps none, and a settlement parses each pool line once for
-its id, price and shares, without checking it again.
+every call and keeps none, and a settlement splits each pool line once and
+converts only the prices and the shares it sums, without checking them again.
 ``LedgerStore.transactions`` reads the committed log once and decodes each
 id's last line there, in the order of the ids' first lines, which is entry
-order. The id map has two parts. The base is two arrays: every
-id's 64-bit key (the first 8 bytes of the BLAKE2b digest of its UTF-8
-bytes) in ascending order, and the log offset of one line of the id of each
-key. Beside it one dict holds the ids added since. A lookup tries the dict,
-then ``searchsorted`` on the keys; a key that matches is confirmed against
-the id's log line, so two ids that share a key stay apart. Every settlement
-and every open that writes a checkpoint merges the dict into the base with
-numpy and empties it, so an open's Python work per id covers the lines
-replayed, not the settled history.
+order. Each id is held in one place: the pool while it is unsettled, and
+the settled index once a settlement commits it. The settled index is two
+arrays: each settled id's 64-bit key (the first 8 bytes of the BLAKE2b
+digest of its UTF-8 bytes) in ascending order, and the log offset of one
+line of the id of each key. A lookup runs ``searchsorted`` on the keys; a
+key that matches is confirmed against the id's log line, so two ids that
+share a key stay apart. A replay keeps the ids it settles in a dict of its
+own and merges them into the arrays with numpy once, as it ends, so an
+open's Python work per id covers the lines replayed, not the settled
+history, and no unsettled id is indexed.
 
 An open resumes at the checkpoint, taking all of its state or none of it,
 and runs the replay that every call runs (see below). If that got further,
 it writes ``transactions.ckpt`` beside the log: the state at the last
 commit boundary, the checkpoint's digest extended by the bytes replayed.
-Its version 5 holds text lines (the version; that boundary's byte offset
+Its version 6 holds text lines (the version; that boundary's byte offset
 and the sha256 of the log up to it; the settlement count and the developer
 balance; the balances, floats as repr; the line offsets of the unsettled
-ids, in entry order), the number of ids, the base's two columns as
-little-endian 64-bit integers, which the next open maps with
+ids, in entry order), the number of settled ids, the settled index's two
+columns as little-endian 64-bit integers, which the next open maps with
 ``np.frombuffer``, and the sha256 of all of that. An id itself is read from
 its log line. The next open resumes at that offset only if the checkpoint's
 checksum, and the offset and digest against the log, all match; the log's
@@ -60,8 +63,8 @@ with no fsync: every fact in it is also in the log, it is never read
 without the log, and deleting it only costs the next open a full replay. A
 change to what replay accepts, to the checkpoint's layout or to the key,
 must change the checkpoint's version line; an open ignores a checkpoint of
-an older version, version 4's entry positions included, and replays from
-byte 0 once.
+an older version, version 5's columns, which indexed the unsettled ids too,
+included, and replays from byte 0 once.
 
 Several stores, in one process or in many, may share one ledger
 directory. Every operation of a store holds an ``fcntl.flock`` on the
@@ -72,9 +75,9 @@ commit boundary it applied; if the log has grown, replay resumes at that
 boundary, so the store acts on the log as it stands. A store applies its
 own appends the same way, replaying each one right after its fsync, so it
 holds what its log holds and nothing else. Replay hashes nothing and writes
-no checkpoint. A settlement it applies merges the ids added since into the
-base arrays, so a store that only records holds no more than its unsettled
-pool in dicts. A log shorter than that boundary
+no checkpoint. A settlement it applies moves the settled ids from the pool
+into the settled index's arrays, so a store that only records holds no more
+than its unsettled pool in dicts. A log shorter than that boundary
 raises ``StorageFailureError``. ``flock`` is POSIX only, and some network
 file systems do not honour it; there, stores in different processes or on
 different hosts are not ordered at all.
@@ -147,7 +150,7 @@ from .seeding import rng_for
 
 LOG_NAME = "transactions.log"
 CHECKPOINT_NAME = "transactions.ckpt"
-_CHECKPOINT_VERSION = "royaltyshare ledger checkpoint 5"
+_CHECKPOINT_VERSION = "royaltyshare ledger checkpoint 6"
 _CHUNK = 1 << 16  # bytes per read of the log's prefix, to hash it or count its lines
 _KEY = np.dtype("<u8")  # the checkpoint's column of id keys
 _INT = np.dtype("<i8")  # and of line offsets
@@ -296,11 +299,15 @@ class _Sale(NamedTuple):
     text: str
 
 
-def _check_entry(line: str, pool: dict[str, _Sale]) -> _Record | tuple[str, bool] | None:
+def _check_entry(
+    line: str, pool: dict[str, _Sale], written: str | None
+) -> _Record | tuple[str, bool] | None:
     """Check one complete log line: a record, a transaction's id and flag, or None if blank.
 
     A transaction line whose text before the flag is that of its id's line
-    in ``pool``, which was checked already, has only its flag checked.
+    in ``pool``, which was checked already, has only its flag checked, and
+    one that with its LF is ``written``, a line that the store encoded from
+    checked values, has only its id and flag read.
     """
     if line.startswith("|"):
         return _decode_record(line)
@@ -310,6 +317,8 @@ def _check_entry(line: str, pool: dict[str, _Sale]) -> _Record | tuple[str, bool
         return tx_id, line[-1] == "1"
     if not line.strip():
         return None
+    if line + "\n" == written:
+        return tx_id, line[-1] == "1"
     tx_id, price, coords, _, shares, settled = _parse_line(line)
     _check_fields(tx_id, price, coords, shares)
     return tx_id, settled
@@ -331,14 +340,14 @@ def _keys_of(ids: Iterable[str]) -> np.ndarray:
     The same in every process. Two ids may share a key, so a key that
     matches is confirmed against the id's log line.
     """
-    digests = b"".join(hashlib.blake2b(i.encode("utf-8"), digest_size=8).digest() for i in ids)
-    return np.frombuffer(digests, dtype=_KEY)
+    digests = (hashlib.blake2b(i.encode("utf-8"), digest_size=8).digest() for i in ids)
+    return np.fromiter(digests, dtype="S8").view(_KEY)  # one digest at a time
 
 
 class _Index(NamedTuple):
-    """Every id of a store at one moment, as arrays."""
+    """The settled ids of a store at one moment, as arrays."""
 
-    keys: np.ndarray  # every id's key, ascending
+    keys: np.ndarray  # each settled id's key, ascending
     offsets: np.ndarray  # the log offset of one line of the id of each key
 
 
@@ -354,7 +363,7 @@ class _Checkpoint(NamedTuple):
     developer_balance: float
     balances: dict[int, float]
     pool: list[int]  # the line offsets of the unsettled ids, in entry order
-    index: _Index
+    index: _Index  # the settled ids
 
 
 def _encode_checkpoint(ckpt: _Checkpoint) -> bytes:
@@ -418,9 +427,10 @@ class LedgerStore:
     the size of the torn tails that this store truncated, 0 for an intact
     log. Opening a store renews the replay checkpoint beside the log;
     recording and settling never write it. Only replay and an open's
-    checkpoint resume change what a store holds: ``unsettled`` and
+    checkpoint resume change what a store holds: each id in the unsettled
+    pool or in the settled index, never in both. ``unsettled`` and
     ``transactions`` decode the lines they return on every call and keep
-    none, and a settlement parses each pool line once.
+    none, and a settlement splits each pool line once.
     """
 
     def __init__(self, path: str | Path, *, create: bool = True):
@@ -429,8 +439,7 @@ class LedgerStore:
         self.dropped_bytes = 0
         self._lock = threading.Lock()
         self._end = 0  # the log offset of the last commit boundary this store applied
-        self._base = _EMPTY  # every id as of the last rebase
-        self._ids: dict[str, int] = {}  # the ids added since -> the offset of one of their lines
+        self._base = _EMPTY  # the settled index
         self._pool: dict[str, _Sale] = {}  # the unsettled transactions, in entry order
         self._balances: dict[int, float] = {}
         self._developer_balance = 0.0
@@ -513,23 +522,30 @@ class LedgerStore:
         if size > self._end:
             self._replay(truncate)
 
-    def _replay(self, truncate: bool) -> None:
+    def _replay(self, truncate: bool, written: Iterable[str] = ()) -> None:
         """Apply the log from the store's last commit boundary up to the log's last one.
 
         Every line read is checked, but a text only once: the settled copy of
-        a sale's line has only its flag checked. A new id keeps the offset of
-        its first line, and a sale line joins the pool as its text. A torn tail
-        is truncated if ``truncate`` is set, or else left for a later replay.
-        A replay that applies a settlement rebases the id map. An error names
+        a sale's line has only its flag checked, and a line equal to the one
+        at its place in ``written``, the lines of this store's append in the
+        order it reads them, has only its id and flag read. A sale line of a new id
+        joins the pool as its text and offset. The ids that the replay
+        settles leave the pool and are merged into the settled index once,
+        as it ends, also when it raises. A torn tail is truncated if
+        ``truncate`` is set, or else left for a later replay. An error names
         its line by number, counted only when it is raised; the store then
         stands at the last commit boundary before that line.
         """
         pool = self._pool
-        with open(self._log_path, "rb") as fh:
+        written = iter(written)
+        settled: dict[str, int] = {}  # the ids settled here -> the offset of a line of each
+        def was_settled(tx_id: str) -> bool:
+            return tx_id in settled or self._holds(tx_id)
+        fh = open(self._log_path, "rb")
+        try:
             fh.seek(self._end)
             pending: dict[str, int] = {}  # settled ids and line offsets awaiting a record
             keep = size = self._end  # bytes that stay in the log, bytes read
-            settled = False
             for raw in fh:
                 offset = size
                 size += len(raw)
@@ -537,7 +553,7 @@ class LedgerStore:
                     break  # the last line, cut before its LF
                 try:
                     line = raw[:-1].decode("utf-8")
-                    entry = _check_entry(line, pool)
+                    entry = _check_entry(line, pool, next(written, None))
                 except ValueError as exc:  # UnicodeDecodeError included
                     raise StorageFailureError(
                         f"malformed ledger line {self._line_number(offset)} ({exc}): "
@@ -549,18 +565,18 @@ class LedgerStore:
                             f"ledger line {self._line_number(offset)}: settlement record "
                             f"commits {entry.count} settled lines, but {len(pending)} precede it"
                         )
-                    for tx_id, at in pending.items():
-                        if pool.pop(tx_id, None) is None:  # an id first seen settled
-                            self._ids[tx_id] = at
+                    for tx_id in pending:
+                        pool.pop(tx_id, None)
+                    settled.update(pending)
                     for i, amount in enumerate(entry.owner_payouts):
                         self._balances[i] = self._balances.get(i, 0.0) + amount
                     self._developer_balance += entry.developer_payout
                     self._settlement_count += 1
-                    pending, settled = {}, True
+                    pending = {}
                 elif entry is not None:
                     tx_id, is_settled = entry
                     if is_settled:
-                        if tx_id in pending or (tx_id not in pool and self._holds(tx_id)):
+                        if tx_id in pending or (tx_id not in pool and was_settled(tx_id)):
                             raise StorageFailureError(
                                 f"ledger line {self._line_number(offset)}: transaction "
                                 f"{tx_id!r} is settled already"
@@ -572,19 +588,19 @@ class LedgerStore:
                             "before it have no settlement record"
                         )
                     # A sale line after its settlement leaves the id settled.
-                    elif tx_id in pool or not self._holds(tx_id):
-                        if tx_id not in pool:
-                            self._ids[tx_id] = offset
+                    elif tx_id in pool or not was_settled(tx_id):
                         pool[tx_id] = _Sale(offset, line)
                 if not pending:
                     keep = self._end = size
+        finally:
+            fh.close()
+            if settled:  # merged once, also when a line after a settlement raises
+                self._rebase(settled)
         if size > keep and truncate:
             with open(self._log_path, "r+b") as fh:
                 fh.truncate(keep)
                 os.fsync(fh.fileno())
             self.dropped_bytes += size - keep
-        if settled:
-            self._rebase()
 
     def _line_number(self, offset: int) -> int:
         """The number of the log line that starts at ``offset``."""
@@ -621,9 +637,7 @@ class LedgerStore:
         return prefix
 
     def _holds(self, tx_id: str) -> bool:
-        """Whether the store holds ``tx_id``, settled or not."""
-        if tx_id in self._ids:
-            return True
+        """Whether the settled index holds ``tx_id``."""
         keys = self._base.keys
         if not keys.size:
             return False
@@ -645,22 +659,20 @@ class LedgerStore:
         except OSError as exc:
             raise StorageFailureError(f"cannot read {self._log_path}: {exc}") from exc
 
-    def _rebase(self) -> None:
-        """Merge the ids added since the base into it, keying only them, and empty ``_ids``."""
-        keys = _keys_of(self._ids)
+    def _rebase(self, settled: dict[str, int]) -> None:
+        """Merge ``settled``, ids a replay settled and a line offset of each, into the index."""
+        keys = _keys_of(settled)
         order = np.argsort(keys, kind="stable")
-        offsets = np.fromiter(self._ids.values(), dtype=_INT, count=len(self._ids))[order]
+        offsets = np.fromiter(settled.values(), dtype=_INT, count=len(settled))[order]
         base = self._base
         self._base = _Index(*merge_sorted(base.keys, base.offsets, keys[order], offsets))
-        self._ids = {}
 
     def _renew_checkpoint(self, start: int, digest: hashlib._Hash) -> None:
-        """Rebase, then replace the checkpoint with the state at ``_end``.
+        """Replace the checkpoint with the store's state at ``_end``, as it stands.
 
         ``digest`` holds the log before ``start``; the bytes up to ``_end`` are
         added here. A failed write changes nothing.
         """
-        self._rebase()
         with open(self._log_path, "rb") as fh:
             fh.seek(start)
             for chunk in _chunks(fh, self._end - start):
@@ -682,6 +694,8 @@ class LedgerStore:
         """Durably append ``lines``, which end at a commit boundary, then replay them.
 
         Called under the exclusive lock; a failure cuts the log back to ``_end``.
+        The package encoded ``lines`` from checked values, so replay reads
+        only the id and flag of each line that it finds as it was written.
         """
         payload = memoryview("".join(lines).encode("utf-8"))
         try:
@@ -704,7 +718,7 @@ class LedgerStore:
             raise StorageFailureError(message) from exc
         finally:
             os.close(fd)
-        self._replay(truncate=True)
+        self._replay(truncate=True, written=lines)
 
     def record_many(self, txs: Iterable[Transaction]) -> None:
         """Durably append a batch of transactions in one append.
@@ -717,7 +731,7 @@ class LedgerStore:
         with self._view(exclusive=True):
             batch: set[str] = set()
             for tx in txs:
-                if tx.id in batch or self._holds(tx.id):
+                if tx.id in batch or tx.id in self._pool or self._holds(tx.id):
                     raise DuplicateIdError(f"transaction id {tx.id!r} already recorded")
                 batch.add(tx.id)
             if txs:
@@ -761,7 +775,7 @@ class LedgerStore:
     def _is_empty(self) -> bool:
         """Whether the store holds no transaction; settlement records do not count."""
         with self._view(exclusive=False):
-            return not self._ids and not self._base.keys.size
+            return not self._pool and not self._base.keys.size
 
     def _pool_size(self) -> int:
         """The number of unsettled transactions, without decoding them."""
@@ -790,13 +804,6 @@ class _SampleSizeError(ValueError):
     def __init__(self, sample_size: int, pool_size: int):
         super().__init__(f"sample_size must lie in [1, {pool_size}], got {sample_size}")
         self.pool_size = pool_size
-
-
-def _check_owner_count(rows: list[list[float] | None]) -> None:
-    """Raise if the share rows in ``rows`` disagree on their length, the owner count."""
-    counts = {len(row) for row in rows if row is not None}
-    if len(counts) > 1:
-        raise StorageFailureError(f"share rows disagree on owner count: {sorted(counts)}")
 
 
 def _correlation_flag(prices: np.ndarray, shares: np.ndarray) -> bool:
@@ -847,29 +854,39 @@ def _settle(
     sampled = sample_size is not None
     with store._view(exclusive=apply):
         pool = list(store._pool.values())
-        ids, prices, rows = [], [], []
-        for sale in pool:  # replay checked each line: here it is only parsed, once
-            tx_id, price, _, _, shares, _ = _parse_line(sale.text)
-            ids.append(tx_id)
-            prices.append(price)
-            rows.append(shares)
         drawn = range(len(pool))
+        is_drawn = [not sampled] * len(pool)
         if sampled:
             if not 1 <= sample_size <= len(pool):
                 raise _SampleSizeError(sample_size, len(pool))
             drawn = np.sort(rng_for(seed).choice(len(pool), size=sample_size, replace=False))
-        failed = {ids[i]: "no shares and no attributor" for i in drawn if rows[i] is None}
-        resolved = [i for i in drawn if rows[i] is not None]
+            for i in drawn.tolist():
+                is_drawn[i] = True
+        ids, prices, widths = [], [], set()  # widths: the owner counts of the share rows
+        rows = []  # the share rows of the drawn sales, None for a sale without shares
+        for (_, text), parse_shares in zip(pool, is_drawn):
+            # Replay checked each line: here it is split once, and only drawn shares parsed.
+            tx_id, price, _, shares, _ = text.split("|")
+            ids.append(tx_id)
+            prices.append(float(price))
+            if shares:
+                widths.add(shares.count(",") + 1)
+            if parse_shares:
+                rows.append(list(map(float, shares.split(","))) if shares else None)
+        failed = {ids[i]: "no shares and no attributor"
+                  for i, row in zip(drawn, rows) if row is None}
+        resolved = [i for i, row in zip(drawn, rows) if row is not None]
         if sampled and not resolved:
             raise StorageFailureError("every sampled transaction failed attribution")
-        _check_owner_count(rows)  # over the whole pool, sampled or not
+        if len(widths) > 1:  # over the whole pool, sampled or not
+            raise StorageFailureError(f"share rows disagree on owner count: {sorted(widths)}")
         settled = [i for i, tx_id in enumerate(ids) if tx_id not in failed]
         total_income = math.fsum(prices[i] for i in settled)
         exact = not sampled or (
             not failed and len(resolved) == len(pool) and all(p == prices[0] for p in prices)
         )
         resolved_prices = [prices[i] for i in resolved]
-        resolved_rows = [rows[i] for i in resolved]
+        resolved_rows = [row for row in rows if row is not None]
         columns = zip(*resolved_rows)  # one column of shares per owner
         if exact:  # each owner's price-weighted shares, summed exactly
             weighted = [math.fsum(map(operator.mul, resolved_prices, c)) for c in columns]

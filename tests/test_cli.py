@@ -121,6 +121,41 @@ def test_developer_share_permission_with_the_mc_solver(tmp_path):
     assert abs(math.fsum(fractions) - 1.0) <= 1e-12
 
 
+def test_developer_share_beta_permission_flag_overrides_a_numeric_config_beta(tmp_path):
+    reports = []
+    for name, beta, flags in (("config", "permission", []),
+                              ("flag", 0.6, ["--beta", "permission"])):
+        (tmp_path / name).mkdir()
+        config = additive_config(tmp_path / name, beta=beta)
+        out = tmp_path / name / "reports"
+        assert main(["developer-share", "--config", config, "--out", str(out), *flags]) == 0
+        meta = json.loads((out / "developer_share.meta.json").read_text(encoding="utf-8"))
+        assert meta["config"]["beta"] == "permission"
+        assert abs(meta["beta_data"] - 0.5) <= 1e-12
+        reports.append((out / "developer_share.csv").read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_attribute_notes_when_every_shapley_value_is_clamped(tmp_path, capsys):
+    config = additive_config(tmp_path, weights=(-1.0, -2.0))
+    out = tmp_path / "reports"
+    assert main(["attribute", "--config", config, "--out", str(out)]) == 0
+    assert ("note: all Shapley values clamped to zero; shares fell back to uniform\n"
+            in capsys.readouterr().out)
+    assert [float(r["srs"]) for r in read_rows(out / "attribution.csv")] == [0.5, 0.5]
+    meta = json.loads((out / "attribution.meta.json").read_text(encoding="utf-8"))
+    assert meta["degenerate"] is True
+
+
+def test_an_exact_solve_of_21_owners_is_exit_2(tmp_path, capsys):
+    config = additive_config(tmp_path, weights=[1.0] * 21)
+    out = tmp_path / "reports"
+    assert main(["attribute", "--config", config, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: 21 players exceeds exact enumeration limit 20\n")
+    assert not out.exists()
+
+
 def test_developer_share_fixed_beta(tmp_path):
     config = additive_config(tmp_path)
     out = tmp_path / "reports"
@@ -156,6 +191,20 @@ def test_simulate_clusters_then_attribute(tmp_path):
     assert len(rows) == 3
     total = math.fsum(float(r["srs"]) for r in rows)
     assert abs(total - 1.0) <= 1e-9
+
+
+def test_simulate_colocated_clusters_writes_that_layout(tmp_path):
+    from royaltyshare.synthetic import make_colocated_clusters
+
+    dataset, expected = tmp_path / "clusters.csv", tmp_path / "expected.csv"
+    assert main(["simulate", "--kind", "clusters", "--layout", "colocated", "--owners", "3",
+                 "--points", "20", "--cluster-std", "0.5", "--offset", "0.25", "--seed", "4",
+                 "--out", str(dataset)]) == 0
+    save_owner_datasets(expected, make_colocated_clusters(
+        num_owners=3, points_per_owner=20, cluster_std=0.5, offset=0.25, dim=2, seed=4))
+    assert dataset.read_bytes() == expected.read_bytes()
+    meta = json.loads((tmp_path / "clusters.csv.meta.json").read_text(encoding="utf-8"))
+    assert meta["layout"] == "colocated" and meta["offset"] == 0.25
 
 
 def test_simulate_ledger_then_settle(tmp_path):
@@ -607,6 +656,12 @@ def test_simulate_requires_out(tmp_path):
     ({"dataset": "absent.csv"}, "0,0", "dataset not found: "),
     ({"dataset": "owners.csv", "baseline": {"kind": "dataset", "path": "absent.csv"}}, "0,0",
      "baseline dataset not found: "),
+    ({}, "0,0", "oracle.kind 'gaussian_mle' requires a 'dataset' path"),
+    ({"oracle": {"kind": "additive"}}, "0,0",
+     "oracle.weights is required when the kind is 'additive'"),
+    # An integer beyond the float range, which math.isfinite cannot convert.
+    ({"beta": 10**400}, "0,0",
+     "beta must be 'permission' or a number in [0, 1], got 1" + "0" * 400),
 ])
 def test_input_errors_are_exit_2_with_their_message(tmp_path, capsys, config, event, message):
     save_owner_datasets(tmp_path / "owners.csv", [OwnerDataset(owner=0, points=np.eye(2))])

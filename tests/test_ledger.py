@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -65,6 +66,11 @@ def test_transaction_validation():
         Transaction(id="t", price=1.0, event=event, srs=share_row(0.9, 0.3))
     with pytest.raises(ValueError):
         Transaction(id="t", price=1.0, event=event, srs=share_row(1.5, -0.5))
+
+
+def test_an_empty_share_row_is_rejected():
+    with pytest.raises(ValueError, match="share rows must be nonempty"):
+        make_tx("t", 1.0, share_row())
 
 
 def test_record_and_reopen_bit_exact(store):
@@ -154,6 +160,15 @@ def test_settle_full_splits_with_developer(store):
     assert report.developer_payout == pytest.approx(0.6, abs=1e-15)
     np.testing.assert_allclose(report.owner_payouts, [0.7, 0.7], rtol=0, atol=1e-15)
     assert report.conservation_error <= 1e-9
+
+
+def test_a_beta_outside_0_to_1_raises_and_writes_nothing(store):
+    store.record(make_tx("tx-1", 1.0, share_row(1.0)))
+    log = (store.path / LOG_NAME).read_bytes()
+    with pytest.raises(ValueError, match=r"beta_data must lie in \[0, 1\], got 1.5"):
+        settle_full(store, 1.5)
+    assert (store.path / LOG_NAME).read_bytes() == log
+    assert [t.id for t in store.unsettled()] == ["tx-1"] and store.settlement_count == 0
 
 
 def test_preview_mode_changes_nothing(store):
@@ -306,6 +321,18 @@ def test_price_share_correlation_warning(tmp_path):
         constant.record(make_tx(f"tx-{k:02d}", 1.0, share_row(*raw)))
     report = settle_subsampled(constant, beta_data=1.0, sample_size=30, seed=1)
     assert not report.correlated_warning
+
+
+def test_the_correlation_check_skips_a_constant_share_column(store):
+    # The first owner's share is 0 in every row: it has no correlation with
+    # the price, and computing one would divide by a zero deviation.
+    for k in range(12):
+        s = k / 11.0
+        store.record(make_tx(f"tx-{k:02d}", float(k + 1), share_row(0.0, s, 1.0 - s)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = settle_subsampled(store, beta_data=1.0, sample_size=12, seed=1, apply=False)
+    assert report.correlated_warning  # from the second owner's column
 
 
 def test_concurrent_records_all_land(store):
@@ -736,10 +763,25 @@ def test_an_open_through_a_checkpoint_and_a_settle_skip_the_settled_history(
     report = settle_full(reopened, beta_data=0.5)
     assert report.total_income == 4.0
     # The settlement parses the pool of four but decodes none of it; the three
-    # new sales are keyed to look them up and again to add them to the checkpoint.
-    assert calls == {"transactions": 0, "_decode_line": 0, "keyed ids": 6}
+    # new sales are keyed to look them up, and the four settled ids to index them.
+    assert calls == {"transactions": 0, "_decode_line": 0, "keyed ids": 7}
     assert _checkpoint_offset(path) < (path / LOG_NAME).stat().st_size
     assert reopened.is_settled("old-0-0") and reopened.is_settled("new-2")
+
+
+def test_a_store_does_not_parse_again_the_lines_it_wrote(tmp_path, monkeypatch):
+    path = tmp_path / "ledger"
+    writer, other = LedgerStore(path), LedgerStore(path, create=False)
+    parsed, real_parse = [], ledger._parse_line
+    monkeypatch.setattr(ledger, "_parse_line", lambda line: parsed.append(line) or real_parse(line))
+    writer.record_many(make_tx(f"tx-{k}", 1.0, share_row(0.5, 0.5)) for k in range(3))
+    settle_full(writer, beta_data=0.5)
+    writer.record(make_tx("tx-3", 2.0))
+    assert parsed == []
+    # The other store checks every line that it did not write.
+    other.record(make_tx("tx-4", 1.0, share_row(1.0, 0.0)))
+    assert sorted(line.partition("|")[0] for line in parsed) == ["tx-0", "tx-1", "tx-2", "tx-3"]
+    assert _state(other, ["tx-0", "tx-4"]) == _state(writer, ["tx-0", "tx-4"])
 
 
 def test_opening_decodes_only_the_unsettled_pool(store, monkeypatch):
@@ -893,7 +935,7 @@ def test_a_cut_or_stale_checkpoint_opens_as_the_log_alone(tmp_path, monkeypatch)
     # Checkpoints of another version, each with a valid checksum: one of this
     # layout, and one of version 1, which also held the log's line count.
     body = checkpoint[:-65].split(b"\n")
-    assert body[0] == b"royaltyshare ledger checkpoint 5"
+    assert body[0] == b"royaltyshare ledger checkpoint 6"
     other_version = [b"royaltyshare ledger checkpoint 4", *body[1:]]
     lines_before = log[: held.offset].count(b"\n")
     version_1 = [
@@ -903,7 +945,7 @@ def test_a_cut_or_stale_checkpoint_opens_as_the_log_alone(tmp_path, monkeypatch)
     ]
     _open_outcome(path, log)
     renewed = (path / CHECKPOINT_NAME).read_bytes()  # what a log-only open writes
-    assert renewed.startswith(b"royaltyshare ledger checkpoint 5\n")
+    assert renewed.startswith(b"royaltyshare ledger checkpoint 6\n")
     parsed = []
     real_parse = ledger._parse_line
     with monkeypatch.context() as m:
@@ -939,7 +981,7 @@ def _last_lines(log, end):
 
 
 def _older_checkpoint(version, log, held):
-    """The state of checkpoint ``held`` in the layout of version 2 or version 4."""
+    """The state of checkpoint ``held`` in the layout of version 2, 4 or 5."""
     last = _last_lines(log, held.offset)
     ids, offsets = list(last), list(last.values())
     pool = {log[at:].partition(b"|")[0].decode("utf-8") for at in held.pool}
@@ -953,17 +995,22 @@ def _older_checkpoint(version, log, held):
         head += ["".join("0" if tx_id in pool else "1" for tx_id in ids),
                  ",".join(map(str, offsets)), "|".join(ids)]
         return _checksummed("".join(line + "\n" for line in head).encode("utf-8"))
-    # Version 4: the pool's entry positions, then three binary columns: the line
-    # offsets by entry position, the keys ascending and the entry position of each key.
-    head += [",".join(str(at) for at, tx_id in enumerate(ids) if tx_id in pool), str(len(ids))]
     keys = ledger._keys_of(ids)
     order = np.argsort(keys, kind="stable")
-    columns = [np.array(offsets, dtype="<i8"), keys[order], order.astype("<i8")]
+    if version == 4:
+        # The pool's entry positions, then three binary columns: the line offsets
+        # by entry position, the keys ascending and the entry position of each key.
+        head += [",".join(str(at) for at, tx_id in enumerate(ids) if tx_id in pool),
+                 str(len(ids))]
+        columns = [np.array(offsets, dtype="<i8"), keys[order], order.astype("<i8")]
+    else:  # version 5: this layout, but its columns index the pool's ids too
+        head += [",".join(map(str, held.pool)), str(len(ids))]
+        columns = [keys[order], np.array(offsets, dtype="<i8")[order]]
     return _checksummed("".join(line + "\n" for line in head).encode("utf-8")
                         + b"".join(column.tobytes() for column in columns))
 
 
-@pytest.mark.parametrize("version", [2, 4])
+@pytest.mark.parametrize("version", [2, 4, 5])
 def test_a_version_2_checkpoint_opens_as_the_log_alone_and_is_replaced(
     tmp_path, monkeypatch, version
 ):
@@ -974,12 +1021,25 @@ def test_a_version_2_checkpoint_opens_as_the_log_alone_and_is_replaced(
     monkeypatch.setattr(ledger, "_parse_line", lambda line: parsed.append(line) or real_parse(line))
     expected = _open_outcome(path, log)
     renewed = (path / CHECKPOINT_NAME).read_bytes()
-    assert renewed.startswith(b"royaltyshare ledger checkpoint 5\n")
+    assert renewed.startswith(b"royaltyshare ledger checkpoint 6\n")
     parsed_by_a_log_only_open = parsed[:]
     parsed.clear()
     assert _open_outcome(path, log, older) == expected
     assert parsed == parsed_by_a_log_only_open  # replay started at byte 0
     assert (path / CHECKPOINT_NAME).read_bytes() == renewed
+
+
+def test_a_checkpoint_whose_pool_lies_past_its_offset_opens_as_the_log_alone(tmp_path):
+    path = tmp_path / "ledger"
+    log, checkpoint = _checkpointed_ledger(path)
+    expected = _open_outcome(path, log)
+    held = ledger._decode_checkpoint(checkpoint)
+    assert held.pool and held.offset < len(log)
+    for at in (held.offset, len(log) - 1):
+        raw = ledger._encode_checkpoint(held._replace(pool=[*held.pool[:-1], at]))
+        with pytest.raises(ValueError, match="checkpoint pool offset out of range"):
+            ledger._decode_checkpoint(raw)
+        assert _open_outcome(path, log, raw) == expected, at
 
 
 def test_a_byte_flipped_before_the_checkpoint_opens_as_the_log_alone(tmp_path):
@@ -1067,9 +1127,10 @@ def test_a_store_acts_on_a_settlement_that_another_store_made(tmp_path, settler)
     else:
         subprocess.run([sys.executable, "-c", _SETTLE_IN_A_NEW_PROCESS, str(path)],
                        env=_env(), check=True, timeout=_BOUND_S)
-    # The recorder sees the settlement: its pool is empty, and its id map
-    # holds no settled id outside the base arrays.
-    assert recorder.unsettled() == [] and recorder._ids == {}
+    # The recorder sees the settlement: its pool is empty, and its settled
+    # index holds the three ids.
+    assert recorder.unsettled() == [] and recorder._base.keys.size == 3
+    assert all(recorder._holds(f"t{k}") for k in range(3))
     assert all(recorder.is_settled(f"t{k}") for k in range(3))
     assert settle_full(recorder, beta_data=0.7).total_income == 0.0  # pays nothing again
     reopened = LedgerStore(path, create=False)
@@ -1081,6 +1142,24 @@ def test_a_store_acts_on_a_settlement_that_another_store_made(tmp_path, settler)
         assert store.settlement_count == 1
         assert repr(store.balances) == repr(reopened.balances)
         assert repr(store.developer_balance) == repr(reopened.developer_balance)
+
+
+def test_a_replay_that_raises_after_a_settlement_keeps_the_ids_it_settled(tmp_path):
+    path = tmp_path / "ledger"
+    recorder = LedgerStore(path)
+    recorder.record_many(make_tx(f"t{k}", 1.0, share_row(0.5, 0.5)) for k in range(3))
+    settle_full(LedgerStore(path, create=False), beta_data=0.7)
+    log = (path / LOG_NAME).read_bytes()
+    (path / LOG_NAME).write_bytes(log + b"t9|one|0.0,0.0||0\n")
+    # The recorder's replay applies the settlement, then stops at the corrupt line.
+    with pytest.raises(StorageFailureError, match="malformed ledger line 8 "):
+        recorder.unsettled()
+    (path / LOG_NAME).write_bytes(log)
+    ids = ["t0", "t1", "t2"]
+    assert _state(recorder, ids) == _state(LedgerStore(path, create=False), ids)
+    assert all(map(recorder.is_settled, ids))
+    with pytest.raises(DuplicateIdError):
+        recorder.record(make_tx("t0", 1.0))
 
 
 def test_a_stale_store_cannot_record_an_id_that_another_store_recorded(tmp_path):
@@ -1415,6 +1494,8 @@ def test_two_stores_with_append_faults_each_equal_a_log_only_open(append_faults,
             known = {tx.id for tx in log_only.transactions()}
             for s in stores:
                 assert _state(s, ids) == expected, k
+            for s in (*stores, log_only):  # no pool id is in the settled index too
+                assert not any(map(s._holds, s._pool)), k
 
 
 @pytest.mark.parametrize("blank", [b"\n", b" \t\n"])
