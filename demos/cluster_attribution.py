@@ -10,10 +10,9 @@ from __future__ import annotations
 import numpy as np
 
 from royaltyshare import (
+    CoalitionDensityOracle,
     CoalitionGame,
-    DensityOracleConfig,
     GaussianModel,
-    coalition_utility,
     exact_shapley,
     loo_scores,
     royalty_shares,
@@ -29,9 +28,7 @@ def main() -> None:
     event = sample_cluster_event(seed, np.zeros(2), 1.0)
     # near-flat baseline: a fixed reference density, not a fitted model
     baseline = GaussianModel(mean=np.zeros(2), cov=(1e18**2) * np.eye(2))
-    oracle = coalition_utility(
-        datasets, baseline, event, DensityOracleConfig(kind="gaussian_mle", ridge=1e-3)
-    )
+    oracle = CoalitionDensityOracle(datasets, baseline, event, ridge=1e-3)
     game = CoalitionGame(4, oracle)
 
     phi = exact_shapley(game)
@@ -46,7 +43,7 @@ def main() -> None:
         i = ds.owner
         print(
             f"{i:>5}  ({center[0]:>4.1f}, {center[1]:>4.1f})"
-            f"  {phi.values[i]:>9.3f}  {shares.shares[i]:>7.4f}  {loo[i]:>9.3f}"
+            f"  {phi[i]:>9.3f}  {shares.shares[i]:>7.4f}  {loo[i]:>9.3f}"
         )
     print()
     print("Owner 0 sits on top of the sample and takes most of the royalty;")

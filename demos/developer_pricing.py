@@ -11,11 +11,10 @@ from __future__ import annotations
 import numpy as np
 
 from royaltyshare import (
+    CoalitionDensityOracle,
     CoalitionGame,
-    DensityOracleConfig,
     GaussianModel,
     PermissionGame,
-    coalition_utility,
     developer_split,
 )
 from royaltyshare.synthetic import make_graded_clusters, sample_cluster_event
@@ -28,9 +27,7 @@ def main() -> None:
     )
     event = sample_cluster_event(seed, np.zeros(2), 1.0)
     baseline = GaussianModel(mean=np.zeros(2), cov=(1e18**2) * np.eye(2))
-    oracle = coalition_utility(
-        datasets, baseline, event, DensityOracleConfig(kind="gaussian_mle", ridge=1e-3)
-    )
+    oracle = CoalitionDensityOracle(datasets, baseline, event, ridge=1e-3)
     game = CoalitionGame(4, oracle)
 
     split = developer_split(PermissionGame(game))

@@ -9,11 +9,12 @@ from __future__ import annotations
 import numpy as np
 
 from royaltyshare import (
+    CoalitionDensityOracle,
     CoalitionGame,
     GenerationEvent,
     OwnerDataset,
-    coalition_utility,
     exact_shapley,
+    full_coalition,
     loo_scores,
     royalty_shares,
     standard_normal_model,
@@ -27,7 +28,7 @@ def main() -> None:
         OwnerDataset(owner=1, points=points.copy()),
     ]
     event = GenerationEvent(x=np.array([0.25, -0.1]))
-    oracle = coalition_utility(partition, standard_normal_model(2), event)
+    oracle = CoalitionDensityOracle(partition, standard_normal_model(2), event)
     game = CoalitionGame(2, oracle)
 
     loo = loo_scores(game)
@@ -35,9 +36,9 @@ def main() -> None:
     shares = royalty_shares(phi)
 
     print("two owners, identical training data, one generated sample")
-    print(f"  grand coalition utility: {game.evaluate(game.grand_coalition()):+.4f} nats")
+    print(f"  grand coalition utility: {game.evaluate(full_coalition(game.n)):+.4f} nats")
     print(f"  leave-one-out scores:    {loo[0]:+.4f}  {loo[1]:+.4f}")
-    print(f"  shapley values:          {phi.values[0]:+.4f}  {phi.values[1]:+.4f}")
+    print(f"  shapley values:          {phi[0]:+.4f}  {phi[1]:+.4f}")
     print(f"  royalty shares:          {shares.shares[0]:.4f}  {shares.shares[1]:.4f}")
     print()
     print("LOO credits neither owner because each copy is individually redundant.")

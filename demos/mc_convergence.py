@@ -21,14 +21,14 @@ def glove(s: int) -> float:
 
 def main() -> None:
     game = CoalitionGame(3, glove)
-    exact = exact_shapley(game).values
+    exact = exact_shapley(game)
     print(f"exact shapley: {np.array2string(exact, precision=4)}")
     print()
     print(f"{'m':>7}  {'max abs error':>13}  {'max stderr':>10}  {'oracle calls':>12}")
     for m in (10, 100, 1000, 10000, 100000):
         fresh = CoalitionGame(3, glove)
         report = permutation_sample(fresh, EstimatorConfig(num_permutations=m, seed=0))
-        err = np.max(np.abs(report.estimate.values - exact))
+        err = np.max(np.abs(report.estimate - exact))
         print(
             f"{m:>7}  {err:>13.5f}  {np.max(report.stderr):>10.5f}"
             f"  {report.oracle_calls:>12}"

@@ -11,12 +11,10 @@ from __future__ import annotations
 
 from .density import (
     CoalitionDensityOracle,
-    DensityOracleConfig,
     GaussianModel,
     GenerationEvent,
     KernelDensityModel,
     OwnerDataset,
-    coalition_utility,
     fit_gaussian,
     fit_kde,
     load_owner_datasets,
@@ -43,7 +41,6 @@ from .errors import (
     TooManyPlayersError,
 )
 from .exact import (
-    ShapleyVector,
     exact_shapley,
     exact_shapley_by_permutations,
     loo_scores,
@@ -84,7 +81,6 @@ __all__ = [
     "CoalitionDensityOracle",
     "CoalitionGame",
     "ConfigError",
-    "DensityOracleConfig",
     "DeveloperSplit",
     "DimensionMismatchError",
     "DuplicateIdError",
@@ -103,13 +99,11 @@ __all__ = [
     "PermissionGame",
     "RoyaltyShareError",
     "SettlementReport",
-    "ShapleyVector",
     "ShareVector",
     "StorageFailureError",
     "TooManyPlayersError",
     "Transaction",
     "coalition_members",
-    "coalition_utility",
     "developer_split",
     "exact_shapley",
     "exact_shapley_by_permutations",

@@ -53,9 +53,8 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from .density import (
-    DensityOracleConfig,
+    CoalitionDensityOracle,
     GenerationEvent,
-    coalition_utility,
     fit_gaussian,
     load_owner_datasets,
     save_owner_datasets,
@@ -327,16 +326,9 @@ def _build_game(config: dict[str, Any], event: GenerationEvent | None):
             seed=derive_seed(config["seed"], _STREAM_DENSITY),
         )
     else:
-        oracle = coalition_utility(
-            partition,
-            baseline,
-            event,
-            DensityOracleConfig(
-                kind=kind,
-                ridge=oracle_cfg["ridge"],
-                bandwidth=oracle_cfg.get("bandwidth"),
-            ),
-        )
+        oracle = CoalitionDensityOracle(partition, baseline, event, kind=kind,
+                                        ridge=oracle_cfg["ridge"],
+                                        bandwidth=oracle_cfg.get("bandwidth"))
     return CoalitionGame(len(partition), oracle), oracle
 
 
@@ -426,7 +418,7 @@ def _attribution(game: CoalitionGame, config: dict[str, Any]):
     shares = royalty_shares(phi)
     columns = {
         "owner_id": [str(i) for i in range(game.n)],
-        "phi": _cells(phi.values),
+        "phi": _cells(phi),
         "stderr": [""] * game.n if stderr is None else _cells(stderr),
         "loo": _cells(loo),
         "srs": _cells(shares.shares),

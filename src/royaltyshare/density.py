@@ -8,7 +8,10 @@ dataset). The empty coalition is exactly zero by construction.
 
 Two desk-scale families are provided: Gaussian maximum likelihood fits with a
 ridge and an eigenvalue floor, and a fixed-bandwidth Gaussian kernel density
-estimate.
+estimate. A coordinate past ``2**500`` in magnitude is refused where it
+enters a fit or an oracle, and every fit below that bound is finite. A log
+density that is not finite (an event far below the float range of a
+coalition's density, say) makes the oracle raise, naming the coalition.
 
 A Gaussian fit is a function of the count, Σx and Σxxᵀ of its points. These
 are held exactly, as integers at one power-of-two scale, so pooling owners is
@@ -38,8 +41,8 @@ distinct inputs, keyed by a sha256 digest:
   n, the owners whose pool the event's label restricts, the shapes and
   bytes of the point groups, and the ridge. The fit table is a
   :class:`~royaltyshare.games.CoalitionMemo` of each coalition's Gaussian
-  fit: everything before the log density, that is count, mean, covariance,
-  floor flag, Cholesky factor and log determinant. None of it depends on
+  fit: everything before the log density, that is mean, covariance, floor
+  flag, Cholesky factor and log determinant. None of it depends on
   the event's coordinates, so every event on the same owners' data, label
   pools and ridge reads the same rows, and each coalition is fit once, even
   across threads. A table holds at most ``_FIT_TABLE_ELEMENTS`` floats;
@@ -75,7 +78,6 @@ from .files import replace_file
 from .games import (
     Coalition,
     CoalitionMemo,
-    UtilityOracle,
     coalition_array,
     coalition_members,
     exact_scale,
@@ -92,6 +94,15 @@ LOG_2PI = math.log(2.0 * math.pi)
 # finite even for single-point or collinear datasets.
 COVARIANCE_FLOOR = 1e-6
 
+# No coordinate of owners' points, fitted points or an event may exceed this
+# magnitude. A square is then at most 2**1000, so over m < 2**23 points Σx²
+# and each entry of Σxxᵀ (|xy| <= (x² + y²) / 2) stay below 2**1023. So does
+# the moment about the rounded mean μ, and Scott's variance: with μ* the exact
+# mean, Σ(x−μ)² = Σ(x−μ*)² + m(μ−μ*)², where Σ(x−μ*)² <= Σx² and
+# |μ − μ*| <= 2**-53 |μ*|. A squared distance, at most 2**1002 a coordinate,
+# sums finitely over d < 2**21 coordinates: so does the standard normal's.
+_COORDINATE_BOUND = 2.0**500
+
 _KDE_BANDWIDTH_FLOOR = 1e-6
 
 # Coalitions per block of a batched fit: a fill of any size holds its limb
@@ -102,8 +113,9 @@ _FIT_BLOCK = 1024
 _CACHE_SIZE = 16
 
 # Float64 elements of the rows one fit table holds at most, keys not counted:
-# 2 MB, all 16383 coalitions of 14 owners at d = 2. The memo's capacity is
-# this over the row width; fits past it are not stored.
+# 2 MB. A row holds 2d² + d + 2 floats, so all 16383 coalitions of 14 owners
+# fit at d = 2. The memo's capacity is this over the row width; fits past it
+# are not stored.
 _FIT_TABLE_ELEMENTS = 1 << 18
 
 
@@ -191,7 +203,9 @@ class KernelDensityModel:
         h = self.bandwidth
         m, d = self.support.shape
         sq = np.sum((self.support - x) ** 2, axis=1)
-        kernel_logs = -sq / (2.0 * h * h)
+        # An exponent past the float range is a kernel whose weight is zero.
+        with np.errstate(over="ignore"):
+            kernel_logs = -sq / (2.0 * h * h)
         return logsumexp(kernel_logs) - math.log(m) - d * math.log(h) - 0.5 * d * LOG_2PI
 
 
@@ -231,6 +245,13 @@ def _check_query(x: np.ndarray, dim: int) -> np.ndarray:
     if x.shape != (dim,):
         raise DimensionMismatchError(f"query shape {x.shape} does not match model dim {dim}")
     return x
+
+
+def _check_magnitude(points: np.ndarray, what: str) -> None:
+    """Raise :class:`NonFiniteError` if a coordinate exceeds ``_COORDINATE_BOUND``."""
+    if points.size and np.abs(points).max() > _COORDINATE_BOUND:
+        raise NonFiniteError(f"{what} coordinates of magnitude at most 2**500, "
+                             "past which a fit or a log density may overflow")
 
 
 def log_density(model: DensityModel, x: np.ndarray) -> float:
@@ -288,8 +309,8 @@ def _owner_moments(
 
 def _fit_moments(
     totals: np.ndarray, d: int, scale: int, ridge: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Counts ``(B,)``, means ``(B, d)``, covariances ``(B, d, d)`` and floor flags ``(B,)``.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Means ``(B, d)``, covariances ``(B, d, d)`` and floor flags ``(B,)``.
 
     Row ``b`` of ``totals`` holds the :func:`_moment_integers` of a nonempty
     point set at ``scale``. Its mean is Σx rounded once, divided by m: bit
@@ -304,8 +325,7 @@ def _fit_moments(
     integer times ``2**(2 * shift)``, and one correctly rounded division
     gives the same float whatever the block's shift.
     """
-    counts = totals[:, 0].astype(np.int64)
-    m = counts.astype(float)[:, None]
+    m = totals[:, :1].astype(float)
     sx, sxx = totals[:, 1:d + 1], totals[:, d + 1:]
     means = scaled_floats(sx, scale) / m
     mantissas, exponents = np.frexp(means)
@@ -324,7 +344,7 @@ def _fit_moments(
     covs[:, rows, cols] = entries
     covs[:, cols, rows] = entries
     covs[:, np.arange(d), np.arange(d)] += ridge
-    return counts, means, covs, _floor_eigenvalues(covs, COVARIANCE_FLOOR)
+    return means, covs, _floor_eigenvalues(covs, COVARIANCE_FLOOR)
 
 
 def _floor_eigenvalues(covs: np.ndarray, floor: float) -> np.ndarray:
@@ -372,26 +392,28 @@ def _gaussian_log_densities(
 
     ``chols`` ``(..., d, d)`` and ``logdets`` broadcast against the means.
     """
-    w = _forward_substitute(chols, x - means)
-    # A stacked matmul takes each row's dot product on its own (np.einsum
-    # and np.sum do not), so a row's result does not depend on its batch.
-    quad = np.matmul(w[..., None, :], w[..., :, None])[..., 0, 0]
-    return -0.5 * (x.size * LOG_2PI + logdets + quad)
+    # A distance past the float range gives a log density of -inf (or NaN,
+    # from inf - inf in the substitution), which an oracle refuses.
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = _forward_substitute(chols, x - means)
+        # A stacked matmul takes each row's dot product on its own (np.einsum
+        # and np.sum do not), so a row's result does not depend on its batch.
+        quad = np.matmul(w[..., None, :], w[..., :, None])[..., 0, 0]
+        return -0.5 * (x.size * LOG_2PI + logdets + quad)
 
 
 def _fit_cuts(d: int) -> list[int]:
     """Where each field of a fit row ends; the last is the row's width.
 
-    The fields: count, mean, covariance, floor flag, Cholesky factor and log
+    The fields: mean, covariance, floor flag, Cholesky factor and log
     determinant.
     """
-    return np.cumsum([1, d, d * d, 1, d * d, 1]).tolist()
+    return np.cumsum([d, d * d, 1, d * d, 1]).tolist()
 
 
 class _Fits(NamedTuple):
     """Stacked Gaussian fits of B coalitions; :meth:`rows` is their fit table rows."""
 
-    counts: np.ndarray
     means: np.ndarray
     covs: np.ndarray
     floored: np.ndarray
@@ -400,14 +422,14 @@ class _Fits(NamedTuple):
 
     @classmethod
     def from_rows(cls, rows: np.ndarray, d: int) -> _Fits:
-        count, mean, cov, floor, chol, logdet = np.split(rows, _fit_cuts(d)[:-1], axis=1)
+        mean, cov, floor, chol, logdet = np.split(rows, _fit_cuts(d)[:-1], axis=1)
         b = len(rows)
-        return cls(count[:, 0].astype(np.int64), mean, cov.reshape(b, d, d), floor[:, 0] != 0,
-                   chol.reshape(b, d, d), logdet[:, 0])
+        return cls(mean, cov.reshape(b, d, d), floor[:, 0] != 0, chol.reshape(b, d, d),
+                   logdet[:, 0])
 
     def rows(self) -> np.ndarray:
-        b = len(self.counts)
-        return np.concatenate([self.counts[:, None], self.means, self.covs.reshape(b, -1),
+        b = len(self.means)
+        return np.concatenate([self.means, self.covs.reshape(b, -1),
                                self.floored[:, None], self.chols.reshape(b, -1),
                                self.logdets[:, None]], axis=1)
 
@@ -435,7 +457,8 @@ def fit_gaussian(points: np.ndarray, ridge: float = 0.0) -> GaussianModel:
         raise EmptyDatasetError("gaussian fit requires a nonempty (m, d) array")
     _check_ridge(ridge)
     scale = _exact_scale(pts)
-    _, means, covs, _ = _fit_moments(_moment_integers([pts], scale), pts.shape[1], scale, ridge)
+    _check_magnitude(pts, "gaussian fits need")
+    means, covs, _ = _fit_moments(_moment_integers([pts], scale), pts.shape[1], scale, ridge)
     return GaussianModel(mean=means[0], cov=covs[0])
 
 
@@ -465,27 +488,6 @@ def standard_normal_model(dim: int) -> GaussianModel:
     return GaussianModel(mean=np.zeros(dim), cov=np.eye(dim))
 
 
-@dataclass(frozen=True)
-class DensityOracleConfig:
-    """Which family to fit per coalition, and its regularization.
-
-    ``ridge`` applies to Gaussian fits; ``bandwidth`` to KDE fits (None means
-    Scott's rule).
-    """
-
-    kind: str = "gaussian_mle"
-    ridge: float = COVARIANCE_FLOOR
-    bandwidth: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("gaussian_mle", "kde"):
-            raise ValueError(f"unknown oracle kind {self.kind!r}")
-        _check_ridge(self.ridge)
-        if self.bandwidth is not None and not (
-                math.isfinite(self.bandwidth) and self.bandwidth > 0):
-            raise ValueError(f"bandwidth must be a finite number > 0, got {self.bandwidth!r}")
-
-
 class CoalitionDensityOracle:
     """Batch utility oracle: relative log-likelihood of one event.
 
@@ -505,6 +507,9 @@ class CoalitionDensityOracle:
     :class:`OracleFailureError`. Coalitions whose Gaussian fit had an
     eigenvalue raised to ``COVARIANCE_FLOOR`` are recorded in
     ``covariance_floor_coalitions``.
+
+    ``kind`` is ``"gaussian_mle"`` or ``"kde"``; ``ridge`` applies to
+    Gaussian fits and ``bandwidth`` to KDE fits (None means Scott's rule).
     """
 
     def __init__(
@@ -512,8 +517,16 @@ class CoalitionDensityOracle:
         partition: Sequence[OwnerDataset],
         baseline: DensityModel,
         event: GenerationEvent,
-        config: DensityOracleConfig = DensityOracleConfig(),
+        *,
+        kind: str = "gaussian_mle",
+        ridge: float = COVARIANCE_FLOOR,
+        bandwidth: float | None = None,
     ):
+        if kind not in ("gaussian_mle", "kde"):
+            raise ValueError(f"unknown oracle kind {kind!r}")
+        _check_ridge(ridge)
+        if bandwidth is not None and not (math.isfinite(bandwidth) and bandwidth > 0):
+            raise ValueError(f"bandwidth must be a finite number > 0, got {bandwidth!r}")
         owners = sorted(ds.owner for ds in partition)
         if owners != list(range(len(partition))):
             raise ValueError("partition owners must be exactly 0..n-1")
@@ -526,9 +539,14 @@ class CoalitionDensityOracle:
             x=_check_query(event.x, dims.pop() if dims else len(np.asarray(event.x))),
             label=event.label,
         )
-        self.config = config
+        for ds in partition:
+            _check_magnitude(ds.points, f"owner {ds.owner} needs")
+        _check_magnitude(self.event.x, "the event needs")
+        self._kind, self._ridge, self._bandwidth = kind, ridge, bandwidth
         self.baseline = baseline
         self.baseline_log = log_density(baseline, self.event.x)
+        if not math.isfinite(self.baseline_log):
+            raise OracleFailureError("the event's log density under the baseline is not finite")
         self.fallback_coalitions: set[Coalition] = set()
         self.covariance_floor_coalitions: set[Coalition] = set()
         # Per owner, index 0: the points a fit uses under the event's label;
@@ -541,7 +559,7 @@ class CoalitionDensityOracle:
             np.uint64(sum(1 << i for i, pts in enumerate(pool) if len(pts)))
             for pool in self._pools
         )
-        if config.kind == "gaussian_mle":
+        if kind == "gaussian_mle":
             # Whole datasets, then the labeled pools that leave points out; the
             # leading empty group keeps a partition of no owners valid.
             partial = [i for i in range(self.n) if labeled[i] is not everything[i]]
@@ -550,7 +568,7 @@ class CoalitionDensityOracle:
             key = hashlib.sha256(repr((self.n, partial, [g.shape for g in groups])).encode())
             for g in groups:
                 key.update(np.ascontiguousarray(g))
-            key.update(float(config.ridge).hex().encode())
+            key.update(float(ridge).hex().encode())
             width = _fit_cuts(self.event.x.size)[-1]
             self._scale, self._limbs, self._fit_table = _FITS.get(key.digest(), lambda: (
                 *_owner_moments(groups, self.n, partial),
@@ -565,8 +583,9 @@ class CoalitionDensityOracle:
         """Utilities of a sequence of coalitions, as a float array of its length.
 
         Raises :class:`OracleFailureError` before any fit if a nonempty
-        coalition holds no points; nothing is recorded then. The coalitions
-        run in blocks of at most ``_FIT_BLOCK``, so the memory a fill takes
+        coalition holds no points, and nothing is recorded then; it raises
+        it too for a log density that is not finite. The coalitions run in
+        blocks of at most ``_FIT_BLOCK``, so the memory a fill takes
         besides the fit table does not grow with its size. A block's misses
         are fit together and stored when their fit returns: a fit that
         raises stores nothing of its block.
@@ -583,7 +602,13 @@ class CoalitionDensityOracle:
         live = np.flatnonzero(live)
         for start in range(0, live.size, _FIT_BLOCK):
             block = live[start:start + _FIT_BLOCK]
-            values[block] = self._event_log_densities(masks[block]) - self.baseline_log
+            logs = self._event_log_densities(masks[block])
+            bad = ~np.isfinite(logs)
+            if bad.any():
+                owners = coalition_members(int(masks[block[bad][0]]))
+                raise OracleFailureError(
+                    f"the event's log density under coalition {owners} is not finite")
+            values[block] = logs - self.baseline_log
         return values
 
     def __call__(self, s: Coalition) -> float:
@@ -608,35 +633,25 @@ class CoalitionDensityOracle:
         fallback = self._fallback(masks)
         if fallback.any():
             sums[fallback] = subset_sums(self._limbs[1], masks[fallback])
-        counts, means, covs, floored = _fit_moments(
-            limb_integers(sums), self.event.x.size, self._scale, self.config.ridge)
-        return _Fits(counts, means, covs, floored, *_cholesky_logdet(covs)).rows()
+        means, covs, floored = _fit_moments(
+            limb_integers(sums), self.event.x.size, self._scale, self._ridge)
+        return _Fits(means, covs, floored, *_cholesky_logdet(covs)).rows()
 
     def _event_log_densities(self, masks: np.ndarray) -> np.ndarray:
         """Log density of the event under each nonempty coalition's fit;
         subclasses may replace the direct evaluation with an estimator."""
         x = self.event.x
-        if self.config.kind == "kde":
+        if self._kind == "kde":
             return np.array([
                 log_density(
                     fit_kde(np.concatenate([self._pools[p][i] for i in coalition_members(s)]),
-                            bandwidth=self.config.bandwidth),
+                            bandwidth=self._bandwidth),
                     x,
                 )
                 for s, p in zip(masks.tolist(), self._fallback(masks).tolist())
             ])
         fits = self._fits(masks)
         return _gaussian_log_densities(fits.means, fits.chols, fits.logdets, x)
-
-
-def coalition_utility(
-    partition: Sequence[OwnerDataset],
-    baseline: DensityModel,
-    event: GenerationEvent,
-    config: DensityOracleConfig = DensityOracleConfig(),
-) -> UtilityOracle:
-    """Build the coalition utility oracle for one generation event."""
-    return CoalitionDensityOracle(partition, baseline, event, config)
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,6 @@ import numpy as np
 # this module because bench/layertrace.py wraps them under these names.
 from .density import (  # noqa: F401
     CoalitionDensityOracle,
-    DensityOracleConfig,
     GaussianModel,
     _check_query,
     _cholesky_logdet,
@@ -314,9 +313,7 @@ class ChainDensityOracle(CoalitionDensityOracle):
     ):
         if num_samples < 1:
             raise ValueError("num_samples must be at least 1")
-        super().__init__(
-            partition, baseline, event, DensityOracleConfig(kind="gaussian_mle", ridge=ridge)
-        )
+        super().__init__(partition, baseline, event, ridge=ridge)
         self.schedule = schedule
         self.num_samples = num_samples
         self.seed = seed

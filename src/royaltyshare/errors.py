@@ -33,7 +33,7 @@ class DimensionMismatchError(RoyaltyShareError, ValueError):
 
 
 class NonFiniteError(RoyaltyShareError):
-    """A utility or score that must be finite was NaN or infinite."""
+    """A value that must be finite was NaN or infinite, or is past a bound that keeps it so."""
 
 
 class DuplicateIdError(RoyaltyShareError):

@@ -9,7 +9,8 @@ the stratified subset formula
 with exact integer binomial weights and exactly rounded (fsum) accumulation
 per stratum. :func:`exact_shapley_by_permutations` averages marginal
 contributions over all ``n!`` orderings instead; it exists so each route can
-check the other.
+check the other. Every solver returns a float64 array of one value per
+player, as :func:`loo_scores` does.
 
 Every solver here is table first: it fills the game's 2^n utility table once
 through :meth:`~royaltyshare.games.CoalitionGame.evaluate_many`, so the oracle
@@ -43,7 +44,6 @@ import functools
 import hashlib
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,16 +66,6 @@ _CACHE_SIZE = 16
 
 # Utility table bytes -> its stratum sums.
 _STRATA = DigestCache(_CACHE_SIZE)
-
-
-@dataclass(frozen=True)
-class ShapleyVector:
-    """Attribution scores, one per player."""
-
-    values: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 def _utility_table(game: CoalitionGame) -> np.ndarray:
@@ -132,8 +122,8 @@ def _check_limit(n: int) -> None:
             f"{n} players exceeds exact enumeration limit {DEFAULT_EXACT_LIMIT}")
 
 
-def exact_shapley(game: CoalitionGame) -> ShapleyVector:
-    """Compute exact Shapley values by stratified subset enumeration.
+def exact_shapley(game: CoalitionGame) -> np.ndarray:
+    """Exact Shapley values, one float per player, by stratified subset enumeration.
 
     The utility table is filled once through :meth:`CoalitionGame.evaluate_many`;
     each stratum is then one fsum over that table.
@@ -148,10 +138,10 @@ def exact_shapley(game: CoalitionGame) -> ShapleyVector:
         math.fsum([f / math.comb(n - 1, k) for k, f in enumerate(strata)]) / n
         for strata in _stratum_sums(_utility_table(game), n)
     ]
-    return ShapleyVector(np.array(values, dtype=float))
+    return np.array(values, dtype=float)
 
 
-def exact_permission_shapley(game: CoalitionGame) -> ShapleyVector:
+def exact_permission_shapley(game: CoalitionGame) -> np.ndarray:
     """Exact Shapley values of ``game``'s permission game, from ``game``'s table.
 
     The permission game adds a developer as player ``n`` and is worth
@@ -178,10 +168,10 @@ def exact_permission_shapley(game: CoalitionGame) -> ShapleyVector:
     bounds = list(itertools.accumulate((math.comb(n, k) for k in range(n + 1)), initial=0))
     developer = [math.fsum(by_size[a:b]) / (b - a) for a, b in zip(bounds, bounds[1:])]
     values.append(math.fsum(developer) / (n + 1))
-    return ShapleyVector(np.array(values, dtype=float))
+    return np.array(values, dtype=float)
 
 
-def exact_shapley_by_permutations(game: CoalitionGame) -> ShapleyVector:
+def exact_shapley_by_permutations(game: CoalitionGame) -> np.ndarray:
     """Compute exact Shapley values by enumerating all ``n!`` orderings.
 
     Deliberately a different code path from :func:`exact_shapley`; agreement
@@ -209,8 +199,7 @@ def exact_shapley_by_permutations(game: CoalitionGame) -> ShapleyVector:
             if len(buf) >= _FSUM_CHUNK:
                 buf[:] = _exact_parts(buf)
     total = math.factorial(n)
-    values = np.array([math.fsum(buf) / total for buf in buffers])
-    return ShapleyVector(values)
+    return np.array([math.fsum(buf) / total for buf in buffers])
 
 
 def _exact_parts(values: list[float]) -> list[float]:

@@ -389,6 +389,3 @@ class CoalitionGame:
         arr = coalition_array(masks, self.n)
         values = self._memo.get(arr.ravel(), lambda missing: _batch_values(self._oracle, missing))
         return values.reshape(arr.shape)
-
-    def grand_coalition(self) -> Coalition:
-        return full_coalition(self.n)

@@ -13,6 +13,9 @@ walks visit it.
 :func:`truncated_walk` walks a single ordering coalition by coalition; it is
 the reference the batched sampler is tested against.
 
+The report's ``estimate`` is a float64 array of one value per player, as
+the exact solvers return; it and ``stderr`` are finite for finite marginals.
+
 Reproducibility contract: ordering ``j`` is drawn from a counter-based stream
 derived from ``(config.seed, j)`` (:func:`sampled_ordering`; the sampler
 computes all walks' stream keys in one pass), and per-permutation results are
@@ -35,11 +38,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .exact import ShapleyVector
 from .games import CoalitionGame, EMPTY, full_coalition
 from .seeding import key_generators, philox_keys, rng_for
 
 DEFAULT_NUM_PERMUTATIONS = 2000
+
+# A player's marginals below 2**480 are reduced as they are: a deviation from
+# the mean is below 2**481, so a sum of squares over fewer than 2**60 walks
+# stays below 2**1022. Wider ones are scaled below 1 by a power of two and
+# back; a standard error is at most the largest marginal, so it stays finite.
+_WIDE_EXPONENT = 480
 
 
 @dataclass(frozen=True)
@@ -63,7 +71,7 @@ class EstimatorConfig:
 class EstimateReport:
     """A Monte Carlo estimate with its sampling uncertainty and cost."""
 
-    estimate: ShapleyVector
+    estimate: np.ndarray
     stderr: np.ndarray
     permutations_used: int
     oracle_calls: int
@@ -119,10 +127,14 @@ def truncated_walk(
 
 
 def _reduce(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each column's mean and standard error; only wide columns are rescaled."""
     m = matrix.shape[0]
-    estimate = matrix.mean(axis=0)
+    exponents = np.frexp(np.abs(matrix).max(axis=0, initial=0.0))[1]
+    shifts = np.where(exponents > _WIDE_EXPONENT, exponents, 0)
+    scaled = np.ldexp(matrix, -shifts)
+    estimate = np.ldexp(scaled.mean(axis=0), shifts)
     if m > 1:
-        stderr = matrix.std(axis=0, ddof=1) / math.sqrt(m)
+        stderr = np.ldexp(scaled.std(axis=0, ddof=1) / math.sqrt(m), shifts)
     else:
         stderr = np.zeros(matrix.shape[1])
     return estimate, stderr
@@ -166,7 +178,7 @@ def permutation_sample(game: CoalitionGame, config: EstimatorConfig) -> Estimate
         marginals[np.arange(m)[:, None], orderings] = np.diff(utilities, axis=1)
     estimate, stderr = _reduce(marginals)
     return EstimateReport(
-        estimate=ShapleyVector(estimate),
+        estimate=estimate,
         stderr=stderr,
         permutations_used=m,
         oracle_calls=game.eval_count - calls_before,

@@ -1,11 +1,11 @@
 """Turning Shapley values into royalty shares and a developer/data split.
 
-Royalty shares normalize a Shapley vector onto the probability simplex:
-negative values are clamped to zero in both numerator and denominator, since
-a negative score means a player's data made the output less likely and a
-royalty cannot be negative. If every score clamps to zero the shares
-degenerate; the vector falls back to uniform and is flagged so callers can
-route the case by policy rather than by crash.
+Royalty shares normalize an array of Shapley values, as every solver returns,
+onto the probability simplex: negative values are clamped to zero in both
+numerator and denominator, since a negative score means a player's data made
+the output less likely and a royalty cannot be negative. If every score
+clamps to zero the shares degenerate; the vector falls back to uniform and is
+flagged so callers can route the case by policy rather than by crash.
 
 The developer's cut comes from a permission structure: an augmented game adds
 the model developer as player ``n``, and any coalition without the developer
@@ -15,7 +15,8 @@ alongside the owners' data. ``beta_data``, the fraction of revenue flowing to
 data owners collectively, is one minus the developer's share of the augmented
 game. The exact values come straight from the owners' utility table
 (:func:`~royaltyshare.exact.exact_permission_shapley`); the augmented game
-itself is built only when a sampling solver asks for it.
+itself is built only when a sampling solver asks for it. A :data:`Solver` is
+any function from a game to its array of values.
 
 Utilities are in nats throughout.
 """
@@ -30,10 +31,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NonFiniteError
-from .exact import ShapleyVector, exact_permission_shapley
+from .exact import exact_permission_shapley
 from .games import Coalition, CoalitionGame, EMPTY, coalition_array
 
-Solver = Callable[[CoalitionGame], ShapleyVector]
+Solver = Callable[[CoalitionGame], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -51,13 +52,13 @@ class ShareVector:
         return len(self.shares)
 
 
-def royalty_shares(phi: ShapleyVector | np.ndarray) -> ShareVector:
+def royalty_shares(phi: np.ndarray) -> ShareVector:
     """Normalize Shapley values into royalty shares.
 
     Negative scores are clamped to zero before normalizing. An all-clamped
     vector yields uniform shares with ``degenerate=True``.
     """
-    values = np.asarray(phi.values if isinstance(phi, ShapleyVector) else phi, dtype=float)
+    values = np.asarray(phi, dtype=float)
     if values.size and not np.all(np.isfinite(values)):
         raise NonFiniteError("Shapley values must be finite to define shares")
     clamped = np.maximum(values, 0.0)
@@ -117,7 +118,7 @@ class _DeveloperVeto:
         return values
 
 
-def permission_shapley(pg: PermissionGame, solver: Solver | None = None) -> ShapleyVector:
+def permission_shapley(pg: PermissionGame, solver: Solver | None = None) -> np.ndarray:
     """Shapley values of the augmented game; entry ``pg.developer`` is the developer.
 
     With no ``solver`` the values are exact, computed from the base game's

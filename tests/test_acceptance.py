@@ -14,13 +14,12 @@ import numpy as np
 import pytest
 
 from royaltyshare import (
+    CoalitionDensityOracle,
     CoalitionGame,
-    DensityOracleConfig,
     GaussianModel,
     GenerationEvent,
     OwnerDataset,
     PermissionGame,
-    coalition_utility,
     developer_split,
     exact_shapley,
     exact_shapley_by_permutations,
@@ -75,42 +74,42 @@ def test_criterion_01_shapley_axioms(game_corpus):
     start = time.perf_counter()
     lin_rng = np.random.default_rng(77)
     for n, table in game_corpus:
-        phi = exact_shapley(table_game(table, n)).values
+        phi = exact_shapley(table_game(table, n))
         assert abs(math.fsum(phi.tolist()) - table[-1]) <= EFFICIENCY_TOL
 
-        sym = exact_shapley(table_game(symmetrized(table, n), n)).values
+        sym = exact_shapley(table_game(symmetrized(table, n), n))
         assert abs(sym[0] - sym[1]) <= EXACT_TOL
 
-        dummy = exact_shapley(table_game(with_dummy(table, n, 0.5), n + 1)).values
+        dummy = exact_shapley(table_game(with_dummy(table, n, 0.5), n + 1))
         assert abs(dummy[n] - 0.5) <= EXACT_TOL
 
         if n <= 6:
             other = random_table(lin_rng, n)
             combo = 0.7 * table + 1.3 * other
-            phi_other = exact_shapley(table_game(other, n)).values
-            phi_combo = exact_shapley(table_game(combo, n)).values
+            phi_other = exact_shapley(table_game(other, n))
+            phi_combo = exact_shapley(table_game(combo, n))
             assert np.max(np.abs(phi_combo - (0.7 * phi + 1.3 * phi_other))) <= 1e-9
     assert time.perf_counter() - start < 10.0
 
 
 def test_criterion_02_stratified_matches_permutation_enumeration(game_corpus):
     for n, table in game_corpus:
-        strat = exact_shapley(table_game(table, n)).values
-        perm = exact_shapley_by_permutations(table_game(table, n)).values
+        strat = exact_shapley(table_game(table, n))
+        perm = exact_shapley_by_permutations(table_game(table, n))
         assert np.max(np.abs(strat - perm)) <= 1e-9
 
 
 def test_criterion_03_glove_game(glove_game):
     start = time.perf_counter()
-    phi = exact_shapley(glove_game).values
+    phi = exact_shapley(glove_game)
     assert np.max(np.abs(phi - GLOVE_EXACT)) <= EXACT_TOL
-    brute = exact_shapley_by_permutations(table_game(GLOVE_TABLE)).values
+    brute = exact_shapley_by_permutations(table_game(GLOVE_TABLE))
     assert np.max(np.abs(phi - brute)) <= EXACT_TOL
 
     report = permutation_sample(
         table_game(GLOVE_TABLE), EstimatorConfig(num_permutations=10000, seed=0)
     )
-    assert np.max(np.abs(report.estimate.values - GLOVE_EXACT)) <= 0.02
+    assert np.max(np.abs(report.estimate - GLOVE_EXACT)) <= 0.02
     assert time.perf_counter() - start < 5.0
 
 
@@ -121,7 +120,7 @@ def test_criterion_04_duplicate_owners_split_evenly_where_loo_vanishes():
         OwnerDataset(owner=1, points=points.copy()),
     ]
     event = GenerationEvent(x=np.array([0.3, -0.2]))
-    game = CoalitionGame(2, coalition_utility(partition, standard_normal_model(2), event))
+    game = CoalitionGame(2, CoalitionDensityOracle(partition, standard_normal_model(2), event))
 
     loo = loo_scores(game)
     assert loo[0] == 0.0 and loo[1] == 0.0
@@ -138,8 +137,8 @@ def graded_distance_game(seed):
     )
     event = sample_cluster_event(seed, np.zeros(2), 1.0, trial=0)
     baseline = GaussianModel(mean=np.zeros(2), cov=(1e18**2) * np.eye(2))
-    oracle = coalition_utility(
-        datasets, baseline, event, DensityOracleConfig(kind="gaussian_mle", ridge=1e-3)
+    oracle = CoalitionDensityOracle(
+        datasets, baseline, event, kind="gaussian_mle", ridge=1e-3
     )
     return CoalitionGame(4, oracle)
 
@@ -165,8 +164,8 @@ def test_criterion_06_far_targets_get_near_uniform_shares():
         # 20 units = 10 cluster standard deviations from every cluster
         event = sample_far_event(seed, 20.0, 2, trial=0)
         baseline = GaussianModel(mean=np.zeros(2), cov=(1e30**2) * np.eye(2))
-        oracle = coalition_utility(
-            datasets, baseline, event, DensityOracleConfig(kind="gaussian_mle", ridge=1e-3)
+        oracle = CoalitionDensityOracle(
+            datasets, baseline, event, kind="gaussian_mle", ridge=1e-3
         )
         shares = royalty_shares(exact_shapley(CoalitionGame(4, oracle)))
         spreads.append(float(shares.shares.max() - shares.shares.min()))

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -725,6 +726,55 @@ def test_non_finite_dataset_coordinate_is_exit_3(tmp_path, capsys):
     assert main(["attribute", "--config", config, "--event", "0,0"]) == 3
     err = capsys.readouterr().err
     assert "oracle failure" in err and f"{dataset}: line 3" in err
+
+
+# Owners, dimension, each owner's scale exponent and the event's: coordinates
+# are uniform in ±10**k, so they are finite for every k from -320 to 308.
+SCALES = [
+    (1, 1, [-320], -320),
+    (2, 2, [-300, 0], 0),
+    (3, 3, [-150, -150, -150], 150),
+    (2, 1, [0, 0], 308),
+    (3, 2, [100, 100, 100], 100),
+    (4, 3, [150, 0, -10, 150], 150),
+    (1, 2, [154], 0),
+    (2, 3, [200, 200], 200),
+    (4, 2, [308, 0, 0, 0], -1),
+    (3, 1, [-320, 10, 150], -320),
+    (2, 2, [0, 0], -320),
+    (4, 3, [-10, -1, 0, 1], 1),
+]
+
+
+@pytest.mark.parametrize("command", ["attribute", "developer-share"])
+@pytest.mark.parametrize("solver", [{"kind": "exact"}, {"kind": "mc", "permutations": 3}])
+@pytest.mark.parametrize("kind", ["gaussian_mle", "kde", "gaussian_chain"])
+def test_finite_data_at_any_scale_exits_0_2_or_3_and_reports_only_finite_numbers(
+        tmp_path, kind, solver, command):
+    config = write_config(tmp_path / "config.json", dataset="owners.csv", oracle={"kind": kind},
+                          solver=solver, density_mc_samples=2)
+    stem, column = (("attribution", "srs") if command == "attribute"
+                    else ("developer_share", "payout_fraction"))
+    rng = np.random.default_rng(5)
+    codes = []
+    for n, d, owner_exponents, event_exponent in SCALES:
+        save_owner_datasets(tmp_path / "owners.csv", [
+            OwnerDataset(owner=i, points=rng.uniform(-1.0, 1.0, (3, d)) * 10.0**k)
+            for i, k in enumerate(owner_exponents)])
+        event = ",".join(map(repr, (rng.uniform(-1.0, 1.0, d) * 10.0**event_exponent).tolist()))
+        out = tmp_path / f"out{len(codes)}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main([command, "--config", config, f"--event={event}", "--out", str(out)])
+        assert code in (0, 2, 3), (n, d, owner_exponents, event_exponent)
+        codes.append(code)
+        if code == 0:
+            rows = read_rows(out / f"{stem}.csv")
+            cells = [v for row in rows for key, v in row.items()
+                     if key not in ("owner_id", "player_id") and v]
+            assert all(math.isfinite(float(v)) for v in cells), rows
+            assert abs(math.fsum(float(row[column]) for row in rows) - 1.0) <= 1e-9, rows
+    assert 0 in codes and 3 in codes
 
 
 @pytest.mark.parametrize("rows, message", [

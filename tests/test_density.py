@@ -9,15 +9,15 @@ from scipy.stats import multivariate_normal
 from royaltyshare import (
     CoalitionDensityOracle,
     CoalitionGame,
-    DensityOracleConfig,
     DimensionMismatchError,
     EmptyDatasetError,
     GaussianModel,
     GenerationEvent,
     KernelDensityModel,
+    NoiseSchedule,
+    NonFiniteError,
     OracleFailureError,
     OwnerDataset,
-    coalition_utility,
     exact_shapley,
     fit_gaussian,
     fit_kde,
@@ -28,6 +28,7 @@ from royaltyshare import (
     standard_normal_model,
 )
 from royaltyshare.density import COVARIANCE_FLOOR, _logsumexp_rows, logsumexp, scott_bandwidth
+from royaltyshare.diffusion import ChainDensityOracle
 
 STANDARD_NORMAL_PEAK = -0.9189385332046727
 
@@ -114,13 +115,17 @@ def test_kde_matches_manual_mixture():
     assert model.log_density(x) == pytest.approx(expected, abs=1e-10)
 
 
+# An oracle over no owners: its settings are checked before anything else.
+NO_OWNERS = ([], standard_normal_model(1), GenerationEvent(x=np.zeros(1)))
+
+
 def test_oracle_config_validation():
     with pytest.raises(ValueError):
-        DensityOracleConfig(kind="histogram")
+        CoalitionDensityOracle(*NO_OWNERS, kind="histogram")
     with pytest.raises(ValueError):
-        DensityOracleConfig(ridge=-1.0)
+        CoalitionDensityOracle(*NO_OWNERS, ridge=-1.0)
     with pytest.raises(ValueError):
-        DensityOracleConfig(kind="kde", bandwidth=0.0)
+        CoalitionDensityOracle(*NO_OWNERS, kind="kde", bandwidth=0.0)
 
 
 @pytest.mark.parametrize("ridge", [math.nan, math.inf, -1.0])
@@ -132,13 +137,42 @@ def test_fit_gaussian_rejects_a_ridge_that_is_not_a_finite_number_at_least_zero(
 @pytest.mark.parametrize("ridge", [math.nan, math.inf])
 def test_oracle_config_rejects_a_ridge_that_is_not_finite(ridge):
     with pytest.raises(ValueError, match="ridge"):
-        DensityOracleConfig(ridge=ridge)
+        CoalitionDensityOracle(*NO_OWNERS, ridge=ridge)
 
 
 @pytest.mark.parametrize("bandwidth", [math.nan, math.inf, -math.inf])
 def test_oracle_config_rejects_a_bandwidth_that_is_not_finite(bandwidth):
     with pytest.raises(ValueError, match="bandwidth"):
-        DensityOracleConfig(kind="kde", bandwidth=bandwidth)
+        CoalitionDensityOracle(*NO_OWNERS, kind="kde", bandwidth=bandwidth)
+
+
+def test_fit_gaussian_is_finite_up_to_2_to_the_500_and_refuses_past_it():
+    bound = 2.0**500
+    model = fit_gaussian(np.array([[bound, -bound], [-bound, bound], [bound, bound]]))
+    assert np.all(np.isfinite(model.cov)) and np.isfinite(model._logdet)
+    with pytest.raises(NonFiniteError, match=r"2\*\*500"):
+        fit_gaussian(np.array([[np.nextafter(bound, np.inf), 0.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("kind", ["gaussian_mle", "kde", "gaussian_chain"])
+def test_an_oracle_refuses_a_coordinate_past_2_to_the_500_naming_whose_it_is(kind):
+    bound = 2.0**500
+    past = np.nextafter(bound, np.inf)
+
+    def oracle(points, x):
+        partition = [OwnerDataset(owner=0, points=np.zeros((2, 2))),
+                     OwnerDataset(owner=1, points=points)]
+        event = GenerationEvent(x=x)
+        if kind == "gaussian_chain":
+            return ChainDensityOracle(partition, standard_normal_model(2), event,
+                                      NoiseSchedule.uniform(2, 0.9))
+        return CoalitionDensityOracle(partition, standard_normal_model(2), event, kind=kind)
+
+    oracle(np.array([[bound, -bound], [0.0, 1.0]]), np.array([-bound, 0.0]))
+    with pytest.raises(NonFiniteError, match=r"^owner 1 needs .*2\*\*500"):
+        oracle(np.array([[past, 0.0], [0.0, 1.0]]), np.zeros(2))
+    with pytest.raises(NonFiniteError, match=r"^the event needs .*2\*\*500"):
+        oracle(np.zeros((2, 2)), np.array([0.0, -past]))
 
 
 def two_owner_partition(rng):
@@ -149,7 +183,7 @@ def two_owner_partition(rng):
 
 
 def test_oracle_empty_coalition_is_exactly_zero():
-    oracle = coalition_utility(
+    oracle = CoalitionDensityOracle(
         two_owner_partition(np.random.default_rng(11)),
         standard_normal_model(2),
         GenerationEvent(x=np.zeros(2)),
@@ -162,7 +196,7 @@ def test_oracle_matches_manual_fit():
     partition = two_owner_partition(rng)
     event = GenerationEvent(x=np.array([0.5, -0.5]))
     baseline = standard_normal_model(2)
-    oracle = coalition_utility(partition, baseline, event)
+    oracle = CoalitionDensityOracle(partition, baseline, event)
     pooled = np.concatenate([partition[0].points, partition[1].points])
     fitted = fit_gaussian(pooled, ridge=COVARIANCE_FLOOR)
     expected = fitted.log_density(event.x) - baseline.log_density(event.x)
@@ -173,7 +207,7 @@ def test_oracle_requires_dense_owner_ids():
     rng = np.random.default_rng(17)
     datasets = [OwnerDataset(owner=2, points=rng.standard_normal((5, 2)))]
     with pytest.raises(ValueError):
-        coalition_utility(datasets, standard_normal_model(2), GenerationEvent(x=np.zeros(2)))
+        CoalitionDensityOracle(datasets, standard_normal_model(2), GenerationEvent(x=np.zeros(2)))
 
 
 def test_oracle_rejects_mixed_dimensions():
@@ -183,13 +217,13 @@ def test_oracle_rejects_mixed_dimensions():
         OwnerDataset(owner=1, points=rng.standard_normal((5, 3))),
     ]
     with pytest.raises(DimensionMismatchError):
-        coalition_utility(datasets, standard_normal_model(2), GenerationEvent(x=np.zeros(2)))
+        CoalitionDensityOracle(datasets, standard_normal_model(2), GenerationEvent(x=np.zeros(2)))
 
 
 def test_oracle_rejects_event_dimension_mismatch():
     rng = np.random.default_rng(23)
     with pytest.raises(DimensionMismatchError):
-        coalition_utility(
+        CoalitionDensityOracle(
             two_owner_partition(rng), standard_normal_model(2), GenerationEvent(x=np.zeros(3))
         )
 
@@ -233,7 +267,7 @@ def test_duplication_pathology_shares_and_loo():
         OwnerDataset(owner=0, points=points.copy()),
         OwnerDataset(owner=1, points=points.copy()),
     ]
-    oracle = coalition_utility(
+    oracle = CoalitionDensityOracle(
         datasets, standard_normal_model(2), GenerationEvent(x=np.zeros(2))
     )
     game = CoalitionGame(2, oracle)
@@ -279,7 +313,7 @@ def test_oracle_raises_when_a_coalition_has_no_points():
         OwnerDataset(owner=0, points=np.empty((0, 1))),
         OwnerDataset(owner=1, points=np.array([[1.0], [2.0]])),
     ]
-    oracle = coalition_utility(
+    oracle = CoalitionDensityOracle(
         datasets, standard_normal_model(1), GenerationEvent(x=np.zeros(1))
     )
     with pytest.raises(OracleFailureError):

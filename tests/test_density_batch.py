@@ -15,7 +15,6 @@ import pytest
 from royaltyshare import (
     CoalitionDensityOracle,
     CoalitionGame,
-    DensityOracleConfig,
     GenerationEvent,
     NoiseSchedule,
     NonFiniteError,
@@ -81,7 +80,7 @@ def test_pooled_batch_fits_equal_the_fraction_reference(owners, coordinates, see
         partition.append(OwnerDataset(owner=i, points=points, labels=labels))
     oracle = CoalitionDensityOracle(partition, standard_normal_model(d),
                                     GenerationEvent(x=np.zeros(d), label="a"),
-                                    DensityOracleConfig(ridge=0.0))
+                                    ridge=0.0)
     masks = np.arange(1, 1 << owners, dtype=np.uint64)
     pools, fallback = [], []
     for s in masks.tolist():
@@ -89,8 +88,8 @@ def test_pooled_batch_fits_equal_the_fraction_reference(owners, coordinates, see
         labeled = [ds.points[np.array(ds.labels) == "a"] for ds in owned]
         fallback.append(not any(len(p) for p in labeled))
         pools.append(np.concatenate([ds.points for ds in owned] if fallback[-1] else labeled))
-    counts, means, covs = oracle._fits(masks)[:3]
-    assert fallback[0] and counts.tolist() == [len(p) for p in pools]
+    means, covs = oracle._fits(masks)[:2]
+    assert fallback[0]
     floored = []
     for b, pooled in enumerate(pools):
         mean, cov = fraction_reference(pooled)
@@ -106,12 +105,12 @@ def test_pooled_batch_fits_equal_the_fraction_reference(owners, coordinates, see
 def test_a_fill_in_blocks_equals_one_block(monkeypatch):
     args = (labeled_partition(), standard_normal_model(2),
             GenerationEvent(x=np.array([0.3, -0.2]), label="a"))
-    whole = CoalitionDensityOracle(*args, DensityOracleConfig(ridge=0.0))
+    whole = CoalitionDensityOracle(*args, ridge=0.0)
     values = whole.many(range(16))
     monkeypatch.setattr(density, "_FIT_BLOCK", 3)
     # An empty fit cache, so the blocked oracle fits in blocks instead of reading.
     monkeypatch.setattr(density, "_FITS", DigestCache(density._CACHE_SIZE))
-    blocked = CoalitionDensityOracle(*args, DensityOracleConfig(ridge=0.0))
+    blocked = CoalitionDensityOracle(*args, ridge=0.0)
     assert blocked._fit_table is not whole._fit_table
     assert blocked.many(range(16)).tobytes() == values.tobytes()
     assert blocked.fallback_coalitions == whole.fallback_coalitions
@@ -136,8 +135,8 @@ def labeled_partition():
 
 
 ORACLES = {
-    "gaussian": lambda p, b, e: CoalitionDensityOracle(p, b, e, DensityOracleConfig(ridge=0.0)),
-    "kde": lambda p, b, e: CoalitionDensityOracle(p, b, e, DensityOracleConfig(kind="kde")),
+    "gaussian": lambda p, b, e: CoalitionDensityOracle(p, b, e, ridge=0.0),
+    "kde": lambda p, b, e: CoalitionDensityOracle(p, b, e, kind="kde"),
     "chain": lambda p, b, e: ChainDensityOracle(
         p, b, e, NoiseSchedule.uniform(2, 0.9), ridge=0.0, num_samples=4, seed=3
     ),
@@ -187,11 +186,11 @@ def test_cached_moments_depend_on_how_the_points_split_into_owners_and_labels(mo
         [OwnerDataset(owner=0, points=points[:2], labels=("b", "a")),
          OwnerDataset(owner=1, points=points[2:])],
     ]
-    args = (standard_normal_model(2), GenerationEvent(x=np.zeros(2), label="a"),
-            DensityOracleConfig(ridge=0.0))
-    cached = [CoalitionDensityOracle(split, *args).many(range(4)).tobytes() for split in splits]
+    args = (standard_normal_model(2), GenerationEvent(x=np.zeros(2), label="a"))
+    cached = [CoalitionDensityOracle(split, *args, ridge=0.0).many(range(4)).tobytes()
+              for split in splits]
     monkeypatch.setattr(density, "_FITS", DigestCache(density._CACHE_SIZE))
-    assert cached == [CoalitionDensityOracle(split, *args).many(range(4)).tobytes()
+    assert cached == [CoalitionDensityOracle(split, *args, ridge=0.0).many(range(4)).tobytes()
                       for split in splits]
     assert len(set(cached)) == len(splits)
 
@@ -383,7 +382,7 @@ def test_warm_and_cold_fits_are_bit_equal(empty_caches, monkeypatch, kind, block
 def test_oracles_that_differ_in_ridge_label_or_bytes_never_share_fits(empty_caches, monkeypatch):
     def make(partition=labeled_partition, event=EVENT, ridge=0.0):
         return lambda: CoalitionDensityOracle(partition(), standard_normal_model(2), event,
-                                              DensityOracleConfig(ridge=ridge))
+                                              ridge=ridge)
 
     def nudged():
         partition = labeled_partition()
@@ -412,12 +411,12 @@ def test_writing_to_returned_fits_does_not_change_the_next_call(empty_caches):
     masks = np.arange(1, 16, dtype=np.uint64)
     expected = None
     for _ in range(2):  # a cold call, then a warm one
-        counts, means, covs = oracle._fits(masks)[:3]
+        means, covs = oracle._fits(masks)[:2]
         values = oracle.many(range(16))
         assert expected is None or values.tobytes() == expected.tobytes()
         expected = values
         fits = oracle._fits(masks)
-        for array in (counts, means, covs, *fits):
+        for array in (means, covs, *fits):
             array[...] = 0
     assert oracle.many(range(16)).tobytes() == expected.tobytes()
 

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import sys
@@ -15,7 +14,6 @@ from conftest import GLOVE_EXACT, random_table, table_game
 from royaltyshare import (
     CoalitionGame,
     PermissionGame,
-    ShapleyVector,
     TooManyPlayersError,
     exact_shapley,
     exact_shapley_by_permutations,
@@ -34,18 +32,18 @@ def swap01(mask: int) -> int:
 
 def test_glove_exact_values(glove_game):
     phi = exact_shapley(glove_game)
-    np.testing.assert_allclose(phi.values, GLOVE_EXACT, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(phi, GLOVE_EXACT, rtol=0, atol=1e-15)
     assert glove_game.eval_count == 8
 
 
 def test_glove_permutation_route(glove_game):
     phi = exact_shapley_by_permutations(glove_game)
-    np.testing.assert_allclose(phi.values, GLOVE_EXACT, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(phi, GLOVE_EXACT, rtol=0, atol=1e-15)
 
 
 def test_two_symmetric_players_split_evenly():
     game = table_game([0.0, 1.0, 1.0, 2.0])
-    np.testing.assert_array_equal(exact_shapley(game).values, [1.0, 1.0])
+    np.testing.assert_array_equal(exact_shapley(game), [1.0, 1.0])
 
 
 def test_dummy_player_gets_its_constant():
@@ -53,7 +51,7 @@ def test_dummy_player_gets_its_constant():
     base = random_table(rng, 4)
     extended = np.concatenate([base, base + 0.5])
     phi = exact_shapley(table_game(extended))
-    assert abs(phi.values[4] - 0.5) <= 1e-12
+    assert abs(phi[4] - 0.5) <= 1e-12
 
 
 def test_additive_game_returns_weights():
@@ -61,14 +59,14 @@ def test_additive_game_returns_weights():
     game = CoalitionGame(
         4, lambda s: math.fsum(weights[i] for i in range(4) if s & (1 << i))
     )
-    np.testing.assert_allclose(exact_shapley(game).values, weights, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(exact_shapley(game), weights, rtol=0, atol=1e-12)
 
 
 def test_symmetric_players_match_exactly():
     rng = np.random.default_rng(17)
     table = random_table(rng, 5)
     symmetric = np.array([(table[m] + table[swap01(m)]) / 2.0 for m in range(32)])
-    phi = exact_shapley(table_game(symmetric)).values
+    phi = exact_shapley(table_game(symmetric))
     assert phi[0] == phi[1]
 
 
@@ -76,8 +74,8 @@ def test_routes_agree_on_random_games():
     rng = np.random.default_rng(23)
     for n in range(2, 9):
         table = random_table(rng, n)
-        a = exact_shapley(table_game(table)).values
-        b = exact_shapley_by_permutations(table_game(table)).values
+        a = exact_shapley(table_game(table))
+        b = exact_shapley_by_permutations(table_game(table))
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-9)
 
 
@@ -86,10 +84,10 @@ def test_compacted_permutation_buffers_give_the_bits_of_one_fsum(monkeypatch):
     # the rounded partial sum would move the last bits of most values.
     rng = np.random.default_rng(61)
     tables = [random_table(rng, 5) * np.logspace(-8, 8, 32) for _ in range(10)]
-    whole = [exact_shapley_by_permutations(table_game(t)).values for t in tables]
+    whole = [exact_shapley_by_permutations(table_game(t)) for t in tables]
     monkeypatch.setattr(exact, "_FSUM_CHUNK", 7)  # of 120 marginals per player
     for table, values in zip(tables, whole):
-        np.testing.assert_array_equal(exact_shapley_by_permutations(table_game(table)).values,
+        np.testing.assert_array_equal(exact_shapley_by_permutations(table_game(table)),
                                       values)
 
 
@@ -97,15 +95,15 @@ def test_nonzero_empty_utility_efficiency():
     rng = np.random.default_rng(29)
     table = random_table(rng, 4)
     table[0] = 3.0
-    phi = exact_shapley(table_game(table)).values
+    phi = exact_shapley(table_game(table))
     assert abs(math.fsum(phi) - (table[-1] - table[0])) <= 1e-9
 
 
 def test_constant_shift_leaves_values_unchanged():
     rng = np.random.default_rng(31)
     table = random_table(rng, 4)
-    phi = exact_shapley(table_game(table)).values
-    shifted = exact_shapley(table_game(table + 10.0)).values
+    phi = exact_shapley(table_game(table))
+    shifted = exact_shapley(table_game(table + 10.0))
     np.testing.assert_allclose(phi, shifted, rtol=0, atol=1e-12)
 
 
@@ -135,18 +133,11 @@ def test_loo_costs_n_plus_one_evaluations():
     assert game.eval_count == 7
 
 
-def test_shapley_vector_is_frozen(glove_game):
-    phi = exact_shapley(glove_game)
-    assert len(phi) == 3
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        phi.values = np.zeros(3)
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=2**32))
 def test_efficiency_holds_on_random_games(n, seed):
     table = random_table(np.random.default_rng(seed), n)
-    phi = exact_shapley(table_game(table)).values
+    phi = exact_shapley(table_game(table))
     v_n = table[-1]
     assert abs(math.fsum(phi) - v_n) <= 1e-9 * max(1.0, abs(v_n))
 
@@ -156,8 +147,8 @@ def test_efficiency_holds_on_random_games(n, seed):
 def test_linearity_of_exact_values(n, seed):
     rng = np.random.default_rng(seed)
     v, w = random_table(rng, n), random_table(rng, n)
-    combo = exact_shapley(table_game(0.7 * v + 1.3 * w)).values
-    parts = 0.7 * exact_shapley(table_game(v)).values + 1.3 * exact_shapley(table_game(w)).values
+    combo = exact_shapley(table_game(0.7 * v + 1.3 * w))
+    parts = 0.7 * exact_shapley(table_game(v)) + 1.3 * exact_shapley(table_game(w))
     np.testing.assert_allclose(combo, parts, rtol=0, atol=1e-9)
 
 
@@ -198,10 +189,10 @@ def _tables(draw):
 def test_stratified_kernel_matches_the_formula_bit_for_bit(drawn):
     n, table = drawn
     game = table_game(table, n)
-    owners = exact_shapley(game).values.tobytes()
+    owners = exact_shapley(game).tobytes()
     assert owners == formula_shapley(table, n)
-    permission = exact_permission_shapley(game).values.tobytes()
-    assert permission == exact_shapley(PermissionGame(game).augmented).values.tobytes()
+    permission = exact_permission_shapley(game).tobytes()
+    assert permission == exact_shapley(PermissionGame(game).augmented).tobytes()
     assert permission == formula_shapley([0.0] * (1 << n) + table, n + 1)
     marginals = [table[s | 1] - table[s] for s in range(0, 1 << n, 2)]
     if all(m == 0.0 and math.copysign(1.0, m) < 0 for m in marginals):
@@ -228,10 +219,10 @@ def counted_passes(monkeypatch):
 def test_cold_and_warm_stratum_sums_are_bit_equal(counted_passes, n):
     table = random_table(np.random.default_rng(n), n)
     table[1] = -0.0
-    cold = [exact_shapley(table_game(table)).values.tobytes(),
-            exact_permission_shapley(table_game(table)).values.tobytes()]
-    warm = [exact_shapley(table_game(table)).values.tobytes(),
-            exact_permission_shapley(table_game(table)).values.tobytes()]
+    cold = [exact_shapley(table_game(table)).tobytes(),
+            exact_permission_shapley(table_game(table)).tobytes()]
+    warm = [exact_shapley(table_game(table)).tobytes(),
+            exact_permission_shapley(table_game(table)).tobytes()]
     assert warm == cold and counted_passes == [n]
     assert cold[0] == formula_shapley(table.tolist(), n)
     assert cold[1] == formula_shapley([0.0] * (1 << n) + table.tolist(), n + 1)
@@ -302,10 +293,10 @@ def test_a_pass_that_raises_stores_nothing(counted_passes):
 def test_the_stratum_cache_stays_bounded(counted_passes):
     rng = np.random.default_rng(6)
     tables = [random_table(rng, 4) for _ in range(exact._CACHE_SIZE + 3)]
-    first = [exact_shapley(table_game(t)).values.tobytes() for t in tables]
+    first = [exact_shapley(table_game(t)).tobytes() for t in tables]
     assert len(exact._STRATA._entries) == exact._CACHE_SIZE
     # The oldest three were evicted and run their pass again, with the same bits.
-    again = [exact_shapley(table_game(t)).values.tobytes() for t in tables[:3]]
+    again = [exact_shapley(table_game(t)).tobytes() for t in tables[:3]]
     assert again == first[:3] and len(counted_passes) == len(tables) + 3
     assert len(exact._STRATA._entries) == exact._CACHE_SIZE
 
@@ -316,7 +307,7 @@ def test_threads_get_bit_identical_stratum_sums(counted_passes):
 
     def solve(k):
         game = table_game(tables[k % len(tables)])
-        return exact_shapley(game).values.tobytes(), exact_permission_shapley(game).values.tobytes()
+        return exact_shapley(game).tobytes(), exact_permission_shapley(game).tobytes()
 
     expected = [(formula_shapley(t.tolist(), 7), formula_shapley([0.0] * 128 + t.tolist(), 8))
                 for t in tables]

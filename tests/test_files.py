@@ -230,6 +230,21 @@ def test_only_settle_and_ledger_appends_fsync(tmp_path, monkeypatch):
         synced.clear()
 
 
+def test_a_durable_replace_fsyncs_the_new_bytes_not_an_empty_buffer(tmp_path, monkeypatch):
+    # What each fsync finds in the temp file: the data must be written out of
+    # the file object's buffer before it, or the fsync makes nothing durable.
+    seen = []
+    real_fsync = os.fsync
+
+    def fsync(fd):
+        seen.append([p.read_bytes() for p in tmp_path.glob(".*.tmp")])
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    files.replace_file(tmp_path / "settlement.csv", b"owner_id,payout\n0,1.0\n", durable=True)
+    assert seen == [[b"owner_id,payout\n0,1.0\n"], []]  # the file, then its directory
+
+
 def test_a_new_ledger_fsyncs_the_directory_entries_it_makes(tmp_path, monkeypatch):
     synced = _counted_fsyncs(monkeypatch)
     path = tmp_path / "ledger"

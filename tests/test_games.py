@@ -77,7 +77,7 @@ def test_oracle_error_propagates_and_is_not_cached():
 
 
 def test_grand_coalition():
-    assert table_game(np.zeros(16)).grand_coalition() == 0b1111
+    assert full_coalition(table_game(np.zeros(16)).n) == 0b1111
 
 
 def test_concurrent_evaluation_agrees_with_table():

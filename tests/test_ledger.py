@@ -32,7 +32,7 @@ from royaltyshare import (
     settle_subsampled,
     write_settlement_csv,
 )
-from royaltyshare import ledger
+from royaltyshare import files, ledger
 from royaltyshare.ledger import CHECKPOINT_NAME, LOG_NAME
 
 
@@ -333,6 +333,17 @@ def test_the_correlation_check_skips_a_constant_share_column(store):
         warnings.simplefilter("error")
         report = settle_subsampled(store, beta_data=1.0, sample_size=12, seed=1, apply=False)
     assert report.correlated_warning  # from the second owner's column
+
+
+def test_the_correlation_check_runs_from_exactly_its_minimum_sample():
+    n = ledger._CORRELATION_MIN_SAMPLE
+    prices = np.arange(1.0, n + 1.0)
+    shares = np.stack([prices / n, 1.0 - prices / n], axis=1)
+    assert ledger._correlation_flag(prices, shares)
+    assert not ledger._correlation_flag(prices[1:], shares[1:])
+    # Prices whose first two entries differ are not all equal, so the check runs.
+    prices = np.array([2.0] + [1.0] * (n - 1))
+    assert ledger._correlation_flag(prices, np.stack([prices / 2.0, 1.0 - prices / 2.0], axis=1))
 
 
 def test_concurrent_records_all_land(store):
@@ -969,6 +980,17 @@ def test_a_cut_or_stale_checkpoint_opens_as_the_log_alone(tmp_path, monkeypatch)
     assert sorted(f.name for f in path.iterdir()) == [LOG_NAME]
 
 
+def test_id_keys_are_pinned_with_the_checkpoint_version():
+    # A checkpoint holds the settled ids as these keys, and an open trusts the
+    # keys of a checkpoint whose version line is its own. So a change to the
+    # key needs a new version line, or an id that a checkpoint holds as
+    # settled would be recorded and settled again.
+    assert ledger._CHECKPOINT_VERSION == "royaltyshare ledger checkpoint 6"
+    keys = ledger._keys_of(["tx-0001", "vente-été-№7", "x" * 200])
+    assert [hex(k) for k in keys.tolist()] == [
+        "0xf1a15854382ee18e", "0xcd207dff19043092", "0x8da1761b0e4c3056"]
+
+
 def _last_lines(log, end):
     """The offset of each id's last line before ``end`` in ``log``, in the order of its first."""
     last, offset = {}, 0
@@ -1270,6 +1292,18 @@ def test_a_log_that_settles_an_id_twice_raises_naming_the_line(tmp_path, capsys)
         fh.write(line + line + ledger._encode_record(2, np.array([0.0, 5.6]), 2.4))
     with pytest.raises(StorageFailureError, match=r"line 8: transaction 't2' is settled already"):
         LedgerStore(path, create=False)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists descriptors in /proc")
+def test_records_and_directory_fsyncs_leave_no_descriptor_open(tmp_path):
+    """Raw descriptors, whose leak raises no ResourceWarning, are counted in /proc."""
+    store = LedgerStore(tmp_path / "ledger")
+    open_before = len(os.listdir("/proc/self/fd"))
+    for k in range(100):
+        store.record(make_tx(f"t{k}", 1.0, share_row(1.0)))
+    for _ in range(10):
+        files.fsync_directory(tmp_path)
+    assert len(os.listdir("/proc/self/fd")) == open_before
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists descriptors in /proc")

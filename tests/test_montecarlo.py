@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,10 +12,11 @@ from royaltyshare import (
     CoalitionGame,
     EstimatorConfig,
     exact_shapley,
+    full_coalition,
     permutation_sample,
     truncated_walk,
 )
-from royaltyshare.montecarlo import sampled_ordering
+from royaltyshare.montecarlo import _reduce, sampled_ordering
 
 
 def saturating_game():
@@ -62,7 +64,7 @@ def test_full_walk_marginals_telescope():
 
 def test_truncated_walk_charges_zero_after_saturation():
     game = saturating_game()
-    game.evaluate(game.grand_coalition())
+    game.evaluate(full_coalition(game.n))
     before = game.eval_count
     marginals = truncated_walk(game, [2, 0, 1, 3], tolerance=1e-12)
     assert marginals[2] == 1.0
@@ -83,13 +85,13 @@ def test_enumerated_walks_average_to_exact_values():
                 buffers[i].append(float(row[i]))
         averaged = np.array([math.fsum(buf) / math.factorial(n) for buf in buffers])
         np.testing.assert_allclose(
-            averaged, exact_shapley(table_game(table)).values, rtol=0, atol=1e-9
+            averaged, exact_shapley(table_game(table)), rtol=0, atol=1e-9
         )
 
 
 def test_glove_estimate_converges(glove_game):
     report = permutation_sample(glove_game, EstimatorConfig(num_permutations=10_000, seed=0))
-    np.testing.assert_allclose(report.estimate.values, GLOVE_EXACT, rtol=0, atol=0.02)
+    np.testing.assert_allclose(report.estimate, GLOVE_EXACT, rtol=0, atol=0.02)
     assert report.permutations_used == 10_000
     assert np.all(report.stderr > 0) and np.all(report.stderr < 0.02)
 
@@ -99,7 +101,7 @@ def per_walk_reference(game, config):
     n, m = game.n, config.num_permutations
     before = game.eval_count
     if config.truncation_tolerance > 0:
-        game.evaluate(game.grand_coalition())
+        game.evaluate(full_coalition(game.n))
     matrix = np.array(
         [truncated_walk(game, sampled_ordering(config.seed, j, n), config.truncation_tolerance)
          for j in range(m)]
@@ -118,7 +120,7 @@ def test_batched_sampler_matches_per_walk_reference():
             config = EstimatorConfig(num_permutations=500, seed=9, truncation_tolerance=tolerance)
             report = permutation_sample(table_game(table), config)
             estimate, stderr, calls = per_walk_reference(table_game(table), config)
-            np.testing.assert_array_equal(report.estimate.values, estimate)
+            np.testing.assert_array_equal(report.estimate, estimate)
             np.testing.assert_array_equal(report.stderr, stderr)
             assert report.oracle_calls == calls
 
@@ -130,7 +132,7 @@ def test_additive_game_has_zero_stderr():
     )
     report = permutation_sample(game, EstimatorConfig(num_permutations=1000, seed=1))
     np.testing.assert_array_equal(report.stderr, np.zeros(3))
-    np.testing.assert_array_equal(report.estimate.values, weights)
+    np.testing.assert_array_equal(report.estimate, weights)
 
 
 def test_one_permutation_has_zero_stderr(glove_game):
@@ -146,9 +148,31 @@ def test_truncation_reduces_oracle_calls():
         EstimatorConfig(num_permutations=200, seed=2, truncation_tolerance=1e-12),
     )
     assert truncated.oracle_calls < plain.oracle_calls
-    np.testing.assert_array_equal(plain.estimate.values, truncated.estimate.values)
+    np.testing.assert_array_equal(plain.estimate, truncated.estimate)
 
 
 def test_mc_solver_plugs_into_share_pipeline(glove_game):
     phi = permutation_sample(glove_game, EstimatorConfig(num_permutations=2000, seed=4)).estimate
-    np.testing.assert_allclose(phi.values, GLOVE_EXACT, rtol=0, atol=0.05)
+    np.testing.assert_allclose(phi, GLOVE_EXACT, rtol=0, atol=0.05)
+
+
+def test_marginals_whose_squares_overflow_give_a_finite_stderr():
+    table = random_table(np.random.default_rng(3), 3)
+    config = EstimatorConfig(num_permutations=50, seed=2)
+    plain = permutation_sample(table_game(table), config)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        wide = permutation_sample(table_game(table * 2.0**900), config)
+    # Scaling every utility by a power of two scales each marginal exactly.
+    assert wide.estimate.tobytes() == np.ldexp(plain.estimate, 900).tobytes()
+    assert wide.stderr.tobytes() == np.ldexp(plain.stderr, 900).tobytes()
+    assert np.all(np.isfinite(wide.stderr) & (wide.stderr > 0))
+
+
+def test_only_a_wide_column_is_rescaled_and_the_others_keep_their_bits():
+    matrix = np.random.default_rng(5).standard_normal((40, 3))
+    wide = matrix.copy()
+    wide[:, 1] *= 2.0**900
+    for got, plain in zip(_reduce(wide), _reduce(matrix)):
+        assert got[[0, 2]].tobytes() == plain[[0, 2]].tobytes()
+        assert got[1] == np.ldexp(plain[1], 900)

@@ -120,7 +120,7 @@ def test_permission_game_veto_structure():
 
 def test_permission_shapley_additive_example():
     pg = PermissionGame(additive_game([2.0, 4.0]))
-    phi = permission_shapley(pg).values
+    phi = permission_shapley(pg)
     np.testing.assert_allclose(phi, [1.0, 2.0, 3.0], rtol=0, atol=1e-12)
     assert abs(math.fsum(phi.tolist()) - 6.0) <= 1e-9
 
@@ -183,9 +183,9 @@ def test_monte_carlo_developer_split_agrees_with_the_exact_one():
     exact = developer_split(pg)
     [report] = reports
     assert report.permutations_used == 3000 and np.all(report.stderr > 0)
-    phi = permission_shapley(pg).values
-    assert np.all(phi > 0) and np.all(report.estimate.values > 0)
-    assert np.all(np.abs(report.estimate.values - phi) <= 4 * report.stderr)
+    phi = permission_shapley(pg)
+    assert np.all(phi > 0) and np.all(report.estimate > 0)
+    assert np.all(np.abs(report.estimate - phi) <= 4 * report.stderr)
     assert sampled.beta_data == 1.0 - sampled.developer_share
     np.testing.assert_array_equal(
         [*sampled.owner_payout_fractions, sampled.developer_share],
@@ -240,6 +240,6 @@ def test_augmented_game_reads_the_base_game_in_one_batch():
     report = permutation_sample(pg.augmented, config)
     assert len(calls) == 2  # every coalition holding the developer, in one batch
     expected = permutation_sample(reference_augmented(table_game(table)), config)
-    assert report.estimate.values.tobytes() == expected.estimate.values.tobytes()
+    assert report.estimate.tobytes() == expected.estimate.tobytes()
     assert report.stderr.tobytes() == expected.stderr.tobytes()
     assert report.oracle_calls == expected.oracle_calls

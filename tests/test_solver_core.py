@@ -69,9 +69,9 @@ def solver_corpus():
 def corpus_digest() -> str:
     digest = hashlib.sha256()
     for _, _, table in solver_corpus():
-        digest.update(exact_shapley(table_game(table)).values.tobytes())
+        digest.update(exact_shapley(table_game(table)).tobytes())
         pg = PermissionGame(table_game(table))
-        digest.update(permission_shapley(pg).values.tobytes())
+        digest.update(permission_shapley(pg).tobytes())
         split = developer_split(PermissionGame(table_game(table)))
         digest.update(np.array([split.beta_data, split.developer_share]).tobytes())
         digest.update(split.owner_payout_fractions.tobytes())
@@ -88,8 +88,8 @@ def test_exact_permission_values_equal_the_augmented_game_solve():
         if n > 7:
             continue
         pg = PermissionGame(table_game(table))
-        direct = permission_shapley(pg).values
-        augmented = exact_shapley(pg.augmented).values
+        direct = permission_shapley(pg)
+        augmented = exact_shapley(pg.augmented)
         assert direct.tobytes() == augmented.tobytes(), (kind, n)
 
 
