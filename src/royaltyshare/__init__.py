@@ -13,10 +13,8 @@ from .density import (
     CoalitionDensityOracle,
     GaussianModel,
     GenerationEvent,
-    KernelDensityModel,
     OwnerDataset,
     fit_gaussian,
-    fit_kde,
     load_owner_datasets,
     log_density,
     save_owner_datasets,
@@ -90,7 +88,6 @@ __all__ = [
     "GaussianModel",
     "GaussianReverseChain",
     "GenerationEvent",
-    "KernelDensityModel",
     "LedgerStore",
     "NoiseSchedule",
     "NonFiniteError",
@@ -108,7 +105,6 @@ __all__ = [
     "exact_shapley",
     "exact_shapley_by_permutations",
     "fit_gaussian",
-    "fit_kde",
     "fixed_split",
     "full_coalition",
     "gaussian_ddpm_chain",

@@ -41,12 +41,13 @@ distinct inputs, keyed by a sha256 digest:
   n, the owners whose pool the event's label restricts, the shapes and
   bytes of the point groups, and the ridge. The fit table is a
   :class:`~royaltyshare.games.CoalitionMemo` of each coalition's Gaussian
-  fit: everything before the log density, that is mean, covariance, floor
-  flag, Cholesky factor and log determinant. None of it depends on
-  the event's coordinates, so every event on the same owners' data, label
-  pools and ridge reads the same rows, and each coalition is fit once, even
-  across threads. A table holds at most ``_FIT_TABLE_ELEMENTS`` floats;
-  fits past that are computed on every call.
+  fit, one record of ``_fit_dtype(d)``: everything before the log density,
+  that is mean, covariance, floor flag, Cholesky factor and log
+  determinant. None of it depends on the event's coordinates, so every
+  event on the same owners' data, label pools and ridge reads the same
+  records, and each coalition is fit once, even across threads. A table
+  holds at most ``_FIT_TABLE_BYTES`` of records; fits past that are
+  computed on every call.
 
 Only results that returned are kept; errors are never cached. What an oracle
 records of its event is not cached: ``fallback_coalitions`` and
@@ -63,7 +64,7 @@ import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -91,7 +92,10 @@ from .games import (
 LOG_2PI = math.log(2.0 * math.pi)
 
 # Fits never report a covariance eigenvalue below this, so log densities stay
-# finite even for single-point or collinear datasets.
+# finite even for single-point or collinear datasets. The floor is absolute:
+# a covariance whose eigenvalues span more than about 16 decades above it
+# can still be rejected by its Cholesky factorization, which then names the
+# coalition.
 COVARIANCE_FLOOR = 1e-6
 
 # No coordinate of owners' points, fitted points or an event may exceed this
@@ -112,11 +116,11 @@ _FIT_BLOCK = 1024
 # Distinct contents whose parse, and owners' moments and fit table, stay cached.
 _CACHE_SIZE = 16
 
-# Float64 elements of the rows one fit table holds at most, keys not counted:
-# 2 MB. A row holds 2d² + d + 2 floats, so all 16383 coalitions of 14 owners
-# fit at d = 2. The memo's capacity is this over the row width; fits past it
-# are not stored.
-_FIT_TABLE_ELEMENTS = 1 << 18
+# Bytes of the records one fit table holds at most, keys not counted. A
+# record takes 2d² + d + 2 eight-byte slots, so all 16383 coalitions of 14
+# owners fit at d = 2. The memo's capacity is this over the record size; fits
+# past it are not stored.
+_FIT_TABLE_BYTES = 1 << 21
 
 
 # Dataset CSV bytes -> parsed rows; an oracle's point groups and ridge -> its
@@ -179,39 +183,6 @@ class GaussianModel:
         )
 
 
-@dataclass(frozen=True)
-class KernelDensityModel:
-    """An isotropic Gaussian KDE with a single scalar bandwidth."""
-
-    support: np.ndarray
-    bandwidth: float
-
-    def __post_init__(self) -> None:
-        pts = np.asarray(self.support, dtype=float)
-        if pts.ndim != 2 or pts.shape[0] == 0:
-            raise EmptyDatasetError("kde support must be a nonempty (m, d) array")
-        if not (math.isfinite(self.bandwidth) and self.bandwidth > 0):
-            raise ValueError("bandwidth must be positive and finite")
-        object.__setattr__(self, "support", pts)
-
-    @property
-    def dim(self) -> int:
-        return self.support.shape[1]
-
-    def log_density(self, x: np.ndarray) -> float:
-        x = _check_query(x, self.dim)
-        h = self.bandwidth
-        m, d = self.support.shape
-        sq = np.sum((self.support - x) ** 2, axis=1)
-        # An exponent past the float range is a kernel whose weight is zero.
-        with np.errstate(over="ignore"):
-            kernel_logs = -sq / (2.0 * h * h)
-        return logsumexp(kernel_logs) - math.log(m) - d * math.log(h) - 0.5 * d * LOG_2PI
-
-
-DensityModel = GaussianModel | KernelDensityModel
-
-
 def logsumexp(a: np.ndarray) -> float:
     """``log(sum(exp(a)))`` over a nonempty 1-D array, without overflow.
 
@@ -254,7 +225,7 @@ def _check_magnitude(points: np.ndarray, what: str) -> None:
                              "past which a fit or a log density may overflow")
 
 
-def log_density(model: DensityModel, x: np.ndarray) -> float:
+def log_density(model: GaussianModel, x: np.ndarray) -> float:
     """Log density of ``x`` under ``model``, in nats."""
     return model.log_density(x)
 
@@ -402,36 +373,12 @@ def _gaussian_log_densities(
         return -0.5 * (x.size * LOG_2PI + logdets + quad)
 
 
-def _fit_cuts(d: int) -> list[int]:
-    """Where each field of a fit row ends; the last is the row's width.
-
-    The fields: mean, covariance, floor flag, Cholesky factor and log
-    determinant.
-    """
-    return np.cumsum([d, d * d, 1, d * d, 1]).tolist()
-
-
-class _Fits(NamedTuple):
-    """Stacked Gaussian fits of B coalitions; :meth:`rows` is their fit table rows."""
-
-    means: np.ndarray
-    covs: np.ndarray
-    floored: np.ndarray
-    chols: np.ndarray
-    logdets: np.ndarray
-
-    @classmethod
-    def from_rows(cls, rows: np.ndarray, d: int) -> _Fits:
-        mean, cov, floor, chol, logdet = np.split(rows, _fit_cuts(d)[:-1], axis=1)
-        b = len(rows)
-        return cls(mean, cov.reshape(b, d, d), floor[:, 0] != 0, chol.reshape(b, d, d),
-                   logdet[:, 0])
-
-    def rows(self) -> np.ndarray:
-        b = len(self.means)
-        return np.concatenate([self.means, self.covs.reshape(b, -1),
-                               self.floored[:, None], self.chols.reshape(b, -1),
-                               self.logdets[:, None]], axis=1)
+@functools.cache
+def _fit_dtype(d: int) -> np.dtype:
+    """The record of one coalition's Gaussian fit in ``d`` dimensions; aligned, so
+    each float field of a record array is an aligned view."""
+    return np.dtype([("mean", float, (d,)), ("cov", float, (d, d)), ("floored", bool),
+                     ("chol", float, (d, d)), ("logdet", float)], align=True)
 
 
 def _check_ridge(ridge: float) -> None:
@@ -473,16 +420,6 @@ def scott_bandwidth(points: np.ndarray) -> float:
     return max(spread * m ** (-1.0 / (d + 4)), _KDE_BANDWIDTH_FLOOR)
 
 
-def fit_kde(points: np.ndarray, bandwidth: float | None = None) -> KernelDensityModel:
-    """Gaussian KDE over the given support; Scott's rule when no bandwidth is given."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] == 0:
-        raise EmptyDatasetError("kde fit requires a nonempty (m, d) array")
-    if bandwidth is None:
-        bandwidth = scott_bandwidth(pts)
-    return KernelDensityModel(support=pts, bandwidth=bandwidth)
-
-
 def standard_normal_model(dim: int) -> GaussianModel:
     """The default ownerless baseline."""
     return GaussianModel(mean=np.zeros(dim), cov=np.eye(dim))
@@ -515,7 +452,7 @@ class CoalitionDensityOracle:
     def __init__(
         self,
         partition: Sequence[OwnerDataset],
-        baseline: DensityModel,
+        baseline: GaussianModel,
         event: GenerationEvent,
         *,
         kind: str = "gaussian_mle",
@@ -569,10 +506,10 @@ class CoalitionDensityOracle:
             for g in groups:
                 key.update(np.ascontiguousarray(g))
             key.update(float(ridge).hex().encode())
-            width = _fit_cuts(self.event.x.size)[-1]
+            dtype = _fit_dtype(self.event.x.size)
             self._scale, self._limbs, self._fit_table = _FITS.get(key.digest(), lambda: (
                 *_owner_moments(groups, self.n, partial),
-                CoalitionMemo(width, _FIT_TABLE_ELEMENTS // width)))
+                CoalitionMemo(dtype, _FIT_TABLE_BYTES // dtype.itemsize)))
 
     def _labeled(self, ds: OwnerDataset) -> np.ndarray:
         if self.event.label is None or ds.labels is None:
@@ -618,40 +555,58 @@ class CoalitionDensityOracle:
         """Which coalitions hold no points under the event's label, so fit on all of theirs."""
         return (masks & self._holders[0]) == 0
 
-    def _fits(self, masks: np.ndarray) -> _Fits:
-        """The coalitions' Gaussian fits, read from the fit table or fit and stored.
-
-        The coalitions whose fit was floored are recorded here, on every call.
-        """
-        fits = _Fits.from_rows(self._fit_table.get(masks, self._fit_rows), self.event.x.size)
-        self.covariance_floor_coalitions.update(masks[fits.floored].tolist())
+    def _fits(self, masks: np.ndarray) -> np.ndarray:
+        """The coalitions' :func:`_fit_dtype` records, read from the fit table or fit
+        and stored; the coalitions whose fit was floored are recorded, on every call."""
+        fits = self._fit_table.get(masks, self._fit_rows)
+        self.covariance_floor_coalitions.update(masks[fits["floored"]].tolist())
         return fits
 
     def _fit_rows(self, masks: np.ndarray) -> np.ndarray:
-        """Fit table rows of the coalitions, fit from the owners' exact moments."""
+        """The coalitions' fit records, fit from the owners' exact moments.
+
+        A covariance that Cholesky rejects after the floor raises
+        ``LinAlgError`` naming the first such coalition.
+        """
         sums = subset_sums(self._limbs[0], masks)
         fallback = self._fallback(masks)
         if fallback.any():
             sums[fallback] = subset_sums(self._limbs[1], masks[fallback])
-        means, covs, floored = _fit_moments(
+        fits = np.empty(len(masks), _fit_dtype(self.event.x.size))
+        fits["mean"], fits["cov"], fits["floored"] = _fit_moments(
             limb_integers(sums), self.event.x.size, self._scale, self._ridge)
-        return _Fits(means, covs, floored, *_cholesky_logdet(covs)).rows()
+        try:
+            fits["chol"], fits["logdet"] = _cholesky_logdet(fits["cov"])
+        except np.linalg.LinAlgError as exc:
+            for s, cov in zip(masks.tolist(), fits["cov"]):
+                try:
+                    np.linalg.cholesky(cov)
+                except np.linalg.LinAlgError:
+                    raise np.linalg.LinAlgError(
+                        f"{exc}: the covariance of coalition {coalition_members(s)}") from None
+            raise
+        return fits
 
     def _event_log_densities(self, masks: np.ndarray) -> np.ndarray:
         """Log density of the event under each nonempty coalition's fit;
         subclasses may replace the direct evaluation with an estimator."""
         x = self.event.x
-        if self._kind == "kde":
-            return np.array([
-                log_density(
-                    fit_kde(np.concatenate([self._pools[p][i] for i in coalition_members(s)]),
-                            bandwidth=self._bandwidth),
-                    x,
-                )
-                for s, p in zip(masks.tolist(), self._fallback(masks).tolist())
-            ])
-        fits = self._fits(masks)
-        return _gaussian_log_densities(fits.means, fits.chols, fits.logdets, x)
+        if self._kind == "gaussian_mle":
+            fits = self._fits(masks)
+            return _gaussian_log_densities(fits["mean"], fits["chol"], fits["logdet"], x)
+        # A Gaussian kernel on each of the coalition's pooled points.
+        d = x.size
+        out = np.empty(masks.size)
+        for k, (s, p) in enumerate(zip(masks.tolist(), self._fallback(masks).tolist())):
+            points = np.concatenate([self._pools[p][i] for i in coalition_members(s)])
+            h = scott_bandwidth(points) if self._bandwidth is None else self._bandwidth
+            sq = np.sum((points - x) ** 2, axis=1)
+            # An exponent past the float range is a kernel whose weight is zero.
+            with np.errstate(over="ignore"):
+                kernel_logs = -sq / (2.0 * h * h)
+            out[k] = (logsumexp(kernel_logs) - math.log(len(points)) - d * math.log(h)
+                      - 0.5 * d * LOG_2PI)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -787,4 +742,5 @@ def _first_bad_row(path, rows: list[list[str]], lines: list[int], d: int) -> Exc
             return DimensionMismatchError(f"{path}: line {line}: a coordinate is not a number")
         if not all(math.isfinite(v) for v in coords):
             return NonFiniteError(f"{path}: line {line} has a non-finite coordinate")
+    # Unreached: the fast path failed one of these same checks on some row.
     raise AssertionError("every row passes")

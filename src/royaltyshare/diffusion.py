@@ -320,7 +320,7 @@ class ChainDensityOracle(CoalitionDensityOracle):
 
     def _event_log_densities(self, masks) -> np.ndarray:
         fits = self._fits(masks)
-        means, covs = fits.means, fits.covs
+        means, covs = fits["mean"], fits["cov"]
         k, steps = self.num_samples, self.schedule.steps
         # Coalition s's root is derive_seed(seed, s); its trajectory j draws
         # from the stream (root, j). All keys of the batch come in one pass.

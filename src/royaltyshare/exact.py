@@ -35,7 +35,10 @@ and the developer's strata walk are built once per n.
 fsum accumulation is order independent, which has a useful consequence:
 players whose marginal contribution multisets coincide get bit-identical
 Shapley values, so symmetry and duplication results hold exactly rather than
-within a tolerance.
+within a tolerance. A sum that overflows or is not finite, as finite
+utilities near the float range can give, raises
+:class:`~royaltyshare.errors.NonFiniteError` naming its player, and so does
+a leave-one-out score.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ import math
 import numpy as np
 
 from .cache import DigestCache
-from .errors import TooManyPlayersError
+from .errors import NonFiniteError, TooManyPlayersError
 from .games import CoalitionGame, full_coalition
 
 # Above this the 2^n subset enumeration stops being a desk-scale computation.
@@ -111,9 +114,24 @@ def _stratum_pass(table: np.ndarray, n: int) -> tuple[tuple[float, ...], ...]:
     sums = []
     for i in range(n):
         without = ((others >> i) << (i + 1)) | (others & ((1 << i) - 1))
-        marginals = memoryview(table[without | (1 << i)] - table[without])
-        sums.append(tuple(math.fsum(marginals[a:b]) for a, b in zip(bounds, bounds[1:])))
+        # A marginal past the float range is caught by its stratum's sum.
+        with np.errstate(over="ignore", invalid="ignore"):
+            marginals = memoryview(table[without | (1 << i)] - table[without])
+        sums.append(tuple(_finite_fsum(marginals[a:b], i) for a, b in zip(bounds, bounds[1:])))
     return tuple(sums)
+
+
+def _finite_fsum(values, player: int) -> float:
+    """``math.fsum(values)``, or :class:`NonFiniteError` naming ``player`` if it
+    overflows or is not finite."""
+    try:
+        total = math.fsum(values)
+    except (OverflowError, ValueError):  # an intermediate overflow, or inf + -inf
+        total = math.nan
+    if not math.isfinite(total):
+        raise NonFiniteError(f"player {player}'s Shapley value is not finite: "
+                             "a sum of its marginal contributions overflows")
+    return total
 
 
 def _check_limit(n: int) -> None:
@@ -135,8 +153,8 @@ def exact_shapley(game: CoalitionGame) -> np.ndarray:
     n = game.n
     _check_limit(n)
     values = [
-        math.fsum([f / math.comb(n - 1, k) for k, f in enumerate(strata)]) / n
-        for strata in _stratum_sums(_utility_table(game), n)
+        _finite_fsum([f / math.comb(n - 1, k) for k, f in enumerate(strata)], i) / n
+        for i, strata in enumerate(_stratum_sums(_utility_table(game), n))
     ]
     return np.array(values, dtype=float)
 
@@ -161,13 +179,13 @@ def exact_permission_shapley(game: CoalitionGame) -> np.ndarray:
     _check_limit(n)
     table = _utility_table(game)
     values = [
-        math.fsum([0.0] + [f / math.comb(n, k + 1) for k, f in enumerate(strata)]) / (n + 1)
-        for strata in _stratum_sums(table, n)
+        _finite_fsum([0.0] + [f / math.comb(n, k + 1) for k, f in enumerate(strata)], i) / (n + 1)
+        for i, strata in enumerate(_stratum_sums(table, n))
     ]
     by_size = memoryview(table[_coalitions_by_size(n)])
     bounds = list(itertools.accumulate((math.comb(n, k) for k in range(n + 1)), initial=0))
-    developer = [math.fsum(by_size[a:b]) / (b - a) for a, b in zip(bounds, bounds[1:])]
-    values.append(math.fsum(developer) / (n + 1))
+    developer = [_finite_fsum(by_size[a:b], n) / (b - a) for a, b in zip(bounds, bounds[1:])]
+    values.append(_finite_fsum(developer, n) / (n + 1))
     return np.array(values, dtype=float)
 
 
@@ -195,24 +213,24 @@ def exact_shapley_by_permutations(game: CoalitionGame) -> np.ndarray:
             cur = vals[mask]
             buffers[p].append(cur - prev)
             prev = cur
-        for buf in buffers:
+        for i, buf in enumerate(buffers):
             if len(buf) >= _FSUM_CHUNK:
-                buf[:] = _exact_parts(buf)
+                buf[:] = _exact_parts(buf, i)
     total = math.factorial(n)
-    return np.array([math.fsum(buf) / total for buf in buffers])
+    return np.array([_finite_fsum(buf, i) / total for i, buf in enumerate(buffers)])
 
 
-def _exact_parts(values: list[float]) -> list[float]:
+def _exact_parts(values: list[float], player: int) -> list[float]:
     """Floats whose exact sum is that of ``values``, so an fsum over them rounds alike.
 
     The first part is the fsum of ``values``, which alone would round the
     partial sum; each next one is the rounded rest, until the rest is exactly
-    zero, or not finite as an fsum of the whole would be.
+    zero. A sum that is not finite raises, naming ``player``.
     """
     parts: list[float] = []
     while True:
-        parts.append(math.fsum(values + [-p for p in parts]))
-        if parts[-1] == 0.0 or not math.isfinite(parts[-1]):
+        parts.append(_finite_fsum(values + [-p for p in parts], player))
+        if parts[-1] == 0.0:
             return parts
 
 
@@ -221,8 +239,14 @@ def loo_scores(game: CoalitionGame) -> np.ndarray:
 
     Costs exactly ``n + 1`` distinct oracle evaluations. Provided as the
     contrast baseline: under exact data duplication LOO collapses to zero for
-    every copy while Shapley values split the credit.
+    every copy while Shapley values split the credit. A score that is not
+    finite raises :class:`NonFiniteError` naming its player.
     """
     grand = full_coalition(game.n)
     vals = game.evaluate_many([grand] + [grand & ~(1 << i) for i in range(game.n)])
-    return vals[0] - vals[1:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = vals[0] - vals[1:]
+    bad = np.flatnonzero(~np.isfinite(scores))
+    if bad.size:
+        raise NonFiniteError(f"player {bad[0]}'s leave-one-out score is not finite")
+    return scores

@@ -26,7 +26,7 @@ oracle sums one integer per player this way, and the Gaussian density oracle
 each owner's count and moment sums.
 
 :class:`CoalitionMemo` pays for each coalition's value once: the coalitions
-seen so far, sorted as uint64, and their values, float64 numbers or rows.
+seen so far, sorted as uint64, and their values, float64 numbers or records.
 Under its lock it looks a whole batch up with one ``searchsorted``, dedupes
 the misses with ``np.unique``, computes them in one call and merges them in
 linear time with :func:`merge_sorted`, so each coalition is computed once,
@@ -211,10 +211,10 @@ def coalition_array(masks, n: int) -> np.ndarray:
 def merge_sorted(keys, values, new_keys, new_values) -> tuple[np.ndarray, np.ndarray]:
     """Ascending ``keys`` and ascending ``new_keys``, none shared, merged with their values.
 
-    The values are one entry or one row per key; the merged arrays take the
-    dtypes of ``keys`` and ``values``. Scatters the new keys to their final
-    slots, their ``searchsorted`` positions shifted by the new keys before
-    them, and the old keys to the rest: linear time, no sort.
+    The values are one entry per key; the merged arrays take the dtypes of
+    ``keys`` and ``values``. Scatters the new keys to their final slots,
+    their ``searchsorted`` positions shifted by the new keys before them, and
+    the old keys to the rest: linear time, no sort.
     """
     if not new_keys.size:
         return keys, values
@@ -223,15 +223,16 @@ def merge_sorted(keys, values, new_keys, new_values) -> tuple[np.ndarray, np.nda
     old[slots] = False
     merged_keys = np.empty(old.size, dtype=keys.dtype)
     merged_keys[slots], merged_keys[old] = new_keys, keys
-    merged_values = np.empty((old.size,) + values.shape[1:], dtype=values.dtype)
+    merged_values = np.empty(old.size, dtype=values.dtype)
     merged_values[slots], merged_values[old] = new_values, values
     return merged_keys, merged_values
 
 
 class CoalitionMemo:
-    """Values computed once per coalition: sorted uint64 keys, float64 values, one lock.
+    """Values computed once per coalition: sorted uint64 keys, their values, one lock.
 
-    A value is a float, or a row of ``width`` floats. The keys are found by
+    A value is one element of ``dtype``: a float by default, or a record,
+    such as a Gaussian fit. The keys are found by
     ``searchsorted`` and new ones merged in linear time with
     :func:`merge_sorted`, which copies both arrays: a batch costs O(memo)
     once. At most ``capacity`` keys are kept; past that, the coalitions not
@@ -239,9 +240,9 @@ class CoalitionMemo:
     ``compute`` has returned values for, kept or not.
     """
 
-    def __init__(self, width: int | None = None, capacity: int = 1 << MAX_PLAYERS):
+    def __init__(self, dtype=float, capacity: int = 1 << MAX_PLAYERS):
         self._keys = np.empty(0, dtype=np.uint64)
-        self._values = np.empty((0,) if width is None else (0, width))
+        self._values = np.empty(0, dtype)
         self._capacity = capacity
         self._lock = threading.Lock()
         self.count = 0
@@ -266,13 +267,13 @@ class CoalitionMemo:
                 return values[pos]
             # ``missing`` is sorted; ``order`` lists it in order of first appearance.
             missing, first, inverse = np.unique(masks[~hit], return_index=True, return_inverse=True)
-            fresh = np.empty(missing.shape + values.shape[1:])
+            fresh = np.empty(missing.shape, values.dtype)
             order = np.argsort(first)
             fresh[order] = compute(missing[order])
             room = max(0, self._capacity - keys.size)
             self._keys, self._values = merge_sorted(keys, values, missing[:room], fresh[:room])
             self.count += missing.size
-        out = np.empty(masks.shape + values.shape[1:])
+        out = np.empty(masks.shape, values.dtype)
         out[hit] = values[pos[hit]]
         out[~hit] = fresh[inverse]
         return out

@@ -56,13 +56,21 @@ def royalty_shares(phi: np.ndarray) -> ShareVector:
     """Normalize Shapley values into royalty shares.
 
     Negative scores are clamped to zero before normalizing. An all-clamped
-    vector yields uniform shares with ``degenerate=True``.
+    vector yields uniform shares with ``degenerate=True``. A score that is
+    not finite raises :class:`NonFiniteError` naming its player, and so does
+    a total of the clamped scores that overflows, naming the largest.
     """
     values = np.asarray(phi, dtype=float)
-    if values.size and not np.all(np.isfinite(values)):
-        raise NonFiniteError("Shapley values must be finite to define shares")
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise NonFiniteError(
+            f"player {bad[0]}'s Shapley value is not finite, so it defines no share")
     clamped = np.maximum(values, 0.0)
-    total = math.fsum(clamped.tolist())
+    try:
+        total = math.fsum(clamped.tolist())
+    except OverflowError:  # the scores are finite, so only their sum can overflow
+        raise NonFiniteError(f"the shares' total overflows: player {int(np.argmax(clamped))}'s "
+                             "Shapley value is the largest") from None
     if total > 0.0:
         return ShareVector(clamped / total, degenerate=False)
     n = len(values)

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -777,6 +778,65 @@ def test_finite_data_at_any_scale_exits_0_2_or_3_and_reports_only_finite_numbers
     assert 0 in codes and 3 in codes
 
 
+def run_strict(argv, capsys):
+    """``main(argv)`` with floating-point warnings as errors: its code and standard error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(argv)
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["attribute", "developer-share"])
+def test_utilities_whose_sums_overflow_are_exit_3_naming_the_player(tmp_path, capsys, command):
+    # Seven owners far below 1 and one far above: a coalition's utility can
+    # approach the float range, and an exact solver's sum of them overflow.
+    config = write_config(tmp_path / "config.json", dataset="owners.csv")
+    rng = np.random.default_rng(0)
+    codes = []
+    for _ in range(30):
+        points = [rng.uniform(-1.0, 1.0, (20, 3)) * 1e-300 for _ in range(7)]
+        points.append(2e150 + rng.uniform(-1.0, 1.0, (20, 3)) * 1e150)
+        save_owner_datasets(tmp_path / "owners.csv", [
+            OwnerDataset(owner=i, points=p) for i, p in enumerate(points)])
+        event = ",".join(map(repr, (rng.uniform(-1.0, 1.0, 3) * 3e150).tolist()))
+        code, err = run_strict([command, "--config", config, f"--event={event}",
+                                "--out", str(tmp_path / "out")], capsys)
+        assert code in (0, 3)
+        if code == 3:
+            assert "oracle failure: player 7's Shapley value is not finite" in err
+        codes.append(code)
+    assert 0 in codes and 3 in codes
+
+
+def test_a_covariance_cholesky_rejects_names_its_coalition(tmp_path, capsys):
+    # Owners 150 decades above the covariance floor and owners near it: after
+    # the floor, some pooled covariances still fail to factor.
+    configs = {kind: write_config(tmp_path / f"{kind}.json", dataset="owners.csv",
+                                  oracle={"kind": kind}, density_mc_samples=2)
+               for kind in ("gaussian_mle", "gaussian_chain")}
+    rng = np.random.default_rng(0)
+    named = 0
+    for _ in range(40):
+        save_owner_datasets(tmp_path / "owners.csv", [
+            OwnerDataset(owner=i, points=rng.uniform(-1.0, 1.0, (3, 3)) * 10.0**k)
+            for i, k in enumerate([150, 0, -10, 150])])
+        event = ",".join(map(repr, (rng.uniform(-1.0, 1.0, 3) * 1e150).tolist()))
+        code, err = run_strict(["attribute", "--config", configs["gaussian_mle"],
+                                f"--event={event}", "--out", str(tmp_path / "out")], capsys)
+        if code == 0:
+            continue
+        assert code == 3
+        message = err.splitlines()[-1]
+        assert re.fullmatch(r"oracle failure: Matrix is not positive definite: "
+                            r"the covariance of coalition \[\d(, \d)*\]", message)
+        # The chain oracle reads the same fits, so it fails on the same coalition.
+        assert run_strict(["attribute", "--config", configs["gaussian_chain"],
+                           f"--event={event}", "--out", str(tmp_path / "out")],
+                          capsys) == (3, message + "\n")
+        named += 1
+    assert named
+
+
 @pytest.mark.parametrize("rows, message", [
     ("0,,0.5,1.0\n2,,0.0,0.0\n0,,1.0,1.0\n", "line 3: owner ids must be dense"),
     ("0,,0.5,1.0\nzero,,0.0,0.0\n", "line 3: owner id 'zero' is not an integer"),
@@ -832,6 +892,15 @@ def test_dataset_of_the_wrong_shape_is_exit_3(tmp_path, capsys, content, message
     assert main(["attribute", "--config", config, "--event", "0,0"]) == 3
     err = capsys.readouterr().err
     assert "oracle failure" in err and f"{dataset}: {message}" in err
+
+
+def test_a_dataset_csv_of_zeros_is_exit_3_naming_the_header(tmp_path, capsys):
+    dataset = tmp_path / "owners.csv"
+    dataset.write_text("0,0,0.0,0.0\n" * 3, encoding="utf-8")
+    config = write_config(tmp_path / "config.json", dataset=str(dataset))
+    assert main(["attribute", "--config", config, "--event", "0,0"]) == 3
+    err = capsys.readouterr().err
+    assert f"oracle failure: {dataset}: expected header owner_id,label,x0,..." in err
 
 
 @pytest.mark.parametrize("empty", ["dataset", "baseline"])

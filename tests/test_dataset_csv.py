@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from royaltyshare import (
     DimensionMismatchError,
+    EmptyDatasetError,
     NonFiniteError,
     OwnerDataset,
     load_owner_datasets,
@@ -159,6 +160,13 @@ def test_a_header_without_coordinates_is_rejected(tmp_path):
     with pytest.raises(DimensionMismatchError,
                        match=f"{re.escape(str(path))}: the header names no coordinate column"):
         load_owner_datasets(path)
+
+
+def test_saving_no_datasets_writes_nothing(tmp_path):
+    path = tmp_path / "owners.csv"
+    with pytest.raises(EmptyDatasetError, match="nothing to save"):
+        save_owner_datasets(path, [])
+    assert not path.exists()
 
 
 def test_a_file_rewritten_with_one_digit_changed_loads_the_new_points(tmp_path):

@@ -13,14 +13,12 @@ from royaltyshare import (
     EmptyDatasetError,
     GaussianModel,
     GenerationEvent,
-    KernelDensityModel,
     NoiseSchedule,
     NonFiniteError,
     OracleFailureError,
     OwnerDataset,
     exact_shapley,
     fit_gaussian,
-    fit_kde,
     load_owner_datasets,
     loo_scores,
     royalty_shares,
@@ -83,6 +81,17 @@ def test_duplicated_rows_fit_identically():
     np.testing.assert_array_equal(once.cov, twice.cov)
 
 
+def test_gaussian_model_checks_its_shapes():
+    for mean, cov in [(np.zeros(2), np.eye(3)), (np.zeros((1, 2)), np.eye(2))]:
+        with pytest.raises(DimensionMismatchError, match=r"mean must be \(d,\) and cov \(d, d\)"):
+            GaussianModel(mean=mean, cov=cov)
+
+
+def test_scott_bandwidth_needs_points():
+    with pytest.raises(EmptyDatasetError, match="bandwidth selection requires points"):
+        scott_bandwidth(np.empty((0, 2)))
+
+
 def test_scott_bandwidth_formula():
     rng = np.random.default_rng(5)
     points = rng.standard_normal((50, 2)) * 1.7
@@ -93,9 +102,17 @@ def test_scott_bandwidth_formula():
     assert scott_bandwidth(np.zeros((5, 2))) == 1e-6
 
 
+def kde_log_density(support, x, bandwidth):
+    """The KDE log density of ``x`` over ``support``: the utility of a one-owner
+    ``kde`` oracle plus its baseline's log density."""
+    baseline = standard_normal_model(x.size)
+    oracle = CoalitionDensityOracle([OwnerDataset(owner=0, points=support)], baseline,
+                                    GenerationEvent(x=x), kind="kde", bandwidth=bandwidth)
+    return oracle(1) + baseline.log_density(x)
+
+
 def test_kde_single_point_peak():
-    model = fit_kde(np.array([[2.0]]), bandwidth=1.0)
-    assert model.log_density(np.array([2.0])) == pytest.approx(
+    assert kde_log_density(np.array([[2.0]]), np.array([2.0]), 1.0) == pytest.approx(
         STANDARD_NORMAL_PEAK, abs=1e-14
     )
 
@@ -103,7 +120,6 @@ def test_kde_single_point_peak():
 def test_kde_matches_manual_mixture():
     rng = np.random.default_rng(7)
     support = rng.standard_normal((20, 2))
-    model = fit_kde(support, bandwidth=0.8)
     x = np.array([0.3, -0.4])
     kernels = [
         multivariate_normal(mean=p, cov=0.64 * np.eye(2)).logpdf(x) for p in support
@@ -112,7 +128,16 @@ def test_kde_matches_manual_mixture():
     expected = shift + math.log(
         math.fsum(math.exp(k - shift) for k in kernels) / len(kernels)
     )
-    assert model.log_density(x) == pytest.approx(expected, abs=1e-10)
+    assert kde_log_density(support, x, 0.8) == pytest.approx(expected, abs=1e-10)
+
+
+def test_an_event_outside_the_baselines_float_range_is_refused():
+    # Each squared coordinate over the floored variance is 2**1000 / 1e-6:
+    # twenty of them sum past the float range.
+    d = 20
+    baseline = GaussianModel(mean=np.zeros(d), cov=COVARIANCE_FLOOR * np.eye(d))
+    with pytest.raises(OracleFailureError, match="under the baseline is not finite"):
+        CoalitionDensityOracle([], baseline, GenerationEvent(x=np.full(d, 2.0**500)))
 
 
 # An oracle over no owners: its settings are checked before anything else.

@@ -88,7 +88,8 @@ def test_pooled_batch_fits_equal_the_fraction_reference(owners, coordinates, see
         labeled = [ds.points[np.array(ds.labels) == "a"] for ds in owned]
         fallback.append(not any(len(p) for p in labeled))
         pools.append(np.concatenate([ds.points for ds in owned] if fallback[-1] else labeled))
-    means, covs = oracle._fits(masks)[:2]
+    fits = oracle._fits(masks)
+    means, covs = fits["mean"], fits["cov"]
     assert fallback[0]
     floored = []
     for b, pooled in enumerate(pools):
@@ -334,7 +335,7 @@ def cold_values(monkeypatch, make, masks=range(16)):
     with monkeypatch.context() as patch:
         for name in ("_DATASETS", "_FITS"):
             patch.setattr(density, name, DigestCache(density._CACHE_SIZE))
-        patch.setattr(density, "_FIT_TABLE_ELEMENTS", 0)
+        patch.setattr(density, "_FIT_TABLE_BYTES", 0)
         oracle = make()
         values = oracle.many(masks)
         assert not oracle._fit_table._keys.size
@@ -371,8 +372,9 @@ def test_warm_and_cold_fits_are_bit_equal(empty_caches, monkeypatch, kind, block
     warm = make()
     assert warm._fit_table is cold_first._fit_table
     masks = np.arange(1, 16, dtype=np.uint64)
-    rows = warm._fits(masks).rows()
-    assert rows.tobytes() == cold._fit_rows(masks).tobytes()
+    fits, refits = warm._fits(masks), cold._fit_rows(masks)
+    for name in fits.dtype.names:
+        assert fits[name].tobytes() == refits[name].tobytes()
     for batch in batches:
         masks = list(batch)
         assert warm.many(masks).tobytes() == reference[masks].tobytes()
@@ -411,13 +413,12 @@ def test_writing_to_returned_fits_does_not_change_the_next_call(empty_caches):
     masks = np.arange(1, 16, dtype=np.uint64)
     expected = None
     for _ in range(2):  # a cold call, then a warm one
-        means, covs = oracle._fits(masks)[:2]
+        fits = oracle._fits(masks)
         values = oracle.many(range(16))
         assert expected is None or values.tobytes() == expected.tobytes()
         expected = values
-        fits = oracle._fits(masks)
-        for array in (means, covs, *fits):
-            array[...] = 0
+        fits[...] = 0
+        oracle._fits(masks)[...] = 0
     assert oracle.many(range(16)).tobytes() == expected.tobytes()
 
 
@@ -427,7 +428,7 @@ def test_a_lowered_budget_stops_the_table_growing_and_values_stay_correct(
         return ORACLES["gaussian"](labeled_partition(), standard_normal_model(2), EVENT)
 
     reference = cold_values(monkeypatch, make)[0]
-    monkeypatch.setattr(density, "_FIT_TABLE_ELEMENTS", 6 * density._fit_cuts(2)[-1] - 1)
+    monkeypatch.setattr(density, "_FIT_TABLE_BYTES", 6 * density._fit_dtype(2).itemsize - 1)
     oracle = make()
     assert oracle.many([7, 3, 1]).tobytes() == reference[[7, 3, 1]].tobytes()
     assert table_keys(oracle) == [1, 3, 7]

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from conftest import GLOVE_EXACT, random_table, table_game
 from royaltyshare import (
     CoalitionGame,
+    NonFiniteError,
     PermissionGame,
     TooManyPlayersError,
     exact_shapley,
@@ -285,9 +287,20 @@ def test_a_pass_that_raises_stores_nothing(counted_passes):
     # Player 0's stratum 1 sums two marginals of 1e308: fsum overflows.
     table = [0.0, 1e308, 0.0, 1e308, 0.0, 1e308, 0.0, 1e308]
     for _ in range(2):
-        with pytest.raises(OverflowError):
+        with pytest.raises(NonFiniteError, match="^player 0's Shapley value is not finite"):
             exact_shapley(table_game(table))
     assert counted_passes == [3, 3] and not exact._STRATA._entries
+
+
+@pytest.mark.parametrize("solver", [exact_shapley, exact_permission_shapley,
+                                    exact_shapley_by_permutations, loo_scores])
+def test_a_marginal_past_the_float_range_raises_naming_its_player(solver):
+    # Player 1 adds 2e308 to {0}: the difference of two finite utilities overflows.
+    game = table_game([0.0, -1e308, 0.0, 1e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonFiniteError, match="^player 1's"):
+            solver(game)
 
 
 def test_the_stratum_cache_stays_bounded(counted_passes):

@@ -150,14 +150,20 @@ def test_memo_keeps_and_counts_nothing_when_compute_raises():
     assert memo.get(np.array([2, 1], dtype=np.uint64), recording([])).tolist() == [1.0, 0.5]
 
 
-def test_memo_values_can_be_rows():
+def test_memo_values_can_be_records():
     calls = []
-    memo = CoalitionMemo(width=3)
-    compute = recording(calls, lambda masks: masks[:, None] * np.array([1.0, -1.0, 0.25]))
-    memo.get(np.array([6, 2], dtype=np.uint64), compute)
-    rows = memo.get(np.array([2, 5, 6, 5], dtype=np.uint64), compute)
-    assert rows.shape == (4, 3)
-    np.testing.assert_array_equal(rows, [[2, -2, 0.5], [5, -5, 1.25], [6, -6, 1.5], [5, -5, 1.25]])
-    assert calls == [[6, 2], [5]] and memo._values.shape == (3, 3)
-    rows[:] = 0  # the returned rows are a copy
-    np.testing.assert_array_equal(memo.get(np.array([2], dtype=np.uint64), compute), [[2, -2, 0.5]])
+    dtype = np.dtype([("value", float), ("odd", bool)])
+
+    def record(masks):
+        out = np.empty(masks.size, dtype)
+        out["value"], out["odd"] = masks * 0.25, masks % 2 == 1
+        return out
+
+    memo = CoalitionMemo(dtype)
+    memo.get(np.array([6, 2], dtype=np.uint64), recording(calls, record))
+    records = memo.get(np.array([2, 5, 6, 5], dtype=np.uint64), recording(calls, record))
+    assert records.dtype == dtype and records.shape == (4,)
+    assert records.tolist() == [(0.5, False), (1.25, True), (1.5, False), (1.25, True)]
+    assert calls == [[6, 2], [5]] and memo._values.shape == (3,)
+    records[:] = 0  # the returned records are a copy
+    assert memo.get(np.array([2], dtype=np.uint64), record).tolist() == [(0.5, False)]

@@ -66,6 +66,13 @@ def test_shares_reject_non_finite_values():
         royalty_shares(np.array([1.0, float("nan")]))
 
 
+def test_shares_name_the_player_when_a_value_or_the_total_is_not_finite():
+    with pytest.raises(NonFiniteError, match="^player 2's Shapley value is not finite"):
+        royalty_shares(np.array([1.0, -2.0, -math.inf]))
+    with pytest.raises(NonFiniteError, match="^the shares' total overflows: player 1's"):
+        royalty_shares(np.array([1e308, 1.5e308, -1e308]))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     arrays(
